@@ -1,0 +1,106 @@
+"""Golden CLI outputs: every case's stdout and --out file, byte for byte.
+
+The files under tests/golden/ were written by the package itself and are
+the reproducibility contract made concrete: an engine change that moves a
+single printed digit fails here.  After a deliberate output change,
+regenerate them from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in CHANGES.md why the outputs moved.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from statarb.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SMALL = ["--runs", "60", "--steps", "250"]
+
+# case name -> CLI argv without --out; simulate cases also write --out
+CASES: dict[str, list[str]] = {
+    f"simulate_{kind}_{mode}_s{seed}": [
+        "simulate", *SMALL, "--seed", str(seed), "--strategy", kind,
+        "--mode", mode]
+    for kind in ("embedded", "trend", "gfin")
+    for mode in ("snap", "observed")
+    for seed in (3, 11)
+}
+CASES.update({
+    f"simulate_trend_{mode}_alpha1": [
+        "simulate", *SMALL, "--seed", "3", "--strategy", "trend",
+        "--mode", mode, "--alpha", "1.0"]
+    for mode in ("snap", "observed")
+})
+CASES.update({
+    "simulate_gfin_observed_alpha05": [
+        "simulate", *SMALL, "--seed", "3", "--strategy", "gfin",
+        "--mode", "observed", "--alpha", "0.5"],
+    "simulate_trend_snap_negative_drift": [
+        "simulate", *SMALL, "--seed", "3", "--strategy", "trend",
+        "--mu", "-0.1241"],
+    # CLI defaults apart from the run count: several chunks of runs
+    "simulate_defaults_s5": ["simulate", "--runs", "200", "--seed", "5"],
+    "sweep_eta_trend_observed": [
+        "sweep", "--strategy", "trend", "--mode", "observed", "--mu", "0.1",
+        "--axis", "eta", "--values", "0.5,1.0,2.0", "--runs", "30",
+        "--steps", "300", "--seed", "2"],
+})
+
+
+def run_case(argv: list[str], out: Path | None) -> tuple[int, bytes]:
+    """Run the CLI in process; returns its exit code and stdout bytes."""
+    if out is not None:
+        argv = [*argv, "--out", str(out)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue().encode("utf-8")
+
+
+def _out_path(directory: Path, name: str, argv: list[str]) -> Path | None:
+    return directory / f"{name}.out.csv" if argv[0] == "simulate" else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    argv = CASES[name]
+    out = _out_path(tmp_path, name, argv)
+    code, stdout = run_case(argv, out)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    if out is not None:
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_golden_directory_holds_exactly_the_cases():
+    expected = set()
+    for name, argv in CASES.items():
+        expected.add(f"{name}.stdout")
+        if _out_path(GOLDEN, name, argv) is not None:
+            expected.add(f"{name}.out.csv")
+    assert {p.name for p in GOLDEN.iterdir()} == expected
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.iterdir():
+        old.unlink()
+    for name, argv in sorted(CASES.items()):
+        code, stdout = run_case(argv, _out_path(GOLDEN, name, argv))
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+
+
+if __name__ == "__main__":
+    regenerate()
+    print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}",
+          file=sys.stderr)
