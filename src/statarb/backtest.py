@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateModel,
+    DegenerateSeries,
     InsufficientData,
     NonMonotoneDates,
     NoSaExists,
@@ -196,8 +197,9 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
 
     Each cycle uses only observations strictly before its start for the
     (mu, sigma) estimate; mu_hat >= 0 selects the positive orientation.
-    Windows where the critical ratio degenerates (q = 1) are skipped by
-    one observation.  A final cycle interrupted by the end of data is
+    Windows whose returns have zero variance, or where the critical ratio
+    degenerates (q = 1), are skipped by one observation; DegenerateSeries
+    is raised only when no window at all was estimable.  A final cycle interrupted by the end of data is
     liquidated at the last close and included in total_pnl but not in the
     per-cycle log (n_cycles counts completed cycles).
     """
@@ -211,9 +213,15 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     led = ledger if ledger is not None else TradeLedger()
     cycles: list[CycleLog] = []
     c = config.boundary_fraction
+    estimable = False
     i = window
     while i < n - 1:
-        mu_hat, sigma_hat = mle_estimate(closes[i - window:i], config.dt)
+        try:
+            mu_hat, sigma_hat = mle_estimate(closes[i - window:i], config.dt)
+        except DegenerateSeries:
+            i += 1
+            continue
+        estimable = True
         orientation = "positive" if mu_hat >= 0 else "negative"
         anchor = float(closes[i])
         cash_before = led.cash
@@ -234,6 +242,9 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
                                mu_hat, sigma_hat, orientation,
                                led.cash - cash_before, qty))
         i = i_end
+    if not estimable:
+        raise DegenerateSeries("every estimation window has zero return "
+                               "variance")
     total_pnl = led.close_out(n - 1, float(closes[-1]))
     traded_qty = sum(abs(delta) for _, _, delta in led.events)
     traded_notional = sum(abs(delta) * price

@@ -361,3 +361,24 @@ def test_summary_json_and_cycles_csv():
     assert float(first[2]) == res.cycles[0].mu_hat
     assert first[4] in ("positive", "negative")
     assert float(first[5]) == res.cycles[0].pnl
+
+
+def test_flat_stretch_skips_only_its_windows():
+    # stale quotes, then a jump back to the GBM path: the jump ends a cycle
+    # whose trailing window is entirely flat
+    closes = np.array(gbm_series(0, years=8.0).closes)
+    flat = slice(1000, 1080)  # longer than the window
+    closes[flat] = closes[flat.start]
+    series = MarketSeries(daily_dates(closes.size), closes)
+    config = BacktestConfig(boundary_fraction=0.02, window_days=60)
+    result = run_backtest(series, config)
+    assert result.n_cycles > 0
+    assert math.isfinite(result.total_pnl)
+    starts = [series.dates.index(cyc.cycle_start) for cyc in result.cycles]
+    flat_windows = range(flat.start + config.window_days + 1, flat.stop + 1)
+    assert not set(starts) & set(flat_windows)
+    assert max(starts) > flat.stop
+    # before the stretch the walk is the one of the series cut there
+    prefix = MarketSeries(series.dates[:flat.start], closes[:flat.start])
+    early = run_backtest(prefix, config).cycles
+    assert early and result.cycles[:len(early)] == early
