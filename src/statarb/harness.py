@@ -1,12 +1,14 @@
 """Monte Carlo experiment harness: batched runs, summary metrics, sweeps.
 
 A single experiment simulates ``n_runs`` independent GBM paths and applies
-one strategy runner to each.  Per-run seeds are derived with
+one strategy to each.  The runs go through ``strategies.run_seeded``, which
+holds ``paths.chunk_rows`` paths at a time in one price matrix of at most
+``paths.CHUNK_BYTES``.  Per-run seeds are derived with
 ``np.random.SeedSequence([master_seed, axis_index, run_index])`` so results
-are reproducible, independent of scheduling, and independent across both
-runs and sweep-axis cells.  Sweeps re-run the experiment once per axis value
-with the axis position as the salt, so a single-value sweep reproduces a
-plain experiment bit for bit.
+are reproducible, independent of chunking and scheduling, and independent
+across both runs and sweep-axis cells.  Sweeps re-run the experiment once
+per axis value with the axis position as the salt, so a single-value sweep
+reproduces a plain experiment bit for bit.
 """
 from __future__ import annotations
 
@@ -18,13 +20,14 @@ import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .paths import simulate_gbm
+from .paths import chunk_rows, simulate_gbm
 from .strategies import (
     RunResult,
     StrategyConfig,
     run_embedded_binomial,
     run_follow_trend,
     run_gfin,
+    run_seeded,
 )
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
 
 SWEEP_AXES = ("c", "c_mult", "mu", "sigma", "eta")
 
+# the one-path runner of each kind, which _one_run reproduces a run with
 _RUNNERS: dict[str, Callable] = {
     "embedded": run_embedded_binomial,
     "trend": run_follow_trend,
@@ -172,20 +176,29 @@ def _run_seed(master_seed: int, axis_index: int, run_index: int) -> int:
 
 def _one_run(config: ExperimentConfig, axis_index: int,
              run_index: int) -> RunResult:
+    """Run ``run_index`` of an experiment alone, on the one-path runner;
+    equal to the experiment's own result for that run."""
     seed = _run_seed(config.master_seed, axis_index, run_index)
     path = simulate_gbm(config.params, seed=seed)
     runner = _RUNNERS[config.strategy.kind]
     return runner(path, config.params, config.strategy)
 
 
+def _run_block(config: ExperimentConfig, axis_index: int, q: float,
+               runs: range) -> list[RunResult]:
+    seeds = (_run_seed(config.master_seed, axis_index, i) for i in runs)
+    return run_seeded(config.params, config.strategy, q, seeds,
+                      chunk_rows(config.params.n_steps))
+
+
 def run_experiment(config: ExperimentConfig, *, n_workers: int = 1,
                    axis_index: int = 0) -> ExperimentResult:
     """Execute ``config.n_runs`` seeded runs and aggregate their metrics.
 
-    ``n_workers`` only affects scheduling: results are keyed by run index
-    and folded in index order, so any worker count yields identical output.
-    Raises AllRunsSkipped when the strategy precondition (q = 1) voids the
-    whole batch.
+    ``n_workers`` only affects scheduling: each worker takes a contiguous
+    block of runs, and the blocks are kept in run order, so any worker count
+    yields identical output.  Raises AllRunsSkipped when the strategy
+    precondition (q = 1) voids the whole batch.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
@@ -197,13 +210,17 @@ def run_experiment(config: ExperimentConfig, *, n_workers: int = 1,
         raise AllRunsSkipped(
             f"q = 1 at c={c!r}: every run is voided") from exc
 
-    indices = range(config.n_runs)
     if n_workers == 1:
-        results = [_one_run(config, axis_index, i) for i in indices]
+        results = _run_block(config, axis_index, q, range(config.n_runs))
     else:
+        bounds = [config.n_runs * k // n_workers
+                  for k in range(n_workers + 1)]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(
-                lambda i: _one_run(config, axis_index, i), indices))
+            parts = pool.map(
+                lambda k: _run_block(config, axis_index, q,
+                                     range(bounds[k], bounds[k + 1])),
+                range(n_workers))
+            results = [run for part in parts for run in part]
     summary = metrics(
         [r.pnl for r in results],
         [r.trade_count for r in results],

@@ -4,11 +4,17 @@ A PricePath is an immutable discrete observation grid of a price process.
 next_hit scans it for the first touch or crossing of a set of barrier
 levels, and TradeLedger accumulates the mark-to-market P&L of position
 changes executed along the way.
+
+simulate_gbm_rows and next_hits are the same two operations for a block of
+paths held as the rows of one price matrix: row k of the matrix is the path
+simulate_gbm would give for seed k, and next_hits answers one next_hit
+query per row with a single vectorised scan.  Their results equal the
+one-path functions bit for bit.  CHUNK_BYTES bounds the memory of both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,8 +24,12 @@ __all__ = [
     "PricePath",
     "HitEvent",
     "TradeLedger",
+    "CHUNK_BYTES",
+    "chunk_rows",
     "simulate_gbm",
+    "simulate_gbm_rows",
     "next_hit",
+    "next_hits",
     "dump_path",
 ]
 
@@ -63,25 +73,50 @@ class PricePath:
         return int(self.prices.size)
 
 
-def simulate_gbm(params: GbmParams, seed: int, *,
-                 zero_noise: bool = False) -> PricePath:
-    """Simulate GBM on an equally spaced grid by exact log-normal stepping
+# Memory budget of one block of paths: the price matrix, and separately
+# each float temporary of a next_hits window, stays within this many bytes.
+CHUNK_BYTES = 512 * 1024
+
+
+def chunk_rows(n_steps: int) -> int:
+    """Paths per block: as many (n_steps + 1)-point rows as CHUNK_BYTES
+    holds, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * (n_steps + 1)))
+
+
+def simulate_gbm_rows(params: GbmParams, seeds: Sequence[int], *,
+                      zero_noise: bool = False) -> np.ndarray:
+    """Simulate one GBM path per seed as the rows of a price matrix of shape
+    (len(seeds), n_steps + 1), by exact log-normal stepping
     S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z_k).
 
-    The same (params, seed) always produces the identical path.
-    `zero_noise` forces every Z_k to 0, leaving the deterministic skeleton
-    s0 * exp((mu - sigma^2/2) k dt) — a test hook.
+    Row k holds the normals of np.random.default_rng(seeds[k]), so the same
+    (params, seed) always produces the identical row whatever block it is
+    simulated in.  `zero_noise` forces every Z_k to 0, leaving the
+    deterministic skeleton s0 * exp((mu - sigma^2/2) k dt) -- a test hook.
     """
     n, dt = params.n_steps, params.dt
-    if zero_noise:
-        z = np.zeros(n)
-    else:
-        z = np.random.default_rng(seed).standard_normal(n)
-    steps = (params.mu - 0.5 * params.sigma**2) * dt \
-        + params.sigma * np.sqrt(dt) * z
-    log_prices = np.concatenate(([0.0], np.cumsum(steps)))
-    prices = params.s0 * np.exp(log_prices)
-    times = np.linspace(0.0, params.horizon, n + 1)
+    prices = np.zeros((len(seeds), n + 1))
+    if not zero_noise:
+        for row, seed in zip(prices, seeds):
+            np.random.default_rng(seed).standard_normal(out=row[1:])
+    # scaling the whole matrix keeps the arithmetic in one contiguous
+    # pass; column 0, the log start price, is reset to 0 afterwards
+    prices *= params.sigma * np.sqrt(dt)
+    prices += (params.mu - 0.5 * params.sigma**2) * dt
+    prices[:, 0] = 0.0
+    np.cumsum(prices, axis=1, out=prices)
+    np.exp(prices, out=prices)
+    prices *= params.s0
+    return prices
+
+
+def simulate_gbm(params: GbmParams, seed: int, *,
+                 zero_noise: bool = False) -> PricePath:
+    """The path of simulate_gbm_rows(params, [seed]) on the equally spaced
+    grid 0, dt, ..., horizon."""
+    prices = simulate_gbm_rows(params, [seed], zero_noise=zero_noise)[0]
+    times = np.linspace(0.0, params.horizon, params.n_steps + 1)
     return PricePath(times, prices, seed=int(seed))
 
 
@@ -163,6 +198,98 @@ def next_hit(path: PricePath, from_index: int, levels: Iterable[float],
         k = stop
         block = min(2 * block, 65536)
     return None
+
+
+def _nearest_crossed(p0: np.ndarray, p1: np.ndarray,
+                     levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_segment_level per row: whether segment p0[r] -> p1[r] touches or
+    crosses a level of the sorted row levels[r], and the crossed level
+    nearest p0[r] (the lowest on a tie, as in the sorted one-path scan).
+    NaN levels never count."""
+    d0 = p0[:, None] - levels
+    d1 = p1[:, None] - levels
+    crossed = (d0 * d1 < 0) | (d1 == 0)
+    nearest = np.where(crossed, np.abs(d0), np.inf).argmin(axis=1)
+    return crossed.any(axis=1), levels[np.arange(levels.shape[0]), nearest]
+
+
+def next_hits(prices: np.ndarray, rows: Sequence[int],
+              from_index: Sequence[int],
+              levels: Sequence[Sequence[float]],
+              ref_price: Sequence[float | None] | None = None,
+              max_segments: int | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """next_hit for several rows of a price matrix at once.
+
+    Query r scans row rows[r] of `prices` from from_index[r] for the levels
+    levels[r], after the virtual segment ref_price[r] -> start price unless
+    that reference is None.  Returns the hit indices and levels as arrays,
+    index -1 (level NaN) where next_hit returns None.  The crossing
+    predicate and the nearest-level rule are next_hit's, so the hits are
+    the same bit for bit.
+
+    With `max_segments` each query scans at most that many grid segments
+    after its virtual one, as if the row ended there: a query left without
+    a hit resumes exactly at from_index[r] + max_segments, with no
+    reference price.  The rows still unresolved are scanned together in
+    windows of segments that double in length, capped so that each float
+    temporary of a window stays within CHUNK_BYTES.
+    """
+    n = prices.shape[1]
+    rows = np.asarray(rows, dtype=np.intp)
+    start = np.asarray(from_index, dtype=np.intp)
+    if np.any((start < 0) | (start >= n)):
+        raise ValueError("from_index outside path")
+    if max_segments is not None and max_segments < 1:
+        raise ValueError("max_segments must be >= 1")
+    width = max(map(len, levels), default=0)
+    if width == 0 or min(map(len, levels)) == 0:
+        raise ValueError("levels must be nonempty")
+    # ragged level sets are padded with NaN, which no segment crosses
+    lv = np.sort(np.array([(*row, *(np.nan,) * (width - len(row)))
+                           for row in levels], dtype=float), axis=1)
+    last = np.full(rows.size, n - 1) if max_segments is None \
+        else np.minimum(start + max_segments, n - 1)
+    index = np.full(rows.size, -1, dtype=np.intp)
+    level = np.full(rows.size, np.nan)
+    todo = np.flatnonzero(start < last)
+    if ref_price is not None:
+        ref = np.asarray(ref_price, dtype=float)  # None becomes NaN
+        hit, at = _nearest_crossed(ref, prices[rows, start], lv)
+        hit &= ~np.isnan(ref)
+        index[hit] = start[hit]
+        level[hit] = at[hit]
+        todo = todo[~hit[todo]]
+
+    # a window is scanned level-major, (levels, rows, segments), so that
+    # the innermost axis of every operation is a long run of segments
+    lv_major = np.ascontiguousarray(lv.T)
+    segments = 64 if max_segments is None else max_segments
+    k = start[todo]
+    while todo.size:
+        segments = max(1, min(segments,
+                              CHUNK_BYTES // (8 * todo.size * width)))
+        cols = np.minimum(k[:, None] + np.arange(segments + 1),
+                          last[todo, None])
+        window = prices[rows[todo, None], cols]
+        d = window - lv_major[:, todo, None]
+        seg = ((d[:, :, :-1] * d[:, :, 1:] < 0) | (d[:, :, 1:] == 0)).any(
+            axis=0)
+        first = seg.argmax(axis=1)
+        got = seg[np.arange(todo.size), first]
+        if np.any(got):
+            j, p = first[got], window[got]
+            hit, at = _nearest_crossed(p[np.arange(j.size), j],
+                                       p[np.arange(j.size), j + 1],
+                                       lv[todo[got]])
+            assert np.all(hit)
+            index[todo[got]] = k[got] + j + 1
+            level[todo[got]] = at
+        k = k + segments
+        more = ~got & (k < last[todo])
+        todo, k = todo[more], k[more]
+        segments *= 2
+    return index, level
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,32 @@ positive cumulative P&L, and an open position is liquidated at the horizon.
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
             the next anchor is the final level; horizon liquidation at the
-            last marked price, so the leg in flight contributes nothing.
+            last execution level, so the leg in flight adds nothing.  The
+            legs the cut-off cycle completed stay in the P&L: after its
+            first leg that is +-phi1*c*a, the first-leg payoff at anchor a.
   observed  executions at the simulated grid prices; the next anchor is the
             observed price at the final stop; horizon liquidation at the
             final grid price.
+
+The runners take one PricePath and accept a ledger and a cycle trace for
+inspection.  run_seeded runs the same schedules on many simulated paths at
+once (see paths.next_hits) with identical results; it is the Monte Carlo
+engine of the harness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from itertools import islice
+from typing import Callable, Generator, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import NoSaExists
 from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import StrategyVector, TrendLattice, gfin_strategy, \
     trend_strategy
-from .paths import PricePath, TradeLedger, next_hit
+from .paths import PricePath, TradeLedger, next_hit, next_hits, \
+    simulate_gbm_rows
 
 __all__ = [
     "RunResult",
@@ -32,6 +43,7 @@ __all__ = [
     "run_embedded_binomial",
     "run_follow_trend",
     "run_gfin",
+    "run_seeded",
 ]
 
 KINDS = ("embedded", "trend", "gfin")
@@ -117,6 +129,25 @@ def grid_trend_model(orientation: str, anchor: float,
 # ---------------------------------------------------------------------------
 # run engines
 # ---------------------------------------------------------------------------
+
+
+def _solve_trend(model: TrendLattice, alpha: float,
+                 ratio: float) -> StrategyVector:
+    if model.orientation == "positive":
+        return trend_strategy(model, alpha, ratio=ratio)
+    return gfin_strategy(model, alpha, ratio=ratio)
+
+
+def _solve_gfin(model: TrendLattice, alpha: float,
+                ratio: float) -> StrategyVector:
+    return gfin_strategy(model, alpha, ratio=ratio)
+
+
+# the per-cycle solver of each trend-like kind
+_SOLVERS: dict[str, Callable[..., StrategyVector]] = {
+    "trend": _solve_trend,
+    "gfin": _solve_gfin,
+}
 
 
 def _last_mark(ledger: TradeLedger, anchor: float) -> float:
@@ -281,14 +312,8 @@ def run_follow_trend(path: PricePath, params: GbmParams,
     consecutive moves in the drift direction."""
     if config.kind != "trend":
         raise ValueError("config.kind must be 'trend'")
-
-    def solve(model: TrendLattice, alpha: float,
-              ratio: float) -> StrategyVector:
-        if model.orientation == "positive":
-            return trend_strategy(model, alpha, ratio=ratio)
-        return gfin_strategy(model, alpha, ratio=ratio)
-
-    return _run_trend_like(path, params, config, solve, ledger, cycle_trace)
+    return _run_trend_like(path, params, config, _SOLVERS["trend"], ledger,
+                           cycle_trace)
 
 
 def run_gfin(path: PricePath, params: GbmParams,
@@ -300,9 +325,196 @@ def run_gfin(path: PricePath, params: GbmParams,
     the anchor itself)."""
     if config.kind != "gfin":
         raise ValueError("config.kind must be 'gfin'")
+    return _run_trend_like(path, params, config, _SOLVERS["gfin"], ledger,
+                           cycle_trace)
 
-    def solve(model: TrendLattice, alpha: float,
-              ratio: float) -> StrategyVector:
-        return gfin_strategy(model, alpha, ratio=ratio)
 
-    return _run_trend_like(path, params, config, solve, ledger, cycle_trace)
+# ---------------------------------------------------------------------------
+# chunk engine
+# ---------------------------------------------------------------------------
+
+# A schedule is one run written as a generator: it yields each barrier query
+# (from_index, levels, ref_price) and is sent the hit as (index, level), or
+# None when the path ends first; it returns the RunResult.  The statements
+# between queries are those of the one-path runners, in the same order, so
+# every run's arithmetic and hence its result is the same bit for bit.
+Query = tuple[int, tuple[float, ...], "float | None"]
+Schedule = Generator[Query, "tuple[int, float] | None", RunResult]
+
+# Grid segments each pending query scans per engine step.  A leg takes 36
+# segments on average at the CLI defaults; a query without a hit stays
+# pending, so one long leg does not hold up the scans of the other runs.
+SCAN_SEGMENTS = 48
+
+
+def _embedded_schedule(prices: np.ndarray, c: float, q: float,
+                       snap: bool) -> Schedule:
+    """run_embedded_binomial on one row of prices."""
+    n = prices.size
+    led = TradeLedger()
+    n_rep = 0
+    anchor = float(prices[0])
+    i = 0
+    while i < n - 1:
+        phi = embedded_phi(c, anchor, q)
+        led.execute(i, anchor if snap else float(prices[i]),
+                    phi.phi1 - led.open_position)
+        hit1 = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
+        if hit1 is None:
+            break
+        i1, l1 = hit1
+        pos2 = phi.phi2_up if l1 > anchor else phi.phi2_down
+        led.execute(i1, l1 if snap else float(prices[i1]),
+                    pos2 - led.open_position)
+        hit2 = yield (i1, (anchor * (1 - 2 * c), anchor,
+                           anchor * (1 + 2 * c)), l1)
+        if hit2 is None:
+            break
+        i2, l2 = hit2
+        led.close_out(i2, l2 if snap else float(prices[i2]))
+        n_rep += 1
+        if led.cash > 0.0:
+            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
+        anchor = l2 if snap else float(prices[i2])
+        i = i2
+    pnl = led.close_out(n - 1,
+                        _last_mark(led, anchor) if snap
+                        else float(prices[-1]))
+    return RunResult(pnl, n_rep, len(led.events), "Horizon")
+
+
+def _trend_schedule(prices: np.ndarray, c: float, q: float, snap: bool,
+                    alpha: float, orientation: str,
+                    solve: Callable[..., StrategyVector]) -> Schedule:
+    """_run_trend_like (with _trend_cycle inlined) on one row of prices."""
+    n = prices.size
+    led = TradeLedger()
+    n_rep = 0
+    anchor = float(prices[0])
+    i = 0
+    positive = orientation == "positive"
+    while i < n - 1:
+        psi = solve(grid_trend_model(orientation, anchor, c), alpha, ratio=q)
+        led.execute(i, anchor if snap else float(prices[i]),
+                    psi.phi1 - led.open_position)
+        hit1 = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
+        if hit1 is None:
+            break
+        i1, l1 = hit1
+        up = l1 > anchor
+        pos2 = psi.phi2_up if up else psi.phi2_down
+        led.execute(i1, l1 if snap else float(prices[i1]),
+                    pos2 - led.open_position)
+        trend_level = anchor * (1 + 2 * c) if positive \
+            else anchor * (1 - 2 * c)
+        levels2 = (anchor * (1 + 2 * c), anchor) if up \
+            else (anchor * (1 - 2 * c), anchor)
+        hit = yield i1, levels2, l1
+        if hit is None:
+            break
+        i_end, l_end = hit
+        if l_end == trend_level:
+            led.execute(i_end, l_end if snap else float(prices[i_end]),
+                        psi.phi3 - led.open_position)
+            levels3 = (anchor, anchor * (1 + 4 * c)) if positive \
+                else (anchor * (1 - 4 * c), anchor)
+            hit = yield i_end, levels3, l_end
+            if hit is None:
+                break
+            i_end, l_end = hit
+        led.close_out(i_end, l_end if snap else float(prices[i_end]))
+        n_rep += 1
+        if led.cash > 0.0:
+            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
+        anchor = l_end if snap else float(prices[i_end])
+        i = i_end
+    pnl = led.close_out(n - 1,
+                        _last_mark(led, anchor) if snap
+                        else float(prices[-1]))
+    return RunResult(pnl, n_rep, len(led.events), "Horizon")
+
+
+def _advance(schedule: Schedule, hit: tuple[int, float] | None,
+             ) -> tuple[Query | None, RunResult | None]:
+    """Send a hit to a schedule: its next query, or its result."""
+    try:
+        return schedule.send(hit), None
+    except StopIteration as stop:
+        return None, stop.value
+
+
+def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
+               seeds: Iterable[int], rows: int) -> list[RunResult]:
+    """Run the strategy on the GBM path of each seed, ``rows`` paths at a
+    time; result k equals the one-path runner's on
+    simulate_gbm(params, seeds[k]).
+
+    q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
+    are the rows of one (rows, n_steps + 1) price matrix and every run in it
+    advances one schedule leg per step: the pending barrier queries of all
+    of them are answered by one next_hits scan.  A finished run's row is
+    refilled with the next seed's path once half of the rows are free, so
+    that the scans stay wide until the seeds run out.  The per-cycle
+    strategy solves stay scalar Python calls, because vectorised power and
+    division kernels may round differently.
+    """
+    c = config.resolved_c(params.mu, params.sigma)
+    snap = config.execution_mode == "snap"
+    if config.kind == "embedded" or config.alpha == 1.0:
+        # the trend leg carries no position at alpha = 1: the embedded run
+        def schedule(row: np.ndarray) -> Schedule:
+            return _embedded_schedule(row, c, q, snap)
+    else:
+        orientation = "positive" if params.mu >= 0 else "negative"
+        solve = _SOLVERS[config.kind]
+
+        def schedule(row: np.ndarray) -> Schedule:
+            return _trend_schedule(row, c, q, snap, config.alpha,
+                                   orientation, solve)
+
+    seeds = iter(seeds)
+    prices = simulate_gbm_rows(params, list(islice(seeds, rows)))
+    results: list[RunResult | None] = []
+    owner = [0] * len(prices)  # the position in results of each row's run
+    schedules: list[Schedule | None] = [None] * len(prices)
+    pending: dict[int, Query] = {}
+
+    def start(r: int) -> None:
+        owner[r] = len(results)
+        results.append(None)
+        schedules[r] = schedule(prices[r])
+        pending[r] = next(schedules[r])
+
+    for r in range(len(prices)):
+        start(r)
+    free: list[int] = []
+    more = len(prices) == rows
+    while pending:
+        scanned = list(pending)
+        starts = [pending[r][0] for r in scanned]
+        index, level = next_hits(prices, scanned, starts,
+                                 [pending[r][1] for r in scanned],
+                                 [pending[r][2] for r in scanned],
+                                 max_segments=SCAN_SEGMENTS)
+        for r, k, i, lvl in zip(scanned, starts, index.tolist(),
+                                level.tolist()):
+            if i < 0 and k + SCAN_SEGMENTS < prices.shape[1] - 1:
+                # no hit yet: the scan resumes where this window ended
+                pending[r] = (k + SCAN_SEGMENTS, pending[r][1], None)
+                continue
+            query, result = _advance(schedules[r],
+                                     None if i < 0 else (i, lvl))
+            if query is None:
+                del pending[r]
+                results[owner[r]] = result
+                free.append(r)
+            else:
+                pending[r] = query
+        if more and free:
+            batch = list(islice(seeds, len(free)))
+            more = len(batch) == len(free)
+            filled, free = free[:len(batch)], free[len(batch):]
+            prices[filled] = simulate_gbm_rows(params, batch)
+            for r in filled:
+                start(r)
+    return results
