@@ -199,9 +199,10 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     (mu, sigma) estimate; mu_hat >= 0 selects the positive orientation.
     Windows whose returns have zero variance, or where the critical ratio
     degenerates (q = 1), are skipped by one observation; DegenerateSeries
-    is raised only when no window at all was estimable.  A final cycle interrupted by the end of data is
-    liquidated at the last close and included in total_pnl but not in the
-    per-cycle log (n_cycles counts completed cycles).
+    is raised only when no window at all was estimable.  A final cycle
+    interrupted by the end of data is liquidated at the last close and
+    included in total_pnl but not in the per-cycle log (n_cycles counts
+    completed cycles).
     """
     n = series.n_points
     window = config.window_days

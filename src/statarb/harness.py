@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .paths import chunk_rows, simulate_gbm
+from .paths import simulate_gbm
 from .strategies import (
     RunResult,
     StrategyConfig,
@@ -187,8 +187,7 @@ def _one_run(config: ExperimentConfig, axis_index: int,
 def _run_block(config: ExperimentConfig, axis_index: int, q: float,
                runs: range) -> list[RunResult]:
     seeds = (_run_seed(config.master_seed, axis_index, i) for i in runs)
-    return run_seeded(config.params, config.strategy, q, seeds,
-                      chunk_rows(config.params.n_steps))
+    return run_seeded(config.params, config.strategy, q, seeds)
 
 
 def run_experiment(config: ExperimentConfig, *, n_workers: int = 1,

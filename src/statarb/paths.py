@@ -75,7 +75,10 @@ class PricePath:
 
 # Memory budget of one block of paths: the price matrix, and separately
 # each float temporary of a next_hits window, stays within this many bytes.
-CHUNK_BYTES = 512 * 1024
+# At 1000 steps it holds 49 rows.  On a 2-core x86-64 VM, 65 rows (512 KiB)
+# ran 3% faster but raised the peak RSS of repeated 500-run `simulate`
+# calls by 1.05 MiB over the one-path engine, against 0.7 MiB here.
+CHUNK_BYTES = 384 * 1024
 
 
 def chunk_rows(n_steps: int) -> int:
@@ -242,9 +245,9 @@ def next_hits(prices: np.ndarray, rows: Sequence[int],
         raise ValueError("from_index outside path")
     if max_segments is not None and max_segments < 1:
         raise ValueError("max_segments must be >= 1")
-    width = max(map(len, levels), default=0)
-    if width == 0 or min(map(len, levels)) == 0:
+    if not levels or min(map(len, levels)) == 0:
         raise ValueError("levels must be nonempty")
+    width = max(map(len, levels))
     # ragged level sets are padded with NaN, which no segment crosses
     lv = np.sort(np.array([(*row, *(np.nan,) * (width - len(row)))
                            for row in levels], dtype=float), axis=1)
@@ -268,7 +271,7 @@ def next_hits(prices: np.ndarray, rows: Sequence[int],
     k = start[todo]
     while todo.size:
         segments = max(1, min(segments,
-                              CHUNK_BYTES // (8 * todo.size * width)))
+                              CHUNK_BYTES // (8 * todo.size * width) - 1))
         cols = np.minimum(k[:, None] + np.arange(segments + 1),
                           last[todo, None])
         window = prices[rows[todo, None], cols]

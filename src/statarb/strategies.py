@@ -23,6 +23,7 @@ engine of the harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from typing import Callable, Generator, Iterable, NamedTuple
 
@@ -32,8 +33,14 @@ from .errors import NoSaExists
 from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import StrategyVector, TrendLattice, gfin_strategy, \
     trend_strategy
-from .paths import PricePath, TradeLedger, next_hit, next_hits, \
-    simulate_gbm_rows
+from .paths import (
+    PricePath,
+    TradeLedger,
+    chunk_rows,
+    next_hit,
+    next_hits,
+    simulate_gbm_rows,
+)
 
 __all__ = [
     "RunResult",
@@ -141,13 +148,6 @@ def _solve_trend(model: TrendLattice, alpha: float,
 def _solve_gfin(model: TrendLattice, alpha: float,
                 ratio: float) -> StrategyVector:
     return gfin_strategy(model, alpha, ratio=ratio)
-
-
-# the per-cycle solver of each trend-like kind
-_SOLVERS: dict[str, Callable[..., StrategyVector]] = {
-    "trend": _solve_trend,
-    "gfin": _solve_gfin,
-}
 
 
 def _last_mark(ledger: TradeLedger, anchor: float) -> float:
@@ -312,7 +312,7 @@ def run_follow_trend(path: PricePath, params: GbmParams,
     consecutive moves in the drift direction."""
     if config.kind != "trend":
         raise ValueError("config.kind must be 'trend'")
-    return _run_trend_like(path, params, config, _SOLVERS["trend"], ledger,
+    return _run_trend_like(path, params, config, _solve_trend, ledger,
                            cycle_trace)
 
 
@@ -325,7 +325,7 @@ def run_gfin(path: PricePath, params: GbmParams,
     the anchor itself)."""
     if config.kind != "gfin":
         raise ValueError("config.kind must be 'gfin'")
-    return _run_trend_like(path, params, config, _SOLVERS["gfin"], ledger,
+    return _run_trend_like(path, params, config, _solve_gfin, ledger,
                            cycle_trace)
 
 
@@ -338,8 +338,8 @@ def run_gfin(path: PricePath, params: GbmParams,
 # None when the path ends first; it returns the RunResult.  The statements
 # between queries are those of the one-path runners, in the same order, so
 # every run's arithmetic and hence its result is the same bit for bit.
-Query = tuple[int, tuple[float, ...], "float | None"]
-Schedule = Generator[Query, "tuple[int, float] | None", RunResult]
+Query = tuple[int, tuple[float, ...], float | None]
+Schedule = Generator[Query, tuple[int, float] | None, RunResult]
 
 # Grid segments each pending query scans per engine step.  A leg takes 36
 # segments on average at the CLI defaults; a query without a hit stays
@@ -444,34 +444,33 @@ def _advance(schedule: Schedule, hit: tuple[int, float] | None,
 
 
 def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
-               seeds: Iterable[int], rows: int) -> list[RunResult]:
-    """Run the strategy on the GBM path of each seed, ``rows`` paths at a
-    time; result k equals the one-path runner's on
-    simulate_gbm(params, seeds[k]).
+               seeds: Iterable[int]) -> list[RunResult]:
+    """Run the strategy on the GBM path of each seed; result k equals the
+    one-path runner's on simulate_gbm(params, seeds[k]).
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
-    are the rows of one (rows, n_steps + 1) price matrix and every run in it
-    advances one schedule leg per step: the pending barrier queries of all
-    of them are answered by one next_hits scan.  A finished run's row is
-    refilled with the next seed's path once half of the rows are free, so
-    that the scans stay wide until the seeds run out.  The per-cycle
-    strategy solves stay scalar Python calls, because vectorised power and
-    division kernels may round differently.
+    are the rows of one price matrix of chunk_rows(n_steps) rows, at most
+    CHUNK_BYTES of prices.  In each step one
+    next_hits scan of at most SCAN_SEGMENTS segments answers the pending
+    barrier queries of all rows, and the runs that got a hit (or reached
+    the path end) advance to their next query.  The rows of finished runs
+    are then refilled with the next seeds' paths, so that the scans stay
+    wide until the seeds run out.  The per-cycle strategy solves stay
+    scalar Python calls, because vectorised power and division kernels may
+    round differently.
     """
     c = config.resolved_c(params.mu, params.sigma)
     snap = config.execution_mode == "snap"
     if config.kind == "embedded" or config.alpha == 1.0:
         # the trend leg carries no position at alpha = 1: the embedded run
-        def schedule(row: np.ndarray) -> Schedule:
-            return _embedded_schedule(row, c, q, snap)
+        schedule = partial(_embedded_schedule, c=c, q=q, snap=snap)
     else:
-        orientation = "positive" if params.mu >= 0 else "negative"
-        solve = _SOLVERS[config.kind]
+        schedule = partial(
+            _trend_schedule, c=c, q=q, snap=snap, alpha=config.alpha,
+            orientation="positive" if params.mu >= 0 else "negative",
+            solve=_solve_trend if config.kind == "trend" else _solve_gfin)
 
-        def schedule(row: np.ndarray) -> Schedule:
-            return _trend_schedule(row, c, q, snap, config.alpha,
-                                   orientation, solve)
-
+    rows = chunk_rows(params.n_steps)
     seeds = iter(seeds)
     prices = simulate_gbm_rows(params, list(islice(seeds, rows)))
     results: list[RunResult | None] = []

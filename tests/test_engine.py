@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statarb import harness
+from statarb import strategies
 from statarb.gbm import GbmParams, embedded_q
 from statarb.harness import ExperimentConfig, _one_run, run_experiment
 from statarb.paths import (
@@ -70,8 +70,8 @@ def test_simulate_gbm_rows_zero_noise_skeleton():
 
 
 def test_chunk_rows_follow_the_byte_budget():
-    assert chunk_rows(1000) == 65  # 512 KiB of 1001-point rows
-    assert chunk_rows(200) == 326
+    assert chunk_rows(1000) == 49  # 384 KiB of 1001-point rows
+    assert chunk_rows(200) == 244
     assert chunk_rows(10**6) == 1  # a row larger than the budget
 
 
@@ -216,9 +216,12 @@ def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
     q = embedded_q(config.resolved_c(mu, params.sigma), mu, params.sigma)
     seeds = [int(s) for s in
              np.random.SeedSequence(master).generate_state(17, np.uint64)]
-    rows = chunk_rows(n_steps) if rows is None else rows
-    assert_same_runs(run_seeded(params, config, q, seeds, rows),
-                     per_path(params, config, seeds))
+    # 17 runs: more than a chunk of 1 or 7 rows and not a multiple of it
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(strategies, "chunk_rows", lambda n: rows)
+        got = run_seeded(params, config, q, seeds)
+    assert_same_runs(got, per_path(params, config, seeds))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -243,6 +246,6 @@ def test_run_experiment_independent_of_chunk_size(monkeypatch, rows):
                                 execution_mode="observed"),
         n_runs=23, master_seed=9)
     default = run_experiment(config)
-    monkeypatch.setattr(harness, "chunk_rows", lambda n_steps: rows)
+    monkeypatch.setattr(strategies, "chunk_rows", lambda n_steps: rows)
     for n_workers in (1, 3):
         assert run_experiment(config, n_workers=n_workers) == default
