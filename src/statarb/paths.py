@@ -97,6 +97,7 @@ def simulate_gbm_rows(params: GbmParams, seeds: Sequence[int], *,
     (params, seed) always produces the identical row whatever block it is
     simulated in.  `zero_noise` forces every Z_k to 0, leaving the
     deterministic skeleton s0 * exp((mu - sigma^2/2) k dt) -- a test hook.
+    Raises ValueError when a price underflows to 0, as PricePath does.
     """
     n, dt = params.n_steps, params.dt
     prices = np.zeros((len(seeds), n + 1))
@@ -111,6 +112,8 @@ def simulate_gbm_rows(params: GbmParams, seeds: Sequence[int], *,
     np.cumsum(prices, axis=1, out=prices)
     np.exp(prices, out=prices)
     prices *= params.s0
+    if not np.all(prices > 0):
+        raise ValueError("prices must be positive")
     return prices
 
 

@@ -69,6 +69,18 @@ def test_simulate_gbm_rows_zero_noise_skeleton():
     assert np.array_equal(block[1], skeleton)
 
 
+def test_underflowing_prices_fail_like_the_one_path_engine():
+    params = GbmParams(mu=-800.0, sigma=1.0, s0=2186.0, horizon=1.0,
+                       n_steps=10)
+    with pytest.raises(ValueError, match="prices must be positive"):
+        simulate_gbm_rows(params, [1, 2])
+    config = ExperimentConfig(params=params,
+                              strategy=StrategyConfig(kind="embedded", c=0.1),
+                              n_runs=3, master_seed=0)
+    with pytest.raises(ValueError, match="prices must be positive"):
+        run_experiment(config)
+
+
 def test_chunk_rows_follow_the_byte_budget():
     assert chunk_rows(1000) == 49  # 384 KiB of 1001-point rows
     assert chunk_rows(200) == 244
