@@ -8,8 +8,9 @@ changes executed along the way.
 simulate_gbm_rows and next_hits are the same two operations for a block of
 paths held as the rows of one price matrix: row k of the matrix is the path
 simulate_gbm would give for seed k, and next_hits answers one next_hit
-query per row with a single vectorised scan.  Their results equal the
-one-path functions bit for bit.  CHUNK_BYTES bounds the memory of both.
+query per row with a single vectorised scan of at most SCAN_SEGMENTS
+segments.  Their results equal the one-path functions bit for bit.
+CHUNK_BYTES bounds the memory of both.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ __all__ = [
     "HitEvent",
     "TradeLedger",
     "CHUNK_BYTES",
+    "SCAN_SEGMENTS",
     "chunk_rows",
     "simulate_gbm",
     "simulate_gbm_rows",
@@ -79,6 +81,15 @@ class PricePath:
 # ran 3% faster but raised the peak RSS of repeated 500-run `simulate`
 # calls by 1.05 MiB over the one-path engine, against 0.7 MiB here.
 CHUNK_BYTES = 384 * 1024
+
+
+# Grid segments a next_hits query scans before it returns without a hit; the
+# caller resumes it, so one long leg does not hold up the other rows' scans.
+# At the CLI defaults a leg takes 36 segments on average.  In 30 paired
+# runs of 500-run blocks per kind (2-core x86-64 VM, CPU time), 64 beat 48
+# in 23-26 pairs (median +1% embedded snap, +7% trend and gfin) and 96 in
+# 21 pairs on embedded snap (tied on trend and gfin); 32 was slower still.
+SCAN_SEGMENTS = 64
 
 
 def chunk_rows(n_steps: int) -> int:
@@ -222,58 +233,46 @@ def _nearest_crossed(p0: np.ndarray, p1: np.ndarray,
 def next_hits(prices: np.ndarray, rows: Sequence[int],
               from_index: Sequence[int],
               levels: Sequence[Sequence[float]],
-              ref_price: Sequence[float | None] | None = None,
-              max_segments: int | None = None,
+              ref_price: Sequence[float | None],
               ) -> tuple[np.ndarray, np.ndarray]:
-    """next_hit for several rows of a price matrix at once.
+    """next_hit for several rows of a price matrix at once, each scan cut
+    after SCAN_SEGMENTS grid segments.
 
     Query r scans row rows[r] of `prices` from from_index[r] for the levels
     levels[r], after the virtual segment ref_price[r] -> start price unless
     that reference is None.  Returns the hit indices and levels as arrays,
-    index -1 (level NaN) where next_hit returns None.  The crossing
-    predicate and the nearest-level rule are next_hit's, so the hits are
-    the same bit for bit.
-
-    With `max_segments` each query scans at most that many grid segments
-    after its virtual one, as if the row ended there: a query left without
-    a hit resumes exactly at from_index[r] + max_segments, with no
-    reference price.  The rows still unresolved are scanned together in
-    windows of segments that double in length, capped so that each float
-    temporary of a window stays within CHUNK_BYTES.
+    index -1 (level NaN) where next_hit on the row cut at from_index[r] +
+    SCAN_SEGMENTS returns None; the scan then resumes exactly at that
+    index, with no reference price.  The crossing predicate and the
+    nearest-level rule are next_hit's, so the hits are the same bit for
+    bit.  The rows are scanned together in windows short enough that each
+    float temporary stays within CHUNK_BYTES.
     """
     n = prices.shape[1]
     rows = np.asarray(rows, dtype=np.intp)
     start = np.asarray(from_index, dtype=np.intp)
     if np.any((start < 0) | (start >= n)):
         raise ValueError("from_index outside path")
-    if max_segments is not None and max_segments < 1:
-        raise ValueError("max_segments must be >= 1")
     if not levels or min(map(len, levels)) == 0:
         raise ValueError("levels must be nonempty")
     width = max(map(len, levels))
     # ragged level sets are padded with NaN, which no segment crosses
     lv = np.sort(np.array([(*row, *(np.nan,) * (width - len(row)))
                            for row in levels], dtype=float), axis=1)
-    last = np.full(rows.size, n - 1) if max_segments is None \
-        else np.minimum(start + max_segments, n - 1)
-    index = np.full(rows.size, -1, dtype=np.intp)
-    level = np.full(rows.size, np.nan)
-    todo = np.flatnonzero(start < last)
-    if ref_price is not None:
-        ref = np.asarray(ref_price, dtype=float)  # None becomes NaN
-        hit, at = _nearest_crossed(ref, prices[rows, start], lv)
-        hit &= ~np.isnan(ref)
-        index[hit] = start[hit]
-        level[hit] = at[hit]
-        todo = todo[~hit[todo]]
+    last = np.minimum(start + SCAN_SEGMENTS, n - 1)
+    ref = np.asarray(ref_price, dtype=float)  # None becomes NaN
+    hit, at = _nearest_crossed(ref, prices[rows, start], lv)
+    hit &= ~np.isnan(ref)
+    index = np.where(hit, start, -1)
+    level = np.where(hit, at, np.nan)
+    todo = np.flatnonzero(~hit & (start < last))
 
     # a window is scanned level-major, (levels, rows, segments), so that
     # the innermost axis of every operation is a long run of segments
     lv_major = np.ascontiguousarray(lv.T)
-    segments = 64 if max_segments is None else max_segments
     k = start[todo]
     while todo.size:
-        segments = max(1, min(segments,
+        segments = max(1, min(SCAN_SEGMENTS,
                               CHUNK_BYTES // (8 * todo.size * width) - 1))
         cols = np.minimum(k[:, None] + np.arange(segments + 1),
                           last[todo, None])
@@ -294,7 +293,6 @@ def next_hits(prices: np.ndarray, rows: Sequence[int],
         k = k + segments
         more = ~got & (k < last[todo])
         todo, k = todo[more], k[more]
-        segments *= 2
     return index, level
 
 

@@ -34,6 +34,7 @@ from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import StrategyVector, TrendLattice, gfin_strategy, \
     trend_strategy
 from .paths import (
+    SCAN_SEGMENTS,
     PricePath,
     TradeLedger,
     chunk_rows,
@@ -341,11 +342,6 @@ def run_gfin(path: PricePath, params: GbmParams,
 Query = tuple[int, tuple[float, ...], float | None]
 Schedule = Generator[Query, tuple[int, float] | None, RunResult]
 
-# Grid segments each pending query scans per engine step.  A leg takes 36
-# segments on average at the CLI defaults; a query without a hit stays
-# pending, so one long leg does not hold up the scans of the other runs.
-SCAN_SEGMENTS = 48
-
 
 def _embedded_schedule(prices: np.ndarray, c: float, q: float,
                        snap: bool) -> Schedule:
@@ -493,8 +489,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
         starts = [pending[r][0] for r in scanned]
         index, level = next_hits(prices, scanned, starts,
                                  [pending[r][1] for r in scanned],
-                                 [pending[r][2] for r in scanned],
-                                 max_segments=SCAN_SEGMENTS)
+                                 [pending[r][2] for r in scanned])
         for r, k, i, lvl in zip(scanned, starts, index.tolist(),
                                 level.tolist()):
             if i < 0 and k + SCAN_SEGMENTS < prices.shape[1] - 1:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statarb import strategies
+from statarb import paths, strategies
 from statarb.gbm import GbmParams, embedded_q
 from statarb.harness import ExperimentConfig, _one_run, run_experiment
 from statarb.paths import (
+    SCAN_SEGMENTS,
     PricePath,
     chunk_rows,
     next_hit,
@@ -90,21 +91,21 @@ def test_chunk_rows_follow_the_byte_budget():
 # ------------------------------------------------------------- hit scans
 
 
-def reference(prices, row, start, levels, ref, max_segments):
-    """next_hit on the row, cut where a bounded scan must stop."""
-    end = prices.shape[1] if max_segments is None \
-        else min(prices.shape[1], start + max_segments + 1)
-    values = prices[row, :end]
+def reference(prices, row, start, levels, ref, bound):
+    """next_hit on the row, cut where a scan of `bound` segments stops."""
+    values = prices[row, :start + bound + 1]
     path = PricePath(np.arange(values.size, dtype=float), values)
     return next_hit(path, start, levels, ref_price=ref)
 
 
-def check_scan(prices, queries, max_segments=None):
+def check_scan(prices, queries, bound=SCAN_SEGMENTS):
+    """next_hits with SCAN_SEGMENTS set to `bound` against next_hit."""
     rows, starts, levels, refs = zip(*queries)
-    index, level = next_hits(prices, rows, starts, levels, refs,
-                             max_segments=max_segments)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paths, "SCAN_SEGMENTS", bound)
+        index, level = next_hits(prices, rows, starts, levels, refs)
     for k, query in enumerate(queries):
-        expected = reference(prices, *query, max_segments)
+        expected = reference(prices, *query, bound)
         if expected is None:
             assert index[k] == -1 and np.isnan(level[k])
         else:
@@ -128,8 +129,8 @@ def scans(draw):
                         draw(st.integers(0, n_points - 1)),
                         tuple(draw(st.lists(GRID, min_size=1, max_size=3))),
                         draw(st.none() | GRID)))
-    max_segments = draw(st.none() | st.integers(1, 8))
-    return prices, queries, max_segments
+    bound = draw(st.just(SCAN_SEGMENTS) | st.integers(1, 8))
+    return prices, queries, bound
 
 
 @EXACT
@@ -140,10 +141,11 @@ def test_next_hits_equal_next_hit(scan):
 
 @given(n_steps=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
        c=st.sampled_from([0.002, 0.01, 0.05]),
-       max_segments=st.none() | st.integers(1, 100))
+       bound=st.just(SCAN_SEGMENTS) | st.integers(1, 100),
+       small_budget=st.booleans())
 @EXACT
-def test_next_hits_equal_next_hit_on_gbm_paths(n_steps, seed, c,
-                                               max_segments):
+def test_next_hits_equal_next_hit_on_gbm_paths(n_steps, seed, c, bound,
+                                               small_budget):
     prices = simulate_gbm_rows(gbm(n_steps), [seed, seed + 1, seed + 2])
     rng = np.random.default_rng(seed)
     queries = []
@@ -156,7 +158,12 @@ def test_next_hits_equal_next_hit_on_gbm_paths(n_steps, seed, c,
                                      anchor * (1 + 2 * c)),
                         anchor * (1 + c)))
         queries.append((row, start, (anchor * (1 + 4 * c), anchor), None))
-    check_scan(prices, queries, max_segments)
+    with pytest.MonkeyPatch.context() as patch:
+        if small_budget:
+            # 9 pending queries of 3 levels: windows of a single segment,
+            # widening as queries are answered
+            patch.setattr(paths, "CHUNK_BYTES", 8 * 9 * 3 * 2)
+        check_scan(prices, queries, bound)
 
 
 @pytest.mark.parametrize("path, start, levels, ref, expected", [
@@ -186,14 +193,13 @@ def test_next_hits_named_cases(path, start, levels, ref, expected):
 
 def test_next_hits_ragged_levels_and_errors():
     prices = np.array([[5.0, 6.0, 7.0, 3.0]])
-    index, level = next_hits(prices, [0, 0], [0, 0], [(7.0,), (2.0, 4.0)])
+    index, level = next_hits(prices, [0, 0], [0, 0], [(7.0,), (2.0, 4.0)],
+                             [None, None])
     assert index.tolist() == [2, 3] and level.tolist() == [7.0, 4.0]
     with pytest.raises(ValueError):
-        next_hits(prices, [0], [4], [(7.0,)])
+        next_hits(prices, [0], [4], [(7.0,)], [None])
     with pytest.raises(ValueError):
-        next_hits(prices, [0], [0], [()])
-    with pytest.raises(ValueError):
-        next_hits(prices, [0], [0], [(7.0,)], max_segments=0)
+        next_hits(prices, [0], [0], [()], [None])
 
 
 # ----------------------------------------------------------- chunk engine
