@@ -199,7 +199,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     (mu, sigma) estimate; mu_hat >= 0 selects the positive orientation.
     Windows whose returns have zero variance, or where the critical ratio
     degenerates (q = 1), are skipped by one observation; DegenerateSeries
-    is raised only when no window at all was estimable.  A final cycle
+    is raised at once when the returns of all windows together have zero
+    variance, as then no window is estimable.  A final cycle
     interrupted by the end of data is liquidated at the last close and
     included in total_pnl but not in the per-cycle log (n_cycles counts
     completed cycles).
@@ -214,7 +215,7 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     led = ledger if ledger is not None else TradeLedger()
     cycles: list[CycleLog] = []
     c = config.boundary_fraction
-    estimable = False
+    mle_estimate(closes[:n - 2], config.dt)  # the closes of every window
     i = window
     while i < n - 1:
         try:
@@ -222,7 +223,6 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
         except DegenerateSeries:
             i += 1
             continue
-        estimable = True
         orientation = "positive" if mu_hat >= 0 else "negative"
         anchor = float(closes[i])
         cash_before = led.cash
@@ -243,9 +243,6 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
                                mu_hat, sigma_hat, orientation,
                                led.cash - cash_before, qty))
         i = i_end
-    if not estimable:
-        raise DegenerateSeries("every estimation window has zero return "
-                               "variance")
     total_pnl = led.close_out(n - 1, float(closes[-1]))
     traded_qty = sum(abs(delta) for _, _, delta in led.events)
     traded_notional = sum(abs(delta) * price

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import find_no_sa_mu
+from statarb import backtest
 from statarb.backtest import (
     CYCLES_HEADER,
     BacktestConfig,
@@ -144,6 +145,21 @@ def test_insufficient_data():
     with pytest.raises(InsufficientData):
         run_backtest(series, BacktestConfig(boundary_fraction=0.1,
                                             window_days=252))
+
+
+def test_constant_series_degenerates_before_any_window(monkeypatch):
+    calls = []
+
+    def counted(closes, dt):
+        calls.append(len(closes))
+        return mle_estimate(closes, dt)
+
+    monkeypatch.setattr(backtest, "mle_estimate", counted)
+    series = MarketSeries(daily_dates(2000), np.full(2000, 50.0))
+    with pytest.raises(DegenerateSeries, match="return variance is zero"):
+        run_backtest(series, BacktestConfig(boundary_fraction=0.1,
+                                            window_days=60))
+    assert calls == [1998]  # one estimate over the closes of all windows
 
 
 def test_constant_series_degenerates():

@@ -380,6 +380,18 @@ def test_backtest_too_short_exits_1(capsys, tmp_path):
     assert err
 
 
+def test_backtest_constant_series_exits_1(capsys, tmp_path):
+    import datetime
+
+    flat = tmp_path / "flat.csv"
+    rows = [f"{datetime.date(2020, 1, 1) + datetime.timedelta(days=i)},100.0"
+            for i in range(900)]
+    flat.write_text("date,close\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(["backtest", "--data", str(flat),
+                              "--boundary", "0.10"], capsys)
+    assert (code, out, err) == (1, "", "statarb: return variance is zero\n")
+
+
 def test_backtest_requires_boundary(market_csv, capsys):
     code, _, err = run_cli(["backtest", "--data", str(market_csv)], capsys)
     assert code == 1
