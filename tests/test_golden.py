@@ -21,10 +21,14 @@ import pytest
 from statarb.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# backtest inputs: seeded GBM closes, one CSV per drift sign (each file's
+# header says how it was generated)
+DATA = Path(__file__).resolve().parent / "data"
 
 SMALL = ["--runs", "60", "--steps", "250"]
 
-# case name -> CLI argv without --out; simulate cases also write --out
+# case name -> CLI argv without --out; simulate and backtest cases also
+# write --out
 CASES: dict[str, list[str]] = {
     f"simulate_{kind}_{mode}_s{seed}": [
         "simulate", *SMALL, "--seed", str(seed), "--strategy", kind,
@@ -53,6 +57,20 @@ CASES.update({
         "--axis", "eta", "--values", "0.5,1.0,2.0", "--runs", "30",
         "--steps", "300", "--seed", "2"],
 })
+CASES.update({
+    f"backtest_{series}_alpha{tag}": [
+        "backtest", "--data", str(DATA / f"gbm_{series}.csv"),
+        "--boundary", "0.02", "--alpha", alpha]
+    for series in ("up", "down")
+    for tag, alpha in (("0", "0.0"), ("05", "0.5"))
+})
+CASES.update({
+    f"check_model_{fixture.replace('-', '_')}": ["check-model", fixture]
+    for fixture in ("sec34", "bondarenko-counterexample")
+})
+
+# exit codes other than 0: sec34 admits a statistical arbitrage
+EXIT_CODES = {"check_model_sec34": 2}
 
 
 def run_case(argv: list[str], out: Path | None) -> tuple[int, bytes]:
@@ -66,7 +84,9 @@ def run_case(argv: list[str], out: Path | None) -> tuple[int, bytes]:
 
 
 def _out_path(directory: Path, name: str, argv: list[str]) -> Path | None:
-    return directory / f"{name}.out.csv" if argv[0] == "simulate" else None
+    if argv[0] in ("simulate", "backtest"):
+        return directory / f"{name}.out.csv"
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -74,7 +94,7 @@ def test_golden_output(name, tmp_path):
     argv = CASES[name]
     out = _out_path(tmp_path, name, argv)
     code, stdout = run_case(argv, out)
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     if out is not None:
         assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
@@ -95,7 +115,7 @@ def regenerate() -> None:
         old.unlink()
     for name, argv in sorted(CASES.items()):
         code, stdout = run_case(argv, _out_path(GOLDEN, name, argv))
-        if code != 0:
+        if code != EXIT_CODES.get(name, 0):
             raise SystemExit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.stdout").write_bytes(stdout)
 
