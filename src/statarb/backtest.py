@@ -28,9 +28,8 @@ from .errors import (
     ParseError,
 )
 from .gbm import embedded_q, mle_estimate
-from .lattice import StrategyVector, TrendLattice, gfin_strategy
 from .paths import PricePath, TradeLedger
-from .strategies import _trend_cycle
+from .strategies import drive, trend_cycle
 
 __all__ = [
     "MarketSeries",
@@ -186,11 +185,6 @@ def dump_csv(series: MarketSeries, stream: IO[str],
 # --------------------------------------------------------------- backtest
 
 
-def _gfin_solve(model: TrendLattice, alpha: float,
-                ratio: float) -> StrategyVector:
-    return gfin_strategy(model, alpha, ratio=ratio)
-
-
 def run_backtest(series: MarketSeries, config: BacktestConfig, *,
                  ledger: TradeLedger | None = None) -> BacktestResult:
     """Walk the series forward, trading one barrier cycle at a time.
@@ -229,8 +223,9 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
         events_before = len(led.events)
         try:
             q = embedded_q(c, mu_hat, sigma_hat)
-            step = _trend_cycle(path, i, anchor, c, q, config.alpha,
-                                orientation, False, _gfin_solve, led, None)
+            step = drive(trend_cycle(closes, i, anchor, False, led, c=c, q=q,
+                                     alpha=config.alpha,
+                                     orientation=orientation), path)
         except (NoSaExists, NoSolution, DegenerateModel):
             i += 1
             continue

@@ -20,7 +20,6 @@ NU_EPS = 1e-9
 __all__ = [
     "NU_EPS",
     "GbmParams",
-    "BarrierGrid",
     "exit_prob_lower",
     "exit_prob_upper",
     "embedded_q",
@@ -66,27 +65,6 @@ class GbmParams:
     def dt(self) -> float:
         """Years per observation interval."""
         return self.horizon / self.n_steps
-
-
-@dataclass(frozen=True)
-class BarrierGrid:
-    """Multiplicative barrier levels anchor*(1 + k*c) around an anchor price.
-
-    c < 1/2 keeps the two-steps-down level anchor*(1 - 2c) positive.
-    """
-
-    anchor: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not (self.anchor > 0):
-            raise ValueError("anchor must be positive")
-        if not (0 < self.c < 0.5):
-            raise ValueError("c must lie in (0, 1/2)")
-
-    def level(self, k: int) -> float:
-        """Barrier price k relative steps away from the anchor."""
-        return self.anchor * (1.0 + k * self.c)
 
 
 # ---------------------------------------------------------------------------

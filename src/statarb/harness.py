@@ -5,14 +5,13 @@ one strategy to each.  The runs go through ``strategies.run_seeded``, which
 holds ``paths.chunk_rows`` paths at a time in one price matrix of at most
 ``paths.CHUNK_BYTES``.  Per-run seeds are derived with
 ``np.random.SeedSequence([master_seed, axis_index, run_index])`` so results
-are reproducible, independent of chunking and scheduling, and independent
+are reproducible, independent of chunking, and independent
 across both runs and sweep-axis cells.  Sweeps re-run the experiment once
 per axis value with the axis position as the salt, so a single-value sweep
 reproduces a plain experiment bit for bit.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
@@ -184,23 +183,13 @@ def _one_run(config: ExperimentConfig, axis_index: int,
     return runner(path, config.params, config.strategy)
 
 
-def _run_block(config: ExperimentConfig, axis_index: int, q: float,
-               runs: range) -> list[RunResult]:
-    seeds = (_run_seed(config.master_seed, axis_index, i) for i in runs)
-    return run_seeded(config.params, config.strategy, q, seeds)
-
-
-def run_experiment(config: ExperimentConfig, *, n_workers: int = 1,
+def run_experiment(config: ExperimentConfig, *,
                    axis_index: int = 0) -> ExperimentResult:
     """Execute ``config.n_runs`` seeded runs and aggregate their metrics.
 
-    ``n_workers`` only affects scheduling: each worker takes a contiguous
-    block of runs, and the blocks are kept in run order, so any worker count
-    yields identical output.  Raises AllRunsSkipped when the strategy
-    precondition (q = 1) voids the whole batch.
+    Raises AllRunsSkipped when the strategy precondition (q = 1) voids the
+    whole batch.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
     c = config.strategy.resolved_c(config.params.mu, config.params.sigma)
     try:
         q = embedded_q(c, config.params.mu, config.params.sigma)
@@ -209,17 +198,9 @@ def run_experiment(config: ExperimentConfig, *, n_workers: int = 1,
         raise AllRunsSkipped(
             f"q = 1 at c={c!r}: every run is voided") from exc
 
-    if n_workers == 1:
-        results = _run_block(config, axis_index, q, range(config.n_runs))
-    else:
-        bounds = [config.n_runs * k // n_workers
-                  for k in range(n_workers + 1)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = pool.map(
-                lambda k: _run_block(config, axis_index, q,
-                                     range(bounds[k], bounds[k + 1])),
-                range(n_workers))
-            results = [run for part in parts for run in part]
+    seeds = (_run_seed(config.master_seed, axis_index, i)
+             for i in range(config.n_runs))
+    results = run_seeded(config.params, config.strategy, q, seeds)
     summary = metrics(
         [r.pnl for r in results],
         [r.trade_count for r in results],
@@ -242,21 +223,22 @@ def _apply_axis(config: ExperimentConfig, name: str,
         params = replace(params, sigma=float(value))
     elif name == "eta":
         # eta = mu / sigma swept at fixed drift by varying the volatility
+        if value == 0:
+            raise ValueError("eta must be nonzero")
         params = replace(params, sigma=params.mu / float(value))
     else:
         raise ValueError(f"unknown sweep axis {name!r}")
     return replace(config, params=params, strategy=strategy, sweep=None)
 
 
-def sweep(config: ExperimentConfig, *,
-          n_workers: int = 1) -> list[SweepRow]:
+def sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run one experiment per axis value, salting seeds by axis position."""
     if config.sweep is None:
         raise ValueError("config carries no sweep axis")
     rows = []
     for j, value in enumerate(config.sweep.values):
         cell = _apply_axis(config, config.sweep.name, value)
-        result = run_experiment(cell, n_workers=n_workers, axis_index=j)
+        result = run_experiment(cell, axis_index=j)
         rows.append(SweepRow(param=float(value), summary=result.summary))
     return rows
 

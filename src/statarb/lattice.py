@@ -457,15 +457,7 @@ def solve_binomial_sa(model: TwoPeriodBinomial) -> StrategyVector:
     q = model.q
     if abs(q - tilde_q(model)) <= EPS_TOL:
         raise NoSaExists("q equals the critical ratio; no arbitrage exists")
-    ds1, ds2 = model.ds1, model.ds2
-    xi1 = (q * ds2[1] - ds2[0]) * ds2[3] + ds2[0] * ds2[2]
-    xi2 = (-(ds1[2] + q * ds1[1] - ds1[0]) * ds2[3]
-           - (ds1[0] - ds1[3]) * ds2[2])
-    xi3 = (-(q * ds1[3] - q * ds1[0]) * ds2[1]
-           - (-ds1[3] + ds1[2] + q * ds1[1]) * ds2[0])
-    d = ((q * ds1[0] * ds2[1] + (-ds1[2] - q * ds1[1]) * ds2[0]) * ds2[3]
-         + ds1[3] * ds2[0] * ds2[2])
-    return StrategyVector(xi1 / d, xi2 / d, xi3 / d)
+    return _solve_embedded(model, q)
 
 
 # ------------------------------------------------- trinomial certificates
@@ -581,13 +573,7 @@ def trend_A_matrix(model: TrendLattice,
 
 
 def _check_embedded_sa(sub: TwoPeriodBinomial, ratio: float) -> None:
-    ds1, ds2 = sub.ds1, sub.ds2
-    k1 = ds1[2] * ds2[3] - ds1[3] * ds2[2]
-    k2 = ds1[0] * ds2[1] - ds1[1] * ds2[0]
-    den = ds2[3] * k2
-    if abs(den) <= EPS_TOL * max(map(abs, ds1 + ds2)) ** 3:
-        raise DegenerateModel("critical-ratio denominator vanishes")
-    if abs(ratio - ds2[0] * k1 / den) <= EPS_TOL:
+    if abs(ratio - tilde_q(sub)) <= EPS_TOL:
         raise NoSaExists("embedded two-period model admits no arbitrage")
 
 

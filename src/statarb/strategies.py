@@ -1,9 +1,19 @@
 """Drive lattice strategies over price paths via barrier-hit schedules.
 
-Each runner iterates trading cycles anchored at the price reached by the
+Each run iterates trading cycles anchored at the price reached by the
 previous cycle: positions are adjusted whenever the path reaches the next
-barrier of the schedule, the whole run stops at the first cycle end with
+barrier of the cycle, the whole run stops at the first cycle end with
 positive cumulative P&L, and an open position is liquidated at the horizon.
+
+The cycles are written once, as generators of barrier queries on the grid
+a(1 + k*c): embedded_cycle (two legs) and trend_cycle (three legs, with a
+continue/reverse branch; the trend and gfin kinds both run it).  The run
+loop _schedule repeats one of them along a row of prices.  Two drivers
+answer the queries: drive with next_hit on one PricePath, for the one-path
+runners (which accept a ledger and a cycle trace for inspection) and for
+the backtest (which drives single trend cycles), and run_seeded with
+next_hits on many simulated paths at once, the Monte Carlo engine of the
+harness.  Both give the same results bit for bit.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -14,25 +24,18 @@ Execution modes:
   observed  executions at the simulated grid prices; the next anchor is the
             observed price at the final stop; horizon liquidation at the
             final grid price.
-
-The runners take one PricePath and accept a ledger and a cycle trace for
-inspection.  run_seeded runs the same schedules on many simulated paths at
-once (see paths.next_hits) with identical results; it is the Monte Carlo
-engine of the harness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import NoSaExists
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .lattice import StrategyVector, TrendLattice, gfin_strategy, \
-    trend_strategy
+from .lattice import StrategyVector, TrendLattice, gfin_strategy
 from .paths import (
     SCAN_SEGMENTS,
     PricePath,
@@ -48,6 +51,9 @@ __all__ = [
     "StrategyConfig",
     "CycleRecord",
     "grid_trend_model",
+    "embedded_cycle",
+    "trend_cycle",
+    "drive",
     "run_embedded_binomial",
     "run_follow_trend",
     "run_gfin",
@@ -135,72 +141,157 @@ def grid_trend_model(orientation: str, anchor: float,
 
 
 # ---------------------------------------------------------------------------
-# run engines
+# cycles and the run loop
 # ---------------------------------------------------------------------------
 
+# A cycle is one trading cycle written as a generator: it yields each barrier
+# query (from_index, levels, ref_price) and is sent the hit as (index, level),
+# or None when the path ends first; it returns the final stop (index, level),
+# or None when the path ends before the cycle completes.  A schedule is a
+# whole run in the same form, returning the RunResult.  Any driver that
+# answers the queries as next_hit would gets the same run bit for bit: drive
+# uses next_hit itself, run_seeded a next_hits scan of many rows at once.
+Query = tuple[int, tuple[float, ...], float | None]
+Hit = tuple[int, float]
+Cycle = Generator[Query, Hit | None, Hit | None]
+Schedule = Generator[Query, Hit | None, RunResult]
 
-def _solve_trend(model: TrendLattice, alpha: float,
-                 ratio: float) -> StrategyVector:
-    if model.orientation == "positive":
-        return trend_strategy(model, alpha, ratio=ratio)
-    return gfin_strategy(model, alpha, ratio=ratio)
+
+def embedded_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
+                   led: TradeLedger,
+                   cycle_trace: list[CycleRecord] | None = None, *,
+                   c: float, q: float, alpha: float = 0.0) -> Cycle:
+    """One embedded binomial cycle from index ``i``: phi1 until the path
+    reaches a(1 +- c), then phi2+ or phi2- until one of {a(1-2c), a,
+    a(1+2c)}.  alpha is only recorded in the trace."""
+    phi = embedded_phi(c, anchor, q)
+    if cycle_trace is not None:
+        cycle_trace.append(CycleRecord(anchor, c, q, alpha, "positive", phi))
+    led.execute(i, anchor if snap else float(prices[i]),
+                phi.phi1 - led.open_position)
+    hit = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
+    if hit is None:
+        return None
+    i1, l1 = hit
+    pos2 = phi.phi2_up if l1 > anchor else phi.phi2_down
+    led.execute(i1, l1 if snap else float(prices[i1]),
+                pos2 - led.open_position)
+    return (yield i1, (anchor * (1 - 2 * c), anchor, anchor * (1 + 2 * c)),
+            l1)
 
 
-def _solve_gfin(model: TrendLattice, alpha: float,
-                ratio: float) -> StrategyVector:
-    return gfin_strategy(model, alpha, ratio=ratio)
+def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
+                led: TradeLedger,
+                cycle_trace: list[CycleRecord] | None = None, *,
+                c: float, q: float, alpha: float,
+                orientation: str) -> Cycle:
+    """One trend-schedule cycle from index ``i``: psi1 until a(1 +- c);
+    psi2+- until the branch set ({a, a(1+2c)} from above, {a(1-2c), a}
+    from below); if the trend barrier was reached, psi3 until the
+    third-leg set ({a, a(1+4c)} for a positive orientation, {a(1-4c), a}
+    mirrored).
+
+    The positions come from gfin_strategy, which on this grid (the
+    reversal level is the anchor) equals trend_strategy for a positive
+    orientation.
+    """
+    positive = orientation == "positive"
+    psi = gfin_strategy(grid_trend_model(orientation, anchor, c), alpha,
+                        ratio=q)
+    if cycle_trace is not None:
+        cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
+                                       psi))
+    led.execute(i, anchor if snap else float(prices[i]),
+                psi.phi1 - led.open_position)
+    hit = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
+    if hit is None:
+        return None
+    i1, l1 = hit
+    up = l1 > anchor
+    pos2 = psi.phi2_up if up else psi.phi2_down
+    led.execute(i1, l1 if snap else float(prices[i1]),
+                pos2 - led.open_position)
+    trend_level = anchor * (1 + 2 * c) if positive else anchor * (1 - 2 * c)
+    levels2 = (anchor * (1 + 2 * c), anchor) if up \
+        else (anchor * (1 - 2 * c), anchor)
+    hit = yield i1, levels2, l1
+    if hit is None or hit[1] != trend_level:
+        return hit
+    i2, l2 = hit
+    led.execute(i2, l2 if snap else float(prices[i2]),
+                psi.phi3 - led.open_position)
+    levels3 = (anchor, anchor * (1 + 4 * c)) if positive \
+        else (anchor * (1 - 4 * c), anchor)
+    return (yield i2, levels3, l2)
+
+
+def _cycle(params: GbmParams, config: StrategyConfig,
+           q: float) -> Callable[..., Cycle]:
+    """The cycle of a strategy config, with its fixed arguments bound."""
+    c = config.resolved_c(params.mu, params.sigma)
+    if config.kind == "embedded" or config.alpha == 1.0:
+        # the trend leg carries no position at alpha = 1: the embedded run
+        return partial(embedded_cycle, c=c, q=q, alpha=config.alpha)
+    return partial(trend_cycle, c=c, q=q, alpha=config.alpha,
+                   orientation="positive" if params.mu >= 0 else "negative")
 
 
 def _last_mark(ledger: TradeLedger, anchor: float) -> float:
     return ledger.events[-1][1] if ledger.events else anchor
 
 
-def _trend_cycle(path: PricePath, i: int, anchor: float, c: float, q: float,
-                 alpha: float, orientation: str, snap: bool,
-                 solve: Callable[..., StrategyVector], led: TradeLedger,
-                 cycle_trace: list[CycleRecord] | None,
-                 ) -> tuple[int, float] | None:
-    """Execute one trend-schedule cycle from index ``i``: psi1 to the first
-    barrier, psi2 to the branch set, optionally psi3 to the third-leg set.
+def _schedule(prices: np.ndarray, cycle: Callable[..., Cycle], snap: bool,
+              led: TradeLedger,
+              cycle_trace: list[CycleRecord] | None = None) -> Schedule:
+    """A run on one row of prices: cycles anchored where the previous one
+    stopped, each liquidated at its stop, until the first positive P&L or
+    the horizon, where an open position is liquidated."""
+    n = prices.size
+    n_rep = 0
+    anchor = float(prices[0])
+    i = 0
+    while i < n - 1:
+        stop = yield from cycle(prices, i, anchor, snap, led, cycle_trace)
+        if stop is None:
+            break
+        i, level = stop
+        led.close_out(i, level if snap else float(prices[i]))
+        n_rep += 1
+        if led.cash > 0.0:
+            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
+        anchor = level if snap else float(prices[i])
+    pnl = led.close_out(n - 1,
+                        _last_mark(led, anchor) if snap
+                        else float(prices[-1]))
+    return RunResult(pnl, n_rep, len(led.events), "Horizon")
 
-    Returns (final stop index, final stop level), or None when the path
-    ends before the cycle completes; the caller liquidates either way.
-    """
-    prices = path.prices
-    model = grid_trend_model(orientation, anchor, c)
-    psi = solve(model, alpha, ratio=q)
-    if cycle_trace is not None:
-        cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
-                                       psi))
-    led.execute(i, anchor if snap else float(prices[i]),
-                psi.phi1 - led.open_position)
-    hit1 = next_hit(path, i, {anchor * (1 - c), anchor * (1 + c)},
-                    ref_price=anchor)
-    if hit1 is None:
-        return None
-    i1, l1 = hit1
-    up = l1 > anchor
-    pos2 = psi.phi2_up if up else psi.phi2_down
-    led.execute(i1, l1 if snap else float(prices[i1]),
-                pos2 - led.open_position)
-    trend_level = anchor * (1 + 2 * c) if orientation == "positive" \
-        else anchor * (1 - 2 * c)
-    levels2 = {anchor * (1 + 2 * c), anchor} if up \
-        else {anchor * (1 - 2 * c), anchor}
-    hit2 = next_hit(path, i1, levels2, ref_price=l1)
-    if hit2 is None:
-        return None
-    i2, l2 = hit2
-    if l2 != trend_level:
-        return i2, l2
-    led.execute(i2, l2 if snap else float(prices[i2]),
-                psi.phi3 - led.open_position)
-    levels3 = {anchor, anchor * (1 + 4 * c)} if orientation == "positive" \
-        else {anchor * (1 - 4 * c), anchor}
-    hit3 = next_hit(path, i2, levels3, ref_price=l2)
-    if hit3 is None:
-        return None
-    return hit3
+
+def drive(schedule: Generator[Query, Hit | None, object],
+          path: PricePath):
+    """Answer the queries of a schedule or a cycle on ``path`` with
+    next_hit; returns what the generator returns."""
+    try:
+        query = next(schedule)
+        while True:
+            query = schedule.send(next_hit(path, *query))
+    except StopIteration as stop:
+        return stop.value
+
+
+# ---------------------------------------------------------------------------
+# one-path runners
+# ---------------------------------------------------------------------------
+
+
+def _run(path: PricePath, params: GbmParams, config: StrategyConfig,
+         ledger: TradeLedger | None,
+         cycle_trace: list[CycleRecord] | None) -> RunResult:
+    c = config.resolved_c(params.mu, params.sigma)
+    q = embedded_q(c, params.mu, params.sigma)
+    led = ledger if ledger is not None else TradeLedger()
+    return drive(_schedule(path.prices, _cycle(params, config, q),
+                           config.execution_mode == "snap", led,
+                           cycle_trace), path)
 
 
 def run_embedded_binomial(path: PricePath, params: GbmParams,
@@ -208,100 +299,11 @@ def run_embedded_binomial(path: PricePath, params: GbmParams,
                           ledger: TradeLedger | None = None,
                           cycle_trace: list[CycleRecord] | None = None,
                           ) -> RunResult:
-    """Repeat the two-step embedded binomial strategy along the path.
-
-    Per cycle anchored at a: hold phi1 until the path reaches a(1 +- c),
-    then phi2+ or phi2- until it reaches one of {a(1-2c), a, a(1+2c)},
-    then liquidate.  Raises NoSaExists when q = 1 (skipped-run marker).
-    """
+    """Repeat the two-step embedded binomial cycle along the path.
+    Raises NoSaExists when q = 1 (skipped-run marker)."""
     if config.kind != "embedded":
         raise ValueError("config.kind must be 'embedded'")
-    c = config.resolved_c(params.mu, params.sigma)
-    q = embedded_q(c, params.mu, params.sigma)
-    snap = config.execution_mode == "snap"
-    prices = path.prices
-    n = prices.size
-    led = ledger if ledger is not None else TradeLedger()
-    n_rep = 0
-    anchor = float(prices[0])
-    i = 0
-    while i < n - 1:
-        phi = embedded_phi(c, anchor, q)
-        if cycle_trace is not None:
-            cycle_trace.append(CycleRecord(anchor, c, q, config.alpha,
-                                           "positive", phi))
-        led.execute(i, anchor if snap else float(prices[i]),
-                    phi.phi1 - led.open_position)
-        hit1 = next_hit(path, i, {anchor * (1 - c), anchor * (1 + c)},
-                        ref_price=anchor)
-        if hit1 is None:
-            break
-        i1, l1 = hit1
-        pos2 = phi.phi2_up if l1 > anchor else phi.phi2_down
-        led.execute(i1, l1 if snap else float(prices[i1]),
-                    pos2 - led.open_position)
-        hit2 = next_hit(path, i1,
-                        {anchor * (1 - 2 * c), anchor, anchor * (1 + 2 * c)},
-                        ref_price=l1)
-        if hit2 is None:
-            break
-        i2, l2 = hit2
-        led.close_out(i2, l2 if snap else float(prices[i2]))
-        n_rep += 1
-        if led.cash > 0.0:
-            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-        anchor = l2 if snap else float(prices[i2])
-        i = i2
-    pnl = led.close_out(n - 1,
-                        _last_mark(led, anchor) if snap
-                        else float(prices[-1]))
-    return RunResult(pnl, n_rep, len(led.events), "Horizon")
-
-
-def _run_trend_like(path: PricePath, params: GbmParams,
-                    config: StrategyConfig,
-                    solve: Callable[..., StrategyVector],
-                    ledger: TradeLedger | None,
-                    cycle_trace: list[CycleRecord] | None) -> RunResult:
-    """Shared engine for the trend-following schedules.
-
-    Per cycle anchored at a: psi1 until a(1 +- c); psi2+- until the branch
-    set ({a, a(1+2c)} from above, {a(1-2c), a} from below); if the trend
-    barrier was reached, psi3 until the third-leg set ({a, a(1+4c)} for a
-    positive orientation, {a(1-4c), a} mirrored), then liquidate.
-    """
-    if config.alpha == 1.0:
-        # the trend leg carries no position; the run is exactly the
-        # embedded one
-        return run_embedded_binomial(path, params,
-                                     replace(config, kind="embedded"),
-                                     ledger=ledger, cycle_trace=cycle_trace)
-    orientation = "positive" if params.mu >= 0 else "negative"
-    c = config.resolved_c(params.mu, params.sigma)
-    q = embedded_q(c, params.mu, params.sigma)
-    snap = config.execution_mode == "snap"
-    prices = path.prices
-    n = prices.size
-    led = ledger if ledger is not None else TradeLedger()
-    n_rep = 0
-    anchor = float(prices[0])
-    i = 0
-    while i < n - 1:
-        step = _trend_cycle(path, i, anchor, c, q, config.alpha,
-                            orientation, snap, solve, led, cycle_trace)
-        if step is None:
-            break
-        i_end, l_end = step
-        led.close_out(i_end, l_end if snap else float(prices[i_end]))
-        n_rep += 1
-        if led.cash > 0.0:
-            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-        anchor = l_end if snap else float(prices[i_end])
-        i = i_end
-    pnl = led.close_out(n - 1,
-                        _last_mark(led, anchor) if snap
-                        else float(prices[-1]))
-    return RunResult(pnl, n_rep, len(led.events), "Horizon")
+    return _run(path, params, config, ledger, cycle_trace)
 
 
 def run_follow_trend(path: PricePath, params: GbmParams,
@@ -313,8 +315,7 @@ def run_follow_trend(path: PricePath, params: GbmParams,
     consecutive moves in the drift direction."""
     if config.kind != "trend":
         raise ValueError("config.kind must be 'trend'")
-    return _run_trend_like(path, params, config, _solve_trend, ledger,
-                           cycle_trace)
+    return _run(path, params, config, ledger, cycle_trace)
 
 
 def run_gfin(path: PricePath, params: GbmParams,
@@ -326,111 +327,15 @@ def run_gfin(path: PricePath, params: GbmParams,
     the anchor itself)."""
     if config.kind != "gfin":
         raise ValueError("config.kind must be 'gfin'")
-    return _run_trend_like(path, params, config, _solve_gfin, ledger,
-                           cycle_trace)
+    return _run(path, params, config, ledger, cycle_trace)
 
 
 # ---------------------------------------------------------------------------
 # chunk engine
 # ---------------------------------------------------------------------------
 
-# A schedule is one run written as a generator: it yields each barrier query
-# (from_index, levels, ref_price) and is sent the hit as (index, level), or
-# None when the path ends first; it returns the RunResult.  The statements
-# between queries are those of the one-path runners, in the same order, so
-# every run's arithmetic and hence its result is the same bit for bit.
-Query = tuple[int, tuple[float, ...], float | None]
-Schedule = Generator[Query, tuple[int, float] | None, RunResult]
 
-
-def _embedded_schedule(prices: np.ndarray, c: float, q: float,
-                       snap: bool) -> Schedule:
-    """run_embedded_binomial on one row of prices."""
-    n = prices.size
-    led = TradeLedger()
-    n_rep = 0
-    anchor = float(prices[0])
-    i = 0
-    while i < n - 1:
-        phi = embedded_phi(c, anchor, q)
-        led.execute(i, anchor if snap else float(prices[i]),
-                    phi.phi1 - led.open_position)
-        hit1 = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
-        if hit1 is None:
-            break
-        i1, l1 = hit1
-        pos2 = phi.phi2_up if l1 > anchor else phi.phi2_down
-        led.execute(i1, l1 if snap else float(prices[i1]),
-                    pos2 - led.open_position)
-        hit2 = yield (i1, (anchor * (1 - 2 * c), anchor,
-                           anchor * (1 + 2 * c)), l1)
-        if hit2 is None:
-            break
-        i2, l2 = hit2
-        led.close_out(i2, l2 if snap else float(prices[i2]))
-        n_rep += 1
-        if led.cash > 0.0:
-            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-        anchor = l2 if snap else float(prices[i2])
-        i = i2
-    pnl = led.close_out(n - 1,
-                        _last_mark(led, anchor) if snap
-                        else float(prices[-1]))
-    return RunResult(pnl, n_rep, len(led.events), "Horizon")
-
-
-def _trend_schedule(prices: np.ndarray, c: float, q: float, snap: bool,
-                    alpha: float, orientation: str,
-                    solve: Callable[..., StrategyVector]) -> Schedule:
-    """_run_trend_like (with _trend_cycle inlined) on one row of prices."""
-    n = prices.size
-    led = TradeLedger()
-    n_rep = 0
-    anchor = float(prices[0])
-    i = 0
-    positive = orientation == "positive"
-    while i < n - 1:
-        psi = solve(grid_trend_model(orientation, anchor, c), alpha, ratio=q)
-        led.execute(i, anchor if snap else float(prices[i]),
-                    psi.phi1 - led.open_position)
-        hit1 = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
-        if hit1 is None:
-            break
-        i1, l1 = hit1
-        up = l1 > anchor
-        pos2 = psi.phi2_up if up else psi.phi2_down
-        led.execute(i1, l1 if snap else float(prices[i1]),
-                    pos2 - led.open_position)
-        trend_level = anchor * (1 + 2 * c) if positive \
-            else anchor * (1 - 2 * c)
-        levels2 = (anchor * (1 + 2 * c), anchor) if up \
-            else (anchor * (1 - 2 * c), anchor)
-        hit = yield i1, levels2, l1
-        if hit is None:
-            break
-        i_end, l_end = hit
-        if l_end == trend_level:
-            led.execute(i_end, l_end if snap else float(prices[i_end]),
-                        psi.phi3 - led.open_position)
-            levels3 = (anchor, anchor * (1 + 4 * c)) if positive \
-                else (anchor * (1 - 4 * c), anchor)
-            hit = yield i_end, levels3, l_end
-            if hit is None:
-                break
-            i_end, l_end = hit
-        led.close_out(i_end, l_end if snap else float(prices[i_end]))
-        n_rep += 1
-        if led.cash > 0.0:
-            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-        anchor = l_end if snap else float(prices[i_end])
-        i = i_end
-    pnl = led.close_out(n - 1,
-                        _last_mark(led, anchor) if snap
-                        else float(prices[-1]))
-    return RunResult(pnl, n_rep, len(led.events), "Horizon")
-
-
-def _advance(schedule: Schedule, hit: tuple[int, float] | None,
+def _advance(schedule: Schedule, hit: Hit | None,
              ) -> tuple[Query | None, RunResult | None]:
     """Send a hit to a schedule: its next query, or its result."""
     try:
@@ -455,17 +360,8 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     scalar Python calls, because vectorised power and division kernels may
     round differently.
     """
-    c = config.resolved_c(params.mu, params.sigma)
+    cycle = _cycle(params, config, q)
     snap = config.execution_mode == "snap"
-    if config.kind == "embedded" or config.alpha == 1.0:
-        # the trend leg carries no position at alpha = 1: the embedded run
-        schedule = partial(_embedded_schedule, c=c, q=q, snap=snap)
-    else:
-        schedule = partial(
-            _trend_schedule, c=c, q=q, snap=snap, alpha=config.alpha,
-            orientation="positive" if params.mu >= 0 else "negative",
-            solve=_solve_trend if config.kind == "trend" else _solve_gfin)
-
     rows = chunk_rows(params.n_steps)
     seeds = iter(seeds)
     prices = simulate_gbm_rows(params, list(islice(seeds, rows)))
@@ -477,7 +373,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     def start(r: int) -> None:
         owner[r] = len(results)
         results.append(None)
-        schedules[r] = schedule(prices[r])
+        schedules[r] = _schedule(prices[r], cycle, snap, TradeLedger())
         pending[r] = next(schedules[r])
 
     for r in range(len(prices)):

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from helpers import (
     counterexample_trinomial,
@@ -22,6 +23,7 @@ from helpers import (
     random_exact_grid,
     sec34_binomial,
 )
+from statarb import strategies
 from statarb.backtest import (
     CYCLES_HEADER,
     BacktestConfig,
@@ -533,16 +535,19 @@ def test_criterion_09_invariant_suites():
             pass
     assert partitions == 1000
 
-    # determinism under worker counts (results, not just summaries)
+    # determinism under chunk sizes (results, not just summaries)
     for seed in (0, 5):
         config = ExperimentConfig(
             params=GbmParams(mu=0.3, sigma=0.2, s0=100.0, horizon=1.0,
                              n_steps=200),
             strategy=StrategyConfig(kind="embedded", c_mult=0.01),
             n_runs=60, master_seed=seed)
-        serial = run_experiment(config, n_workers=1)
-        threaded = run_experiment(config, n_workers=3)
-        assert serial == threaded
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(strategies, "chunk_rows", lambda n_steps: 1)
+            one_row = run_experiment(config)
+            patch.setattr(strategies, "chunk_rows", lambda n_steps: 7)
+            seven_rows = run_experiment(config)
+        assert one_row == seven_rows
 
     # flat-at-end ledgers across the strategy family (1000 instances)
     params = GbmParams(mu=0.3, sigma=0.2, s0=100.0, horizon=1.0, n_steps=150)

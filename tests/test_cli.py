@@ -294,6 +294,14 @@ def test_sweep_bad_values_exits_1(capsys):
     assert "bad --values" in err
 
 
+def test_sweep_zero_eta_exits_1(capsys):
+    code, out, err = run_cli(["sweep", *SIM_ARGS, "--axis", "eta",
+                              "--values", "1.0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "statarb: eta must be nonzero\n"
+
+
 def test_sweep_unknown_axis_exits_1(capsys):
     code, _, err = run_cli(["sweep", *SIM_ARGS, "--axis", "gamma",
                             "--values", "1,2"], capsys)

@@ -1,9 +1,13 @@
 """The chunk engine against the one-path API it must reproduce bit for bit.
 
-simulate_gbm_rows against simulate_gbm, next_hits against next_hit, and
-run_seeded (through run_experiment too) against the one-path runners, run
-for run, across strategy kinds, execution modes, alpha, grid sizes and
-chunk sizes.
+simulate_gbm_rows against simulate_gbm and next_hits against next_hit.
+Both engines run the same cycle schedules (strategies.embedded_cycle,
+strategies.trend_cycle and the run loop), so the run-for-run tests compare
+two drivers of one schedule: run_seeded, which answers the queries with
+next_hits scans that resume cut-off queries and refill finished rows,
+against drive, which answers them with next_hit on one path.  They run
+across strategy kinds, execution modes, alpha, grid sizes and chunk sizes,
+through run_experiment too.
 """
 from __future__ import annotations
 
@@ -265,5 +269,4 @@ def test_run_experiment_independent_of_chunk_size(monkeypatch, rows):
         n_runs=23, master_seed=9)
     default = run_experiment(config)
     monkeypatch.setattr(strategies, "chunk_rows", lambda n_steps: rows)
-    for n_workers in (1, 3):
-        assert run_experiment(config, n_workers=n_workers) == default
+    assert run_experiment(config) == default

@@ -9,7 +9,6 @@ import pytest
 from helpers import grid_binomial, random_exact_grid
 from statarb.errors import DegenerateSeries, InvalidInterval, NoSaExists
 from statarb.gbm import (
-    BarrierGrid,
     GbmParams,
     embedded_phi,
     embedded_q,
@@ -276,13 +275,3 @@ def test_gbm_params_validation_and_accessors():
         with pytest.raises(ValueError):
             GbmParams(**kwargs)
 
-
-def test_barrier_grid_levels():
-    g = BarrierGrid(anchor=200.0, c=0.05)
-    assert g.level(0) == 200.0
-    assert g.level(1) == pytest.approx(210.0)
-    assert g.level(-2) == pytest.approx(180.0)
-    with pytest.raises(ValueError):
-        BarrierGrid(anchor=100.0, c=0.5)
-    with pytest.raises(ValueError):
-        BarrierGrid(anchor=0.0, c=0.1)

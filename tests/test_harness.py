@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import find_no_sa_mu
 from statarb.errors import AllRunsSkipped, EmptySample
@@ -114,6 +116,17 @@ def test_metrics_against_reference_randomized():
         assert s.max_n == max_n
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-5, 5).map(float) | st.floats(-1e6, 1e6),
+                min_size=1, max_size=60))
+def test_metrics_order_statistics_equal_sorted(pnl):
+    # few distinct values, so ties at the order statistics are common
+    ordered = sorted(pnl)
+    s = metrics(pnl, [0] * len(pnl), [1] * len(pnl))
+    assert s.median_gain == ordered[(len(pnl) - 1) // 2]
+    assert s.var95 == -ordered[math.ceil(0.05 * len(pnl)) - 1]
+
+
 def test_metrics_order_independent():
     rng = np.random.default_rng(62)
     pnl = rng.normal(size=257)
@@ -190,15 +203,12 @@ def test_experiment_config_validation():
         small_config(sweep=SweepAxis("volatility", (0.1,)))
     with pytest.raises(ValueError):
         small_config(sweep=SweepAxis("c", ()))
-    with pytest.raises(ValueError):
-        run_experiment(small_config(), n_workers=0)
 
 
-def test_run_experiment_deterministic_and_worker_independent():
+def test_run_experiment_deterministic():
     base = run_experiment(small_config())
     again = run_experiment(small_config())
-    threaded = run_experiment(small_config(), n_workers=3)
-    assert base == again == threaded
+    assert base == again
     assert len(base.runs) == 40
     assert base.summary == metrics(
         [r.pnl for r in base.runs],

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statarb.gbm import GbmParams, exit_prob_lower
 from statarb.paths import (
@@ -174,6 +176,28 @@ def test_next_hit_matches_reference_loop():
             else None
         assert next_hit(path, from_index, levels, ref_price=ref) == \
             reference_next_hit(path, from_index, levels, ref_price=ref)
+
+
+# prices and levels on a coarse grid, so that exact touches, paths starting
+# on a level and several levels inside one segment are all common
+GRID = st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5, 8.0, 9.0])
+
+
+@st.composite
+def hit_queries(draw):
+    prices = draw(st.lists(GRID, min_size=1, max_size=40))
+    from_index = draw(st.integers(0, len(prices) - 1))
+    levels = draw(st.lists(GRID, min_size=1, max_size=4))
+    return prices, from_index, levels, draw(st.none() | GRID)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hit_queries())
+def test_next_hit_equals_pairwise_segment_oracle(query):
+    prices, from_index, levels, ref = query
+    path = flat_path(prices)
+    assert next_hit(path, from_index, levels, ref_price=ref) == \
+        reference_next_hit(path, from_index, levels, ref_price=ref)
 
 
 def test_next_hit_chunk_boundaries():
