@@ -400,7 +400,7 @@ def binomial_A_matrix(model: TwoPeriodBinomial) -> np.ndarray:
 
 
 def _scale(model) -> float:
-    return max(max(abs(v) for v in model.ds1), max(abs(v) for v in model.ds2))
+    return max(map(abs, model.ds1 + model.ds2))
 
 
 def tilde_q(model: TwoPeriodBinomial) -> float:
