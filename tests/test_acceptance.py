@@ -587,7 +587,7 @@ def test_criterion_09_invariant_suites():
     assert done == [c for c in twist_run.cycles
                     if c.cycle_end < cut_date][:len(done)]
 
-    report(9, True, "1000 lattice instances, worker-count determinism, "
+    report(9, True, "1000 lattice instances, chunk-size determinism, "
                     f"{flat} flat ledgers, backtest no-look-ahead")
 
 
