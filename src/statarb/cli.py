@@ -85,7 +85,11 @@ def _add_simulation_flags(sp: argparse.ArgumentParser) -> None:
                     help="independent runs (default %(default)s)")
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed (default: $STATARB_SEED, then 0)")
-    sp.add_argument("--strategy", choices=KINDS, default="embedded")
+    sp.add_argument("--strategy", choices=(*KINDS, "gfin"),
+                    default="embedded",
+                    help="strategy kind; gfin (the dichotomy strategy) is an "
+                         "alias of trend, which it equals on the barrier "
+                         "grid (default %(default)s)")
     sp.add_argument("--c-mult", type=float, default=None, dest="c_mult",
                     help="barrier step as a multiple of mu/sigma "
                          "(default 0.01 when --c is absent)")
@@ -216,7 +220,8 @@ def _experiment_config(args: argparse.Namespace, seed: int,
     c, c_mult = args.c, args.c_mult
     if c is None and c_mult is None:
         c_mult = 0.01
-    strategy = StrategyConfig(kind=args.strategy, c=c, c_mult=c_mult,
+    kind = "trend" if args.strategy == "gfin" else args.strategy
+    strategy = StrategyConfig(kind=kind, c=c, c_mult=c_mult,
                               alpha=args.alpha,
                               execution_mode=args.mode)
     return ExperimentConfig(params=params, strategy=strategy,

@@ -47,6 +47,9 @@ class GbmParams:
     n_steps: int
 
     def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "s0", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.sigma > 0):
             raise ValueError("sigma must be positive")
         if not (self.s0 > 0):

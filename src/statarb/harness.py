@@ -1,4 +1,5 @@
-"""Monte Carlo experiment harness: batched runs, summary metrics, sweeps.
+"""Monte Carlo experiment harness: batched runs, summary metrics, sweeps,
+and the CSV writers of the per-run and sweep tables.
 
 A single experiment simulates ``n_runs`` independent GBM paths and applies
 one strategy to each.  The runs go through ``strategies.run_seeded``, which
@@ -8,26 +9,21 @@ holds ``paths.chunk_rows`` paths at a time in one price matrix of at most
 are reproducible, independent of chunking, and independent
 across both runs and sweep-axis cells.  Sweeps re-run the experiment once
 per axis value with the axis position as the salt, so a single-value sweep
-reproduces a plain experiment bit for bit.
+reproduces a plain experiment bit for bit.  Run k of an experiment equals
+``strategies.run_path`` on ``paths.simulate_gbm(params, seed)`` with
+``seed = _run_seed(master_seed, axis_index, k)``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .paths import simulate_gbm
-from .strategies import (
-    RunResult,
-    StrategyConfig,
-    run_embedded_binomial,
-    run_follow_trend,
-    run_gfin,
-    run_seeded,
-)
+from .strategies import RunResult, StrategyConfig, run_seeded
 
 __all__ = [
     "SWEEP_AXES",
@@ -41,18 +37,9 @@ __all__ = [
     "sweep",
     "dump_runs_csv",
     "dump_sweep_csv",
-    "sweep_markdown",
-    "dump_histogram_csv",
 ]
 
 SWEEP_AXES = ("c", "c_mult", "mu", "sigma", "eta")
-
-# the one-path runner of each kind, which _one_run reproduces a run with
-_RUNNERS: dict[str, Callable] = {
-    "embedded": run_embedded_binomial,
-    "trend": run_follow_trend,
-    "gfin": run_gfin,
-}
 
 
 class SweepAxis(NamedTuple):
@@ -173,16 +160,6 @@ def _run_seed(master_seed: int, axis_index: int, run_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _one_run(config: ExperimentConfig, axis_index: int,
-             run_index: int) -> RunResult:
-    """Run ``run_index`` of an experiment alone, on the one-path runner;
-    equal to the experiment's own result for that run."""
-    seed = _run_seed(config.master_seed, axis_index, run_index)
-    path = simulate_gbm(config.params, seed=seed)
-    runner = _RUNNERS[config.strategy.kind]
-    return runner(path, config.params, config.strategy)
-
-
 def run_experiment(config: ExperimentConfig, *,
                    axis_index: int = 0) -> ExperimentResult:
     """Execute ``config.n_runs`` seeded runs and aggregate their metrics.
@@ -225,6 +202,11 @@ def _apply_axis(config: ExperimentConfig, name: str,
         # eta = mu / sigma swept at fixed drift by varying the volatility
         if value == 0:
             raise ValueError("eta must be nonzero")
+        if not math.isfinite(value):
+            raise ValueError(f"eta must be finite, got {value!r}")
+        if (value > 0) != (params.mu > 0):
+            raise ValueError(f"eta={value!r} must have the sign of "
+                             f"mu={params.mu!r}")
         params = replace(params, sigma=params.mu / float(value))
     else:
         raise ValueError(f"unknown sweep axis {name!r}")
@@ -247,18 +229,11 @@ def sweep(config: ExperimentConfig) -> list[SweepRow]:
 
 RUNS_HEADER = "run,pnl,n,trades,ended_by"
 SWEEP_HEADER = "param,gain_pa,median,var95,gain_pt,losses,loss_mean,avg_n,max_n"
-_SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 
 def _write_metadata(stream: IO[str], metadata: dict[str, str] | None) -> None:
     for key, value in (metadata or {}).items():
         stream.write(f"# {key}={value}\n")
-
-
-def _summary_cells(param: float, s: MetricsSummary) -> list[str]:
-    values = (param, s.mean_gain, s.median_gain, s.var95, s.gain_per_trade,
-              s.loss_fraction, s.loss_mean, s.avg_n)
-    return [repr(float(v)) for v in values] + [repr(int(s.max_n))]
 
 
 def dump_runs_csv(result: ExperimentResult, stream: IO[str],
@@ -277,35 +252,8 @@ def dump_sweep_csv(rows: Iterable[SweepRow], stream: IO[str],
     _write_metadata(stream, metadata)
     stream.write(SWEEP_HEADER + "\n")
     for row in rows:
-        stream.write(",".join(_summary_cells(row.param, row.summary)) + "\n")
-
-
-def sweep_markdown(rows: Iterable[SweepRow]) -> str:
-    """Render sweep rows as an aligned GitHub-style markdown table."""
-    body = [_summary_cells(row.param, row.summary) for row in rows]
-    widths = [max(len(name), *(len(r[k]) for r in body)) if body else
-              len(name) for k, name in enumerate(_SWEEP_COLUMNS)]
-    lines = [
-        "| " + " | ".join(n.ljust(w) for n, w in
-                          zip(_SWEEP_COLUMNS, widths)) + " |",
-        "| " + " | ".join("-" * w for w in widths) + " |",
-    ]
-    for cells in body:
-        lines.append("| " + " | ".join(
-            c.rjust(w) for c, w in zip(cells, widths)) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def dump_histogram_csv(pnl: Sequence[float], stream: IO[str], *,
-                       n_bins: int = 50,
-                       metadata: dict[str, str] | None = None) -> None:
-    """Write equal-width P&L histogram bins as CSV for external plotting."""
-    pnl = np.asarray(pnl, dtype=float)
-    if pnl.size == 0:
-        raise EmptySample("histogram needs at least one value")
-    counts, edges = np.histogram(pnl, bins=n_bins)
-    _write_metadata(stream, metadata)
-    stream.write("bin_left,bin_right,count\n")
-    for k in range(counts.size):
-        stream.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},"
-                     f"{int(counts[k])}\n")
+        s = row.summary
+        values = (row.param, s.mean_gain, s.median_gain, s.var95,
+                  s.gain_per_trade, s.loss_fraction, s.loss_mean, s.avg_n)
+        cells = [repr(float(v)) for v in values] + [repr(int(s.max_n))]
+        stream.write(",".join(cells) + "\n")

@@ -577,6 +577,46 @@ def _check_embedded_sa(sub: TwoPeriodBinomial, ratio: float) -> None:
         raise NoSaExists("embedded two-period model admits no arbitrage")
 
 
+def _three_leg(model: TrendLattice, alpha: float,
+               ratio: float | None) -> StrategyVector:
+    """The embedded two-period strategy phi plus a third-leg position
+    psi3 = (1-alpha)/(ds3(continue) - ds3(reverse)), with the early legs
+    shifted by -ds3(continue)*psi3*gamma.  gamma solves A gamma = e1 for
+    the positive orientation (third leg after up-up) and A gamma = e2 for
+    the negative one (after down-down)."""
+    sub = model.embedded_binomial()
+    if ratio is None:
+        ratio = model.q
+    _check_embedded_sa(sub, ratio)
+    ds1, ds2, ds3 = sub.ds1, sub.ds2, model.ds3
+    positive = model.orientation == "positive"
+    cont = 0 if positive else 3
+    denom3 = ds3[cont] - ds3[4]
+    if abs(denom3) <= EPS_TOL * _scale(model):
+        raise DegenerateModel("third-leg increments coincide")
+    psi3 = (1.0 - alpha) / denom3
+    phi = _solve_embedded(sub, ratio)
+    d = _binomial_D(ds1, ds2, ratio)
+    if positive:
+        gamma = (
+            ratio * ds2[1] * ds2[3] / d,
+            (ds1[3] * ds2[2] - (ratio * ds1[1] + ds1[2]) * ds2[3]) / d,
+            -ratio * ds2[1] * ds1[3] / d,
+        )
+    else:
+        gamma = (
+            ds2[0] * ds2[2] / d,
+            -ds1[0] * ds2[2] / d,
+            (-ds2[0] * (ratio * ds1[1] + ds1[2]) + ratio * ds1[0] * ds2[1])
+            / d,
+        )
+    shift = ds3[cont] * psi3
+    return StrategyVector(phi.phi1 - shift * gamma[0],
+                          phi.phi2_up - shift * gamma[1],
+                          phi.phi2_down - shift * gamma[2],
+                          psi3)
+
+
 def trend_strategy(model: TrendLattice, alpha: float = 0.0,
                    ratio: float | None = None) -> StrategyVector:
     """Three-period trend-following strategy for the positive orientation.
@@ -590,27 +630,7 @@ def trend_strategy(model: TrendLattice, alpha: float = 0.0,
     """
     if model.orientation != "positive":
         raise ValueError("trend_strategy requires the positive orientation")
-    sub = model.embedded_binomial()
-    if ratio is None:
-        ratio = model.q
-    _check_embedded_sa(sub, ratio)
-    ds1, ds2, ds3 = sub.ds1, sub.ds2, model.ds3
-    denom3 = ds3[0] - ds3[4]
-    if abs(denom3) <= EPS_TOL * _scale(model):
-        raise DegenerateModel("third-leg increments coincide")
-    psi3 = (1.0 - alpha) / denom3
-    phi = _solve_embedded(sub, ratio)
-    d = _binomial_D(ds1, ds2, ratio)
-    gamma = (
-        ratio * ds2[1] * ds2[3] / d,
-        (ds1[3] * ds2[2] - (ratio * ds1[1] + ds1[2]) * ds2[3]) / d,
-        -ratio * ds2[1] * ds1[3] / d,
-    )
-    shift = ds3[0] * psi3
-    return StrategyVector(phi.phi1 - shift * gamma[0],
-                          phi.phi2_up - shift * gamma[1],
-                          phi.phi2_down - shift * gamma[2],
-                          psi3)
+    return _three_leg(model, alpha, ratio)
 
 
 def gfin_strategy(model: TrendLattice, alpha: float = 0.0,
@@ -629,30 +649,9 @@ def gfin_strategy(model: TrendLattice, alpha: float = 0.0,
         if model.s3_reverse > model.s0:
             raise ValueError(
                 "positive dichotomy strategy needs s3_reverse <= s0")
-        return trend_strategy(model, alpha, ratio)
-    if model.s3_reverse < model.s0:
+    elif model.s3_reverse < model.s0:
         raise ValueError("negative dichotomy strategy needs s3_reverse >= s0")
-    sub = model.embedded_binomial()
-    if ratio is None:
-        ratio = model.q
-    _check_embedded_sa(sub, ratio)
-    ds1, ds2, ds3 = sub.ds1, sub.ds2, model.ds3
-    denom3 = ds3[3] - ds3[4]
-    if abs(denom3) <= EPS_TOL * _scale(model):
-        raise DegenerateModel("third-leg increments coincide")
-    psi3 = (1.0 - alpha) / denom3
-    phi = _solve_embedded(sub, ratio)
-    d = _binomial_D(ds1, ds2, ratio)
-    gamma = (
-        ds2[0] * ds2[2] / d,
-        -ds1[0] * ds2[2] / d,
-        (-ds2[0] * (ratio * ds1[1] + ds1[2]) + ratio * ds1[0] * ds2[1]) / d,
-    )
-    shift = ds3[3] * psi3
-    return StrategyVector(phi.phi1 - shift * gamma[0],
-                          phi.phi2_up - shift * gamma[1],
-                          phi.phi2_down - shift * gamma[2],
-                          psi3)
+    return _three_leg(model, alpha, ratio)
 
 
 def gfin_psi_bounds(model: TrendLattice,

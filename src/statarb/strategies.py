@@ -7,13 +7,15 @@ positive cumulative P&L, and an open position is liquidated at the horizon.
 
 The cycles are written once, as generators of barrier queries on the grid
 a(1 + k*c): embedded_cycle (two legs) and trend_cycle (three legs, with a
-continue/reverse branch; the trend and gfin kinds both run it).  The run
-loop _schedule repeats one of them along a row of prices.  Two drivers
-answer the queries: drive with next_hit on one PricePath, for the one-path
-runners (which accept a ledger and a cycle trace for inspection) and for
-the backtest (which drives single trend cycles), and run_seeded with
-next_hits on many simulated paths at once, the Monte Carlo engine of the
-harness.  Both give the same results bit for bit.
+continue/reverse branch).  The paper's follow-the-trend and dichotomy
+strategies coincide on this grid, where the reversal level is the anchor,
+so both are the one "trend" kind.  The run loop _schedule repeats one
+cycle along a row of prices.  Two drivers answer the queries: drive with
+next_hit on one PricePath, for run_path (which accepts a ledger and a
+cycle trace for inspection) and for the backtest (which drives single
+trend cycles), and run_seeded with next_hits on many simulated paths at
+once, the Monte Carlo engine of the harness.  Both give the same results
+bit for bit.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -27,6 +29,7 @@ Execution modes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -54,13 +57,11 @@ __all__ = [
     "embedded_cycle",
     "trend_cycle",
     "drive",
-    "run_embedded_binomial",
-    "run_follow_trend",
-    "run_gfin",
+    "run_path",
     "run_seeded",
 ]
 
-KINDS = ("embedded", "trend", "gfin")
+KINDS = ("embedded", "trend")
 MODES = ("snap", "observed")
 
 
@@ -97,6 +98,8 @@ class StrategyConfig:
             raise ValueError(f"execution_mode must be one of {MODES}")
         if (self.c is None) == (self.c_mult is None):
             raise ValueError("exactly one of c and c_mult must be set")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 
@@ -279,55 +282,22 @@ def drive(schedule: Generator[Query, Hit | None, object],
 
 
 # ---------------------------------------------------------------------------
-# one-path runners
+# one-path runner
 # ---------------------------------------------------------------------------
 
 
-def _run(path: PricePath, params: GbmParams, config: StrategyConfig,
-         ledger: TradeLedger | None,
-         cycle_trace: list[CycleRecord] | None) -> RunResult:
+def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
+             ledger: TradeLedger | None = None,
+             cycle_trace: list[CycleRecord] | None = None) -> RunResult:
+    """Run the configured strategy along one path.  The ledger and the
+    cycle trace, when given, record the executions and the per-cycle
+    solves.  Raises NoSaExists when q = 1 (skipped-run marker)."""
     c = config.resolved_c(params.mu, params.sigma)
     q = embedded_q(c, params.mu, params.sigma)
     led = ledger if ledger is not None else TradeLedger()
     return drive(_schedule(path.prices, _cycle(params, config, q),
                            config.execution_mode == "snap", led,
                            cycle_trace), path)
-
-
-def run_embedded_binomial(path: PricePath, params: GbmParams,
-                          config: StrategyConfig, *,
-                          ledger: TradeLedger | None = None,
-                          cycle_trace: list[CycleRecord] | None = None,
-                          ) -> RunResult:
-    """Repeat the two-step embedded binomial cycle along the path.
-    Raises NoSaExists when q = 1 (skipped-run marker)."""
-    if config.kind != "embedded":
-        raise ValueError("config.kind must be 'embedded'")
-    return _run(path, params, config, ledger, cycle_trace)
-
-
-def run_follow_trend(path: PricePath, params: GbmParams,
-                     config: StrategyConfig, *,
-                     ledger: TradeLedger | None = None,
-                     cycle_trace: list[CycleRecord] | None = None,
-                     ) -> RunResult:
-    """Trend-following runs: embedded steps plus a third leg riding two
-    consecutive moves in the drift direction."""
-    if config.kind != "trend":
-        raise ValueError("config.kind must be 'trend'")
-    return _run(path, params, config, ledger, cycle_trace)
-
-
-def run_gfin(path: PricePath, params: GbmParams,
-             config: StrategyConfig, *,
-             ledger: TradeLedger | None = None,
-             cycle_trace: list[CycleRecord] | None = None) -> RunResult:
-    """Like run_follow_trend, with positions from the reversal-bounded
-    solver (identical on this barrier grid, where the reversal level is
-    the anchor itself)."""
-    if config.kind != "gfin":
-        raise ValueError("config.kind must be 'gfin'")
-    return _run(path, params, config, ledger, cycle_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +316,8 @@ def _advance(schedule: Schedule, hit: Hit | None,
 
 def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
                seeds: Iterable[int]) -> list[RunResult]:
-    """Run the strategy on the GBM path of each seed; result k equals the
-    one-path runner's on simulate_gbm(params, seeds[k]).
+    """Run the strategy on the GBM path of each seed; result k equals
+    run_path on simulate_gbm(params, seeds[k]).
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
     are the rows of one price matrix of chunk_rows(n_steps) rows, at most

@@ -60,12 +60,12 @@ from statarb.lattice import (
 )
 from statarb.paths import TradeLedger, simulate_gbm
 from statarb.strategies import (
+    KINDS,
+    MODES,
     RunResult,
     StrategyConfig,
     grid_trend_model,
-    run_embedded_binomial,
-    run_follow_trend,
-    run_gfin,
+    run_path,
 )
 
 TABLE_PARAMS = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
@@ -439,32 +439,29 @@ def test_criterion_08_family_coherence():
     for seed in range(100):
         path = simulate_gbm(TABLE_PARAMS, seed=seed)
         led_e = TradeLedger()
-        res_e = run_embedded_binomial(path, TABLE_PARAMS, embedded_cfg,
-                                      ledger=led_e)
-        for runner, kind in ((run_follow_trend, "trend"), (run_gfin, "gfin")):
-            led = TradeLedger()
-            res = runner(path, TABLE_PARAMS,
-                         StrategyConfig(kind=kind, alpha=1.0, **base),
-                         ledger=led)
-            assert led.events == led_e.events
-            assert res == res_e
+        res_e = run_path(path, TABLE_PARAMS, embedded_cfg, ledger=led_e)
+        led = TradeLedger()
+        res = run_path(path, TABLE_PARAMS,
+                       StrategyConfig(kind="trend", alpha=1.0, **base),
+                       ledger=led)
+        assert led.events == led_e.events
+        assert res == res_e
 
     checked = 0
     for seed in range(100):
         path = simulate_gbm(TABLE_PARAMS, seed=seed)
-        for runner, kind in ((run_follow_trend, "trend"), (run_gfin, "gfin")):
-            trace = []
-            runner(path, TABLE_PARAMS,
-                   StrategyConfig(kind=kind, alpha=0.0, **base),
-                   cycle_trace=trace)
-            for rec in trace:
-                model = grid_trend_model(rec.orientation, rec.anchor, rec.c)
-                a = trend_A_matrix(model, ratio=rec.q)
-                psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
-                                rec.psi.phi2_down, rec.psi.phi3])
-                resid = a @ psi - np.array([1.0, 1.0, 1.0, 0.0])
-                assert np.max(np.abs(resid)) <= 1e-10
-                checked += 1
+        trace = []
+        run_path(path, TABLE_PARAMS,
+                 StrategyConfig(kind="trend", alpha=0.0, **base),
+                 cycle_trace=trace)
+        for rec in trace:
+            model = grid_trend_model(rec.orientation, rec.anchor, rec.c)
+            a = trend_A_matrix(model, ratio=rec.q)
+            psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
+                            rec.psi.phi2_down, rec.psi.phi3])
+            resid = a @ psi - np.array([1.0, 1.0, 1.0, 0.0])
+            assert np.max(np.abs(resid)) <= 1e-10
+            checked += 1
     assert checked >= 100
     report(8, True, f"100 seeds ledger-identical at alpha=1; "
                     f"{checked} alpha=0 cycles solve the schedule system")
@@ -551,20 +548,20 @@ def test_criterion_09_invariant_suites():
 
     # flat-at-end ledgers across the strategy family (1000 instances)
     params = GbmParams(mu=0.3, sigma=0.2, s0=100.0, horizon=1.0, n_steps=150)
-    runners = ((run_embedded_binomial, "embedded"),
-               (run_follow_trend, "trend"), (run_gfin, "gfin"))
     flat = 0
-    for seed in range(334):
+    for seed in range(250):
         path = simulate_gbm(params, seed=seed)
-        for (runner, kind), mode in zip(runners,
-                                        ("snap", "observed", "snap")):
-            led = TradeLedger()
-            res = runner(path, params,
-                         StrategyConfig(kind=kind, c_mult=0.02, alpha=0.5,
-                                        execution_mode=mode), ledger=led)
-            assert led.open_position == 0.0
-            assert res.pnl == led.cash
-            flat += 1
+        for kind in KINDS:
+            for mode in MODES:
+                led = TradeLedger()
+                res = run_path(path, params,
+                               StrategyConfig(kind=kind, c_mult=0.02,
+                                              alpha=0.5,
+                                              execution_mode=mode),
+                               ledger=led)
+                assert led.open_position == 0.0
+                assert res.pnl == led.cash
+                flat += 1
     assert flat >= 1000
 
     # no look-ahead in backtests: distorting the future leaves completed

@@ -256,6 +256,23 @@ def test_simulate_strategy_and_mode_flags(capsys):
     assert float(row.split(",")[1]) == result.summary.mean_gain
 
 
+@pytest.mark.parametrize("flag,value,kind", [
+    ("--mu", "nan", "embedded"),
+    ("--mu", "inf", "trend"),
+    ("--sigma", "inf", "embedded"),
+    ("--s0", "nan", "embedded"),
+    ("--horizon", "inf", "trend"),
+    ("--alpha", "nan", "embedded"),
+    ("--alpha", "inf", "trend"),
+])
+def test_simulate_non_finite_parameter_exits_1(flag, value, kind, capsys):
+    code, out, err = run_cli(["simulate", *SIM_ARGS, "--c", "0.01",
+                              "--strategy", kind, flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"statarb: {flag[2:]} must be finite\n"
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -300,6 +317,19 @@ def test_sweep_zero_eta_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err == "statarb: eta must be nonzero\n"
+
+
+@pytest.mark.parametrize("value,message", [
+    ("-1", "eta=-1.0 must have the sign of mu=0.1241"),
+    ("nan", "eta must be finite, got nan"),
+    ("inf", "eta must be finite, got inf"),
+])
+def test_sweep_bad_eta_exits_1(value, message, capsys):
+    code, out, err = run_cli(["sweep", *SIM_ARGS, "--axis", "eta",
+                              "--values", value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"statarb: {message}\n"
 
 
 def test_sweep_unknown_axis_exits_1(capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from statarb import paths, strategies
 from statarb.gbm import GbmParams, embedded_q
-from statarb.harness import ExperimentConfig, _one_run, run_experiment
+from statarb.harness import ExperimentConfig, _run_seed, run_experiment
 from statarb.paths import (
     SCAN_SEGMENTS,
     PricePath,
@@ -32,17 +32,12 @@ from statarb.strategies import (
     KINDS,
     MODES,
     StrategyConfig,
-    run_embedded_binomial,
-    run_follow_trend,
-    run_gfin,
+    run_path,
     run_seeded,
 )
 
 EXACT = settings(max_examples=60, deadline=None, derandomize=True,
                  database=None)
-
-RUNNERS = {"embedded": run_embedded_binomial, "trend": run_follow_trend,
-           "gfin": run_gfin}
 
 
 def gbm(n_steps: int, mu: float = 0.1241) -> GbmParams:
@@ -210,8 +205,7 @@ def test_next_hits_ragged_levels_and_errors():
 
 
 def per_path(params, config, seeds):
-    runner = RUNNERS[config.kind]
-    return [runner(simulate_gbm(params, seed), params, config)
+    return [run_path(simulate_gbm(params, seed), params, config)
             for seed in seeds]
 
 
@@ -248,7 +242,7 @@ def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", MODES)
-def test_run_experiment_equals_one_run_at_cli_defaults(kind, mode):
+def test_run_experiment_equals_run_path_at_cli_defaults(kind, mode):
     # 150 runs of 1000 steps: more than two matrices' worth of rows
     config = ExperimentConfig(
         params=gbm(1000),
@@ -256,8 +250,9 @@ def test_run_experiment_equals_one_run_at_cli_defaults(kind, mode):
                                 execution_mode=mode),
         n_runs=150, master_seed=4)
     result = run_experiment(config)
+    seeds = [_run_seed(config.master_seed, 0, i) for i in range(150)]
     assert_same_runs(list(result.runs),
-                     [_one_run(config, 0, i) for i in range(150)])
+                     per_path(config.params, config.strategy, seeds))
 
 
 @pytest.mark.parametrize("rows", [1, 7])

@@ -18,16 +18,14 @@ from statarb.harness import (
     ExperimentConfig,
     MetricsSummary,
     SweepAxis,
-    dump_histogram_csv,
     dump_runs_csv,
     dump_sweep_csv,
     metrics,
     run_experiment,
     sweep,
-    sweep_markdown,
 )
 from statarb.harness import _run_seed
-from statarb.strategies import StrategyConfig
+from statarb.strategies import KINDS, MODES, StrategyConfig
 
 PARAMS = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
                    n_steps=200)
@@ -243,8 +241,8 @@ def test_all_runs_skipped_at_critical_drift():
 
 
 def test_run_experiment_covers_all_strategies():
-    for kind in ("embedded", "trend", "gfin"):
-        for mode in ("snap", "observed"):
+    for kind in KINDS:
+        for mode in MODES:
             cfg = small_config(
                 strategy=StrategyConfig(kind=kind, c_mult=0.01,
                                         execution_mode=mode),
@@ -328,7 +326,7 @@ def test_dump_runs_csv_round_trip():
         assert ended_by == res.runs[i].ended_by
 
 
-def test_dump_sweep_csv_and_markdown():
+def test_dump_sweep_csv():
     rows = sweep(small_config(n_runs=15,
                               sweep=SweepAxis("c_mult", (0.01, 0.02))))
     buf = io.StringIO()
@@ -342,12 +340,6 @@ def test_dump_sweep_csv_and_markdown():
     assert float(first[1]) == rows[0].summary.mean_gain
     assert int(first[8]) == rows[0].summary.max_n
 
-    table = sweep_markdown(rows)
-    table_lines = table.splitlines()
-    assert len(table_lines) == 4
-    assert len({len(line) for line in table_lines}) == 1  # aligned
-    assert table_lines[0].startswith("| param")
-
 
 def test_identical_invocations_byte_identical_outputs():
     def render() -> str:
@@ -358,19 +350,3 @@ def test_identical_invocations_byte_identical_outputs():
         return buf.getvalue()
 
     assert render() == render()
-
-
-def test_dump_histogram():
-    rng = np.random.default_rng(65)
-    pnl = rng.normal(size=500)
-    buf = io.StringIO()
-    dump_histogram_csv(pnl, buf, n_bins=20)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "bin_left,bin_right,count"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 20
-    assert sum(int(r[2]) for r in rows) == 500
-    edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
-    assert all(a < b for a, b in zip(edges, edges[1:]))
-    with pytest.raises(EmptySample):
-        dump_histogram_csv([], io.StringIO())

@@ -1,23 +1,25 @@
-"""Tests for the cycle runners driving lattice strategies over paths."""
+"""Tests for run_path, the cycles it drives and their ledgers."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statarb.errors import NoSaExists
 from statarb.gbm import GbmParams, embedded_phi, embedded_q
 from statarb.lattice import payoff, trend_A_matrix
 from statarb.paths import PricePath, TradeLedger
 from statarb.strategies import (
+    KINDS,
+    MODES,
     CycleRecord,
     RunResult,
     StrategyConfig,
     grid_trend_model,
-    run_embedded_binomial,
-    run_follow_trend,
-    run_gfin,
+    run_path,
 )
 
 MU, SIGMA = 0.3, 0.2
@@ -27,7 +29,7 @@ NEG_PARAMS = GbmParams(mu=-MU, sigma=SIGMA, s0=100.0, horizon=1.0,
 C = 0.05
 Q = embedded_q(C, MU, SIGMA)
 
-# barrier levels exactly as the runners compute them from anchor 100
+# barrier levels exactly as the cycles compute them from anchor 100
 A = 100.0
 UP, DOWN = A * (1 + C), A * (1 - C)
 UP2, DOWN2 = A * (1 + 2 * C), A * (1 - 2 * C)
@@ -70,6 +72,11 @@ def test_strategy_config_validation():
         StrategyConfig(kind="embedded", c=0.05, c_mult=0.01)
     with pytest.raises(ValueError):
         StrategyConfig(kind="embedded", c=0.05, alpha=-0.1)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            StrategyConfig(kind="trend", c=0.05, alpha=alpha)
+    with pytest.raises(ValueError):
+        StrategyConfig(kind="gfin", c=0.05)  # a CLI alias, not a kind
     cfg = StrategyConfig(kind="embedded", c_mult=0.01)
     assert cfg.resolved_c(0.1241, 0.0837) == pytest.approx(
         0.01 * 0.1241 / 0.0837)
@@ -80,35 +87,25 @@ def test_strategy_config_validation():
         StrategyConfig(kind="embedded", c=0.6).resolved_c(0.1, 0.2)
 
 
-def test_runners_reject_mismatched_kind():
-    path = make_path([100.0, 100.0 + 1e-9])
-    with pytest.raises(ValueError):
-        run_embedded_binomial(path, PARAMS, econfig(kind="trend"))
-    with pytest.raises(ValueError):
-        run_follow_trend(path, PARAMS, econfig())
-    with pytest.raises(ValueError):
-        run_gfin(path, PARAMS, econfig())
-
-
 # ------------------------------------------------------- embedded hand-traces
 
 
 def test_embedded_up_up_cycle():
-    res = run_embedded_binomial(make_path([A, UP, UP2]), PARAMS, econfig())
+    res = run_path(make_path([A, UP, UP2]), PARAMS, econfig())
     assert res.ended_by == "PositivePnl"
     assert res.n_repetitions == 1
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
 
 
 def test_embedded_up_down_cycle():
-    res = run_embedded_binomial(make_path([A, UP, A]), PARAMS, econfig())
+    res = run_path(make_path([A, UP, A]), PARAMS, econfig())
     assert res.ended_by == "PositivePnl"
     assert res.pnl == pytest.approx(3.0 / (Q - 1.0), rel=1e-9)
 
 
 def test_embedded_down_up_cycle_then_horizon():
     path = make_path([A, DOWN, A, A, A])
-    res = run_embedded_binomial(path, PARAMS, econfig())
+    res = run_path(path, PARAMS, econfig())
     # the losing cycle completes, the follow-up cycle never leaves the band
     assert res.ended_by == "Horizon"
     assert res.n_repetitions == 1
@@ -116,8 +113,7 @@ def test_embedded_down_up_cycle_then_horizon():
 
 
 def test_embedded_down_down_cycle():
-    res = run_embedded_binomial(make_path([A, DOWN, DOWN2]), PARAMS,
-                                econfig())
+    res = run_path(make_path([A, DOWN, DOWN2]), PARAMS, econfig())
     assert res.ended_by == "PositivePnl"
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
 
@@ -125,18 +121,17 @@ def test_embedded_down_down_cycle():
 def test_embedded_no_hit_liquidation_by_mode():
     phi = embedded_phi(C, A, Q)
     path = make_path([100.0, 101.0, 102.0])
-    snap = run_embedded_binomial(path, PARAMS, econfig())
+    snap = run_path(path, PARAMS, econfig())
     assert snap.ended_by == "Horizon" and snap.n_repetitions == 0
     assert snap.pnl == 0.0  # liquidated at the last mark = anchor
-    obs = run_embedded_binomial(path, PARAMS,
-                                econfig(execution_mode="observed"))
+    obs = run_path(path, PARAMS, econfig(execution_mode="observed"))
     assert obs.pnl == pytest.approx(phi.phi1 * 2.0, rel=1e-12)
 
 
 def test_embedded_partial_second_leg_snap():
     phi = embedded_phi(C, A, Q)
     path = make_path([A, UP, UP, UP])
-    res = run_embedded_binomial(path, PARAMS, econfig())
+    res = run_path(path, PARAMS, econfig())
     # first leg completed at the barrier, second leg still open at horizon
     assert res.ended_by == "Horizon" and res.n_repetitions == 0
     assert res.pnl == pytest.approx(phi.phi1 * (UP - A), rel=1e-12)
@@ -146,7 +141,7 @@ def test_embedded_overshoot_executes_at_barriers():
     # one grid step jumps across both barriers; snap mode still trades the
     # idealized lattice sequence
     path = make_path([A, 125.0, 125.0])
-    res = run_embedded_binomial(path, PARAMS, econfig())
+    res = run_path(path, PARAMS, econfig())
     assert res.ended_by == "PositivePnl"
     assert res.n_repetitions == 1
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
@@ -156,7 +151,7 @@ def test_embedded_multi_cycle_accumulates():
     # losing first cycle (down-up), winning second (up-up): the +1 gain does
     # not cover the loss, so the run carries on to the horizon
     path = make_path([A, DOWN, A, UP, UP2, UP2])
-    res = run_embedded_binomial(path, PARAMS, econfig())
+    res = run_path(path, PARAMS, econfig())
     assert res.n_repetitions == 2
     assert res.ended_by == "Horizon"
     expected = -(2 * Q + 1) / (Q - 1.0) + 1.0
@@ -167,7 +162,7 @@ def test_embedded_stops_once_cumulative_turns_positive():
     # down-up then up-down sum to exactly -2; a second up-down cycle tips
     # the cumulative ledger positive and the run stops there
     path = make_path([A, DOWN, A, UP, A, UP, A, A])
-    res = run_embedded_binomial(path, PARAMS, econfig())
+    res = run_path(path, PARAMS, econfig())
     assert res.ended_by == "PositivePnl"
     assert res.n_repetitions == 3
     assert res.pnl == pytest.approx(-2.0 + 3.0 / (Q - 1.0), rel=1e-9)
@@ -178,7 +173,7 @@ def test_embedded_stops_once_cumulative_turns_positive():
 
 def test_trend_continuation_pays_one():
     path = make_path([A, UP, UP2, UP4])
-    res = run_follow_trend(path, PARAMS, econfig(kind="trend"))
+    res = run_path(path, PARAMS, econfig(kind="trend"))
     assert res.ended_by == "PositivePnl"
     assert res.n_repetitions == 1
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
@@ -186,12 +181,11 @@ def test_trend_continuation_pays_one():
 
 def test_trend_reversal_pays_alpha():
     path = make_path([A, UP, UP2, A, A])
-    res = run_follow_trend(path, PARAMS, econfig(kind="trend"))
+    res = run_path(path, PARAMS, econfig(kind="trend"))
     assert res.ended_by == "Horizon"
     assert res.n_repetitions == 1
     assert res.pnl == pytest.approx(0.0, abs=1e-9)
-    res_half = run_follow_trend(path, PARAMS,
-                                econfig(kind="trend", alpha=0.5))
+    res_half = run_path(path, PARAMS, econfig(kind="trend", alpha=0.5))
     assert res_half.ended_by == "PositivePnl"
     assert res_half.pnl == pytest.approx(0.5, abs=1e-9)
 
@@ -199,44 +193,27 @@ def test_trend_reversal_pays_alpha():
 def test_trend_down_branch_without_trend_leg():
     trace: list[CycleRecord] = []
     path = make_path([A, DOWN, DOWN2])
-    res = run_follow_trend(path, PARAMS, econfig(kind="trend"),
-                           cycle_trace=trace)
+    res = run_path(path, PARAMS, econfig(kind="trend"), cycle_trace=trace)
     assert res.ended_by == "PositivePnl"
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
     # the up-then-back branch realizes the lattice payoff of that scenario
     model = grid_trend_model("positive", A, C)
     psi = trace[0].psi
     path2 = make_path([A, UP, A, A])
-    res2 = run_follow_trend(path2, PARAMS, econfig(kind="trend"))
+    res2 = run_path(path2, PARAMS, econfig(kind="trend"))
     assert res2.pnl == pytest.approx(payoff(model, psi, 1), rel=1e-9)
 
 
 def test_trend_negative_orientation_mirrors():
     path = make_path([A, DOWN, DOWN2, DOWN4])
-    res = run_follow_trend(path, NEG_PARAMS, econfig(kind="trend"))
+    res = run_path(path, NEG_PARAMS, econfig(kind="trend"))
     assert res.ended_by == "PositivePnl"
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
     # reversal back to the anchor pays alpha
     path2 = make_path([A, DOWN, DOWN2, A, A])
-    res2 = run_follow_trend(path2, NEG_PARAMS,
-                            econfig(kind="trend", alpha=0.25))
+    res2 = run_path(path2, NEG_PARAMS, econfig(kind="trend", alpha=0.25))
     assert res2.ended_by == "PositivePnl"
     assert res2.pnl == pytest.approx(0.25, abs=1e-9)
-
-
-def test_gfin_matches_trend_on_grid():
-    rng = np.random.default_rng(51)
-    for seed in range(20):
-        params = PARAMS if seed % 2 == 0 else NEG_PARAMS
-        from statarb.paths import simulate_gbm
-        path = simulate_gbm(params, seed=int(rng.integers(1 << 30)))
-        for mode in ("snap", "observed"):
-            a = run_follow_trend(path, params,
-                                 econfig(kind="trend",
-                                         execution_mode=mode))
-            b = run_gfin(path, params,
-                         econfig(kind="gfin", execution_mode=mode))
-            assert a == b
 
 
 def test_alpha_one_reduces_to_embedded():
@@ -244,19 +221,15 @@ def test_alpha_one_reduces_to_embedded():
     for seed in range(25):
         path = simulate_gbm(PARAMS, seed=seed)
         for mode in ("snap", "observed"):
-            led_e, led_t, led_g = (TradeLedger() for _ in range(3))
-            e = run_embedded_binomial(path, PARAMS,
-                                      econfig(execution_mode=mode),
-                                      ledger=led_e)
-            t = run_follow_trend(path, PARAMS,
-                                 econfig(kind="trend", alpha=1.0,
-                                         execution_mode=mode),
-                                 ledger=led_t)
-            g = run_gfin(path, PARAMS,
-                         econfig(kind="gfin", alpha=1.0,
-                                 execution_mode=mode), ledger=led_g)
-            assert e == t == g
-            assert led_e.events == led_t.events == led_g.events
+            led_e, led_t = TradeLedger(), TradeLedger()
+            e = run_path(path, PARAMS, econfig(execution_mode=mode),
+                         ledger=led_e)
+            t = run_path(path, PARAMS,
+                         econfig(kind="trend", alpha=1.0,
+                                 execution_mode=mode),
+                         ledger=led_t)
+            assert e == t
+            assert led_e.events == led_t.events
 
 
 # --------------------------------------------------------------- properties
@@ -264,22 +237,17 @@ def test_alpha_one_reduces_to_embedded():
 
 def test_run_invariants_and_cycle_accounting():
     from statarb.paths import simulate_gbm
-    runners = {
-        "embedded": run_embedded_binomial,
-        "trend": run_follow_trend,
-        "gfin": run_gfin,
-    }
     rng = np.random.default_rng(52)
     checked = 0
     for seed in range(60):
         params = PARAMS if seed % 3 else NEG_PARAMS
         path = simulate_gbm(params, seed=int(rng.integers(1 << 30)))
-        for kind, runner in runners.items():
-            for mode in ("snap", "observed"):
+        for kind in KINDS:
+            for mode in MODES:
                 led = TradeLedger()
-                res = runner(path, params,
-                             econfig(kind=kind, execution_mode=mode),
-                             ledger=led)
+                res = run_path(path, params,
+                               econfig(kind=kind, execution_mode=mode),
+                               ledger=led)
                 assert led.open_position == 0.0
                 assert res.trade_count == len(led.events)
                 assert res.pnl == led.cash
@@ -293,7 +261,27 @@ def test_run_invariants_and_cycle_accounting():
                     assert res.ended_by == "Horizon"
                     assert all(m <= 0.0 for m in marks[:-1])
                 checked += 1
-    assert checked == 360
+    assert checked == 240
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", MODES)
+@given(steps=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+       negative=st.booleans(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_run_path_ends_flat_on_grid_paths(kind, mode, steps, negative,
+                                          alpha):
+    # prices on A(1 + k*C) touch the first cycle's barriers exactly, and
+    # steps of up to 3 levels cross several barriers in one segment
+    levels = np.clip(np.cumsum([0, *steps]), -12, 30)
+    path = make_path(A * (1 + levels * C))
+    led = TradeLedger()
+    res = run_path(path, NEG_PARAMS if negative else PARAMS,
+                   econfig(kind=kind, alpha=alpha, execution_mode=mode),
+                   ledger=led)
+    assert led.open_position == 0.0
+    assert res.pnl == led.cash
+    assert res.trade_count == len(led.events)
 
 
 def test_no_look_ahead_after_positive_stop():
@@ -302,7 +290,7 @@ def test_no_look_ahead_after_positive_stop():
     for seed in range(40):
         path = simulate_gbm(PARAMS, seed=seed)
         led = TradeLedger()
-        res = run_embedded_binomial(path, PARAMS, econfig(), ledger=led)
+        res = run_path(path, PARAMS, econfig(), ledger=led)
         if res.ended_by != "PositivePnl":
             continue
         found += 1
@@ -312,8 +300,8 @@ def test_no_look_ahead_after_positive_stop():
         prices = path.prices.copy()
         prices[last_index + 1:] = prices[last_index]
         led2 = TradeLedger()
-        res2 = run_embedded_binomial(PricePath(path.times, prices), PARAMS,
-                                     econfig(), ledger=led2)
+        res2 = run_path(PricePath(path.times, prices), PARAMS, econfig(),
+                        ledger=led2)
         assert res2 == res
         assert led2.events == led.events
     assert found >= 20
@@ -322,20 +310,18 @@ def test_no_look_ahead_after_positive_stop():
 def test_cycle_trace_solves_schedule_system():
     from statarb.paths import simulate_gbm
     for seed, params in ((3, PARAMS), (4, NEG_PARAMS)):
-        for kind, runner in (("trend", run_follow_trend),
-                             ("gfin", run_gfin)):
-            trace: list[CycleRecord] = []
-            path = simulate_gbm(params, seed=seed)
-            runner(path, params, econfig(kind=kind, alpha=0.25),
-                   cycle_trace=trace)
-            assert trace
-            for rec in trace:
-                model = grid_trend_model(rec.orientation, rec.anchor, rec.c)
-                a = trend_A_matrix(model, ratio=rec.q)
-                psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
-                                rec.psi.phi2_down, rec.psi.phi3])
-                target = np.array([1.0, 1.0, 1.0, rec.alpha])
-                assert np.allclose(a @ psi, target, atol=1e-10)
+        trace: list[CycleRecord] = []
+        path = simulate_gbm(params, seed=seed)
+        run_path(path, params, econfig(kind="trend", alpha=0.25),
+                 cycle_trace=trace)
+        assert trace
+        for rec in trace:
+            model = grid_trend_model(rec.orientation, rec.anchor, rec.c)
+            a = trend_A_matrix(model, ratio=rec.q)
+            psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
+                            rec.psi.phi2_down, rec.psi.phi3])
+            target = np.array([1.0, 1.0, 1.0, rec.alpha])
+            assert np.allclose(a @ psi, target, atol=1e-10)
 
 
 def test_no_sa_q_boundary_is_skipped():
@@ -348,19 +334,18 @@ def test_no_sa_q_boundary_is_skipped():
                        n_steps=10)
     path = make_path([100.0] * 11)
     with pytest.raises(NoSaExists):
-        run_embedded_binomial(path, params, econfig(c=c))
+        run_path(path, params, econfig(c=c))
     with pytest.raises(NoSaExists):
-        run_follow_trend(path, params, econfig(kind="trend", c=c))
+        run_path(path, params, econfig(kind="trend", c=c))
 
 
 def test_runs_terminate_on_extreme_jumps():
     # giant jumps chain same-index virtual hits; anchors advance
     # geometrically and the run still terminates flat
     path = make_path([100.0, 400.0, 50.0, 300.0, 10.0, 10.0])
-    for runner, kind in ((run_embedded_binomial, "embedded"),
-                         (run_follow_trend, "trend")):
+    for kind in KINDS:
         led = TradeLedger()
-        res = runner(path, PARAMS, econfig(kind=kind), ledger=led)
+        res = run_path(path, PARAMS, econfig(kind=kind), ledger=led)
         assert led.open_position == 0.0
         assert res.n_repetitions >= 1
 
@@ -374,7 +359,7 @@ def test_snap_cycle_payoffs_match_lattice():
     for seed in range(10):
         path = simulate_gbm(PARAMS, seed=seed)
         led = TradeLedger()
-        run_embedded_binomial(path, PARAMS, econfig(), ledger=led)
+        run_path(path, PARAMS, econfig(), ledger=led)
         marks = replay_cycle_cash(led)
         diffs = np.diff([0.0] + marks)
         # drop the final mark: a horizon liquidation keeps the cycle's
