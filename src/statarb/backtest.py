@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, NamedTuple
@@ -27,7 +28,7 @@ from .errors import (
     NoSolution,
     ParseError,
 )
-from .gbm import embedded_q, mle_estimate
+from .gbm import embedded_q, mle_estimate, mle_from_returns
 from .paths import PricePath, TradeLedger
 from .strategies import drive, trend_cycle
 
@@ -88,6 +89,9 @@ class BacktestConfig:
             raise ValueError("boundary_fraction must lie in (0, 1/2)")
         if self.window_days < 60:
             raise ValueError("window_days must be >= 60")
+        for name in ("alpha", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         if self.dt <= 0:
@@ -113,6 +117,11 @@ class BacktestResult:
     gpta divides total P&L by the total traded notional sum(|delta|*price),
     which is invariant under a uniform currency rescaling of the series;
     the per-cycle traded quantities allow recomputing per-unit variants.
+    `skipped` counts the cycle starts skipped by one observation, by
+    reason: zero return variance in the window, or the strategy solve
+    raising NoSaExists, NoSolution or DegenerateModel.  `cutoff_pnl` is
+    the P&L of the final cycle cut off by the end of data (0.0 when no
+    cycle was open); it is part of total_pnl but of no CycleLog.
     """
 
     gpta: float
@@ -123,6 +132,8 @@ class BacktestResult:
     window_days: int
     boundary_fraction: float
     cycles: tuple[CycleLog, ...]
+    skipped: dict[str, int]
+    cutoff_pnl: float
 
 
 # --------------------------------------------------------------------- io
@@ -139,10 +150,13 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
             return load_csv(fh)
     dates: list[datetime.date] = []
     closes: list[float] = []
+    # names bound once, outside the per-line loop
+    add_day, add_close = dates.append, closes.append
+    fromisoformat, isfinite = datetime.date.fromisoformat, math.isfinite
     saw_header = False
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if not saw_header:
             if line != MARKET_HEADER:
@@ -154,17 +168,17 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
         try:
-            day = datetime.date.fromisoformat(fields[0])
+            day = fromisoformat(fields[0])
         except ValueError:
             raise ParseError(f"bad ISO date {fields[0]!r}", lineno) from None
         try:
             close = float(fields[1])
         except ValueError:
             raise ParseError(f"bad price {fields[1]!r}", lineno) from None
-        if not np.isfinite(close) or close <= 0.0:
+        if not isfinite(close) or close <= 0.0:
             raise ParseError(f"non-positive price {fields[1]!r}", lineno)
-        dates.append(day)
-        closes.append(close)
+        add_day(day)
+        add_close(close)
     if not saw_header:
         raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
     if not dates:
@@ -191,13 +205,16 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
 
     Each cycle uses only observations strictly before its start for the
     (mu, sigma) estimate; mu_hat >= 0 selects the positive orientation.
+    The log-returns are computed once for the whole series, and each
+    window's estimate is mle_from_returns on its slice of them, which
+    equals mle_estimate on the window's closes bit for bit.
     Windows whose returns have zero variance, or where the critical ratio
-    degenerates (q = 1), are skipped by one observation; DegenerateSeries
-    is raised at once when the returns of all windows together have zero
-    variance, as then no window is estimable.  A final cycle
-    interrupted by the end of data is liquidated at the last close and
-    included in total_pnl but not in the per-cycle log (n_cycles counts
-    completed cycles).
+    degenerates (q = 1), are skipped by one observation and counted in
+    `skipped`; DegenerateSeries is raised at once when the returns of all
+    windows together have zero variance, as then no window is estimable.
+    A final cycle interrupted by the end of data is liquidated at the last
+    close and included in total_pnl and cutoff_pnl, but not in the
+    per-cycle log (n_cycles counts completed cycles).
     """
     n = series.n_points
     window = config.window_days
@@ -210,11 +227,17 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     cycles: list[CycleLog] = []
     c = config.boundary_fraction
     mle_estimate(closes[:n - 2], config.dt)  # the closes of every window
+    returns = np.diff(np.log(closes))
+    skipped = {"zero_variance": 0, "NoSaExists": 0, "NoSolution": 0,
+               "DegenerateModel": 0}
+    cut_from = None  # the cash before a cycle the end of data cut off
     i = window
     while i < n - 1:
         try:
-            mu_hat, sigma_hat = mle_estimate(closes[i - window:i], config.dt)
+            mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1],
+                                                 config.dt)
         except DegenerateSeries:
+            skipped["zero_variance"] += 1
             i += 1
             continue
         orientation = "positive" if mu_hat >= 0 else "negative"
@@ -226,10 +249,12 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             step = drive(trend_cycle(closes, i, anchor, False, led, c=c, q=q,
                                      alpha=config.alpha,
                                      orientation=orientation), path)
-        except (NoSaExists, NoSolution, DegenerateModel):
+        except (NoSaExists, NoSolution, DegenerateModel) as exc:
+            skipped[type(exc).__name__] += 1
             i += 1
             continue
         if step is None:
+            cut_from = cash_before
             break
         i_end, _ = step
         led.close_out(i_end, float(closes[i_end]))
@@ -252,6 +277,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
         window_days=window,
         boundary_fraction=c,
         cycles=tuple(cycles),
+        skipped=skipped,
+        cutoff_pnl=0.0 if cut_from is None else total_pnl - cut_from,
     )
 
 

@@ -292,6 +292,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_cycles_csv(result, fh, metadata=meta)
+    # diagnostics go to stderr, so stdout and --out stay byte-identical
+    skipped = " ".join(f"{k}={v}" for k, v in result.skipped.items())
+    print(f"statarb: skipped windows: {skipped}", file=sys.stderr)
+    print(f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "exit_prob_upper",
     "embedded_q",
     "embedded_phi",
+    "mle_from_returns",
     "mle_estimate",
 ]
 
@@ -193,13 +194,24 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
 # ---------------------------------------------------------------------------
 
 
-def mle_estimate(closes: np.ndarray, dt: float) -> tuple[float, float]:
-    """Maximum-likelihood (mu, sigma) from a price series sampled every dt
-    years.
+def mle_from_returns(r: np.ndarray, dt: float) -> tuple[float, float]:
+    """Maximum-likelihood (mu, sigma) from log-returns r sampled every dt
+    years: sigma^2 = Var(r)/dt (n-1 denominator) and
+    mu = mean(r)/dt + sigma^2/2.  (Numerically) zero return variance raises
+    DegenerateSeries.
+    """
+    var = float(np.var(r, ddof=1))
+    if var <= 1e-24:
+        raise DegenerateSeries("return variance is zero")
+    sigma_sq = var / dt
+    mu = float(np.mean(r)) / dt + sigma_sq / 2.0
+    return mu, math.sqrt(sigma_sq)
 
-    With log-returns r: sigma^2 = Var(r)/dt (n-1 denominator) and
-    mu = mean(r)/dt + sigma^2/2.  A series shorter than 30 observations or
-    with (numerically) zero return variance raises DegenerateSeries.
+
+def mle_estimate(closes: np.ndarray, dt: float) -> tuple[float, float]:
+    """mle_from_returns on the log-returns of a price series sampled every
+    dt years.  A series shorter than 30 observations, or with (numerically)
+    zero return variance, raises DegenerateSeries.
     """
     prices = np.asarray(closes, dtype=float)
     if prices.ndim != 1 or prices.size < 30:
@@ -208,10 +220,4 @@ def mle_estimate(closes: np.ndarray, dt: float) -> tuple[float, float]:
         raise ValueError("dt must be positive")
     if np.any(prices <= 0):
         raise ValueError("prices must be positive")
-    r = np.diff(np.log(prices))
-    var = float(np.var(r, ddof=1))
-    if var <= 1e-24:
-        raise DegenerateSeries("return variance is zero")
-    sigma_sq = var / dt
-    mu = float(np.mean(r)) / dt + sigma_sq / 2.0
-    return mu, math.sqrt(sigma_sq)
+    return mle_from_returns(np.diff(np.log(prices)), dt)

@@ -2,8 +2,10 @@
 
 A PricePath is an immutable discrete observation grid of a price process.
 next_hit scans it for the first touch or crossing of a set of barrier
-levels, and TradeLedger accumulates the mark-to-market P&L of position
-changes executed along the way.
+levels, in blocks of SCAN_SEGMENTS segments tested one by one with a scalar
+predicate on Python floats (legs are short, so a per-call numpy pass would
+cost more than the scan), and TradeLedger accumulates the mark-to-market
+P&L of position changes executed along the way.
 
 simulate_gbm_rows and next_hits are the same two operations for a block of
 paths held as the rows of one price matrix: row k of the matrix is the path
@@ -85,6 +87,8 @@ CHUNK_BYTES = 384 * 1024
 
 # Grid segments a next_hits query scans before it returns without a hit; the
 # caller resumes it, so one long leg does not hold up the other rows' scans.
+# next_hit reads its path in blocks of this many segments, converted to
+# Python floats one block at a time, so a short leg converts little.
 # At the CLI defaults a leg takes 36 segments on average.  In 30 paired
 # runs of 500-run blocks per kind (2-core x86-64 VM, CPU time), 64 beat 48
 # in 23-26 pairs (median +1% embedded snap, +7% trend and gfin) and 96 in
@@ -156,15 +160,19 @@ class HitEvent(NamedTuple):
     level: float
 
 
-def _segment_level(p0: float, p1: float, levels: np.ndarray) -> float | None:
-    """The crossed/touched level nearest the segment start, or None."""
-    d0 = p0 - levels
-    d1 = p1 - levels
-    crossed = (d0 * d1 < 0) | (d1 == 0)
-    if not np.any(crossed):
-        return None
-    hit_levels = levels[crossed]
-    return float(hit_levels[np.argmin(np.abs(hit_levels - p0))])
+def _segment_level(p0: float, p1: float,
+                   levels: list[float]) -> float | None:
+    """The crossed/touched level nearest the segment start, or None.
+    `levels` is sorted, so the lowest level wins a tie."""
+    best = best_gap = None
+    for level in levels:
+        d0 = p0 - level
+        d1 = p1 - level
+        if d0 * d1 < 0 or d1 == 0:
+            gap = abs(d0)
+            if best is None or gap < best_gap:
+                best, best_gap = level, gap
+    return best
 
 
 def next_hit(path: PricePath, from_index: int, levels: Iterable[float],
@@ -182,13 +190,19 @@ def next_hit(path: PricePath, from_index: int, levels: Iterable[float],
     re-anchoring, when the previous execution level and the current grid
     price straddle a new barrier.  Returns None if the horizon is reached
     without a hit.
+
+    The path is read in blocks of SCAN_SEGMENTS segments as Python floats,
+    and each segment is tested in turn with the scalar predicate
+    (p0 - L) * (p1 - L) < 0 or p1 - L == 0.  Python float arithmetic is
+    IEEE float64, as numpy's element-wise operations are, so the hits equal
+    those of next_hits bit for bit.
     """
     prices = path.prices
     n = prices.size
     if not (0 <= from_index < n):
         raise ValueError(f"from_index {from_index} outside path")
-    lv = np.asarray(sorted(set(float(v) for v in levels)), dtype=float)
-    if lv.size == 0:
+    lv = sorted(set(float(v) for v in levels))
+    if not lv:
         raise ValueError("levels must be nonempty")
 
     if ref_price is not None:
@@ -197,23 +211,18 @@ def next_hit(path: PricePath, from_index: int, levels: Iterable[float],
         if level is not None:
             return HitEvent(from_index, level)
 
-    block = 128
     k = from_index
     while k < n - 1:
-        stop = min(n - 1, k + block)
-        p0 = prices[k:stop]
-        p1 = prices[k + 1:stop + 1]
-        d0 = p0[:, None] - lv[None, :]
-        d1 = p1[:, None] - lv[None, :]
-        hits = np.any((d0 * d1 < 0) | (d1 == 0), axis=1)
-        if np.any(hits):
-            j = k + int(np.argmax(hits))
-            level = _segment_level(float(prices[j]), float(prices[j + 1]),
-                                   lv)
-            assert level is not None
-            return HitEvent(j + 1, level)
+        stop = min(n - 1, k + SCAN_SEGMENTS)
+        block = prices[k:stop + 1].tolist()
+        p0 = block[0]
+        for j in range(1, len(block)):
+            p1 = block[j]
+            level = _segment_level(p0, p1, lv)
+            if level is not None:
+                return HitEvent(k + j, level)
+            p0 = p1
         k = stop
-        block = min(2 * block, 65536)
     return None
 
 

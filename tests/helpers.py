@@ -1,8 +1,14 @@
 """Shared fixtures and random-model generators for the test suite."""
 from __future__ import annotations
 
+import datetime
+from pathlib import Path
+from typing import IO
+
 import numpy as np
 
+from statarb.backtest import MARKET_HEADER, MarketSeries
+from statarb.errors import ParseError
 from statarb.gbm import embedded_q
 from statarb.lattice import TrendLattice, TrinomialTopModel, TwoPeriodBinomial
 
@@ -140,3 +146,45 @@ def grid_trend_lattice(s0: float, c: float, orientation: str,
     return TrendLattice(orientation, s0, s0 * (1 + c), s0 * (1 - c),
                         s0 * (1 + 2 * c), s0, s0 * (1 - 2 * c),
                         s0 * (1 - 4 * c), s0, p)
+
+
+def reference_load_csv(source: str | Path | IO[str]) -> MarketSeries:
+    """The straightforward line loop that backtest.load_csv was first
+    written as, kept verbatim as the oracle of its parse results and
+    errors."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return reference_load_csv(fh)
+    dates: list[datetime.date] = []
+    closes: list[float] = []
+    saw_header = False
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_header:
+            if line != MARKET_HEADER:
+                raise ParseError(f"expected header {MARKET_HEADER!r}, "
+                                 f"got {line!r}", lineno)
+            saw_header = True
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
+        try:
+            day = datetime.date.fromisoformat(fields[0])
+        except ValueError:
+            raise ParseError(f"bad ISO date {fields[0]!r}", lineno) from None
+        try:
+            close = float(fields[1])
+        except ValueError:
+            raise ParseError(f"bad price {fields[1]!r}", lineno) from None
+        if not np.isfinite(close) or close <= 0.0:
+            raise ParseError(f"non-positive price {fields[1]!r}", lineno)
+        dates.append(day)
+        closes.append(close)
+    if not saw_header:
+        raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
+    if not dates:
+        raise ParseError("no data rows", 2)
+    return MarketSeries(tuple(dates), np.array(closes))

@@ -6,10 +6,14 @@ import io
 import json
 import math
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import find_no_sa_mu
+from helpers import find_no_sa_mu, reference_load_csv
 from statarb import backtest
 from statarb.backtest import (
     CYCLES_HEADER,
@@ -33,6 +37,7 @@ from statarb.gbm import GbmParams, mle_estimate
 from statarb.paths import TradeLedger, simulate_gbm
 
 START = datetime.date(2000, 1, 3)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def daily_dates(n: int) -> tuple[datetime.date, ...]:
@@ -122,6 +127,78 @@ def test_load_csv_from_path(tmp_path):
     assert load_csv(str(target)).n_points == 1
 
 
+# CSV texts for the parser oracle: valid rows on mostly increasing dates,
+# mixed with metadata, blank lines, a missing or repeated header, rows of
+# 1 or 3 fields, bad dates and bad, zero, negative or non-finite prices,
+# each line padded with whitespace and ended by LF, CRLF or nothing
+BAD_DATES = st.sampled_from(["2020-13-01", "2020-02-30", "01/02/2020",
+                             "2020-1-5", "", "date", "x"])
+BAD_PRICES = st.sampled_from(["abc", "", "0", "0.0", "-0", "-1.5", "nan",
+                              "NaN", "inf", "-inf", "1e999", "--1"])
+GOOD_PRICES = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e9).map(repr),
+    st.sampled_from(["3.5", "100", "1e2", "+7.25", ".5", "1_000"]))
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+ENDINGS = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    day = datetime.date(1990, 1, 1).toordinal()
+    lines = []
+    if draw(st.integers(0, 9)):
+        lines.append("date,close\n")
+    elif draw(st.booleans()):
+        lines.append("time,price\n")
+    # half the texts hold only well-formed lines, so that most parse
+    kinds = ["row", "row", "row", "comment", "blank"]
+    if draw(st.booleans()):
+        kinds += ["fields", "date", "price", "header"]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        day += draw(st.integers(0, 9)) != 0  # a repeated day: non-monotone
+        iso = datetime.date.fromordinal(day).isoformat()
+        if kind == "row":
+            line = f"{iso},{draw(GOOD_PRICES)}"
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# seed=7", "#", "#date,close"]))
+        elif kind == "blank":
+            line = ""
+        elif kind == "fields":
+            line = draw(st.sampled_from(
+                [iso, f"{iso},1.0,2.0", f"{iso},,", "1.0"]))
+        elif kind == "date":
+            line = f"{draw(BAD_DATES)},{draw(GOOD_PRICES)}"
+        elif kind == "price":
+            line = f"{iso},{draw(BAD_PRICES)}"
+        else:
+            line = "date,close"
+        lines.append(draw(PADDING) + line + draw(PADDING) + draw(ENDINGS))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def _parse_outcome(parse, text: str):
+    """The parsed series, or the error's type, message and line number."""
+    try:
+        series = parse(io.StringIO(text))
+    except (ParseError, NonMonotoneDates) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_number",
+                                                     None)
+    return series.dates, series.closes.tolist()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(csv_texts())
+@example("date,close\r\n 2020-01-02,3.5 \r\n\r\n# x\r\n2020-01-03,inf\r\n")
+@example("\n\n  # meta\ndate,close\n2020-01-02,1.0,2.0\n")
+@example("date,close\n2020-01-02,1.0\n2020-01-02,2.0\n")
+def test_load_csv_equals_reference_loop(text):
+    assert _parse_outcome(load_csv, text) == \
+        _parse_outcome(reference_load_csv, text)
+
+
 # ----------------------------------------------------------- configuration
 
 
@@ -138,6 +215,13 @@ def test_backtest_config_validation():
         BacktestConfig(boundary_fraction=0.1, dt=0.0)
     assert BacktestConfig(boundary_fraction=0.1).window_days == 756
     assert BacktestConfig(boundary_fraction=0.1).dt == 1.0 / 252.0
+
+
+@pytest.mark.parametrize("name", ["alpha", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_backtest_config_rejects_non_finite_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        BacktestConfig(boundary_fraction=0.1, **{name: value})
 
 
 def test_insufficient_data():
@@ -398,3 +482,56 @@ def test_flat_stretch_skips_only_its_windows():
     prefix = MarketSeries(series.dates[:flat.start], closes[:flat.start])
     early = run_backtest(prefix, config).cycles
     assert early and result.cycles[:len(early)] == early
+
+
+# ------------------------------------------------------------ diagnostics
+
+
+def test_skipped_windows_are_counted_by_reason():
+    # the critical-drift ramp: every window gives q = 1
+    c, sigma, dt = 0.02, 0.1, 1.0 / 252.0
+    mu_star = find_no_sa_mu(c, sigma)
+    closes = ramp_series(81, g=(mu_star - 0.5 * sigma * sigma) * dt,
+                         w=sigma * math.sqrt(59.0 * dt / 60.0), base=100.0)
+    res = run_backtest(MarketSeries(daily_dates(81), closes),
+                       BacktestConfig(boundary_fraction=c, window_days=61))
+    assert res.skipped == {"zero_variance": 0, "NoSaExists": 81 - 1 - 61,
+                           "NoSolution": 0, "DegenerateModel": 0}
+    # a flat stretch longer than the window: its flat windows are skipped
+    closes = np.array(gbm_series(0, years=8.0).closes)
+    closes[1000:1080] = closes[1000]
+    res = run_backtest(MarketSeries(daily_dates(closes.size), closes),
+                       BacktestConfig(boundary_fraction=0.02,
+                                      window_days=60))
+    assert 0 < res.skipped["zero_variance"] <= 1080 - (1000 + 60)
+    assert res.skipped["NoSaExists"] == 0
+
+
+@pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])
+def test_cutoff_pnl_is_the_cycle_open_at_end_of_data(name):
+    series = load_csv(DATA / name)
+    led = TradeLedger()
+    res = run_backtest(series, BacktestConfig(boundary_fraction=0.02),
+                       ledger=led)
+    cut = res.cycles[-1].cycle_end != series.dates[-1]
+    assert (res.cutoff_pnl != 0.0) == cut
+    done = _flat_marks(led)[res.n_cycles - 1]
+    assert res.cutoff_pnl == pytest.approx(res.total_pnl - done,
+                                           rel=1e-12, abs=1e-9)
+    assert sum(c.pnl for c in res.cycles) + res.cutoff_pnl == \
+        pytest.approx(res.total_pnl, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])
+def test_cycle_estimates_equal_mle_on_their_window(name):
+    # each window's estimate comes from a slice of the series' log-returns
+    series = load_csv(DATA / name)
+    config = BacktestConfig(boundary_fraction=0.02)
+    res = run_backtest(series, config)
+    assert res.n_cycles > 100
+    index = {day: k for k, day in enumerate(series.dates)}
+    for cycle in res.cycles:
+        i = index[cycle.cycle_start]
+        window = series.closes[i - config.window_days:i]
+        assert (cycle.mu_hat, cycle.sigma_hat) == \
+            mle_estimate(window, config.dt)

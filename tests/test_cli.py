@@ -430,6 +430,34 @@ def test_backtest_constant_series_exits_1(capsys, tmp_path):
     assert (code, out, err) == (1, "", "statarb: return variance is zero\n")
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_backtest_non_finite_alpha_exits_1(market_csv, capsys, alpha):
+    code, out, err = run_cli(["backtest", "--data", str(market_csv),
+                              "--boundary", "0.10", "--alpha", alpha],
+                             capsys)
+    assert (code, out, err) == (1, "", "statarb: alpha must be finite\n")
+
+
+def test_backtest_reports_skips_and_cutoff_on_stderr(capsys):
+    from pathlib import Path
+
+    from statarb.backtest import BacktestConfig, load_csv, run_backtest
+
+    data = Path(__file__).resolve().parent / "data" / "gbm_down.csv"
+    golden = Path(__file__).resolve().parent / "golden"
+    code, out, err = run_cli(["backtest", "--data", str(data),
+                              "--boundary", "0.02"], capsys)
+    assert code == 0
+    # the report leaves stdout as it was
+    assert out.encode() == \
+        (golden / "backtest_down_alpha0.stdout").read_bytes()
+    result = run_backtest(load_csv(data), BacktestConfig(0.02))
+    assert result.cutoff_pnl != 0.0
+    assert err == ("statarb: skipped windows: zero_variance=0 NoSaExists=0 "
+                   "NoSolution=0 DegenerateModel=0\n"
+                   f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}\n")
+
+
 def test_backtest_requires_boundary(market_csv, capsys):
     code, _, err = run_cli(["backtest", "--data", str(market_csv)], capsys)
     assert code == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from statarb.gbm import GbmParams, exit_prob_lower
 from statarb.paths import (
+    SCAN_SEGMENTS,
     HitEvent,
     PricePath,
     TradeLedger,
@@ -123,6 +124,10 @@ def test_next_hit_tie_break_nearest_to_segment_start():
     assert next_hit(up, 0, {105.0, 110.0}) == HitEvent(1, 105.0)
     down = flat_path([120.0, 100.0])
     assert next_hit(down, 0, {105.0, 110.0}) == HitEvent(1, 110.0)
+    # 1e17 - 1 and 1e17 - 2 round to the same distance: the lowest level
+    # wins the tie, as argmin over the sorted levels does in next_hits
+    far = flat_path([1e17, 0.5])
+    assert next_hit(far, 0, {2.0, 1.0}) == HitEvent(1, 1.0)
 
 
 def test_next_hit_start_on_level_moving_away():
@@ -201,12 +206,33 @@ def test_next_hit_equals_pairwise_segment_oracle(query):
 
 
 def test_next_hit_chunk_boundaries():
-    # hits placed around the internal block edges scan identically
-    for hit_at in (127, 128, 129, 255, 256, 257, 383, 384):
+    # hits placed around block edges (multiples of SCAN_SEGMENTS and of
+    # 128) scan identically
+    edges = [m * SCAN_SEGMENTS + d for m in range(1, 7) for d in (-1, 0, 1)]
+    for hit_at in (*edges, 127, 128, 129, 255, 256, 257, 383, 384):
         prices = np.full(512, 100.0)
         prices[hit_at] = 106.0
         path = flat_path(prices)
         assert next_hit(path, 0, {105.0}) == HitEvent(hit_at, 105.0)
+        # from a start just before the hit, and across a block edge
+        for start in (hit_at - 1, max(0, hit_at - SCAN_SEGMENTS - 1)):
+            assert next_hit(path, start, {105.0}) == HitEvent(hit_at, 105.0)
+
+
+def test_next_hit_long_scan_without_hit_reaches_path_end():
+    # thousands of segments, many blocks, a last block cut short by the
+    # path end; the levels are missed by rounding-sized margins
+    n = 40 * SCAN_SEGMENTS + 17
+    prices = 100.0 + np.sin(np.arange(n)) * 5.0
+    path = flat_path(prices)
+    top, bottom = float(prices.max()), float(prices.min())
+    assert next_hit(path, 0, {np.nextafter(top, np.inf),
+                              np.nextafter(bottom, -np.inf)}) is None
+    assert next_hit(path, n - 2, {200.0}) is None
+    assert next_hit(path, n - 1, {200.0}, ref_price=100.0) is None
+    # the top itself is touched at its first index after the start
+    first_top = int(np.argmax(prices))
+    assert next_hit(path, 0, {top}) == HitEvent(first_top, top)
 
 
 def test_next_hit_empirical_frequency_matches_exit_prob():
