@@ -213,15 +213,12 @@ def test_backtest_config_validation():
         BacktestConfig(boundary_fraction=0.1, alpha=-1.0)
     with pytest.raises(ValueError):
         BacktestConfig(boundary_fraction=0.1, dt=0.0)
+    for name in ("alpha", "dt"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                BacktestConfig(boundary_fraction=0.1, **{name: value})
     assert BacktestConfig(boundary_fraction=0.1).window_days == 756
     assert BacktestConfig(boundary_fraction=0.1).dt == 1.0 / 252.0
-
-
-@pytest.mark.parametrize("name", ["alpha", "dt"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_backtest_config_rejects_non_finite_by_name(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        BacktestConfig(boundary_fraction=0.1, **{name: value})
 
 
 def test_insufficient_data():
@@ -345,6 +342,8 @@ def test_critical_drift_windows_are_skipped():
     assert res.n_cycles == 0
     assert res.total_pnl == 0.0 and res.gpta == 0.0
     assert led.events == []
+    assert res.skipped == {"zero_variance": 0, "NoSaExists": 81 - 1 - 61,
+                           "NoSolution": 0, "DegenerateModel": 0}
 
 
 # ------------------------------------------------------------- properties
@@ -478,6 +477,8 @@ def test_flat_stretch_skips_only_its_windows():
     flat_windows = range(flat.start + config.window_days + 1, flat.stop + 1)
     assert not set(starts) & set(flat_windows)
     assert max(starts) > flat.stop
+    assert 0 < result.skipped["zero_variance"] <= len(flat_windows)
+    assert result.skipped["NoSaExists"] == 0
     # before the stretch the walk is the one of the series cut there
     prefix = MarketSeries(series.dates[:flat.start], closes[:flat.start])
     early = run_backtest(prefix, config).cycles
@@ -485,26 +486,6 @@ def test_flat_stretch_skips_only_its_windows():
 
 
 # ------------------------------------------------------------ diagnostics
-
-
-def test_skipped_windows_are_counted_by_reason():
-    # the critical-drift ramp: every window gives q = 1
-    c, sigma, dt = 0.02, 0.1, 1.0 / 252.0
-    mu_star = find_no_sa_mu(c, sigma)
-    closes = ramp_series(81, g=(mu_star - 0.5 * sigma * sigma) * dt,
-                         w=sigma * math.sqrt(59.0 * dt / 60.0), base=100.0)
-    res = run_backtest(MarketSeries(daily_dates(81), closes),
-                       BacktestConfig(boundary_fraction=c, window_days=61))
-    assert res.skipped == {"zero_variance": 0, "NoSaExists": 81 - 1 - 61,
-                           "NoSolution": 0, "DegenerateModel": 0}
-    # a flat stretch longer than the window: its flat windows are skipped
-    closes = np.array(gbm_series(0, years=8.0).closes)
-    closes[1000:1080] = closes[1000]
-    res = run_backtest(MarketSeries(daily_dates(closes.size), closes),
-                       BacktestConfig(boundary_fraction=0.02,
-                                      window_days=60))
-    assert 0 < res.skipped["zero_variance"] <= 1080 - (1000 + 60)
-    assert res.skipped["NoSaExists"] == 0
 
 
 @pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])
