@@ -10,6 +10,8 @@ Subpackage map:
 * ``strategies`` -- stopping-time schedules driving lattice strategies over
   paths.
 * ``harness`` -- batched Monte Carlo experiments, metrics, parameter sweeps.
+* ``seeding`` -- per-run random streams derived in batches (imported by
+  ``harness`` on first use, as it loads ``numpy.random``).
 * ``backtest`` -- rolling-window walk-forward backtests on market CSVs.
 * ``cli`` -- the ``statarb`` command-line front end.
 """

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -207,9 +208,16 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("STATARB_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1  # reported below, as a negative value is
+    if seed < 0:
+        raise ValueError(
+            f"STATARB_SEED must be a nonnegative integer, got {env!r}")
+    return seed
 
 
 def _experiment_config(args: argparse.Namespace, seed: int,
@@ -250,6 +258,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_runs_csv(result, fh, metadata=meta)
+    # diagnostics go to stderr, so stdout and --out stay byte-identical
+    ended = Counter(r.ended_by for r in result.runs)
+    print(f"statarb: ended_by: PositivePnl={ended['PositivePnl']} "
+          f"Horizon={ended['Horizon']}", file=sys.stderr)
     return EXIT_OK
 
 

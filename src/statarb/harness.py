@@ -4,10 +4,13 @@ and the CSV writers of the per-run and sweep tables.
 A single experiment simulates ``n_runs`` independent GBM paths and applies
 one strategy to each.  The runs go through ``strategies.run_seeded``, which
 holds ``paths.chunk_rows`` paths at a time in one price matrix of at most
-``paths.CHUNK_BYTES``.  Per-run seeds are derived with
-``np.random.SeedSequence([master_seed, axis_index, run_index])`` so results
-are reproducible, independent of chunking, and independent
-across both runs and sweep-axis cells.  Sweeps re-run the experiment once
+``paths.CHUNK_BYTES``.  Per-run streams are
+``np.random.SeedSequence([master_seed, axis_index, run_index])`` turned into
+a 64-bit seed, then ``np.random.default_rng(seed)``, so results are
+reproducible, independent of chunking, and independent across both runs and
+sweep-axis cells.  ``seeding`` derives them in batches of runs, by the same
+hash that numpy's SeedSequence computes run by run; tests pin the two
+against each other.  Sweeps re-run the experiment once
 per axis value with the axis position as the salt, so a single-value sweep
 reproduces a plain experiment bit for bit.  Run k of an experiment equals
 ``strategies.run_path`` on ``paths.simulate_gbm(params, seed)`` with
@@ -156,8 +159,10 @@ def metrics(pnl: Sequence[float], trades: Sequence[int],
 
 def _run_seed(master_seed: int, axis_index: int, run_index: int) -> int:
     """Deterministic per-run seed: SeedSequence([master, axis, run])."""
-    seq = np.random.SeedSequence([master_seed, axis_index, run_index])
-    return int(seq.generate_state(1, np.uint64)[0])
+    # seeding imports numpy.random, which the package import leaves out
+    from .seeding import run_seeds
+    runs = range(run_index, run_index + 1)
+    return int(run_seeds(master_seed, axis_index, runs)[0])
 
 
 def run_experiment(config: ExperimentConfig, *,
@@ -175,9 +180,9 @@ def run_experiment(config: ExperimentConfig, *,
         raise AllRunsSkipped(
             f"q = 1 at c={c!r}: every run is voided") from exc
 
-    seeds = (_run_seed(config.master_seed, axis_index, i)
-             for i in range(config.n_runs))
-    results = run_seeded(config.params, config.strategy, q, seeds)
+    from .seeding import run_streams
+    streams = run_streams(config.master_seed, axis_index, config.n_runs)
+    results = run_seeded(config.params, config.strategy, q, streams)
     summary = metrics(
         [r.pnl for r in results],
         [r.trade_count for r in results],

@@ -102,16 +102,20 @@ def chunk_rows(n_steps: int) -> int:
     return max(1, CHUNK_BYTES // (8 * (n_steps + 1)))
 
 
-def simulate_gbm_rows(params: GbmParams, seeds: Sequence[int], *,
-                      zero_noise: bool = False) -> np.ndarray:
+def simulate_gbm_rows(
+        params: GbmParams,
+        seeds: Sequence[int | np.random.bit_generator.ISeedSequence], *,
+        zero_noise: bool = False) -> np.ndarray:
     """Simulate one GBM path per seed as the rows of a price matrix of shape
     (len(seeds), n_steps + 1), by exact log-normal stepping
     S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z_k).
 
     Row k holds the normals of np.random.default_rng(seeds[k]), so the same
     (params, seed) always produces the identical row whatever block it is
-    simulated in.  `zero_noise` forces every Z_k to 0, leaving the
-    deterministic skeleton s0 * exp((mu - sigma^2/2) k dt) -- a test hook.
+    simulated in.  A seed is an int or a seed object default_rng accepts,
+    such as the harness's batched seeding.RunStream.  `zero_noise` forces
+    every Z_k to 0, leaving the deterministic skeleton
+    s0 * exp((mu - sigma^2/2) k dt) -- a test hook.
     Raises ValueError when a price underflows to 0, as PricePath does.
     """
     n, dt = params.n_steps, params.dt

@@ -107,7 +107,10 @@ class StrategyConfig:
         """The relative barrier step for the given drift and volatility."""
         c = self.c if self.c is not None else self.c_mult * abs(mu) / sigma
         if not (0 < c < 0.5):
-            raise ValueError(f"resolved c={c} outside (0, 1/2)")
+            cause = "" if self.c is not None else (
+                f": c = c_mult * |mu| / sigma with c_mult={self.c_mult!r}, "
+                f"mu={mu!r}, sigma={sigma!r}")
+            raise ValueError(f"resolved c={c} outside (0, 1/2){cause}")
         return c
 
 
@@ -315,9 +318,12 @@ def _advance(schedule: Schedule, hit: Hit | None,
 
 
 def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
-               seeds: Iterable[int]) -> list[RunResult]:
+               seeds: Iterable[int | np.random.bit_generator.ISeedSequence],
+               ) -> list[RunResult]:
     """Run the strategy on the GBM path of each seed; result k equals
-    run_path on simulate_gbm(params, seeds[k]).
+    run_path on simulate_gbm(params, s), with s = seeds[k] for an int seed
+    and, for a seeding.RunStream, the int seed its words derive from.  The
+    seeds are those of simulate_gbm_rows.
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
     are the rows of one price matrix of chunk_rows(n_steps) rows, at most

@@ -172,6 +172,21 @@ def test_simulate_out_file_has_runs_table(tmp_path, capsys):
     assert lines[0].startswith("# version=")
 
 
+def test_simulate_reports_ended_by_on_stderr(tmp_path, capsys):
+    out_path = tmp_path / "runs.csv"
+    code, out, err = run_cli(["simulate", "--runs", "60", "--steps", "150",
+                              "--seed", "7", "--out", str(out_path)], capsys)
+    assert code == 0
+    table = [ln for ln in out_path.read_text().splitlines()
+             if not ln.startswith("#")][1:]
+    ended = [ln.split(",")[4] for ln in table]
+    assert 0 < ended.count("Horizon") < ended.count("PositivePnl")
+    assert err == (f"statarb: ended_by: "
+                   f"PositivePnl={ended.count('PositivePnl')} "
+                   f"Horizon={ended.count('Horizon')}\n")
+    assert "ended_by" not in out
+
+
 def test_simulate_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -216,6 +231,24 @@ def test_bad_env_seed_exits_1(monkeypatch, capsys):
                            capsys)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("value", ["abc", "-4", "1.5", ""])
+def test_bad_env_seed_names_the_variable(value, monkeypatch, capsys):
+    monkeypatch.setenv("STATARB_SEED", value)
+    code, out, err = run_cli(["simulate", "--runs", "12", "--steps", "150"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"statarb: STATARB_SEED must be a nonnegative integer, "
+                   f"got {value!r}\n")
+
+
+def test_multi_word_master_seed_runs(capsys):
+    code, out, _ = run_cli(["simulate", "--runs", "12", "--steps", "150",
+                            "--seed", str(2**64)], capsys)
+    assert code == 0
+    assert f"# seed={2**64}" in out.splitlines()
 
 
 def test_simulate_zero_runs_exits_1(capsys):
@@ -302,6 +335,19 @@ def test_sweep_out_file_equals_stdout(tmp_path, capsys):
                             "--out", str(out_path)], capsys)
     assert code == 0
     assert out_path.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *SIM_ARGS, "--mu", "0"],
+    ["sweep", *SIM_ARGS, "--axis", "mu", "--values", "0"],
+])
+def test_zero_drift_under_c_mult_names_its_cause(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("statarb: resolved c=0.0 outside (0, 1/2): "
+                   "c = c_mult * |mu| / sigma with c_mult=0.01, mu=0.0, "
+                   "sigma=0.0837\n")
 
 
 def test_sweep_bad_values_exits_1(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import find_no_sa_mu
 from statarb.errors import AllRunsSkipped, EmptySample
-from statarb.gbm import GbmParams
+from statarb.gbm import GbmParams, embedded_q
 from statarb.harness import (
     RUNS_HEADER,
     SWEEP_HEADER,
@@ -25,7 +25,13 @@ from statarb.harness import (
     sweep,
 )
 from statarb.harness import _run_seed
-from statarb.strategies import KINDS, MODES, StrategyConfig
+from statarb.seeding import (
+    SEED_BATCH,
+    RunStream,
+    run_seeds,
+    stream_states,
+)
+from statarb.strategies import KINDS, MODES, StrategyConfig, run_seeded
 
 PARAMS = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
                    n_steps=200)
@@ -187,6 +193,91 @@ def test_run_seed_axes_are_distinct():
             for master in range(3) for axis in range(3)
             for run in range(20)}
     assert len(seen) == 180
+
+
+def numpy_run_seed(master: int, axis: int, run: int) -> int:
+    """The reference derivation, one SeedSequence per run."""
+    seq = np.random.SeedSequence([master, axis, run])
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+# windows that start near a batch boundary or the last one-word run index
+WINDOW_EDGES = [0, SEED_BATCH, 3 * SEED_BATCH, 2**32 - 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(master=st.integers(0, 2**70), axis=st.integers(0, 64),
+       edge=st.sampled_from(WINDOW_EDGES), offset=st.integers(-20, 5),
+       length=st.integers(1, 30))
+def test_batched_seeds_equal_seed_sequence(master, axis, edge, offset,
+                                           length):
+    start = max(0, edge + offset)
+    runs = range(start, start + length)
+    seeds = run_seeds(master, axis, runs)
+    assert seeds.dtype == np.uint64
+    assert [int(s) for s in seeds] == [numpy_run_seed(master, axis, r)
+                                       for r in runs]
+    states = stream_states(seeds)
+    for seed, state in zip(seeds.tolist(), states):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert state.tolist() == expected.tolist()
+
+
+def test_one_word_seeds_hash_exactly():
+    # seeds below 2**32 are one entropy word for SeedSequence
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    states = stream_states(np.array(seeds, dtype=np.uint64))
+    for seed, state in zip(seeds, states):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert state.tolist() == expected.tolist()
+
+
+def test_run_stream_draws_the_normals_of_its_seed():
+    seeds = [0, 2**32 - 1] + [_run_seed(7, 0, r) for r in range(3)]
+    states = stream_states(np.array(seeds, dtype=np.uint64))
+    for seed, state in zip(seeds, states):
+        got = np.random.default_rng(RunStream(state)).standard_normal(1000)
+        want = np.random.default_rng(seed).standard_normal(1000)
+        assert np.array_equal(got, want)
+
+
+def test_run_stream_refuses_other_requests():
+    stream = RunStream(stream_states(np.array([5], dtype=np.uint64))[0])
+    with pytest.raises(ValueError):
+        stream.generate_state(4)
+    with pytest.raises(ValueError):
+        stream.generate_state(2, np.uint64)
+
+
+def test_run_experiment_builds_no_seed_sequence(monkeypatch):
+    # per-run seeding would construct SeedSequences or pass ints to
+    # default_rng: the batched derivation does neither
+    n_runs = 3 * SEED_BATCH + 1
+    config = small_config(
+        params=GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
+                         n_steps=20),
+        n_runs=n_runs, master_seed=2**40 + 3)
+    built, seeded = [], []
+    real_sequence, real_rng = np.random.SeedSequence, np.random.default_rng
+
+    def counting_sequence(*args, **kwargs):
+        built.append(args)
+        return real_sequence(*args, **kwargs)
+
+    def recording_rng(seed=None):
+        seeded.append(type(seed))
+        return real_rng(seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "SeedSequence", counting_sequence)
+        patch.setattr(np.random, "default_rng", recording_rng)
+        result = run_experiment(config, axis_index=2)
+    assert built == []
+    assert len(seeded) == n_runs and set(seeded) == {RunStream}
+    # the same runs on the reference int seeds, across every batch edge
+    seeds = [numpy_run_seed(2**40 + 3, 2, r) for r in range(n_runs)]
+    q = embedded_q(EMBEDDED.resolved_c(0.1241, 0.0837), 0.1241, 0.0837)
+    assert list(result.runs) == run_seeded(config.params, EMBEDDED, q, seeds)
 
 
 # ------------------------------------------------------------- experiments

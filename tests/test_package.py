@@ -5,7 +5,8 @@ import importlib
 
 import pytest
 
-MODULES = ("backtest", "cli", "gbm", "harness", "paths", "strategies")
+MODULES = ("backtest", "cli", "gbm", "harness", "paths", "seeding",
+           "strategies")
 
 
 @pytest.mark.parametrize("module", MODULES)
