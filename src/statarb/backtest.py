@@ -33,6 +33,7 @@ from .paths import PricePath, TradeLedger
 from .strategies import drive, trend_cycle
 
 __all__ = [
+    "DT",
     "MarketSeries",
     "BacktestConfig",
     "CycleLog",
@@ -47,6 +48,9 @@ __all__ = [
 
 MARKET_HEADER = "date,close"
 CYCLES_HEADER = "cycle_start,cycle_end,mu_hat,sigma_hat,orientation,pnl,traded_qty"
+
+# years per observation: the closes are trading days, 252 to the year
+DT = 1.0 / 252.0
 
 
 @dataclass(frozen=True)
@@ -82,20 +86,16 @@ class BacktestConfig:
     boundary_fraction: float
     window_days: int = 756
     alpha: float = 0.0
-    dt: float = 1.0 / 252.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.boundary_fraction < 0.5:
             raise ValueError("boundary_fraction must lie in (0, 1/2)")
         if self.window_days < 60:
             raise ValueError("window_days must be >= 60")
-        for name in ("alpha", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 class CycleLog(NamedTuple):
@@ -222,11 +222,11 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
         raise InsufficientData(
             f"need more than {window + 1} observations, have {n}")
     closes = series.closes
-    path = PricePath(np.arange(n, dtype=float) * config.dt, closes)
+    path = PricePath(closes)
     led = ledger if ledger is not None else TradeLedger()
     cycles: list[CycleLog] = []
     c = config.boundary_fraction
-    mle_estimate(closes[:n - 2], config.dt)  # the closes of every window
+    mle_estimate(closes[:n - 2], DT)  # the closes of every window
     returns = np.diff(np.log(closes))
     skipped = {"zero_variance": 0, "NoSaExists": 0, "NoSolution": 0,
                "DegenerateModel": 0}
@@ -234,8 +234,7 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     i = window
     while i < n - 1:
         try:
-            mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1],
-                                                 config.dt)
+            mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1], DT)
         except DegenerateSeries:
             skipped["zero_variance"] += 1
             i += 1

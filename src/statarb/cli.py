@@ -22,9 +22,9 @@ from . import harness
 from .backtest import (
     BacktestConfig,
     dump_cycles_csv,
+    dump_summary_json,
     load_csv,
     run_backtest,
-    summary_json,
 )
 from .errors import AllRunsSkipped, NoSolution, StatarbError
 from .gbm import GbmParams
@@ -71,6 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= low, rejected at parse time so that
+    the message names the flag rather than a library field."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's name for a non-integer value
+    return parse
+
+
 def _add_simulation_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mu", type=float, default=0.1241,
                     help="drift per year (default %(default)s)")
@@ -80,11 +92,11 @@ def _add_simulation_flags(sp: argparse.ArgumentParser) -> None:
                     help="start price (default %(default)s)")
     sp.add_argument("--horizon", type=float, default=1.0,
                     help="years simulated per run (default %(default)s)")
-    sp.add_argument("--steps", type=int, default=1000,
+    sp.add_argument("--steps", type=_int_at_least(1), default=1000,
                     help="grid steps per run (default %(default)s)")
-    sp.add_argument("--runs", type=int, default=10000,
+    sp.add_argument("--runs", type=_int_at_least(1), default=10000,
                     help="independent runs (default %(default)s)")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_int_at_least(0), default=None,
                     help="master seed (default: $STATARB_SEED, then 0)")
     sp.add_argument("--strategy", choices=(*KINDS, "gfin"),
                     default="embedded",
@@ -299,8 +311,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         "boundary": repr(float(args.boundary)),
         "execution_mode": "observed",
     }
-    print(json.dumps(summary_json(result, metadata=meta), sort_keys=True,
-                     indent=2))
+    dump_summary_json(result, sys.stdout, metadata=meta)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_cycles_csv(result, fh, metadata=meta)

@@ -89,6 +89,20 @@ def _check_interval(s0: float, a: float, b: float, sigma: float) -> None:
                               f"a={a}, s0={s0}, b={b}")
 
 
+def _exit_prob(near: float, far: float, width: float, mu: float,
+               sigma: float) -> float:
+    """exp(nu*near) * sinh(|nu|*far) / sinh(|nu|*width) with nu =
+    mu/sigma^2 - 1/2, evaluated in log space, or its driftless limit
+    far / width for |nu| <= NU_EPS; clipped to [0, 1]."""
+    nu = mu / (sigma * sigma) - 0.5
+    if abs(nu) <= NU_EPS:
+        p = far / width
+    else:
+        w = abs(nu)
+        p = math.exp(nu * near + _logsinh(w * far) - _logsinh(w * width))
+    return min(1.0, max(0.0, p))
+
+
 def exit_prob_lower(s0: float, a: float, b: float, mu: float,
                     sigma: float) -> float:
     """Probability that GBM started at s0 leaves (a, b) through a.
@@ -103,16 +117,9 @@ def exit_prob_lower(s0: float, a: float, b: float, mu: float,
         return 1.0
     if b == s0:
         return 0.0
-    nu = mu / (sigma * sigma) - 0.5
     big_a = math.log(a / s0)
     big_b = math.log(b / s0)
-    if abs(nu) <= NU_EPS:
-        p = big_b / (big_b - big_a)
-    else:
-        w = abs(nu)
-        p = math.exp(nu * big_a + _logsinh(w * big_b)
-                     - _logsinh(w * (big_b - big_a)))
-    return min(1.0, max(0.0, p))
+    return _exit_prob(big_a, big_b, big_b - big_a, mu, sigma)
 
 
 def exit_prob_upper(s0: float, a: float, b: float, mu: float,
@@ -129,16 +136,9 @@ def exit_prob_upper(s0: float, a: float, b: float, mu: float,
         return 0.0
     if b == s0:
         return 1.0
-    nu = mu / (sigma * sigma) - 0.5
     big_a = math.log(a / s0)
     big_b = math.log(b / s0)
-    if abs(nu) <= NU_EPS:
-        p = -big_a / (big_b - big_a)
-    else:
-        w = abs(nu)
-        p = math.exp(nu * big_b + _logsinh(-w * big_a)
-                     - _logsinh(w * (big_b - big_a)))
-    return min(1.0, max(0.0, p))
+    return _exit_prob(big_b, -big_a, big_b - big_a, mu, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ against each other.  Sweeps re-run the experiment once
 per axis value with the axis position as the salt, so a single-value sweep
 reproduces a plain experiment bit for bit.  Run k of an experiment equals
 ``strategies.run_path`` on ``paths.simulate_gbm(params, seed)`` with
-``seed = _run_seed(master_seed, axis_index, k)``.
+``seed = seeding.run_seeds(master_seed, axis_index, range(k, k + 1))[0]``.
 """
 from __future__ import annotations
 
@@ -155,14 +155,6 @@ def metrics(pnl: Sequence[float], trades: Sequence[int],
 
 
 # ------------------------------------------------------------- experiments
-
-
-def _run_seed(master_seed: int, axis_index: int, run_index: int) -> int:
-    """Deterministic per-run seed: SeedSequence([master, axis, run])."""
-    # seeding imports numpy.random, which the package import leaves out
-    from .seeding import run_seeds
-    runs = range(run_index, run_index + 1)
-    return int(run_seeds(master_seed, axis_index, runs)[0])
 
 
 def run_experiment(config: ExperimentConfig, *,

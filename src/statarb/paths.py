@@ -1,7 +1,7 @@
 """Simulated price paths, barrier-hit detection, and trade accounting.
 
-A PricePath is an immutable discrete observation grid of a price process.
-next_hit scans it for the first touch or crossing of a set of barrier
+A PricePath is an immutable row of prices observed on an equally spaced
+grid.  next_hit scans it for the first touch or crossing of a set of barrier
 levels, in blocks of SCAN_SEGMENTS segments tested one by one with a scalar
 predicate on Python floats (legs are short, so a per-call numpy pass would
 cost more than the scan), and TradeLedger accumulates the mark-to-market
@@ -17,7 +17,7 @@ CHUNK_BYTES bounds the memory of both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "simulate_gbm_rows",
     "next_hit",
     "next_hits",
-    "dump_path",
 ]
 
 
@@ -45,36 +44,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricePath:
-    """Prices observed on a strictly increasing time grid.
+    """Prices observed on an equally spaced grid, one per grid point.
 
-    `seed` is the reproducibility token the path was generated from (None
-    for hand-built paths).  The arrays are locked read-only so a path can
-    be shared freely.
+    The array is locked read-only so a path can be shared freely.
     """
 
-    times: np.ndarray
     prices: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
         prices = np.asarray(self.prices, dtype=float)
-        if times.ndim != 1 or times.shape != prices.shape:
-            raise ValueError("times and prices must be 1-d and same length")
-        if times.size < 1:
+        if prices.ndim != 1:
+            raise ValueError("prices must be 1-d")
+        if prices.size < 1:
             raise ValueError("path needs at least one point")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
         if not np.all(prices > 0):
             raise ValueError("prices must be positive")
-        times.setflags(write=False)
         prices.setflags(write=False)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.prices.size)
 
 
 # Memory budget of one block of paths: the price matrix, and separately
@@ -104,8 +90,8 @@ def chunk_rows(n_steps: int) -> int:
 
 def simulate_gbm_rows(
         params: GbmParams,
-        seeds: Sequence[int | np.random.bit_generator.ISeedSequence], *,
-        zero_noise: bool = False) -> np.ndarray:
+        seeds: Sequence[int | np.random.bit_generator.ISeedSequence],
+        ) -> np.ndarray:
     """Simulate one GBM path per seed as the rows of a price matrix of shape
     (len(seeds), n_steps + 1), by exact log-normal stepping
     S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z_k).
@@ -113,16 +99,13 @@ def simulate_gbm_rows(
     Row k holds the normals of np.random.default_rng(seeds[k]), so the same
     (params, seed) always produces the identical row whatever block it is
     simulated in.  A seed is an int or a seed object default_rng accepts,
-    such as the harness's batched seeding.RunStream.  `zero_noise` forces
-    every Z_k to 0, leaving the deterministic skeleton
-    s0 * exp((mu - sigma^2/2) k dt) -- a test hook.
+    such as the harness's batched seeding.RunStream.
     Raises ValueError when a price underflows to 0, as PricePath does.
     """
     n, dt = params.n_steps, params.dt
     prices = np.zeros((len(seeds), n + 1))
-    if not zero_noise:
-        for row, seed in zip(prices, seeds):
-            np.random.default_rng(seed).standard_normal(out=row[1:])
+    for row, seed in zip(prices, seeds):
+        np.random.default_rng(seed).standard_normal(out=row[1:])
     # scaling the whole matrix keeps the arithmetic in one contiguous
     # pass; column 0, the log start price, is reset to 0 afterwards
     prices *= params.sigma * np.sqrt(dt)
@@ -136,20 +119,9 @@ def simulate_gbm_rows(
     return prices
 
 
-def simulate_gbm(params: GbmParams, seed: int, *,
-                 zero_noise: bool = False) -> PricePath:
-    """The path of simulate_gbm_rows(params, [seed]) on the equally spaced
-    grid 0, dt, ..., horizon."""
-    prices = simulate_gbm_rows(params, [seed], zero_noise=zero_noise)[0]
-    times = np.linspace(0.0, params.horizon, params.n_steps + 1)
-    return PricePath(times, prices, seed=int(seed))
-
-
-def dump_path(path: PricePath, stream: IO[str]) -> None:
-    """Write the path as CSV with header `t,price`, one row per grid point."""
-    stream.write("t,price\n")
-    for t, p in zip(path.times, path.prices):
-        stream.write(f"{float(t)!r},{float(p)!r}\n")
+def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
+    """The path of simulate_gbm_rows(params, [seed])."""
+    return PricePath(simulate_gbm_rows(params, [seed])[0])
 
 
 # ---------------------------------------------------------------------------

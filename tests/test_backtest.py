@@ -17,6 +17,7 @@ from helpers import find_no_sa_mu, reference_load_csv
 from statarb import backtest
 from statarb.backtest import (
     CYCLES_HEADER,
+    DT,
     BacktestConfig,
     BacktestResult,
     MarketSeries,
@@ -211,14 +212,10 @@ def test_backtest_config_validation():
         BacktestConfig(boundary_fraction=0.1, window_days=59)
     with pytest.raises(ValueError):
         BacktestConfig(boundary_fraction=0.1, alpha=-1.0)
-    with pytest.raises(ValueError):
-        BacktestConfig(boundary_fraction=0.1, dt=0.0)
-    for name in ("alpha", "dt"):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-                BacktestConfig(boundary_fraction=0.1, **{name: value})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            BacktestConfig(boundary_fraction=0.1, alpha=value)
     assert BacktestConfig(boundary_fraction=0.1).window_days == 756
-    assert BacktestConfig(boundary_fraction=0.1).dt == 1.0 / 252.0
 
 
 def test_insufficient_data():
@@ -515,4 +512,4 @@ def test_cycle_estimates_equal_mle_on_their_window(name):
         i = index[cycle.cycle_start]
         window = series.closes[i - config.window_days:i]
         assert (cycle.mu_hat, cycle.sigma_hat) == \
-            mle_estimate(window, config.dt)
+            mle_estimate(window, DT)

@@ -251,10 +251,18 @@ def test_multi_word_master_seed_runs(capsys):
     assert f"# seed={2**64}" in out.splitlines()
 
 
-def test_simulate_zero_runs_exits_1(capsys):
-    code, _, err = run_cli(["simulate", "--runs", "0"], capsys)
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("flag,value,low", [
+    ("--seed", "-4", 0), ("--steps", "0", 1), ("--runs", "0", 1),
+], ids=["seed", "steps", "runs"])
+def test_count_flag_out_of_range_names_the_flag(command, flag, value, low,
+                                                capsys):
+    axis = ["--axis", "mu", "--values", "0.1"] if command == "sweep" else []
+    code, out, err = run_cli([command, *axis, flag, value], capsys)
     assert code == 1
-    assert "n_runs" in err
+    assert out == ""
+    assert err.endswith(f"statarb {command}: error: argument {flag}: "
+                        f"must be >= {low}, got {value}\n")
 
 
 def test_simulate_c_and_c_mult_conflict_exits_1(capsys):
@@ -526,8 +534,14 @@ def test_version_flag(capsys):
 
 
 def test_module_invocation_roundtrip():
+    from pathlib import Path
+
+    import statarb
+    # run from the directory holding the package under test, so that
+    # `-m statarb` imports it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "statarb", "check-model", "sec34"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        cwd=Path(statarb.__file__).resolve().parents[1])
     assert proc.returncode == 2
     assert "phi=(1.6,-1.4,-1.8)" in proc.stdout

@@ -1,6 +1,7 @@
 """The chunk engine against the one-path API it must reproduce bit for bit.
 
-simulate_gbm_rows against simulate_gbm and next_hits against next_hit.
+simulate_gbm_rows against simulate_gbm and a log-space oracle, and
+next_hits against next_hit.
 Both engines run the same cycle schedules (strategies.embedded_cycle,
 strategies.trend_cycle and the run loop), so the run-for-run tests compare
 two drivers of one schedule: run_seeded, which answers the queries with
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from statarb import paths, strategies
 from statarb.gbm import GbmParams, embedded_q
-from statarb.harness import ExperimentConfig, _run_seed, run_experiment
+from statarb.harness import ExperimentConfig, run_experiment
 from statarb.paths import (
     SCAN_SEGMENTS,
     PricePath,
@@ -28,6 +29,7 @@ from statarb.paths import (
     simulate_gbm,
     simulate_gbm_rows,
 )
+from statarb.seeding import run_seeds
 from statarb.strategies import (
     KINDS,
     MODES,
@@ -61,12 +63,18 @@ def test_simulate_gbm_rows_equal_simulate_gbm(n_steps, n_rows):
         assert np.array_equal(row, simulate_gbm(params, seed).prices)
 
 
-def test_simulate_gbm_rows_zero_noise_skeleton():
-    params = gbm(17)
-    block = simulate_gbm_rows(params, [1, 2], zero_noise=True)
-    skeleton = simulate_gbm(params, 3, zero_noise=True).prices
-    assert np.array_equal(block[0], skeleton)
-    assert np.array_equal(block[1], skeleton)
+@pytest.mark.parametrize("n_steps", [1, 17, 1000])
+@pytest.mark.parametrize("mu", [0.1241, -0.5])
+def test_simulate_gbm_rows_equal_log_space_oracle(n_steps, mu):
+    # drift and noise together: s0 * exp(cumsum of the log increments)
+    params = gbm(n_steps, mu)
+    seeds = [0, 7, 2**63 + 5]
+    dt, sigma = params.dt, params.sigma
+    for row, seed in zip(simulate_gbm_rows(params, seeds), seeds):
+        z = np.random.default_rng(seed).standard_normal(n_steps)
+        steps = (mu - sigma**2 / 2) * dt + sigma * np.sqrt(dt) * z
+        expect = params.s0 * np.exp(np.cumsum(np.r_[0.0, steps]))
+        assert np.array_equal(row, expect)
 
 
 def test_underflowing_prices_fail_like_the_one_path_engine():
@@ -93,7 +101,7 @@ def test_chunk_rows_follow_the_byte_budget():
 def reference(prices, row, start, levels, ref, bound):
     """next_hit on the row, cut where a scan of `bound` segments stops."""
     values = prices[row, :start + bound + 1]
-    path = PricePath(np.arange(values.size, dtype=float), values)
+    path = PricePath(values)
     return next_hit(path, start, levels, ref_price=ref)
 
 
@@ -250,7 +258,7 @@ def test_run_experiment_equals_run_path_at_cli_defaults(kind, mode):
                                 execution_mode=mode),
         n_runs=150, master_seed=4)
     result = run_experiment(config)
-    seeds = [_run_seed(config.master_seed, 0, i) for i in range(150)]
+    seeds = [int(s) for s in run_seeds(config.master_seed, 0, range(150))]
     assert_same_runs(list(result.runs),
                      per_path(config.params, config.strategy, seeds))
 

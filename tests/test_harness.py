@@ -24,7 +24,6 @@ from statarb.harness import (
     run_experiment,
     sweep,
 )
-from statarb.harness import _run_seed
 from statarb.seeding import (
     SEED_BATCH,
     RunStream,
@@ -180,16 +179,21 @@ def test_metrics_summary_validation():
 # ---------------------------------------------------------------- seeding
 
 
+def run_seed(master: int, axis: int, run: int) -> int:
+    """The seed of one run, from the batched derivation."""
+    return int(run_seeds(master, axis, range(run, run + 1))[0])
+
+
 def test_run_seed_tokens_are_frozen():
     # regression guard on the documented SeedSequence derivation
-    assert _run_seed(7, 0, 0) == 16920295385781661272
-    assert _run_seed(7, 0, 1) == 11461652373557861988
-    assert _run_seed(7, 1, 0) == 6635463128224577688
-    assert _run_seed(0, 0, 0) == 15793235383387715774
+    assert run_seed(7, 0, 0) == 16920295385781661272
+    assert run_seed(7, 0, 1) == 11461652373557861988
+    assert run_seed(7, 1, 0) == 6635463128224577688
+    assert run_seed(0, 0, 0) == 15793235383387715774
 
 
 def test_run_seed_axes_are_distinct():
-    seen = {_run_seed(master, axis, run)
+    seen = {run_seed(master, axis, run)
             for master in range(3) for axis in range(3)
             for run in range(20)}
     assert len(seen) == 180
@@ -233,7 +237,7 @@ def test_one_word_seeds_hash_exactly():
 
 
 def test_run_stream_draws_the_normals_of_its_seed():
-    seeds = [0, 2**32 - 1] + [_run_seed(7, 0, r) for r in range(3)]
+    seeds = [0, 2**32 - 1] + [run_seed(7, 0, r) for r in range(3)]
     states = stream_states(np.array(seeds, dtype=np.uint64))
     for seed, state in zip(seeds, states):
         got = np.random.default_rng(RunStream(state)).standard_normal(1000)

@@ -1,7 +1,6 @@
 """Tests for path simulation, hit detection, and trade accounting."""
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -15,15 +14,13 @@ from statarb.paths import (
     HitEvent,
     PricePath,
     TradeLedger,
-    dump_path,
     next_hit,
     simulate_gbm,
 )
 
 
 def flat_path(values) -> PricePath:
-    values = np.asarray(values, dtype=float)
-    return PricePath(np.arange(values.size, dtype=float), values)
+    return PricePath(values)
 
 
 def reference_next_hit(path, from_index, levels, ref_price=None):
@@ -54,31 +51,17 @@ def reference_next_hit(path, from_index, levels, ref_price=None):
 
 def test_price_path_validation():
     with pytest.raises(ValueError):
-        PricePath(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+        PricePath(np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
-        PricePath(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
+        PricePath(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
-        PricePath(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        PricePath(np.array([]), np.array([]))
+        PricePath(np.array([]))
 
 
 def test_price_path_is_immutable():
     p = flat_path([100.0, 101.0])
     with pytest.raises(ValueError):
         p.prices[0] = 5.0
-    with pytest.raises(ValueError):
-        p.times[0] = 5.0
-
-
-def test_simulate_gbm_zero_noise_skeleton():
-    params = GbmParams(mu=0.1, sigma=0.2, s0=100.0, horizon=1.0,
-                       n_steps=250)
-    path = simulate_gbm(params, seed=7, zero_noise=True)
-    k = np.arange(251)
-    expect = 100.0 * np.exp((0.1 - 0.02) * k / 250.0)
-    assert np.allclose(path.prices, expect, rtol=1e-12)
-    assert path.times[0] == 0.0 and path.times[-1] == 1.0
 
 
 def test_simulate_gbm_deterministic():
@@ -89,7 +72,6 @@ def test_simulate_gbm_deterministic():
     c = simulate_gbm(params, seed=124)
     assert np.array_equal(a.prices, b.prices)
     assert not np.array_equal(a.prices, c.prices)
-    assert a.seed == 123
 
 
 def test_simulate_gbm_terminal_mean():
@@ -316,19 +298,3 @@ def test_ledger_split_delta_invariance():
         price = float(rng.uniform(50.0, 150.0))
         assert split.close_out(n, price) == pytest.approx(
             whole.close_out(n, price), rel=1e-12, abs=1e-12)
-
-
-# -------------------------------------------------------------------- dump
-
-
-def test_dump_path_csv_round_trip():
-    params = GbmParams(mu=0.1, sigma=0.2, s0=100.0, horizon=1.0, n_steps=5)
-    path = simulate_gbm(params, seed=11)
-    buf = io.StringIO()
-    dump_path(path, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,price"
-    assert len(lines) == 7
-    for line, t, p in zip(lines[1:], path.times, path.prices):
-        st, sp = line.split(",")
-        assert float(st) == t and float(sp) == p

@@ -37,8 +37,7 @@ UP4, DOWN4 = A * (1 + 4 * C), A * (1 - 4 * C)
 
 
 def make_path(values) -> PricePath:
-    values = np.asarray(values, dtype=float)
-    return PricePath(np.arange(values.size, dtype=float), values)
+    return PricePath(values)
 
 
 def econfig(**kw) -> StrategyConfig:
@@ -295,12 +294,12 @@ def test_no_look_ahead_after_positive_stop():
             continue
         found += 1
         last_index = max(e[0] for e in led.events)
-        if last_index >= path.n_points - 1:
+        if last_index >= path.prices.size - 1:
             continue
         prices = path.prices.copy()
         prices[last_index + 1:] = prices[last_index]
         led2 = TradeLedger()
-        res2 = run_path(PricePath(path.times, prices), PARAMS, econfig(),
+        res2 = run_path(PricePath(prices), PARAMS, econfig(),
                         ledger=led2)
         assert res2 == res
         assert led2.events == led.events
