@@ -62,6 +62,8 @@ class MarketSeries:
 
     def __post_init__(self) -> None:
         closes = np.asarray(self.closes, dtype=float)
+        if closes is self.closes and closes.flags.writeable:
+            closes = closes.copy()  # lock a copy, not the caller's array
         closes.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "closes", closes)
@@ -183,7 +185,7 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
         raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
     if not dates:
         raise ParseError("no data rows", 2)
-    return MarketSeries(tuple(dates), np.array(closes))
+    return MarketSeries(tuple(dates), closes)
 
 
 def dump_csv(series: MarketSeries, stream: IO[str],

@@ -83,6 +83,17 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _boundary(text: str) -> float:
+    """An argparse type: a barrier step in (0, 1/2), NaN rejected."""
+    value = float(text)
+    if not 0.0 < value < 0.5:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1/2), got {text}")
+    return value
+
+
+_boundary.__name__ = "float"  # argparse's name for a non-float value
+
+
 def _add_simulation_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mu", type=float, default=0.1241,
                     help="drift per year (default %(default)s)")
@@ -144,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     back = sub.add_parser("backtest",
                           help="walk-forward backtest on a date,close CSV")
     back.add_argument("--data", type=Path, required=True)
-    back.add_argument("--window", type=int, default=756,
+    back.add_argument("--window", type=_int_at_least(60), default=756,
                       help="estimation window in observations "
                            "(default %(default)s)")
-    back.add_argument("--boundary", type=float, required=True,
+    back.add_argument("--boundary", type=_boundary, required=True,
                       help="barrier step as a fraction of the cycle anchor")
     back.add_argument("--alpha", type=float, default=0.0)
     back.add_argument("--out", type=Path, default=None,

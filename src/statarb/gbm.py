@@ -174,7 +174,7 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
         phi2- = -3q(c s0)^2 / D,   D = 2(q-1)(c s0)^3.
 
     Raises NoSaExists when q is (numerically) 1, where no such strategy
-    exists.
+    exists, and ValueError when D underflows to 0.
     """
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
@@ -184,6 +184,9 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
         raise NoSaExists(f"embedded model admits no strategy at q={q!r}")
     step = c * s0_anchor
     d = 2.0 * (q - 1.0) * step ** 3
+    if d == 0.0:
+        raise ValueError(f"s0={s0_anchor!r} is too small for c={c!r}: "
+                         "(c*s0)^3 underflows to 0")
     s2 = step * step
     return StrategyVector((2.0 + q) * s2 / d, (q - 4.0) * s2 / d,
                           -3.0 * q * s2 / d)

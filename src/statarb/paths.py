@@ -1,8 +1,8 @@
 """Simulated price paths, barrier-hit detection, and trade accounting.
 
 A PricePath is an immutable row of prices observed on an equally spaced
-grid.  next_hit scans it for the first touch or crossing of a set of barrier
-levels, in blocks of SCAN_SEGMENTS segments tested one by one with a scalar
+grid.  next_hit scans it for the first exit from a barrier corridor
+(lo, hi), in blocks of SCAN_SEGMENTS points tested one by one with a scalar
 predicate on Python floats (legs are short, so a per-call numpy pass would
 cost more than the scan), and TradeLedger accumulates the mark-to-market
 P&L of position changes executed along the way.
@@ -17,7 +17,7 @@ CHUNK_BYTES bounds the memory of both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,13 +46,16 @@ __all__ = [
 class PricePath:
     """Prices observed on an equally spaced grid, one per grid point.
 
-    The array is locked read-only so a path can be shared freely.
+    The array is locked read-only so a path can be shared freely; a
+    writeable float array of the caller's is copied first, not locked.
     """
 
     prices: np.ndarray
 
     def __post_init__(self) -> None:
         prices = np.asarray(self.prices, dtype=float)
+        if prices is self.prices and prices.flags.writeable:
+            prices = prices.copy()
         if prices.ndim != 1:
             raise ValueError("prices must be 1-d")
         if prices.size < 1:
@@ -63,18 +66,20 @@ class PricePath:
         object.__setattr__(self, "prices", prices)
 
 
-# Memory budget of one block of paths: the price matrix, and separately
-# each float temporary of a next_hits window, stays within this many bytes.
+# Memory budget of one block of paths: the price matrix stays within this
+# many bytes, and a next_hits window of one query per row, at most
+# SCAN_SEGMENTS + 1 points each, within the matrix.
 # At 1000 steps it holds 49 rows.  On a 2-core x86-64 VM, 65 rows (512 KiB)
 # ran 3% faster but raised the peak RSS of repeated 500-run `simulate`
 # calls by 1.05 MiB over the one-path engine, against 0.7 MiB here.
 CHUNK_BYTES = 384 * 1024
 
 
-# Grid segments a next_hits query scans before it returns without a hit; the
-# caller resumes it, so one long leg does not hold up the other rows' scans.
-# next_hit reads its path in blocks of this many segments, converted to
-# Python floats one block at a time, so a short leg converts little.
+# Grid segments a next_hits query scans past its start point before it
+# returns without a hit; the caller resumes it at the next point, so one long
+# leg does not hold up the other rows' scans.  next_hit reads its path in
+# blocks of this many points, converted to Python floats one block at a
+# time, so a short leg converts little.
 # At the CLI defaults a leg takes 36 segments on average.  In 30 paired
 # runs of 500-run blocks per kind (2-core x86-64 VM, CPU time), 64 beat 48
 # in 23-26 pairs (median +1% embedded snap, +7% trend and gfin) and 96 in
@@ -130,154 +135,74 @@ def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
 
 
 class HitEvent(NamedTuple):
-    """First touch/crossing of a barrier: grid index and the level hit."""
+    """First exit from a barrier corridor: grid index and the level hit."""
 
     index: int
     level: float
 
 
-def _segment_level(p0: float, p1: float,
-                   levels: list[float]) -> float | None:
-    """The crossed/touched level nearest the segment start, or None.
-    `levels` is sorted, so the lowest level wins a tie."""
-    best = best_gap = None
-    for level in levels:
-        d0 = p0 - level
-        d1 = p1 - level
-        if d0 * d1 < 0 or d1 == 0:
-            gap = abs(d0)
-            if best is None or gap < best_gap:
-                best, best_gap = level, gap
-    return best
+def next_hit(path: PricePath, from_index: int, lo: float,
+             hi: float) -> HitEvent | None:
+    """First index >= from_index where the path leaves the corridor (lo, hi).
 
+    The path leaves at the first price p with p <= lo or p >= hi, and the
+    hit reports the level on that side.  The start point counts: a query
+    whose start price is already outside hits at from_index.  Returns None
+    if the path ends inside.
 
-def next_hit(path: PricePath, from_index: int, levels: Iterable[float],
-             ref_price: float | None = None) -> HitEvent | None:
-    """First index > from_index where the path touches or crosses a level.
-
-    A crossing is a sign change of price - level between consecutive grid
-    points; touching counts at the right endpoint of a segment, so a path
-    that starts on a level and moves away has not hit it.  When several
-    levels are crossed inside one segment the one nearest the segment start
-    is reported (the one reached first by any monotone bridge).
-
-    `ref_price` prepends a virtual segment ref_price -> prices[from_index],
-    allowing a hit at from_index itself: it carries barrier state across
-    re-anchoring, when the previous execution level and the current grid
-    price straddle a new barrier.  Returns None if the horizon is reached
-    without a hit.
-
-    The path is read in blocks of SCAN_SEGMENTS segments as Python floats,
-    and each segment is tested in turn with the scalar predicate
-    (p0 - L) * (p1 - L) < 0 or p1 - L == 0.  Python float arithmetic is
-    IEEE float64, as numpy's element-wise operations are, so the hits equal
-    those of next_hits bit for bit.
+    The path is read in blocks of SCAN_SEGMENTS points as Python floats,
+    each point tested in turn with the scalar predicate; the comparisons
+    are exact, so the hits equal those of next_hits bit for bit.
     """
     prices = path.prices
     n = prices.size
     if not (0 <= from_index < n):
         raise ValueError(f"from_index {from_index} outside path")
-    lv = sorted(set(float(v) for v in levels))
-    if not lv:
-        raise ValueError("levels must be nonempty")
-
-    if ref_price is not None:
-        level = _segment_level(float(ref_price), float(prices[from_index]),
-                               lv)
-        if level is not None:
-            return HitEvent(from_index, level)
-
-    k = from_index
-    while k < n - 1:
-        stop = min(n - 1, k + SCAN_SEGMENTS)
-        block = prices[k:stop + 1].tolist()
-        p0 = block[0]
-        for j in range(1, len(block)):
-            p1 = block[j]
-            level = _segment_level(p0, p1, lv)
-            if level is not None:
-                return HitEvent(k + j, level)
-            p0 = p1
-        k = stop
+    if not lo < hi:
+        raise ValueError(f"corridor ({lo!r}, {hi!r}) is empty")
+    for k in range(from_index, n, SCAN_SEGMENTS):
+        for j, p in enumerate(prices[k:k + SCAN_SEGMENTS].tolist(), k):
+            if p <= lo:
+                return HitEvent(j, lo)
+            if p >= hi:
+                return HitEvent(j, hi)
     return None
 
 
-def _nearest_crossed(p0: np.ndarray, p1: np.ndarray,
-                     levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_segment_level per row: whether segment p0[r] -> p1[r] touches or
-    crosses a level of the sorted row levels[r], and the crossed level
-    nearest p0[r] (the lowest on a tie, as in the sorted one-path scan).
-    NaN levels never count."""
-    d0 = p0[:, None] - levels
-    d1 = p1[:, None] - levels
-    crossed = (d0 * d1 < 0) | (d1 == 0)
-    nearest = np.where(crossed, np.abs(d0), np.inf).argmin(axis=1)
-    return crossed.any(axis=1), levels[np.arange(levels.shape[0]), nearest]
-
-
 def next_hits(prices: np.ndarray, rows: Sequence[int],
-              from_index: Sequence[int],
-              levels: Sequence[Sequence[float]],
-              ref_price: Sequence[float | None],
-              ) -> tuple[np.ndarray, np.ndarray]:
+              from_index: Sequence[int], lo: Sequence[float],
+              hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """next_hit for several rows of a price matrix at once, each scan cut
     after SCAN_SEGMENTS grid segments.
 
-    Query r scans row rows[r] of `prices` from from_index[r] for the levels
-    levels[r], after the virtual segment ref_price[r] -> start price unless
-    that reference is None.  Returns the hit indices and levels as arrays,
-    index -1 (level NaN) where next_hit on the row cut at from_index[r] +
-    SCAN_SEGMENTS returns None; the scan then resumes exactly at that
-    index, with no reference price.  The crossing predicate and the
-    nearest-level rule are next_hit's, so the hits are the same bit for
-    bit.  The rows are scanned together in windows short enough that each
-    float temporary stays within CHUNK_BYTES.
+    Query r tests the points from_index[r] .. from_index[r] + SCAN_SEGMENTS
+    of row rows[r] of `prices` against the corridor (lo[r], hi[r]).
+    Returns the hit indices and levels as arrays, index -1 (level NaN)
+    where next_hit on the row cut after that window returns None; the scan
+    then resumes at from_index[r] + SCAN_SEGMENTS + 1, the first point not
+    yet tested.  The predicate is next_hit's, so the hits are the same bit
+    for bit.
     """
     n = prices.shape[1]
-    rows = np.asarray(rows, dtype=np.intp)
     start = np.asarray(from_index, dtype=np.intp)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     if np.any((start < 0) | (start >= n)):
         raise ValueError("from_index outside path")
-    if not levels or min(map(len, levels)) == 0:
-        raise ValueError("levels must be nonempty")
-    width = max(map(len, levels))
-    # ragged level sets are padded with NaN, which no segment crosses
-    lv = np.sort(np.array([(*row, *(np.nan,) * (width - len(row)))
-                           for row in levels], dtype=float), axis=1)
-    last = np.minimum(start + SCAN_SEGMENTS, n - 1)
-    ref = np.asarray(ref_price, dtype=float)  # None becomes NaN
-    hit, at = _nearest_crossed(ref, prices[rows, start], lv)
-    hit &= ~np.isnan(ref)
-    index = np.where(hit, start, -1)
-    level = np.where(hit, at, np.nan)
-    todo = np.flatnonzero(~hit & (start < last))
-
-    # a window is scanned level-major, (levels, rows, segments), so that
-    # the innermost axis of every operation is a long run of segments
-    lv_major = np.ascontiguousarray(lv.T)
-    k = start[todo]
-    while todo.size:
-        segments = max(1, min(SCAN_SEGMENTS,
-                              CHUNK_BYTES // (8 * todo.size * width) - 1))
-        cols = np.minimum(k[:, None] + np.arange(segments + 1),
-                          last[todo, None])
-        window = prices[rows[todo, None], cols]
-        d = window - lv_major[:, todo, None]
-        seg = ((d[:, :, :-1] * d[:, :, 1:] < 0) | (d[:, :, 1:] == 0)).any(
-            axis=0)
-        first = seg.argmax(axis=1)
-        got = seg[np.arange(todo.size), first]
-        if np.any(got):
-            j, p = first[got], window[got]
-            hit, at = _nearest_crossed(p[np.arange(j.size), j],
-                                       p[np.arange(j.size), j + 1],
-                                       lv[todo[got]])
-            assert np.all(hit)
-            index[todo[got]] = k[got] + j + 1
-            level[todo[got]] = at
-        k = k + segments
-        more = ~got & (k < last[todo])
-        todo, k = todo[more], k[more]
+    if not np.all(lo < hi):
+        raise ValueError("every corridor needs lo < hi")
+    # columns past the path end repeat its last point, which changes no
+    # first exit
+    cols = np.minimum(start[:, None] + np.arange(min(SCAN_SEGMENTS + 1, n)),
+                      n - 1)
+    window = prices[np.asarray(rows, dtype=np.intp)[:, None], cols]
+    below = window <= lo[:, None]
+    out = below | (window >= hi[:, None])
+    first = out.argmax(axis=1)
+    queries = np.arange(start.size)
+    got = out[queries, first]
+    index = np.where(got, start + first, -1)
+    level = np.where(got, np.where(below[queries, first], lo, hi), np.nan)
     return index, level
 
 

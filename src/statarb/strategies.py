@@ -7,15 +7,16 @@ positive cumulative P&L, and an open position is liquidated at the horizon.
 
 The cycles are written once, as generators of barrier queries on the grid
 a(1 + k*c): embedded_cycle (two legs) and trend_cycle (three legs, with a
-continue/reverse branch).  The paper's follow-the-trend and dichotomy
-strategies coincide on this grid, where the reversal level is the anchor,
-so both are the one "trend" kind.  The run loop _schedule repeats one
-cycle along a row of prices.  Two drivers answer the queries: drive with
-next_hit on one PricePath, for run_path (which accepts a ledger and a
-cycle trace for inspection) and for the backtest (which drives single
-trend cycles), and run_seeded with next_hits on many simulated paths at
-once, the Monte Carlo engine of the harness.  Both give the same results
-bit for bit.
+continue/reverse branch).  Each query is a corridor between two
+barriers, and a leg ends where the path first leaves it.  The paper's
+follow-the-trend and dichotomy strategies coincide on this grid, where the
+reversal level is the anchor, so both are the one "trend" kind.  The run
+loop _schedule repeats one cycle along a row of prices.  Two drivers
+answer the queries: drive with next_hit on one PricePath, for run_path
+(which accepts a ledger and a cycle trace for inspection) and for the
+backtest (which drives single trend cycles), and run_seeded with next_hits
+on many simulated paths at once, the Monte Carlo engine of the harness.
+Both give the same results bit for bit.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -151,39 +152,53 @@ def grid_trend_model(orientation: str, anchor: float,
 # ---------------------------------------------------------------------------
 
 # A cycle is one trading cycle written as a generator: it yields each barrier
-# query (from_index, levels, ref_price) and is sent the hit as (index, level),
-# or None when the path ends first; it returns the final stop (index, level),
-# or None when the path ends before the cycle completes.  A schedule is a
-# whole run in the same form, returning the RunResult.  Any driver that
-# answers the queries as next_hit would gets the same run bit for bit: drive
-# uses next_hit itself, run_seeded a next_hits scan of many rows at once.
-Query = tuple[int, tuple[float, ...], float | None]
+# query (from_index, lo, hi), the corridor of one leg, and is sent the hit as
+# (index, level), or None when the path ends first; it returns the final stop
+# (index, level), or None when the path ends before the cycle completes.  A
+# schedule is a whole run in the same form, returning the RunResult.  Any
+# driver that answers the queries as next_hit would gets the same run bit for
+# bit: drive uses next_hit itself, run_seeded a next_hits scan of many rows
+# at once.  Each leg starts from the level where the previous one ended,
+# strictly inside its corridor, so its first exit is also the first touch or
+# crossing of a barrier by the segments from that level.
+Query = tuple[int, float, float]
 Hit = tuple[int, float]
 Cycle = Generator[Query, Hit | None, Hit | None]
 Schedule = Generator[Query, Hit | None, RunResult]
+
+
+def _two_legs(prices: np.ndarray, i: int, anchor: float, snap: bool,
+              led: TradeLedger, phi: StrategyVector, c: float) -> Cycle:
+    """The two legs every cycle starts with, from index ``i``: phi1 until
+    the path leaves (a(1-c), a(1+c)), then phi2+ until it leaves
+    (a, a(1+2c)), or phi2- until it leaves (a(1-2c), a).  The embedded
+    model's second step from a(1+c) also stops at a(1-2c), but a path from
+    inside (a, a(1+2c)) reaches that level only across a; mirrored alike."""
+    led.execute(i, anchor if snap else float(prices[i]),
+                phi.phi1 - led.open_position)
+    hit = yield i, anchor * (1 - c), anchor * (1 + c)
+    if hit is None:
+        return None
+    i1, l1 = hit
+    up = l1 > anchor
+    led.execute(i1, l1 if snap else float(prices[i1]),
+                (phi.phi2_up if up else phi.phi2_down) - led.open_position)
+    if up:
+        return (yield i1, anchor, anchor * (1 + 2 * c))
+    return (yield i1, anchor * (1 - 2 * c), anchor)
 
 
 def embedded_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
                    led: TradeLedger,
                    cycle_trace: list[CycleRecord] | None = None, *,
                    c: float, q: float, alpha: float = 0.0) -> Cycle:
-    """One embedded binomial cycle from index ``i``: phi1 until the path
-    reaches a(1 +- c), then phi2+ or phi2- until one of {a(1-2c), a,
-    a(1+2c)}.  alpha is only recorded in the trace."""
+    """One embedded binomial cycle from index ``i``: the two legs of
+    _two_legs with the positions of embedded_phi.  alpha is only recorded
+    in the trace."""
     phi = embedded_phi(c, anchor, q)
     if cycle_trace is not None:
         cycle_trace.append(CycleRecord(anchor, c, q, alpha, "positive", phi))
-    led.execute(i, anchor if snap else float(prices[i]),
-                phi.phi1 - led.open_position)
-    hit = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
-    if hit is None:
-        return None
-    i1, l1 = hit
-    pos2 = phi.phi2_up if l1 > anchor else phi.phi2_down
-    led.execute(i1, l1 if snap else float(prices[i1]),
-                pos2 - led.open_position)
-    return (yield i1, (anchor * (1 - 2 * c), anchor, anchor * (1 + 2 * c)),
-            l1)
+    return (yield from _two_legs(prices, i, anchor, snap, led, phi, c))
 
 
 def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
@@ -191,11 +206,10 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
                 cycle_trace: list[CycleRecord] | None = None, *,
                 c: float, q: float, alpha: float,
                 orientation: str) -> Cycle:
-    """One trend-schedule cycle from index ``i``: psi1 until a(1 +- c);
-    psi2+- until the branch set ({a, a(1+2c)} from above, {a(1-2c), a}
-    from below); if the trend barrier was reached, psi3 until the
-    third-leg set ({a, a(1+4c)} for a positive orientation, {a(1-4c), a}
-    mirrored).
+    """One trend-schedule cycle from index ``i``: the two legs of
+    _two_legs; if the second ended at the trend barrier (a(1+2c) for a
+    positive orientation, a(1-2c) for a negative one), psi3 until the path
+    leaves (a, a(1+4c)), mirrored (a(1-4c), a).
 
     The positions come from gfin_strategy, which on this grid (the
     reversal level is the anchor) equals trend_strategy for a positive
@@ -207,28 +221,16 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
     if cycle_trace is not None:
         cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
                                        psi))
-    led.execute(i, anchor if snap else float(prices[i]),
-                psi.phi1 - led.open_position)
-    hit = yield i, (anchor * (1 - c), anchor * (1 + c)), anchor
-    if hit is None:
-        return None
-    i1, l1 = hit
-    up = l1 > anchor
-    pos2 = psi.phi2_up if up else psi.phi2_down
-    led.execute(i1, l1 if snap else float(prices[i1]),
-                pos2 - led.open_position)
+    hit = yield from _two_legs(prices, i, anchor, snap, led, psi, c)
     trend_level = anchor * (1 + 2 * c) if positive else anchor * (1 - 2 * c)
-    levels2 = (anchor * (1 + 2 * c), anchor) if up \
-        else (anchor * (1 - 2 * c), anchor)
-    hit = yield i1, levels2, l1
     if hit is None or hit[1] != trend_level:
         return hit
     i2, l2 = hit
     led.execute(i2, l2 if snap else float(prices[i2]),
                 psi.phi3 - led.open_position)
-    levels3 = (anchor, anchor * (1 + 4 * c)) if positive \
-        else (anchor * (1 - 4 * c), anchor)
-    return (yield i2, levels3, l2)
+    if positive:
+        return (yield i2, anchor, anchor * (1 + 4 * c))
+    return (yield i2, anchor * (1 - 4 * c), anchor)
 
 
 def _cycle(params: GbmParams, config: StrategyConfig,
@@ -327,14 +329,13 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
     are the rows of one price matrix of chunk_rows(n_steps) rows, at most
-    CHUNK_BYTES of prices.  In each step one
-    next_hits scan of at most SCAN_SEGMENTS segments answers the pending
-    barrier queries of all rows, and the runs that got a hit (or reached
-    the path end) advance to their next query.  The rows of finished runs
-    are then refilled with the next seeds' paths, so that the scans stay
-    wide until the seeds run out.  The per-cycle strategy solves stay
-    scalar Python calls, because vectorised power and division kernels may
-    round differently.
+    CHUNK_BYTES of prices.  In each step one next_hits scan of at most
+    SCAN_SEGMENTS segments answers the pending corridor queries of all
+    rows, and the runs that got a hit (or reached the path end) advance to
+    their next query.  The rows of finished runs are then refilled with the
+    next seeds' paths, so that the scans stay wide until the seeds run out.
+    The per-cycle strategy solves stay scalar Python calls, because
+    vectorised power and division kernels may round differently.
     """
     cycle = _cycle(params, config, q)
     snap = config.execution_mode == "snap"
@@ -358,15 +359,13 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     more = len(prices) == rows
     while pending:
         scanned = list(pending)
-        starts = [pending[r][0] for r in scanned]
-        index, level = next_hits(prices, scanned, starts,
-                                 [pending[r][1] for r in scanned],
-                                 [pending[r][2] for r in scanned])
+        starts, lo, hi = zip(*pending.values())
+        index, level = next_hits(prices, scanned, starts, lo, hi)
         for r, k, i, lvl in zip(scanned, starts, index.tolist(),
                                 level.tolist()):
             if i < 0 and k + SCAN_SEGMENTS < prices.shape[1] - 1:
-                # no hit yet: the scan resumes where this window ended
-                pending[r] = (k + SCAN_SEGMENTS, pending[r][1], None)
+                # no hit yet: the scan resumes after this window
+                pending[r] = (k + SCAN_SEGMENTS + 1, *pending[r][1:])
                 continue
             query, result = _advance(schedules[r],
                                      None if i < 0 else (i, lvl))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import datetime
+import math
 from pathlib import Path
 from typing import IO
 
@@ -11,6 +12,44 @@ from statarb.backtest import MARKET_HEADER, MarketSeries
 from statarb.errors import ParseError
 from statarb.gbm import embedded_q
 from statarb.lattice import TrendLattice, TrinomialTopModel, TwoPeriodBinomial
+from statarb.paths import HitEvent
+
+
+def first_exit(prices, from_index, lo, hi):
+    """Brute-force oracle for next_hit: the first j >= from_index with
+    prices[j] <= lo or prices[j] >= hi, and the level on that side."""
+    for j in range(from_index, len(prices)):
+        if prices[j] <= lo:
+            return HitEvent(j, lo)
+        if prices[j] >= hi:
+            return HitEvent(j, hi)
+    return None
+
+
+def reference_next_hit(prices, from_index, levels, ref_price=None):
+    """Pairwise-segment oracle of the level-set scan that next_hit was
+    first written as: the first touch or crossing of any of `levels` by
+    the segments after from_index, touches counted at the right endpoint,
+    several levels in one segment resolved to the one nearest its start;
+    `ref_price` prepends the segment ref_price -> prices[from_index]."""
+
+    def crossed(p0, p1):
+        best, best_dist = None, math.inf
+        for lv in levels:
+            if (p0 - lv) * (p1 - lv) < 0 or p1 == lv:
+                if abs(lv - p0) < best_dist:
+                    best, best_dist = lv, abs(lv - p0)
+        return best
+
+    if ref_price is not None:
+        lv = crossed(ref_price, prices[from_index])
+        if lv is not None:
+            return HitEvent(from_index, lv)
+    for k in range(from_index, len(prices) - 1):
+        lv = crossed(prices[k], prices[k + 1])
+        if lv is not None:
+            return HitEvent(k + 1, lv)
+    return None
 
 
 def find_no_sa_mu(c: float, sigma: float) -> float:

@@ -112,6 +112,18 @@ def test_market_series_validation():
         MarketSeries((START, START), np.array([1.0, 2.0]))
 
 
+def test_market_series_leaves_the_callers_array_writeable():
+    mine = np.array([1.0, 2.0])
+    series = MarketSeries(daily_dates(2), mine)
+    mine[0] = 3.0
+    assert series.closes.tolist() == [1.0, 2.0]
+    assert not series.closes.flags.writeable
+    # a read-only array is shared, not copied
+    locked = np.array([1.0, 2.0])
+    locked.setflags(write=False)
+    assert MarketSeries(daily_dates(2), locked).closes is locked
+
+
 def test_dump_load_round_trip_is_exact():
     series = gbm_series(seed=11, years=1.0)
     buf = io.StringIO()

@@ -314,6 +314,16 @@ def test_simulate_non_finite_parameter_exits_1(flag, value, kind, capsys):
     assert err == f"statarb: {flag[2:]} must be finite\n"
 
 
+@pytest.mark.parametrize("kind", ["embedded", "trend"])
+def test_simulate_tiny_s0_names_s0_and_c(kind, capsys):
+    # (c * s0)^3 underflows to 0 in the embedded closed form
+    code, out, err = run_cli(["simulate", *SIM_ARGS, "--strategy", kind,
+                              "--s0", "1e-110"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("statarb: s0=1e-110 is too small for c=")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -510,6 +520,26 @@ def test_backtest_reports_skips_and_cutoff_on_stderr(capsys):
     assert err == ("statarb: skipped windows: zero_variance=0 NoSaExists=0 "
                    "NoSolution=0 DegenerateModel=0\n"
                    f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}\n")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--window", "10", "must be >= 60, got 10"),
+    ("--window", "59", "must be >= 60, got 59"),
+    ("--boundary", "0.7", "must lie in (0, 1/2), got 0.7"),
+    ("--boundary", "0.5", "must lie in (0, 1/2), got 0.5"),
+    ("--boundary", "0", "must lie in (0, 1/2), got 0"),
+    ("--boundary", "nan", "must lie in (0, 1/2), got nan"),
+], ids=["window-10", "window-59", "boundary-0.7", "boundary-0.5",
+        "boundary-0", "boundary-nan"])
+def test_backtest_flag_out_of_range_names_the_flag(market_csv, flag, value,
+                                                   message, capsys):
+    args = {"--boundary": "0.02", flag: value}
+    code, out, err = run_cli(["backtest", "--data", str(market_csv),
+                              *(x for kv in args.items() for x in kv)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"statarb backtest: error: argument {flag}: "
+                        f"{message}\n")
 
 
 def test_backtest_requires_boundary(market_csv, capsys):

@@ -1,14 +1,14 @@
 """The chunk engine against the one-path API it must reproduce bit for bit.
 
 simulate_gbm_rows against simulate_gbm and a log-space oracle, and
-next_hits against next_hit.
+next_hits against next_hit and a first-exit oracle.
 Both engines run the same cycle schedules (strategies.embedded_cycle,
 strategies.trend_cycle and the run loop), so the run-for-run tests compare
 two drivers of one schedule: run_seeded, which answers the queries with
 next_hits scans that resume cut-off queries and refill finished rows,
 against drive, which answers them with next_hit on one path.  They run
-across strategy kinds, execution modes, alpha, grid sizes and chunk sizes,
-through run_experiment too.
+across strategy kinds, execution modes, alpha, grid sizes, chunk sizes and
+scan lengths, through run_experiment too.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import first_exit
 from statarb import paths, strategies
 from statarb.gbm import GbmParams, embedded_q
 from statarb.harness import ExperimentConfig, run_experiment
@@ -98,29 +99,30 @@ def test_chunk_rows_follow_the_byte_budget():
 # ------------------------------------------------------------- hit scans
 
 
-def reference(prices, row, start, levels, ref, bound):
+def reference(prices, row, start, lo, hi, bound):
     """next_hit on the row, cut where a scan of `bound` segments stops."""
-    values = prices[row, :start + bound + 1]
-    path = PricePath(values)
-    return next_hit(path, start, levels, ref_price=ref)
+    return next_hit(PricePath(prices[row, :start + bound + 1]), start, lo, hi)
 
 
 def check_scan(prices, queries, bound=SCAN_SEGMENTS):
-    """next_hits with SCAN_SEGMENTS set to `bound` against next_hit."""
-    rows, starts, levels, refs = zip(*queries)
+    """next_hits with SCAN_SEGMENTS set to `bound` against next_hit and the
+    first-exit oracle."""
+    rows, starts, lo, hi = zip(*queries)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(paths, "SCAN_SEGMENTS", bound)
-        index, level = next_hits(prices, rows, starts, levels, refs)
-    for k, query in enumerate(queries):
-        expected = reference(prices, *query, bound)
+        index, level = next_hits(prices, rows, starts, lo, hi)
+    for k, (row, start, low, high) in enumerate(queries):
+        expected = reference(prices, row, start, low, high, bound)
+        assert expected == first_exit(prices[row, :start + bound + 1],
+                                      start, low, high)
         if expected is None:
             assert index[k] == -1 and np.isnan(level[k])
         else:
             assert (int(index[k]), float(level[k])) == tuple(expected)
 
 
-# prices and levels on a coarse grid, so that touches, paths starting on a
-# level and several levels inside one segment are all common
+# prices and barriers on a coarse grid, so that touches, starts on a
+# barrier and jumps across several levels are all common
 GRID = st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5, 8.0, 9.0])
 
 
@@ -132,10 +134,10 @@ def scans(draw):
                        for _ in range(n_rows)])
     queries = []
     for _ in range(draw(st.integers(1, 6))):
+        lo, hi = sorted(draw(st.lists(GRID, min_size=2, max_size=2,
+                                      unique=True)))
         queries.append((draw(st.integers(0, n_rows - 1)),
-                        draw(st.integers(0, n_points - 1)),
-                        tuple(draw(st.lists(GRID, min_size=1, max_size=3))),
-                        draw(st.none() | GRID)))
+                        draw(st.integers(0, n_points - 1)), lo, hi))
     bound = draw(st.just(SCAN_SEGMENTS) | st.integers(1, 8))
     return prices, queries, bound
 
@@ -148,65 +150,74 @@ def test_next_hits_equal_next_hit(scan):
 
 @given(n_steps=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
        c=st.sampled_from([0.002, 0.01, 0.05]),
-       bound=st.just(SCAN_SEGMENTS) | st.integers(1, 100),
-       small_budget=st.booleans())
+       bound=st.just(SCAN_SEGMENTS) | st.integers(1, 100))
 @EXACT
-def test_next_hits_equal_next_hit_on_gbm_paths(n_steps, seed, c, bound,
-                                               small_budget):
+def test_next_hits_equal_next_hit_on_gbm_paths(n_steps, seed, c, bound):
     prices = simulate_gbm_rows(gbm(n_steps), [seed, seed + 1, seed + 2])
     rng = np.random.default_rng(seed)
     queries = []
     for row in range(3):
         start = int(rng.integers(0, n_steps + 1))
-        anchor = float(prices[row, start])
-        queries.append((row, start, (anchor * (1 - c), anchor * (1 + c)),
-                        anchor))
-        queries.append((row, start, (anchor * (1 - 2 * c), anchor,
-                                     anchor * (1 + 2 * c)),
-                        anchor * (1 + c)))
-        queries.append((row, start, (anchor * (1 + 4 * c), anchor), None))
-    with pytest.MonkeyPatch.context() as patch:
-        if small_budget:
-            # 9 pending queries of 3 levels: windows of a single segment,
-            # widening as queries are answered
-            patch.setattr(paths, "CHUNK_BYTES", 8 * 9 * 3 * 2)
-        check_scan(prices, queries, bound)
+        a = float(prices[row, start])
+        # the corridors of the three legs, anchored at the start price
+        queries.append((row, start, a * (1 - c), a * (1 + c)))
+        queries.append((row, start, a, a * (1 + 2 * c)))
+        queries.append((row, start, a * (1 - 4 * c), a))
+    check_scan(prices, queries, bound)
 
 
-@pytest.mark.parametrize("path, start, levels, ref, expected", [
-    # exact touch at the right end of a segment (d1 == 0)
-    ([5.0, 6.0, 7.0], 0, (7.0,), None, (2, 7.0)),
-    # the virtual segment ref -> start price crosses a level
-    ([5.0, 6.0], 0, (4.0,), 3.0, (0, 4.0)),
-    # ... and touches one at the start price itself
-    ([5.0, 6.0], 0, (5.0, 9.0), 3.0, (0, 5.0)),
-    # several levels inside one segment: the nearest to its start
-    ([1.0, 9.0], 0, (3.0, 5.0, 7.0), None, (1, 3.0)),
-    ([9.0, 1.0], 0, (3.0, 5.0, 7.0), None, (1, 7.0)),
-    # starting on a level and moving away is no hit; coming back is
-    ([5.0, 6.0, 5.0, 4.0], 0, (5.0,), None, (2, 5.0)),
+@pytest.mark.parametrize("path, start, lo, hi, expected", [
+    # exact touch of either barrier
+    ([5.0, 6.0, 7.0], 0, 4.0, 7.0, (2, 7.0)),
+    ([5.0, 6.0, 4.0], 0, 4.0, 7.0, (2, 4.0)),
+    # the start point counts, beyond or on a barrier
+    ([5.0, 6.0], 0, 1.0, 4.0, (0, 4.0)),
+    ([5.0, 6.0], 0, 5.0, 9.0, (0, 5.0)),
+    # a jump across the corridor and beyond: the side it leaves through
+    ([5.0, 9.0], 0, 4.0, 7.0, (1, 7.0)),
+    ([5.0, 1.0], 0, 4.0, 7.0, (1, 4.0)),
     # no hit until the path end
-    ([5.0, 5.5, 5.2, 4.9], 1, (1.0, 9.0), 5.0, None),
-    # a scan starting at the last point has only the virtual segment
-    ([5.0, 6.0], 1, (1.0,), 5.5, None),
+    ([5.0, 5.5, 5.2, 4.9], 1, 1.0, 9.0, None),
+    # a scan starting at the last point tests that point only
+    ([5.0, 6.0], 1, 1.0, 7.0, None),
+    ([5.0, 6.0], 1, 1.0, 6.0, (1, 6.0)),
 ])
-def test_next_hits_named_cases(path, start, levels, ref, expected):
+def test_next_hits_named_cases(path, start, lo, hi, expected):
     prices = np.array([path, path[::-1]])
-    index, level = next_hits(prices, [0], [start], [levels], [ref])
+    index, level = next_hits(prices, [0], [start], [lo], [hi])
     got = None if index[0] < 0 else (int(index[0]), float(level[0]))
     assert got == expected
-    check_scan(prices, [(0, start, levels, ref), (1, start, levels, ref)])
+    check_scan(prices, [(0, start, lo, hi), (1, start, lo, hi)])
 
 
-def test_next_hits_ragged_levels_and_errors():
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("start", [0, 5])
+def test_next_hits_window_ends_at_scan_segments(offset, start):
+    # a window tests its start point and the SCAN_SEGMENTS points after it;
+    # a hit one point later is found by the query resumed there
+    hit_at = start + SCAN_SEGMENTS + offset
+    prices = np.full((1, 3 * SCAN_SEGMENTS), 100.0)
+    prices[0, hit_at] = 105.0
+    index, level = next_hits(prices, [0], [start], [95.0], [105.0])
+    if offset <= 0:
+        assert (int(index[0]), float(level[0])) == (hit_at, 105.0)
+    else:
+        assert index[0] == -1 and np.isnan(level[0])
+        resumed = start + SCAN_SEGMENTS + 1
+        index, level = next_hits(prices, [0], [resumed], [95.0], [105.0])
+        assert (int(index[0]), float(level[0])) == (hit_at, 105.0)
+
+
+def test_next_hits_errors():
     prices = np.array([[5.0, 6.0, 7.0, 3.0]])
-    index, level = next_hits(prices, [0, 0], [0, 0], [(7.0,), (2.0, 4.0)],
-                             [None, None])
-    assert index.tolist() == [2, 3] and level.tolist() == [7.0, 4.0]
-    with pytest.raises(ValueError):
-        next_hits(prices, [0], [4], [(7.0,)], [None])
-    with pytest.raises(ValueError):
-        next_hits(prices, [0], [0], [()], [None])
+    index, level = next_hits(prices, [0, 0], [0, 1], [4.0, 3.0], [7.0, 9.0])
+    assert index.tolist() == [2, 3] and level.tolist() == [7.0, 3.0]
+    for start in (4, -1):
+        with pytest.raises(ValueError, match="from_index"):
+            next_hits(prices, [0], [start], [4.0], [7.0])
+    for lo, hi in ((7.0, 7.0), (7.0, 4.0), (np.nan, 7.0)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            next_hits(prices, [0, 0], [0, 0], [4.0, lo], [7.0, hi])
 
 
 # ----------------------------------------------------------- chunk engine
@@ -228,22 +239,26 @@ def assert_same_runs(got, expected):
        rows=st.sampled_from([1, 7, None]),
        mu=st.sampled_from([0.1241, -0.1241]),
        c_mult=st.sampled_from([0.01, 0.1]),
-       master=st.integers(0, 2**32 - 1))
+       master=st.integers(0, 2**32 - 1),
+       scan=st.sampled_from([1, 3, SCAN_SEGMENTS]))
 @example(kind="trend", mode="snap", alpha=1.0, n_steps=200, rows=7,
-         mu=0.1241, c_mult=0.01, master=0)
+         mu=0.1241, c_mult=0.01, master=0, scan=SCAN_SEGMENTS)
 @EXACT
 def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
-                                            rows, mu, c_mult, master):
+                                            rows, mu, c_mult, master, scan):
     params = gbm(n_steps, mu)
     config = StrategyConfig(kind=kind, c_mult=c_mult, alpha=alpha,
                             execution_mode=mode)
     q = embedded_q(config.resolved_c(mu, params.sigma), mu, params.sigma)
     seeds = [int(s) for s in
              np.random.SeedSequence(master).generate_state(17, np.uint64)]
-    # 17 runs: more than a chunk of 1 or 7 rows and not a multiple of it
+    # 17 runs: more than a chunk of 1 or 7 rows and not a multiple of it;
+    # short scans make most queries resume
     with pytest.MonkeyPatch.context() as patch:
         if rows is not None:
             patch.setattr(strategies, "chunk_rows", lambda n: rows)
+        patch.setattr(paths, "SCAN_SEGMENTS", scan)
+        patch.setattr(strategies, "SCAN_SEGMENTS", scan)
         got = run_seeded(params, config, q, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import first_exit, reference_next_hit
+from statarb import paths
 from statarb.gbm import GbmParams, exit_prob_lower
 from statarb.paths import (
     SCAN_SEGMENTS,
@@ -21,29 +23,6 @@ from statarb.paths import (
 
 def flat_path(values) -> PricePath:
     return PricePath(values)
-
-
-def reference_next_hit(path, from_index, levels, ref_price=None):
-    """Plain-loop oracle for next_hit."""
-    prices = path.prices
-
-    def crossed(p0, p1):
-        best, best_dist = None, math.inf
-        for lv in levels:
-            if (p0 - lv) * (p1 - lv) < 0 or p1 == lv:
-                if abs(lv - p0) < best_dist:
-                    best, best_dist = lv, abs(lv - p0)
-        return best
-
-    if ref_price is not None:
-        lv = crossed(ref_price, prices[from_index])
-        if lv is not None:
-            return HitEvent(from_index, lv)
-    for k in range(from_index, prices.size - 1):
-        lv = crossed(prices[k], prices[k + 1])
-        if lv is not None:
-            return HitEvent(k + 1, lv)
-    return None
 
 
 # ---------------------------------------------------------------- price path
@@ -62,6 +41,18 @@ def test_price_path_is_immutable():
     p = flat_path([100.0, 101.0])
     with pytest.raises(ValueError):
         p.prices[0] = 5.0
+
+
+def test_price_path_leaves_the_callers_array_writeable():
+    mine = np.array([1.0, 2.0])
+    path = PricePath(mine)
+    mine[0] = 3.0
+    assert path.prices.tolist() == [1.0, 2.0]
+    assert not path.prices.flags.writeable
+    # a read-only array is shared, not copied
+    locked = np.array([1.0, 2.0])
+    locked.setflags(write=False)
+    assert PricePath(locked).prices is locked
 
 
 def test_simulate_gbm_deterministic():
@@ -91,63 +82,65 @@ def test_simulate_gbm_terminal_mean():
 
 def test_next_hit_monotone_ramp():
     path = flat_path([100.0 + k for k in range(11)])
-    hit = next_hit(path, 0, {105.0})
-    assert hit == HitEvent(5, 105.0)
+    assert next_hit(path, 0, 95.0, 105.0) == HitEvent(5, 105.0)
+    assert next_hit(path, 0, 95.0, 105.5) == HitEvent(6, 105.5)
 
 
 def test_next_hit_constant_path():
     path = flat_path([100.0] * 50)
-    assert next_hit(path, 0, {105.0}) is None
-    assert next_hit(path, 0, {95.0}) is None
+    assert next_hit(path, 0, 95.0, 105.0) is None
+    assert next_hit(path, 0, np.nextafter(100.0, 0.0),
+                    np.nextafter(100.0, 200.0)) is None
 
 
 def test_next_hit_tie_break_nearest_to_segment_start():
-    up = flat_path([100.0, 120.0])
-    assert next_hit(up, 0, {105.0, 110.0}) == HitEvent(1, 105.0)
-    down = flat_path([120.0, 100.0])
-    assert next_hit(down, 0, {105.0, 110.0}) == HitEvent(1, 110.0)
-    # 1e17 - 1 and 1e17 - 2 round to the same distance: the lowest level
-    # wins the tie, as argmin over the sorted levels does in next_hits
-    far = flat_path([1e17, 0.5])
-    assert next_hit(far, 0, {2.0, 1.0}) == HitEvent(1, 1.0)
+    # the embedded second leg at a = 100, c = 0.05: from inside (100, 110)
+    # a jump to 85 crosses 90 and 100, and 100, nearer its start, is the
+    # level hit, as the three-level scan from a(1 + c) reports it
+    up = flat_path([107.0, 85.0])
+    assert next_hit(up, 0, 100.0, 110.0) == HitEvent(1, 100.0)
+    assert reference_next_hit(up.prices, 0, {90.0, 100.0, 110.0},
+                              105.0) == HitEvent(1, 100.0)
+    down = flat_path([93.0, 115.0])
+    assert next_hit(down, 0, 90.0, 100.0) == HitEvent(1, 100.0)
+    assert reference_next_hit(down.prices, 0, {90.0, 100.0, 110.0},
+                              95.0) == HitEvent(1, 100.0)
 
 
-def test_next_hit_start_on_level_moving_away():
-    path = flat_path([105.0, 106.0, 105.0, 104.0])
-    # standing on the level and leaving is not a hit; returning is
-    assert next_hit(path, 0, {105.0}) == HitEvent(2, 105.0)
-    path2 = flat_path([105.0, 106.0, 107.0])
-    assert next_hit(path2, 0, {105.0}) is None
-
-
-def test_next_hit_ref_price_virtual_segment():
+def test_next_hit_counts_the_start_point():
+    # a start price on or beyond a barrier is a hit at from_index: the
+    # jump from the previous execution level crossed it already
     path = flat_path([110.0, 111.0, 112.0])
-    # previous execution at 100, so the jump to 110 crossed 105 already
-    assert next_hit(path, 0, {105.0}, ref_price=100.0) == HitEvent(0, 105.0)
-    # nearest-to-ref tie-break on the virtual segment
-    assert next_hit(path, 0, {102.0, 105.0},
-                    ref_price=100.0) == HitEvent(0, 102.0)
-    assert next_hit(path, 0, {120.0}, ref_price=100.0) is None
+    assert next_hit(path, 0, 95.0, 105.0) == HitEvent(0, 105.0)
+    assert next_hit(path, 0, 110.0, 120.0) == HitEvent(0, 110.0)
+    assert next_hit(path, 0, 100.0, 120.0) is None
+    # from the last point only that point is tested
+    assert next_hit(path, 2, 100.0, 112.0) == HitEvent(2, 112.0)
+    assert next_hit(path, 2, 100.0, 120.0) is None
 
 
 def test_next_hit_from_index_and_errors():
     path = flat_path([100.0, 104.0, 106.0, 104.0, 106.0])
-    assert next_hit(path, 0, {105.0}) == HitEvent(2, 105.0)
-    assert next_hit(path, 2, {105.0}) == HitEvent(3, 105.0)
-    with pytest.raises(ValueError):
-        next_hit(path, 5, {105.0})
-    with pytest.raises(ValueError):
-        next_hit(path, 0, set())
+    assert next_hit(path, 0, 95.0, 105.0) == HitEvent(2, 105.0)
+    assert next_hit(path, 2, 95.0, 105.0) == HitEvent(2, 105.0)
+    assert next_hit(path, 3, 95.0, 105.0) == HitEvent(4, 105.0)
+    for start in (5, -1):
+        with pytest.raises(ValueError, match="from_index"):
+            next_hit(path, start, 95.0, 105.0)
+    for lo, hi in ((105.0, 105.0), (105.0, 95.0), (math.nan, 105.0)):
+        with pytest.raises(ValueError, match="corridor"):
+            next_hit(path, 0, lo, hi)
 
 
 def test_next_hit_crossing_guarantee():
-    # a path that starts above a level and ends below it always reports a hit
+    # a path that starts above a barrier and ends below it always exits
+    # through it
     rng = np.random.default_rng(41)
     for _ in range(300):
         n = int(rng.integers(2, 400))
         prices = np.exp(rng.normal(0.0, 0.02, n).cumsum()) * 100.0
         prices[0], prices[-1] = 104.0, 96.0
-        hit = next_hit(flat_path(prices), 0, {100.0})
+        hit = next_hit(flat_path(prices), 0, 100.0, math.inf)
         assert hit is not None and hit.level == 100.0
 
 
@@ -156,35 +149,60 @@ def test_next_hit_matches_reference_loop():
     for _ in range(300):
         n = int(rng.integers(2, 600))
         prices = 100.0 * np.exp(rng.normal(0.0, 0.03, n).cumsum())
-        path = flat_path(prices)
-        levels = set(100.0 * np.round(rng.uniform(0.9, 1.1, 3), 3))
+        lo = 100.0 * round(float(rng.uniform(0.85, 1.05)), 3)
+        hi = lo + 100.0 * round(float(rng.uniform(0.001, 0.15)), 3)
         from_index = int(rng.integers(0, n))
-        ref = 100.0 * float(rng.uniform(0.9, 1.1)) if rng.random() < 0.5 \
-            else None
-        assert next_hit(path, from_index, levels, ref_price=ref) == \
-            reference_next_hit(path, from_index, levels, ref_price=ref)
+        assert next_hit(flat_path(prices), from_index, lo, hi) == \
+            first_exit(prices, from_index, lo, hi)
 
 
-# prices and levels on a coarse grid, so that exact touches, paths starting
-# on a level and several levels inside one segment are all common
-GRID = st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5, 8.0, 9.0])
+# prices and barriers on a coarse grid, so that exact touches, starts on a
+# barrier and jumps across several levels are all common
+GRID_VALUES = (1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5, 8.0, 9.0)
+GRID = st.sampled_from(GRID_VALUES)
+EXACT = settings(max_examples=300, deadline=None, derandomize=True,
+                 database=None)
 
 
 @st.composite
-def hit_queries(draw):
+def corridor_queries(draw):
     prices = draw(st.lists(GRID, min_size=1, max_size=40))
     from_index = draw(st.integers(0, len(prices) - 1))
-    levels = draw(st.lists(GRID, min_size=1, max_size=4))
-    return prices, from_index, levels, draw(st.none() | GRID)
+    lo, hi = sorted(draw(st.lists(GRID, min_size=2, max_size=2,
+                                  unique=True)))
+    return prices, from_index, lo, hi
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(hit_queries())
-def test_next_hit_equals_pairwise_segment_oracle(query):
-    prices, from_index, levels, ref = query
+@EXACT
+@given(corridor_queries(), st.just(SCAN_SEGMENTS) | st.integers(1, 8))
+def test_next_hit_equals_first_exit_oracle(query, blocks):
+    prices, from_index, lo, hi = query
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paths, "SCAN_SEGMENTS", blocks)
+        got = next_hit(flat_path(prices), from_index, lo, hi)
+    assert got == first_exit(prices, from_index, lo, hi)
+
+
+@EXACT
+@given(corridor_queries(), st.data())
+def test_next_hit_equals_pairwise_segment_oracle(query, data):
+    # the corridor query is the old level-set query whenever the reference
+    # price lies strictly inside: the segment from it to the start price,
+    # and every later one, touches or crosses a barrier exactly when its
+    # end is on or beyond it
+    prices, from_index, lo, hi = query
+    inside = [v for v in GRID_VALUES if lo < v < hi]
+    ref = data.draw(st.sampled_from(inside or [(lo + hi) / 2]))
     path = flat_path(prices)
-    assert next_hit(path, from_index, levels, ref_price=ref) == \
-        reference_next_hit(path, from_index, levels, ref_price=ref)
+    assert next_hit(path, from_index, lo, hi) == \
+        reference_next_hit(prices, from_index, {lo, hi}, ref)
+    # the embedded second leg at a = 4, c = 1/4: from a(1 + c) = 5 the
+    # three levels {2, 4, 6} give the corridor (4, 6), from 3 the
+    # corridor (2, 4)
+    assert next_hit(path, from_index, 4.0, 6.0) == \
+        reference_next_hit(prices, from_index, {2.0, 4.0, 6.0}, 5.0)
+    assert next_hit(path, from_index, 2.0, 4.0) == \
+        reference_next_hit(prices, from_index, {2.0, 4.0, 6.0}, 3.0)
 
 
 def test_next_hit_chunk_boundaries():
@@ -193,28 +211,31 @@ def test_next_hit_chunk_boundaries():
     edges = [m * SCAN_SEGMENTS + d for m in range(1, 7) for d in (-1, 0, 1)]
     for hit_at in (*edges, 127, 128, 129, 255, 256, 257, 383, 384):
         prices = np.full(512, 100.0)
-        prices[hit_at] = 106.0
+        prices[hit_at] = 105.0
         path = flat_path(prices)
-        assert next_hit(path, 0, {105.0}) == HitEvent(hit_at, 105.0)
-        # from a start just before the hit, and across a block edge
-        for start in (hit_at - 1, max(0, hit_at - SCAN_SEGMENTS - 1)):
-            assert next_hit(path, start, {105.0}) == HitEvent(hit_at, 105.0)
+        assert next_hit(path, 0, 95.0, 105.0) == HitEvent(hit_at, 105.0)
+        # from the hit itself, just before it, and across a block edge
+        for start in (hit_at, hit_at - 1,
+                      max(0, hit_at - SCAN_SEGMENTS - 1)):
+            assert next_hit(path, start, 95.0, 105.0) == \
+                HitEvent(hit_at, 105.0)
+        assert next_hit(path, hit_at + 1, 95.0, 105.0) is None
 
 
 def test_next_hit_long_scan_without_hit_reaches_path_end():
-    # thousands of segments, many blocks, a last block cut short by the
-    # path end; the levels are missed by rounding-sized margins
+    # thousands of points, many blocks, a last block cut short by the
+    # path end; the barriers are missed by rounding-sized margins
     n = 40 * SCAN_SEGMENTS + 17
     prices = 100.0 + np.sin(np.arange(n)) * 5.0
     path = flat_path(prices)
     top, bottom = float(prices.max()), float(prices.min())
-    assert next_hit(path, 0, {np.nextafter(top, np.inf),
-                              np.nextafter(bottom, -np.inf)}) is None
-    assert next_hit(path, n - 2, {200.0}) is None
-    assert next_hit(path, n - 1, {200.0}, ref_price=100.0) is None
+    below = float(np.nextafter(bottom, -np.inf))
+    assert next_hit(path, 0, below, float(np.nextafter(top, np.inf))) is None
+    assert next_hit(path, n - 2, 50.0, 200.0) is None
+    assert next_hit(path, n - 1, 50.0, 200.0) is None
     # the top itself is touched at its first index after the start
     first_top = int(np.argmax(prices))
-    assert next_hit(path, 0, {top}) == HitEvent(first_top, top)
+    assert next_hit(path, 0, below, top) == HitEvent(first_top, top)
 
 
 def test_next_hit_empirical_frequency_matches_exit_prob():
@@ -224,7 +245,7 @@ def test_next_hit_empirical_frequency_matches_exit_prob():
     lower_hits = 0
     censored = 0
     for i in range(n):
-        hit = next_hit(simulate_gbm(params, seed=i), 0, {a, b})
+        hit = next_hit(simulate_gbm(params, seed=i), 0, a, b)
         if hit is None:
             censored += 1
         elif hit.level == a:
