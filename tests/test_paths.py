@@ -107,11 +107,23 @@ def test_next_hit_tie_break_nearest_to_segment_start():
                               95.0) == HitEvent(1, 100.0)
 
 
-def test_next_hit_counts_the_start_point():
-    # a start price on or beyond a barrier is a hit at from_index: the
-    # jump from the previous execution level crossed it already
+def test_next_hit_start_on_level_moving_away():
+    # standing on a barrier is a hit at from_index, even when the path
+    # leaves it; from strictly inside, leaving and returning is a hit
+    path = flat_path([105.0, 106.0, 105.0, 104.0])
+    assert next_hit(path, 0, 105.0, 110.0) == HitEvent(0, 105.0)
+    assert next_hit(path, 1, 105.0, 110.0) == HitEvent(2, 105.0)
+    path2 = flat_path([105.0, 106.0, 107.0])
+    assert next_hit(path2, 0, 100.0, 105.0) == HitEvent(0, 105.0)
+    assert next_hit(path2, 1, 105.0, 110.0) is None
+
+
+def test_next_hit_ref_price_virtual_segment():
+    # a start price beyond a barrier is a hit at from_index: the jump from
+    # the previous execution level (100 here) crossed it already
     path = flat_path([110.0, 111.0, 112.0])
     assert next_hit(path, 0, 95.0, 105.0) == HitEvent(0, 105.0)
+    assert next_hit(path, 0, 98.0, 102.0) == HitEvent(0, 102.0)
     assert next_hit(path, 0, 110.0, 120.0) == HitEvent(0, 110.0)
     assert next_hit(path, 0, 100.0, 120.0) is None
     # from the last point only that point is tested
