@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
 )
 from .gbm import embedded_q, mle_estimate, mle_from_returns
+from .harness import write_metadata
 from .paths import PricePath, TradeLedger
 from .strategies import drive, trend_cycle
 
@@ -191,8 +192,7 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
 def dump_csv(series: MarketSeries, stream: IO[str],
              metadata: dict[str, str] | None = None) -> None:
     """Write a series as `date,close` rows that load_csv round-trips."""
-    for key, value in (metadata or {}).items():
-        stream.write(f"# {key}={value}\n")
+    write_metadata(stream, metadata)
     stream.write(MARKET_HEADER + "\n")
     for day, close in zip(series.dates, series.closes):
         stream.write(f"{day.isoformat()},{float(close)!r}\n")
@@ -314,8 +314,7 @@ def dump_summary_json(result: BacktestResult, stream: IO[str],
 def dump_cycles_csv(result: BacktestResult, stream: IO[str],
                     metadata: dict[str, str] | None = None) -> None:
     """Write the per-cycle log as CSV with the module's fixed header."""
-    for key, value in (metadata or {}).items():
-        stream.write(f"# {key}={value}\n")
+    write_metadata(stream, metadata)
     stream.write(CYCLES_HEADER + "\n")
     for row in result.cycles:
         stream.write(f"{row.cycle_start.isoformat()},"

@@ -153,10 +153,14 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     The first step resolves at the barriers s0*(1 +- c); conditional on its
     outcome the second step resolves at (s0, s0*(1+2c)) respectively
     (s0*(1-2c), s0).  The anchor price cancels, so everything is computed
-    on the normalized grid around 1.
+    on the normalized grid 1 + k*c, whose levels must be distinct floats.
     """
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
+    levels = [1.0 + k * c for k in (-4, -2, -1, 0, 1, 2, 4)]
+    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
+        raise ValueError(f"c={c!r} is too small: the grid levels 1 + k*c "
+                         "are not distinct floats")
     p_down1 = exit_prob_lower(1.0, 1.0 - c, 1.0 + c, mu, sigma)
     p_up1 = exit_prob_upper(1.0, 1.0 - c, 1.0 + c, mu, sigma)
     p_mid_up = exit_prob_lower(1.0 + c, 1.0, 1.0 + 2.0 * c, mu, sigma)

@@ -228,7 +228,8 @@ RUNS_HEADER = "run,pnl,n,trades,ended_by"
 SWEEP_HEADER = "param,gain_pa,median,var95,gain_pt,losses,loss_mean,avg_n,max_n"
 
 
-def _write_metadata(stream: IO[str], metadata: dict[str, str] | None) -> None:
+def write_metadata(stream: IO[str], metadata: dict[str, str] | None) -> None:
+    """Write each metadata item as the `# key=value` line of a header."""
     for key, value in (metadata or {}).items():
         stream.write(f"# {key}={value}\n")
 
@@ -236,7 +237,7 @@ def _write_metadata(stream: IO[str], metadata: dict[str, str] | None) -> None:
 def dump_runs_csv(result: ExperimentResult, stream: IO[str],
                   metadata: dict[str, str] | None = None) -> None:
     """Write the per-run table as CSV: run,pnl,n,trades,ended_by."""
-    _write_metadata(stream, metadata)
+    write_metadata(stream, metadata)
     stream.write(RUNS_HEADER + "\n")
     for i, r in enumerate(result.runs):
         stream.write(f"{i},{float(r.pnl)!r},{r.n_repetitions},"
@@ -246,7 +247,7 @@ def dump_runs_csv(result: ExperimentResult, stream: IO[str],
 def dump_sweep_csv(rows: Iterable[SweepRow], stream: IO[str],
                    metadata: dict[str, str] | None = None) -> None:
     """Write sweep rows as CSV with the module's fixed header."""
-    _write_metadata(stream, metadata)
+    write_metadata(stream, metadata)
     stream.write(SWEEP_HEADER + "\n")
     for row in rows:
         s = row.summary

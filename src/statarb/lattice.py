@@ -399,18 +399,21 @@ def binomial_A_matrix(model: TwoPeriodBinomial) -> np.ndarray:
     ])
 
 
-def _scale(model) -> float:
-    return max(map(abs, model.ds1 + model.ds2))
+def _scale(ds1, ds2) -> float:
+    return max(map(abs, ds1 + ds2))
 
 
 def tilde_q(model: TwoPeriodBinomial) -> float:
     """Critical value of q = p(ud)/p(du) at which the model admits no
     statistical arbitrage (equivalently, at which det(A) vanishes)."""
-    ds1, ds2 = model.ds1, model.ds2
+    return _tilde_q(model.ds1, model.ds2)
+
+
+def _tilde_q(ds1, ds2) -> float:
     k1 = ds1[2] * ds2[3] - ds1[3] * ds2[2]
     k2 = ds1[0] * ds2[1] - ds1[1] * ds2[0]
     den = ds2[3] * k2
-    if abs(den) <= EPS_TOL * _scale(model) ** 3:
+    if abs(den) <= EPS_TOL * _scale(ds1, ds2) ** 3:
         raise DegenerateModel("critical-ratio denominator vanishes")
     return ds2[0] * k1 / den
 
@@ -442,7 +445,7 @@ def emm_binomial(model: TwoPeriodBinomial) -> np.ndarray:
     raw = np.array([ds2[1] * k1, -ds2[0] * k1, -ds2[3] * k2, ds2[2] * k2])
     b = (ds2[1] * ((ds1[2] - ds1[0]) * ds2[3] + (ds1[0] - ds1[3]) * ds2[2])
          + ds2[0] * ((ds1[1] - ds1[2]) * ds2[3] + (ds1[3] - ds1[1]) * ds2[2]))
-    if abs(b) <= EPS_TOL * _scale(model) ** 3:
+    if abs(b) <= EPS_TOL * _scale(ds1, ds2) ** 3:
         raise DegenerateModel("martingale-measure normalizer vanishes")
     weights = raw / b
     if np.any(weights <= 0.0):
@@ -457,7 +460,7 @@ def solve_binomial_sa(model: TwoPeriodBinomial) -> StrategyVector:
     q = model.q
     if abs(q - tilde_q(model)) <= EPS_TOL:
         raise NoSaExists("q equals the critical ratio; no arbitrage exists")
-    return _solve_embedded(model, q)
+    return _solve_embedded(model.ds1, model.ds2, q)
 
 
 # ------------------------------------------------- trinomial certificates
@@ -469,7 +472,7 @@ def trinomial_nsa(model: TrinomialTopModel) -> NsaCertificate:
     (both comparisons padded by EPS_TOL); otherwise NotCertified.  The
     criterion is one-directional, so 'SaExists' is never reported."""
     ds1, ds2 = model.ds1, model.ds2
-    scale = _scale(model)
+    scale = _scale(ds1, ds2)
     gamma1_den = ds1[2] - ds2[2] * (ds1[1] / ds2[1])
     gamma2_den = ds1[2] - ds1[0] * (ds2[2] / ds2[0])
     for name, val in (("ds2(dd)", ds2[5]), ("ds2(uu)", ds2[1]),
@@ -534,10 +537,10 @@ def _binomial_D(ds1, ds2, q: float) -> float:
             + ds1[3] * ds2[0] * ds2[2])
 
 
-def _solve_embedded(sub: TwoPeriodBinomial, ratio: float) -> StrategyVector:
-    """Closed-form solve of the embedded two-period model with an explicit
-    probability ratio (the trend lattice supplies ratio = p(ud)/p(du))."""
-    ds1, ds2 = sub.ds1, sub.ds2
+def _solve_embedded(ds1, ds2, ratio: float) -> StrategyVector:
+    """Closed-form solve of the two-period model with increments ds1, ds2
+    (paths uu, ud, du, dd) and an explicit probability ratio
+    p(ud)/p(du)."""
     xi1 = (ratio * ds2[1] - ds2[0]) * ds2[3] + ds2[0] * ds2[2]
     xi2 = (-(ds1[2] + ratio * ds1[1] - ds1[0]) * ds2[3]
            - (ds1[0] - ds1[3]) * ds2[2])
@@ -572,30 +575,21 @@ def trend_A_matrix(model: TrendLattice,
     ])
 
 
-def _check_embedded_sa(sub: TwoPeriodBinomial, ratio: float) -> None:
-    if abs(ratio - tilde_q(sub)) <= EPS_TOL:
+def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
+                    ratio: float, positive: bool) -> StrategyVector:
+    """The three-leg strategy from plain increments: ds1, ds2 of the
+    embedded two-period model (paths uu, ud, du, dd), ds3_continue and
+    ds3_reverse of the third leg, and ratio = p(ud)/p(du).  It is the
+    two-period phi plus psi3 = (1-alpha)/(ds3_continue - ds3_reverse), the
+    early legs shifted by -ds3_continue*psi3*gamma, where A gamma = e1
+    (positive: third leg after up-up) or e2 (negative: after down-down)."""
+    if abs(ratio - _tilde_q(ds1, ds2)) <= EPS_TOL:
         raise NoSaExists("embedded two-period model admits no arbitrage")
-
-
-def _three_leg(model: TrendLattice, alpha: float,
-               ratio: float | None) -> StrategyVector:
-    """The embedded two-period strategy phi plus a third-leg position
-    psi3 = (1-alpha)/(ds3(continue) - ds3(reverse)), with the early legs
-    shifted by -ds3(continue)*psi3*gamma.  gamma solves A gamma = e1 for
-    the positive orientation (third leg after up-up) and A gamma = e2 for
-    the negative one (after down-down)."""
-    sub = model.embedded_binomial()
-    if ratio is None:
-        ratio = model.q
-    _check_embedded_sa(sub, ratio)
-    ds1, ds2, ds3 = sub.ds1, sub.ds2, model.ds3
-    positive = model.orientation == "positive"
-    cont = 0 if positive else 3
-    denom3 = ds3[cont] - ds3[4]
-    if abs(denom3) <= EPS_TOL * _scale(model):
+    denom3 = ds3_continue - ds3_reverse
+    if abs(denom3) <= EPS_TOL * _scale(ds1, ds2):
         raise DegenerateModel("third-leg increments coincide")
     psi3 = (1.0 - alpha) / denom3
-    phi = _solve_embedded(sub, ratio)
+    phi = _solve_embedded(ds1, ds2, ratio)
     d = _binomial_D(ds1, ds2, ratio)
     if positive:
         gamma = (
@@ -610,11 +604,21 @@ def _three_leg(model: TrendLattice, alpha: float,
             (-ds2[0] * (ratio * ds1[1] + ds1[2]) + ratio * ds1[0] * ds2[1])
             / d,
         )
-    shift = ds3[cont] * psi3
+    shift = ds3_continue * psi3
     return StrategyVector(phi.phi1 - shift * gamma[0],
                           phi.phi2_up - shift * gamma[1],
                           phi.phi2_down - shift * gamma[2],
                           psi3)
+
+
+def _three_leg(model: TrendLattice, alpha: float,
+               ratio: float | None) -> StrategyVector:
+    """solve_three_leg on the increments of a trend lattice."""
+    positive = model.orientation == "positive"
+    ds3 = model.ds3
+    return solve_three_leg(model.ds1[:4], model.ds2[:4],
+                           ds3[0] if positive else ds3[3], ds3[4], alpha,
+                           model.q if ratio is None else ratio, positive)
 
 
 def trend_strategy(model: TrendLattice, alpha: float = 0.0,

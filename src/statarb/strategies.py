@@ -6,17 +6,18 @@ barrier of the cycle, the whole run stops at the first cycle end with
 positive cumulative P&L, and an open position is liquidated at the horizon.
 
 The cycles are written once, as generators of barrier queries on the grid
-a(1 + k*c): embedded_cycle (two legs) and trend_cycle (three legs, with a
-continue/reverse branch).  Each query is a corridor between two
-barriers, and a leg ends where the path first leaves it.  The paper's
-follow-the-trend and dichotomy strategies coincide on this grid, where the
-reversal level is the anchor, so both are the one "trend" kind.  The run
-loop _schedule repeats one cycle along a row of prices.  Two drivers
-answer the queries: drive with next_hit on one PricePath, for run_path
-(which accepts a ledger and a cycle trace for inspection) and for the
-backtest (which drives single trend cycles), and run_seeded with next_hits
-on many simulated paths at once, the Monte Carlo engine of the harness.
-Both give the same results bit for bit.
+a(1 + k*c): embedded_cycle (two legs, solved by embedded_phi) and
+trend_cycle (three legs with a continue/reverse branch, solved from the
+grid's increments by lattice.solve_three_leg).  Each query is a corridor
+between two barriers, and a leg ends where the path first leaves it.  The
+paper's follow-the-trend and dichotomy strategies coincide on this grid,
+where the reversal level is the anchor, so both are the one "trend" kind.
+The run loop _schedule repeats one cycle along a row of prices.  Two
+drivers answer the queries: drive with next_hit on one PricePath, for
+run_path (which accepts a ledger and a cycle trace for inspection) and for
+the backtest (which drives single trend cycles), and run_seeded with
+next_hits on many simulated paths at once, the Monte Carlo engine of the
+harness.  Both give the same results bit for bit.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -38,8 +39,9 @@ from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
+from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .lattice import StrategyVector, TrendLattice, gfin_strategy
+from .lattice import StrategyVector, solve_three_leg
 from .paths import (
     SCAN_SEGMENTS,
     PricePath,
@@ -54,7 +56,6 @@ __all__ = [
     "RunResult",
     "StrategyConfig",
     "CycleRecord",
-    "grid_trend_model",
     "embedded_cycle",
     "trend_cycle",
     "drive",
@@ -126,27 +127,6 @@ class CycleRecord(NamedTuple):
     psi: StrategyVector
 
 
-def grid_trend_model(orientation: str, anchor: float,
-                     c: float) -> TrendLattice:
-    """The trend lattice induced by the barrier grid anchor*(1 + k*c):
-    two embedded steps plus a third leg from anchor*(1 +- 2c) to either
-    anchor*(1 +- 4c) (trend continues) or back to the anchor (reversal).
-
-    Path probabilities are placeholders; strategy solvers receive the
-    probability ratio explicitly.
-    """
-    p = (0.2,) * 5
-    if orientation == "positive":
-        return TrendLattice(orientation, anchor, anchor * (1 + c),
-                            anchor * (1 - c), anchor * (1 + 2 * c), anchor,
-                            anchor * (1 - 2 * c), anchor * (1 + 4 * c),
-                            anchor, p)
-    return TrendLattice(orientation, anchor, anchor * (1 + c),
-                        anchor * (1 - c), anchor * (1 + 2 * c), anchor,
-                        anchor * (1 - 2 * c), anchor * (1 - 4 * c),
-                        anchor, p)
-
-
 # ---------------------------------------------------------------------------
 # cycles and the run loop
 # ---------------------------------------------------------------------------
@@ -211,26 +191,38 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
     positive orientation, a(1-2c) for a negative one), psi3 until the path
     leaves (a, a(1+4c)), mirrored (a(1-4c), a).
 
-    The positions come from gfin_strategy, which on this grid (the
-    reversal level is the anchor) equals trend_strategy for a positive
-    orientation.
+    The positions are solve_three_leg's on the grid's increments (the
+    reversal level is the anchor, so the trend and dichotomy strategies
+    coincide).  Grid levels that are not strictly increasing floats raise
+    DegenerateModel.
     """
     positive = orientation == "positive"
-    psi = gfin_strategy(grid_trend_model(orientation, anchor, c), alpha,
-                        ratio=q)
+    s_up, s_down = anchor * (1 + c), anchor * (1 - c)
+    s_uu, s_dd = anchor * (1 + 2 * c), anchor * (1 - 2 * c)
+    trend = s_uu if positive else s_dd
+    far = anchor * (1 + 4 * c) if positive else anchor * (1 - 4 * c)
+    levels = (s_dd, s_down, anchor, s_up, s_uu)
+    levels = levels + (far,) if positive else (far,) + levels
+    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
+        raise DegenerateModel(f"grid levels collapse at c={c!r}, "
+                              f"anchor={anchor!r}")
+    up, down = s_up - anchor, s_down - anchor
+    psi = solve_three_leg((up, up, down, down),
+                          (s_uu - s_up, anchor - s_up, anchor - s_down,
+                           s_dd - s_down),
+                          far - trend, anchor - trend, alpha, q, positive)
     if cycle_trace is not None:
         cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
                                        psi))
     hit = yield from _two_legs(prices, i, anchor, snap, led, psi, c)
-    trend_level = anchor * (1 + 2 * c) if positive else anchor * (1 - 2 * c)
-    if hit is None or hit[1] != trend_level:
+    if hit is None or hit[1] != trend:
         return hit
     i2, l2 = hit
     led.execute(i2, l2 if snap else float(prices[i2]),
                 psi.phi3 - led.open_position)
     if positive:
-        return (yield i2, anchor, anchor * (1 + 4 * c))
-    return (yield i2, anchor * (1 - 4 * c), anchor)
+        return (yield i2, anchor, far)
+    return (yield i2, far, anchor)
 
 
 def _cycle(params: GbmParams, config: StrategyConfig,

@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     counterexample_trinomial,
     grid_binomial,
+    grid_trend_lattice,
     random_binomial,
     random_exact_grid,
     sec34_binomial,
@@ -64,7 +65,6 @@ from statarb.strategies import (
     MODES,
     RunResult,
     StrategyConfig,
-    grid_trend_model,
     run_path,
 )
 
@@ -455,7 +455,7 @@ def test_criterion_08_family_coherence():
                  StrategyConfig(kind="trend", alpha=0.0, **base),
                  cycle_trace=trace)
         for rec in trace:
-            model = grid_trend_model(rec.orientation, rec.anchor, rec.c)
+            model = grid_trend_lattice(rec.anchor, rec.c, rec.orientation)
             a = trend_A_matrix(model, ratio=rec.q)
             psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
                             rec.psi.phi2_down, rec.psi.phi3])

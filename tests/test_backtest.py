@@ -355,6 +355,19 @@ def test_critical_drift_windows_are_skipped():
                            "NoSolution": 0, "DegenerateModel": 0}
 
 
+def test_collapsed_grid_at_one_anchor_is_skipped():
+    # at this c the levels anchor*(1 - 2c) and anchor*(1 - c) are one float
+    # at the first cycle's anchor: that window is skipped, the walk goes on
+    c, anchor = 1.7869141059965552e-16, 1569.3101395953286
+    window = ramp_series(60, g=0.001, w=0.01, base=1500.0)
+    closes = np.concatenate((window, [anchor, 2000.0, 2020.0, 1990.0]))
+    series = MarketSeries(daily_dates(closes.size), closes)
+    res = run_backtest(series, BacktestConfig(boundary_fraction=c,
+                                              window_days=60))
+    assert res.skipped["DegenerateModel"] == 1
+    assert sum(res.skipped.values()) == closes.size - 1 - 60
+
+
 # ------------------------------------------------------------- properties
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,23 @@ def test_simulate_non_finite_parameter_exits_1(flag, value, kind, capsys):
     assert err == f"statarb: {flag[2:]} must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--c", "1e-16", "--runs", "3", "--steps", "50"],
+    ["simulate", "--c", "1.5e-16", "--runs", "3", "--steps", "50"],
+    ["simulate", "--strategy", "trend", "--c", "1.5e-16", "--runs", "3",
+     "--steps", "50"],
+    ["backtest", "--data", str(Path(__file__).resolve().parent / "data"
+                               / "gbm_up.csv"), "--boundary", "1e-17"],
+])
+def test_collapsed_grid_c_exits_1_naming_c(argv, capsys):
+    # 1 + c or 1 + 2c rounds onto a neighbouring grid level
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    c = argv[argv.index("--c" if "--c" in argv else "--boundary") + 1]
+    assert err == f"statarb: c={c} is too small: the grid levels " \
+        "1 + k*c are not distinct floats\n"
+
+
 @pytest.mark.parametrize("kind", ["embedded", "trend"])
 def test_simulate_tiny_s0_names_s0_and_c(kind, capsys):
     # (c * s0)^3 underflows to 0 in the embedded closed form
@@ -503,7 +521,6 @@ def test_backtest_non_finite_alpha_exits_1(market_csv, capsys, alpha):
 
 
 def test_backtest_reports_skips_and_cutoff_on_stderr(capsys):
-    from pathlib import Path
 
     from statarb.backtest import BacktestConfig, load_csv, run_backtest
 
@@ -564,7 +581,6 @@ def test_version_flag(capsys):
 
 
 def test_module_invocation_roundtrip():
-    from pathlib import Path
 
     import statarb
     # run from the directory holding the package under test, so that

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import grid_binomial, random_exact_grid
 from statarb.errors import DegenerateSeries, InvalidInterval, NoSaExists
@@ -186,6 +188,24 @@ def test_embedded_q_rejects_bad_c():
     for c in (0.0, -0.01, 0.5, 0.7):
         with pytest.raises(ValueError):
             embedded_q(c, 0.1, 0.2)
+
+
+@given(c=st.one_of(st.floats(1e-17, 1e-14),
+                   st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)))
+@example(c=1e-16)
+@example(c=1.5e-16)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_embedded_q_accepts_only_distinct_grid_levels(c):
+    levels = [1.0 + k * c for k in (-4, -2, -1, 0, 1, 2, 4)]
+    distinct = all(lo < hi for lo, hi in zip(levels, levels[1:]))
+    try:
+        q = embedded_q(c, 0.1241, 0.0837)
+    except ValueError as exc:
+        assert not distinct
+        assert str(exc).startswith(f"c={c!r} is too small")
+    else:
+        assert distinct
+        assert math.isfinite(q) and q > 0.0
 
 
 # ----------------------------------------------------------- embedded phi

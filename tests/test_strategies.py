@@ -2,24 +2,33 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statarb.errors import NoSaExists
+from helpers import grid_trend_lattice
+from statarb.backtest import BacktestConfig, load_csv, run_backtest
+from statarb.errors import DegenerateModel, NoSaExists
 from statarb.gbm import GbmParams, embedded_phi, embedded_q
-from statarb.lattice import payoff, trend_A_matrix
-from statarb.paths import PricePath, TradeLedger
+from statarb.harness import ExperimentConfig, run_experiment
+from statarb.lattice import (
+    TrendLattice,
+    gfin_strategy,
+    payoff,
+    trend_A_matrix,
+)
+from statarb.paths import PricePath, TradeLedger, simulate_gbm
 from statarb.strategies import (
     KINDS,
     MODES,
     CycleRecord,
     RunResult,
     StrategyConfig,
-    grid_trend_model,
     run_path,
+    trend_cycle,
 )
 
 MU, SIGMA = 0.3, 0.2
@@ -196,7 +205,7 @@ def test_trend_down_branch_without_trend_leg():
     assert res.ended_by == "PositivePnl"
     assert res.pnl == pytest.approx(1.0, abs=1e-9)
     # the up-then-back branch realizes the lattice payoff of that scenario
-    model = grid_trend_model("positive", A, C)
+    model = grid_trend_lattice(A, C, "positive")
     psi = trace[0].psi
     path2 = make_path([A, UP, A, A])
     res2 = run_path(path2, PARAMS, econfig(kind="trend"))
@@ -229,6 +238,79 @@ def test_alpha_one_reduces_to_embedded():
                          ledger=led_t)
             assert e == t
             assert led_e.events == led_t.events
+
+
+# --------------------------------------------------------------- grid solve
+
+
+def grid_solve(anchor, c, orientation, alpha, q):
+    """The positions trend_cycle solves for its cycle at ``anchor``."""
+    trace: list[CycleRecord] = []
+    next(trend_cycle(np.array([anchor]), 0, anchor, True, TradeLedger(),
+                     trace, c=c, q=q, alpha=alpha, orientation=orientation))
+    return trace[0].psi
+
+
+def outcome(solve, *args, **kwargs):
+    """The bits of a solve's positions, or the type of its exception."""
+    try:
+        psi = solve(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+    return tuple(float(v).hex() for v in
+                 (psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3))
+
+
+@given(log_anchor=st.floats(-20.0, 20.0),
+       log_c=st.floats(math.log(1e-9), math.log(0.49)),
+       q=st.one_of(st.just(1.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+                   st.floats(1.0 - 1e-3, 1.0 + 1e-3), st.floats(0.2, 5.0)),
+       alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+       orientation=st.sampled_from(["positive", "negative"]))
+@example(log_anchor=0.0, log_c=math.log(0.05), q=1.0, alpha=0.0,
+         orientation="positive")
+@example(log_anchor=4.6, log_c=math.log(0.02), q=1.0 + 1e-11, alpha=0.5,
+         orientation="negative")
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+def test_grid_solve_is_gfin_strategy_on_the_grid_lattice(
+        log_anchor, log_c, q, alpha, orientation):
+    # bit for bit, exception types included
+    anchor, c = math.exp(log_anchor), math.exp(log_c)
+    model = grid_trend_lattice(anchor, c, orientation)
+    assert outcome(grid_solve, anchor, c, orientation, alpha, q) == \
+        outcome(gfin_strategy, model, alpha, ratio=q)
+
+
+def test_collapsed_grid_levels_raise_degenerate_model():
+    # the normalized grid 1 + k*c is distinct at this c, but the levels
+    # anchor*(1 - 2c) and anchor*(1 - c) round to one float at this anchor
+    c, anchor = 1.7869141059965552e-16, 1569.3101395953286
+    assert anchor * (1 - 2 * c) == anchor * (1 - c)
+    embedded_q(c, MU, SIGMA)
+    with pytest.raises(DegenerateModel, match=f"c={c!r}.*anchor={anchor!r}"):
+        grid_solve(anchor, c, "positive", 0.0, 1.2)
+
+
+def test_trend_cycles_build_no_trend_lattice(monkeypatch):
+    def build(self):
+        raise AssertionError("a trend cycle built a TrendLattice")
+
+    monkeypatch.setattr(TrendLattice, "__post_init__", build)
+    for params in (PARAMS, NEG_PARAMS):
+        trace: list[CycleRecord] = []
+        run_path(simulate_gbm(params, seed=3), params,
+                 econfig(kind="trend", alpha=0.25), cycle_trace=trace)
+        assert trace
+    config = ExperimentConfig(
+        params=GbmParams(mu=MU, sigma=SIGMA, s0=100.0, horizon=1.0,
+                         n_steps=200),
+        strategy=econfig(kind="trend", alpha=0.25, execution_mode="observed"),
+        n_runs=20, master_seed=5)
+    assert len(run_experiment(config).runs) == 20
+    data = Path(__file__).resolve().parent / "data" / "gbm_up.csv"
+    result = run_backtest(load_csv(data),
+                          BacktestConfig(boundary_fraction=0.02))
+    assert result.n_cycles > 0
 
 
 # --------------------------------------------------------------- properties
@@ -315,7 +397,7 @@ def test_cycle_trace_solves_schedule_system():
                  cycle_trace=trace)
         assert trace
         for rec in trace:
-            model = grid_trend_model(rec.orientation, rec.anchor, rec.c)
+            model = grid_trend_lattice(rec.anchor, rec.c, rec.orientation)
             a = trend_A_matrix(model, ratio=rec.q)
             psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
                             rec.psi.phi2_down, rec.psi.phi3])
