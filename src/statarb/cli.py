@@ -269,6 +269,11 @@ def _metadata(seed: int, mode: str) -> dict[str, str]:
     }
 
 
+def _report_ended_by(ended: Counter[str], cell: str = "") -> None:
+    print(f"statarb: ended_by: {cell}PositivePnl={ended['PositivePnl']} "
+          f"Horizon={ended['Horizon']}", file=sys.stderr)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     config = _experiment_config(args, seed)
@@ -276,15 +281,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     meta = _metadata(seed, args.mode)
     c = config.strategy.resolved_c(args.mu, args.sigma)
     buf = io.StringIO()
-    dump_sweep_csv([SweepRow(c, result.summary)], buf, metadata=meta)
+    dump_sweep_csv([SweepRow(c, result.summary, result.ended_by)], buf,
+                   metadata=meta)
     sys.stdout.write(buf.getvalue())
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_runs_csv(result, fh, metadata=meta)
     # diagnostics go to stderr, so stdout and --out stay byte-identical
-    ended = Counter(r.ended_by for r in result.runs)
-    print(f"statarb: ended_by: PositivePnl={ended['PositivePnl']} "
-          f"Horizon={ended['Horizon']}", file=sys.stderr)
+    _report_ended_by(result.ended_by)
     return EXIT_OK
 
 
@@ -305,6 +309,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
+    # diagnostics go to stderr, so stdout and --out stay byte-identical
+    for row in rows:
+        _report_ended_by(row.ended_by, f"{args.axis}={row.param!r} ")
     return EXIT_OK
 
 

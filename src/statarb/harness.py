@@ -14,11 +14,17 @@ against each other.  Sweeps re-run the experiment once
 per axis value with the axis position as the salt, so a single-value sweep
 reproduces a plain experiment bit for bit.  Run k of an experiment equals
 ``strategies.run_path`` on ``paths.simulate_gbm(params, seed)`` with
-``seed = seeding.run_seeds(master_seed, axis_index, range(k, k + 1))[0]``.
+``seed = seeding.run_seeds(master_seed, axis_index, range(k, k + 1))[0]``
+for every seed whose path ``simulate_gbm`` accepts.  ``run_seeded``
+generates the points of a path as its scans reach them, and checks for
+underflow only the points it generates, so a run that ends before its
+path would underflow to 0 no longer fails the experiment, while
+``simulate_gbm`` rejects that path.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -107,12 +113,19 @@ class ExperimentResult:
     summary: MetricsSummary
     runs: tuple[RunResult, ...]
 
+    @property
+    def ended_by(self) -> Counter[str]:
+        """How many runs ended by each cause ("PositivePnl", "Horizon")."""
+        return Counter(r.ended_by for r in self.runs)
+
 
 class SweepRow(NamedTuple):
-    """One sweep cell: the axis value and its experiment summary."""
+    """One sweep cell: the axis value, its experiment summary and how its
+    runs ended (ExperimentResult.ended_by)."""
 
     param: float
     summary: MetricsSummary
+    ended_by: Counter[str]
 
 
 # ---------------------------------------------------------------- metrics
@@ -218,7 +231,8 @@ def sweep(config: ExperimentConfig) -> list[SweepRow]:
     for j, value in enumerate(config.sweep.values):
         cell = _apply_axis(config, config.sweep.name, value)
         result = run_experiment(cell, axis_index=j)
-        rows.append(SweepRow(param=float(value), summary=result.summary))
+        rows.append(SweepRow(param=float(value), summary=result.summary,
+                             ended_by=result.ended_by))
     return rows
 
 

@@ -8,7 +8,9 @@ positive cumulative P&L, and an open position is liquidated at the horizon.
 The cycles are written once, as generators of barrier queries on the grid
 a(1 + k*c): embedded_cycle (two legs, solved by embedded_phi) and
 trend_cycle (three legs with a continue/reverse branch, solved from the
-grid's increments by lattice.solve_three_leg).  Each query is a corridor
+grid's increments by lattice.solve_three_leg).  A snap anchor is a grid
+level, so the drivers' cycles solve each snap anchor once per experiment
+and reuse the solve (_cycle).  Each query is a corridor
 between two barriers, and a leg ends where the path first leaves it.  The
 paper's follow-the-trend and dichotomy strategies coincide on this grid,
 where the reversal level is the anchor, so both are the one "trend" kind.
@@ -47,9 +49,10 @@ from .paths import (
     PricePath,
     TradeLedger,
     chunk_rows,
+    extend_gbm_rows,
     next_hit,
     next_hits,
-    simulate_gbm_rows,
+    prefix_points,
 )
 
 __all__ = [
@@ -168,24 +171,80 @@ def _two_legs(prices: np.ndarray, i: int, anchor: float, snap: bool,
     return (yield i1, anchor * (1 - 2 * c), anchor)
 
 
+def _check_levels(levels: tuple[float, ...], c: float, anchor: float) -> None:
+    """Raise DegenerateModel unless the grid levels are strictly increasing
+    floats."""
+    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
+        raise DegenerateModel(f"grid levels collapse at c={c!r}, "
+                              f"anchor={anchor!r}")
+
+
+def _embedded_solve(anchor: float, c: float, q: float, alpha: float,
+                    orientation: str) -> CycleRecord:
+    _check_levels((anchor * (1 - 2 * c), anchor * (1 - c), anchor,
+                   anchor * (1 + c), anchor * (1 + 2 * c)), c, anchor)
+    return CycleRecord(anchor, c, q, alpha, orientation,
+                       embedded_phi(c, anchor, q))
+
+
+def _trend_solve(anchor: float, c: float, q: float, alpha: float,
+                 orientation: str) -> CycleRecord:
+    positive = orientation == "positive"
+    s_up, s_down = anchor * (1 + c), anchor * (1 - c)
+    s_uu, s_dd = anchor * (1 + 2 * c), anchor * (1 - 2 * c)
+    trend = s_uu if positive else s_dd
+    far = anchor * (1 + 4 * c) if positive else anchor * (1 - 4 * c)
+    levels = (s_dd, s_down, anchor, s_up, s_uu)
+    _check_levels(levels + (far,) if positive else (far,) + levels, c,
+                  anchor)
+    up, down = s_up - anchor, s_down - anchor
+    psi = solve_three_leg((up, up, down, down),
+                          (s_uu - s_up, anchor - s_up, anchor - s_down,
+                           s_dd - s_down),
+                          far - trend, anchor - trend, alpha, q, positive)
+    return CycleRecord(anchor, c, q, alpha, orientation, psi)
+
+
+def _solved(solve: Callable[..., CycleRecord],
+            memo: dict[float, CycleRecord] | None, anchor: float,
+            *args) -> CycleRecord:
+    """solve(anchor, *args), looked up in ``memo`` first when one is given.
+    Only successful solves are stored, so an anchor whose solve raises
+    raises at every cycle."""
+    if memo is None:
+        return solve(anchor, *args)
+    record = memo.get(anchor)
+    if record is None:
+        record = memo[anchor] = solve(anchor, *args)
+    return record
+
+
 def embedded_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
                    led: TradeLedger,
                    cycle_trace: list[CycleRecord] | None = None, *,
-                   c: float, q: float, alpha: float = 0.0) -> Cycle:
+                   c: float, q: float, alpha: float = 0.0,
+                   memo: dict[float, CycleRecord] | None = None) -> Cycle:
     """One embedded binomial cycle from index ``i``: the two legs of
     _two_legs with the positions of embedded_phi.  alpha is only recorded
-    in the trace."""
-    phi = embedded_phi(c, anchor, q)
+    in the trace.  Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c)
+    that are not strictly increasing floats raise DegenerateModel.
+
+    ``memo``, when given, keeps the solve of each anchor for reuse by
+    later cycles with the same c, q and alpha (see _cycle).
+    """
+    record = _solved(_embedded_solve, memo, anchor, c, q, alpha, "positive")
     if cycle_trace is not None:
-        cycle_trace.append(CycleRecord(anchor, c, q, alpha, "positive", phi))
-    return (yield from _two_legs(prices, i, anchor, snap, led, phi, c))
+        cycle_trace.append(record)
+    return (yield from _two_legs(prices, i, anchor, snap, led, record.psi,
+                                 c))
 
 
 def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
                 led: TradeLedger,
                 cycle_trace: list[CycleRecord] | None = None, *,
                 c: float, q: float, alpha: float,
-                orientation: str) -> Cycle:
+                orientation: str,
+                memo: dict[float, CycleRecord] | None = None) -> Cycle:
     """One trend-schedule cycle from index ``i``: the two legs of
     _two_legs; if the second ended at the trend barrier (a(1+2c) for a
     positive orientation, a(1-2c) for a negative one), psi3 until the path
@@ -194,46 +253,46 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
     The positions are solve_three_leg's on the grid's increments (the
     reversal level is the anchor, so the trend and dichotomy strategies
     coincide).  Grid levels that are not strictly increasing floats raise
-    DegenerateModel.
+    DegenerateModel.  ``memo`` is embedded_cycle's, for fixed orientation
+    too.
     """
-    positive = orientation == "positive"
-    s_up, s_down = anchor * (1 + c), anchor * (1 - c)
-    s_uu, s_dd = anchor * (1 + 2 * c), anchor * (1 - 2 * c)
-    trend = s_uu if positive else s_dd
-    far = anchor * (1 + 4 * c) if positive else anchor * (1 - 4 * c)
-    levels = (s_dd, s_down, anchor, s_up, s_uu)
-    levels = levels + (far,) if positive else (far,) + levels
-    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
-        raise DegenerateModel(f"grid levels collapse at c={c!r}, "
-                              f"anchor={anchor!r}")
-    up, down = s_up - anchor, s_down - anchor
-    psi = solve_three_leg((up, up, down, down),
-                          (s_uu - s_up, anchor - s_up, anchor - s_down,
-                           s_dd - s_down),
-                          far - trend, anchor - trend, alpha, q, positive)
+    record = _solved(_trend_solve, memo, anchor, c, q, alpha, orientation)
     if cycle_trace is not None:
-        cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
-                                       psi))
+        cycle_trace.append(record)
+    psi = record.psi
     hit = yield from _two_legs(prices, i, anchor, snap, led, psi, c)
-    if hit is None or hit[1] != trend:
+    positive = orientation == "positive"
+    if hit is None or hit[1] != (anchor * (1 + 2 * c) if positive
+                                 else anchor * (1 - 2 * c)):
         return hit
     i2, l2 = hit
     led.execute(i2, l2 if snap else float(prices[i2]),
                 psi.phi3 - led.open_position)
     if positive:
-        return (yield i2, anchor, far)
-    return (yield i2, far, anchor)
+        return (yield i2, anchor, anchor * (1 + 4 * c))
+    return (yield i2, anchor * (1 - 4 * c), anchor)
 
 
 def _cycle(params: GbmParams, config: StrategyConfig,
            q: float) -> Callable[..., Cycle]:
-    """The cycle of a strategy config, with its fixed arguments bound."""
+    """The cycle of a strategy config, with its fixed arguments bound.
+
+    In snap mode every anchor is a grid level, so a run and the runs of an
+    experiment revisit few anchors (164 in 57614 embedded cycles at the
+    CLI defaults); the bound cycle then solves each anchor once, in a memo
+    keyed on the anchor alone, since c, q, alpha and the orientation are
+    fixed here.  Observed anchors are prices and rarely repeat, so
+    observed mode solves every cycle.
+    """
     c = config.resolved_c(params.mu, params.sigma)
+    memo = {} if config.execution_mode == "snap" else None
     if config.kind == "embedded" or config.alpha == 1.0:
         # the trend leg carries no position at alpha = 1: the embedded run
-        return partial(embedded_cycle, c=c, q=q, alpha=config.alpha)
+        return partial(embedded_cycle, c=c, q=q, alpha=config.alpha,
+                       memo=memo)
     return partial(trend_cycle, c=c, q=q, alpha=config.alpha,
-                   orientation="positive" if params.mu >= 0 else "negative")
+                   orientation="positive" if params.mu >= 0 else "negative",
+                   memo=memo)
 
 
 def _last_mark(ledger: TradeLedger, anchor: float) -> float:
@@ -316,8 +375,9 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
                ) -> list[RunResult]:
     """Run the strategy on the GBM path of each seed; result k equals
     run_path on simulate_gbm(params, s), with s = seeds[k] for an int seed
-    and, for a seeding.RunStream, the int seed its words derive from.  The
-    seeds are those of simulate_gbm_rows.
+    and, for a seeding.RunStream, the int seed its words derive from,
+    whenever simulate_gbm accepts that path.  The seeds are those of
+    simulate_gbm_rows.
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
     are the rows of one price matrix of chunk_rows(n_steps) rows, at most
@@ -328,34 +388,66 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     next seeds' paths, so that the scans stay wide until the seeds run out.
     The per-cycle strategy solves stay scalar Python calls, because
     vectorised power and division kernels may round differently.
+
+    Most runs end early, so a row is filled with the first
+    prefix_points(n_steps) points of its path only.  The row keeps its
+    generator and last log price, and the rest of the path is generated,
+    for all such rows of a step in one call, before the first scan whose
+    window reads past the prefix.  The split changes no bit of a path, but
+    an underflow to 0 in the part no scan reads no longer fails the run.
     """
     cycle = _cycle(params, config, q)
     snap = config.execution_mode == "snap"
+    n_points = params.n_steps + 1
+    prefix = prefix_points(params.n_steps)
     rows = chunk_rows(params.n_steps)
     seeds = iter(seeds)
-    prices = simulate_gbm_rows(params, list(islice(seeds, rows)))
+    batch = list(islice(seeds, rows))
+    prices = np.empty((len(batch), n_points))
+    rngs: list[np.random.Generator | None] = [None] * len(batch)
+    log_price = np.zeros(len(batch))  # at the last point of each prefix
+    # the last start index whose scan window reads only generated points
+    covered = np.zeros(len(batch), dtype=np.intp)
     results: list[RunResult | None] = []
-    owner = [0] * len(prices)  # the position in results of each row's run
-    schedules: list[Schedule | None] = [None] * len(prices)
+    owner = [0] * len(batch)  # the position in results of each row's run
+    schedules: list[Schedule | None] = [None] * len(batch)
     pending: dict[int, Query] = {}
 
-    def start(r: int) -> None:
-        owner[r] = len(results)
-        results.append(None)
-        schedules[r] = _schedule(prices[r], cycle, snap, TradeLedger())
-        pending[r] = next(schedules[r])
+    def fill(filled: list[int], batch: list) -> None:
+        new_rngs = [np.random.default_rng(seed) for seed in batch]
+        prices[filled, :prefix], log_price[filled] = extend_gbm_rows(
+            params, new_rngs, np.zeros(len(batch)), prefix)
+        covered[filled] = (prefix - 1 - SCAN_SEGMENTS if prefix < n_points
+                           else n_points)
+        for r, rng in zip(filled, new_rngs):
+            rngs[r] = rng
+            owner[r] = len(results)
+            results.append(None)
+            schedules[r] = _schedule(prices[r], cycle, snap, TradeLedger())
+            pending[r] = next(schedules[r])
 
-    for r in range(len(prices)):
-        start(r)
+    def complete(late: np.ndarray) -> None:
+        # the rest starts at the last prefix point, which it recomputes
+        # bit for bit
+        prices[late, prefix - 1:] = extend_gbm_rows(
+            params, [rngs[r] for r in late], log_price[late],
+            n_points - prefix + 1)[0]
+        covered[late] = n_points
+
+    fill(list(range(len(batch))), batch)
     free: list[int] = []
-    more = len(prices) == rows
+    more = len(batch) == rows
     while pending:
-        scanned = list(pending)
+        scanned = np.fromiter(pending, dtype=np.intp, count=len(pending))
         starts, lo, hi = zip(*pending.values())
-        index, level = next_hits(prices, scanned, starts, lo, hi)
-        for r, k, i, lvl in zip(scanned, starts, index.tolist(),
+        start_at = np.array(starts, dtype=np.intp)
+        late = start_at > covered[scanned]
+        if late.any():
+            complete(scanned[late])
+        index, level = next_hits(prices, scanned, start_at, lo, hi)
+        for r, k, i, lvl in zip(scanned.tolist(), starts, index.tolist(),
                                 level.tolist()):
-            if i < 0 and k + SCAN_SEGMENTS < prices.shape[1] - 1:
+            if i < 0 and k + SCAN_SEGMENTS < n_points - 1:
                 # no hit yet: the scan resumes after this window
                 pending[r] = (k + SCAN_SEGMENTS + 1, *pending[r][1:])
                 continue
@@ -371,7 +463,5 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
             batch = list(islice(seeds, len(free)))
             more = len(batch) == len(free)
             filled, free = free[:len(batch)], free[len(batch):]
-            prices[filled] = simulate_gbm_rows(params, batch)
-            for r in filled:
-                start(r)
+            fill(filled, batch)
     return results

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,17 @@ def test_collapsed_grid_c_exits_1_naming_c(argv, capsys):
         "1 + k*c are not distinct floats\n"
 
 
+@pytest.mark.parametrize("mode", ["snap", "observed"])
+def test_embedded_grid_collapsed_at_s0_exits_1(mode, capsys):
+    # the normalized levels 1 + k*c are distinct floats at this c, but
+    # s0*(1 - 2c) and s0*(1 - c) round to one float
+    c, s0 = "1.7869141059965552e-16", "1569.3101395953286"
+    code, out, err = run_cli(["simulate", "--c", c, "--s0", s0, "--runs",
+                              "3", "--steps", "50", "--mode", mode], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"statarb: grid levels collapse at c={c}, anchor={s0}\n"
+
+
 @pytest.mark.parametrize("kind", ["embedded", "trend"])
 def test_simulate_tiny_s0_names_s0_and_c(kind, capsys):
     # (c * s0)^3 underflows to 0 in the embedded closed form
@@ -362,6 +374,35 @@ def test_sweep_matches_library(capsys):
         cells = line.split(",")
         assert float(cells[0]) == row.param
         assert float(cells[1]) == row.summary.mean_gain
+
+
+def test_sweep_reports_ended_by_per_cell_on_stderr(tmp_path, capsys):
+    argv = ["sweep", *SIM_ARGS, "--axis", "eta", "--values", "1.0,1.5",
+            "--mu", "0.1", "--strategy", "trend", "--mode", "observed"]
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "a.csv")],
+                             capsys)
+    assert code == 0
+    assert "ended_by" not in out
+    params = GbmParams(mu=0.1, sigma=0.0837, s0=2186.0, horizon=1.0,
+                       n_steps=150)
+    strategy = StrategyConfig(kind="trend", c_mult=0.01,
+                              execution_mode="observed")
+    lines = []
+    for j, eta in enumerate((1.0, 1.5)):
+        cell = ExperimentConfig(params=replace(params, sigma=0.1 / eta),
+                                strategy=strategy, n_runs=12, master_seed=7)
+        ended = [r.ended_by for r in run_experiment(cell, axis_index=j).runs]
+        lines.append(f"statarb: ended_by: eta={eta!r} "
+                     f"PositivePnl={ended.count('PositivePnl')} "
+                     f"Horizon={ended.count('Horizon')}\n")
+    assert err == "".join(lines)
+    assert "Horizon=0" not in err  # both causes occur
+    # the diagnostics leave stdout and --out as they were
+    code, out2, _ = run_cli([*argv, "--out", str(tmp_path / "b.csv")],
+                            capsys)
+    assert out2 == out == (tmp_path / "a.csv").read_text()
+    assert (tmp_path / "b.csv").read_bytes() == \
+        (tmp_path / "a.csv").read_bytes()
 
 
 def test_sweep_out_file_equals_stdout(tmp_path, capsys):

@@ -25,8 +25,10 @@ from statarb.paths import (
     SCAN_SEGMENTS,
     PricePath,
     chunk_rows,
+    extend_gbm_rows,
     next_hit,
     next_hits,
+    prefix_points,
     simulate_gbm,
     simulate_gbm_rows,
 )
@@ -88,6 +90,54 @@ def test_underflowing_prices_fail_like_the_one_path_engine():
                               n_runs=3, master_seed=0)
     with pytest.raises(ValueError, match="prices must be positive"):
         run_experiment(config)
+
+
+@given(n_steps=st.integers(1, 400), data=st.data(),
+       seed=st.integers(0, 2**64 - 1), mu=st.sampled_from([0.1241, -0.5]))
+@EXACT
+def test_path_generated_in_parts_equals_simulate_gbm(n_steps, data, seed,
+                                                      mu):
+    # a prefix, then the rest from the carried log price, at any split;
+    # the rest recomputes the point where the parts meet
+    params = gbm(n_steps, mu)
+    split = data.draw(st.integers(1, n_steps + 1), label="split")
+    seeds = [seed, seed // 3 + 1]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    head, log_price = extend_gbm_rows(params, rngs, np.zeros(2), split)
+    rest, _ = extend_gbm_rows(params, rngs, log_price, n_steps + 2 - split)
+    assert np.array_equal(rest[:, 0], head[:, -1])
+    whole = np.hstack([head, rest[:, 1:]])
+    for row, s in zip(whole, seeds):
+        assert np.array_equal(row, simulate_gbm(params, s).prices)
+
+
+def test_prefix_points_cover_a_quarter_of_the_path_and_a_window():
+    assert prefix_points(1000) == 250 + SCAN_SEGMENTS + 1
+    assert prefix_points(85) == 86  # the whole row
+    assert prefix_points(86) == 86
+    assert prefix_points(4000) == 1000 + SCAN_SEGMENTS + 1
+    for n_steps in range(1, 3000, 7):
+        # a scan from any index up to n_steps // 4 reads prefix points only
+        assert prefix_points(n_steps) in (
+            n_steps + 1, n_steps // 4 + SCAN_SEGMENTS + 1)
+        assert prefix_points(n_steps) <= n_steps + 1
+
+
+def test_runs_ending_before_their_path_underflows_succeed():
+    # the prices fall by about 55% a step and underflow to 0 near step
+    # 950; every run ends at its first cycle, inside the generated prefix,
+    # so the experiment succeeds although simulate_gbm rejects the paths
+    params = GbmParams(mu=-800.0, sigma=1.0, s0=2186.0, horizon=1.0,
+                       n_steps=1000)
+    config = ExperimentConfig(params=params,
+                              strategy=StrategyConfig(kind="embedded", c=0.1),
+                              n_runs=3, master_seed=0)
+    runs = run_experiment(config).runs
+    assert [(r.ended_by, r.n_repetitions) for r in runs] == \
+        [("PositivePnl", 1)] * 3
+    for seed in run_seeds(0, 0, range(3)):
+        with pytest.raises(ValueError, match="prices must be positive"):
+            simulate_gbm(params, int(seed))
 
 
 def test_chunk_rows_follow_the_byte_budget():
@@ -240,12 +290,14 @@ def assert_same_runs(got, expected):
        mu=st.sampled_from([0.1241, -0.1241]),
        c_mult=st.sampled_from([0.01, 0.1]),
        master=st.integers(0, 2**32 - 1),
-       scan=st.sampled_from([1, 3, SCAN_SEGMENTS]))
+       scan=st.sampled_from([1, 3, SCAN_SEGMENTS]),
+       prefix=st.none() | st.integers(1, 8))
 @example(kind="trend", mode="snap", alpha=1.0, n_steps=200, rows=7,
-         mu=0.1241, c_mult=0.01, master=0, scan=SCAN_SEGMENTS)
+         mu=0.1241, c_mult=0.01, master=0, scan=SCAN_SEGMENTS, prefix=None)
 @EXACT
 def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
-                                            rows, mu, c_mult, master, scan):
+                                            rows, mu, c_mult, master, scan,
+                                            prefix):
     params = gbm(n_steps, mu)
     config = StrategyConfig(kind=kind, c_mult=c_mult, alpha=alpha,
                             execution_mode=mode)
@@ -253,14 +305,83 @@ def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
     seeds = [int(s) for s in
              np.random.SeedSequence(master).generate_state(17, np.uint64)]
     # 17 runs: more than a chunk of 1 or 7 rows and not a multiple of it;
-    # short scans make most queries resume
+    # short scans make most queries resume, and short prefixes make most
+    # rows complete
     with pytest.MonkeyPatch.context() as patch:
         if rows is not None:
             patch.setattr(strategies, "chunk_rows", lambda n: rows)
+        if prefix is not None:
+            patch.setattr(strategies, "prefix_points",
+                          lambda n: min(n + 1, prefix))
         patch.setattr(paths, "SCAN_SEGMENTS", scan)
         patch.setattr(strategies, "SCAN_SEGMENTS", scan)
         got = run_seeded(params, config, q, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
+
+
+def count_completions(patch):
+    """Patch run_seeded's generator to count the rows it completes."""
+    completed = []
+
+    def extend(params, rngs, log_price, n_points):
+        if np.any(log_price != 0.0):
+            completed.append(len(rngs))
+        return extend_gbm_rows(params, rngs, log_price, n_points)
+
+    patch.setattr(strategies, "extend_gbm_rows", extend)
+    return completed
+
+
+@pytest.mark.parametrize("n_steps, past_prefix", [
+    (85, 0),  # n_steps = P - 1: the prefix is the whole row
+    (86, 1),  # n_steps = P
+    (87, 2),  # n_steps = P + 1
+    (260, 131),  # n_steps = 2P
+    # the first window ends at point 64 and the resumed one at point 129,
+    # the first point past the prefix
+    (256, 128),
+])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_run_seeded_equals_run_path_around_the_prefix(n_steps, past_prefix,
+                                                      kind, mode,
+                                                      monkeypatch):
+    assert n_steps + 1 - prefix_points(n_steps) == past_prefix
+    params = GbmParams(mu=0.5, sigma=0.4, s0=2186.0, horizon=1.0,
+                       n_steps=n_steps)
+    config = StrategyConfig(kind=kind, c=0.05, alpha=0.5,
+                            execution_mode=mode)
+    q = embedded_q(0.05, params.mu, params.sigma)
+    seeds = list(range(60))
+    completed = count_completions(monkeypatch)
+    got = run_seeded(params, config, q, seeds)
+    assert_same_runs(got, per_path(params, config, seeds))
+    assert (sum(completed) > 0) == (past_prefix > 0)
+
+
+def test_completion_at_a_resumed_query(monkeypatch):
+    # legs of 30% barely ever end within a year at 8% volatility, so every
+    # first leg resumes at point 65; at 256 steps that window is the first
+    # to read past the 129-point prefix, and every row completes there
+    params = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
+                       n_steps=256)
+    assert prefix_points(256) == 2 * (SCAN_SEGMENTS + 1) - 1
+    config = StrategyConfig(kind="embedded", c=0.3)
+    q = embedded_q(0.3, params.mu, params.sigma)
+    seeds = list(range(20))
+    windows = []
+
+    def scan(prices, rows, from_index, lo, hi):
+        windows.extend(from_index.tolist())
+        return next_hits(prices, rows, from_index, lo, hi)
+
+    completed = count_completions(monkeypatch)
+    monkeypatch.setattr(strategies, "next_hits", scan)
+    got = run_seeded(params, config, q, seeds)
+    assert_same_runs(got, per_path(params, config, seeds))
+    assert all(r.ended_by == "Horizon" and r.n_repetitions == 0 for r in got)
+    assert sum(completed) == 20
+    assert sorted(set(windows)) == [0, 65, 130, 195]
 
 
 @pytest.mark.parametrize("kind", KINDS)

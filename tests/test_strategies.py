@@ -21,13 +21,16 @@ from statarb.lattice import (
     trend_A_matrix,
 )
 from statarb.paths import PricePath, TradeLedger, simulate_gbm
+from statarb import strategies
 from statarb.strategies import (
     KINDS,
     MODES,
     CycleRecord,
     RunResult,
     StrategyConfig,
+    embedded_cycle,
     run_path,
+    run_seeded,
     trend_cycle,
 )
 
@@ -289,6 +292,79 @@ def test_collapsed_grid_levels_raise_degenerate_model():
     embedded_q(c, MU, SIGMA)
     with pytest.raises(DegenerateModel, match=f"c={c!r}.*anchor={anchor!r}"):
         grid_solve(anchor, c, "positive", 0.0, 1.2)
+
+
+def test_collapsed_embedded_grid_raises_at_every_cycle():
+    # as above, for the embedded cycle; a memo stores no failed solve
+    c, anchor = 1.7869141059965552e-16, 1569.3101395953286
+    memo: dict[float, CycleRecord] = {}
+    for _ in range(2):
+        for cycle_memo in (None, memo):
+            with pytest.raises(DegenerateModel,
+                               match=f"c={c!r}.*anchor={anchor!r}"):
+                next(embedded_cycle(np.array([anchor]), 0, anchor, True,
+                                    TradeLedger(), c=c, q=1.2,
+                                    memo=cycle_memo))
+    assert memo == {}
+
+
+def count_calls(monkeypatch, name):
+    """Patch strategies.<name> to record the arguments of each call."""
+    calls = []
+    original = getattr(strategies, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(strategies, name, counted)
+    return calls
+
+
+SOLVES = {"embedded": "embedded_phi", "trend": "solve_three_leg"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_experiment_solves_each_snap_anchor_once(kind, mode, monkeypatch):
+    params = GbmParams(mu=MU, sigma=SIGMA, s0=100.0, horizon=1.0,
+                       n_steps=300)
+    config = econfig(kind=kind, c=0.02, alpha=0.5, execution_mode=mode)
+    seeds = list(range(40))
+    anchors = []
+    for seed in seeds:
+        trace: list[CycleRecord] = []
+        run_path(simulate_gbm(params, seed), params, config,
+                 cycle_trace=trace)
+        anchors += [rec.anchor for rec in trace]
+    calls = count_calls(monkeypatch, SOLVES[kind])
+    run_seeded(params, config, embedded_q(0.02, MU, SIGMA), seeds)
+    if mode == "snap":
+        assert len(calls) == len(set(anchors)) < len(anchors)
+    else:
+        # observed anchors are prices: every run starts at s0, yet each
+        # cycle solves
+        assert len(calls) == len(anchors) > len(set(anchors))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_memo_leaves_the_trace_and_the_run_unchanged(kind, monkeypatch):
+    config = econfig(kind=kind, c=0.01, alpha=0.25)
+    path = simulate_gbm(PARAMS, seed=37)  # 110 embedded, 81 trend cycles
+
+    def run():
+        trace: list[CycleRecord] = []
+        led = TradeLedger()
+        res = run_path(path, PARAMS, config, ledger=led, cycle_trace=trace)
+        return res, led.events, [(rec.anchor, repr(rec)) for rec in trace]
+
+    calls = count_calls(monkeypatch, SOLVES[kind])
+    memoised = run()
+    assert len(calls) < len(memoised[2])  # anchors repeat
+    monkeypatch.setattr(strategies, "_solved",
+                        lambda solve, memo, anchor, *args:
+                        solve(anchor, *args))
+    assert run() == memoised
 
 
 def test_trend_cycles_build_no_trend_lattice(monkeypatch):
