@@ -54,10 +54,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"correct": False, "exit_code": proc.returncode,
-                "stderr": proc.stderr[-2000:]}
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "stderr": proc.stderr[-2000:]}
+    result["exit_code"] = proc.returncode
+    return result
 
 
 def machine() -> dict:
@@ -79,8 +81,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     (ties count for neither side)."""
     out = {}
     for metric, direction in better.items():
-        sides = {side: [p[side]["metrics"][metric] for p in pairs
-                        if "metrics" in p[side]]
+        sides = {side: [pair[side]["metrics"][metric]["value"]
+                        for pair in pairs if "metrics" in pair[side]]
                  for side in ("parent", "change")}
         if not all(sides.values()):
             continue
@@ -97,6 +99,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         entry["pairs"] = len(sides["parent"])
         entry["median_ratio_change_over_parent"] = (
             entry["change"]["median"] / entry["parent"]["median"])
+        # a gain counts when the medians differ by more than the spread
+        # of the parent's own runs
+        entry["median_gap_exceeds_parent_iqr"] = (
+            abs(entry["change"]["median"] - entry["parent"]["median"])
+            > entry["parent"]["q3"] - entry["parent"]["q1"])
         out[metric] = entry
     return out
 
@@ -134,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             record["workloads"][name]["summary"] = summarize(pairs, better)
             args.out.write_text(json.dumps(record, indent=1) + "\n")
             print(f"{name} pair {k + 1}/{n_pairs} seed {seed}: " + ", ".join(
-                f"{side} {pair[side].get('metrics', {}).get('throughput_per_s')}"
+                f"{side} correct={pair[side]['correct']}"
                 for side in ("parent", "change")), file=sys.stderr)
     return 0
 
