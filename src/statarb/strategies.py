@@ -171,72 +171,66 @@ def _two_legs(prices: np.ndarray, i: int, anchor: float, snap: bool,
     return (yield i1, anchor * (1 - 2 * c), anchor)
 
 
-def _check_levels(levels: tuple[float, ...], c: float, anchor: float) -> None:
-    """Raise DegenerateModel unless the grid levels are strictly increasing
-    floats."""
-    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
-        raise DegenerateModel(f"grid levels collapse at c={c!r}, "
-                              f"anchor={anchor!r}")
+def _collapsed(c: float, anchor: float) -> DegenerateModel:
+    return DegenerateModel(f"grid levels collapse at c={c!r}, "
+                           f"anchor={anchor!r}")
 
 
-def _embedded_solve(anchor: float, c: float, q: float, alpha: float,
-                    orientation: str) -> CycleRecord:
-    _check_levels((anchor * (1 - 2 * c), anchor * (1 - c), anchor,
-                   anchor * (1 + c), anchor * (1 + 2 * c)), c, anchor)
-    return CycleRecord(anchor, c, q, alpha, orientation,
-                       embedded_phi(c, anchor, q))
+def _embedded_solve(anchor: float, c: float, q: float) -> StrategyVector:
+    if not (anchor * (1 - 2 * c) < anchor * (1 - c) < anchor
+            < anchor * (1 + c) < anchor * (1 + 2 * c)):
+        raise _collapsed(c, anchor)
+    return embedded_phi(c, anchor, q)
 
 
 def _trend_solve(anchor: float, c: float, q: float, alpha: float,
-                 orientation: str) -> CycleRecord:
-    positive = orientation == "positive"
+                 positive: bool) -> StrategyVector:
     s_up, s_down = anchor * (1 + c), anchor * (1 - c)
     s_uu, s_dd = anchor * (1 + 2 * c), anchor * (1 - 2 * c)
     trend = s_uu if positive else s_dd
     far = anchor * (1 + 4 * c) if positive else anchor * (1 - 4 * c)
-    levels = (s_dd, s_down, anchor, s_up, s_uu)
-    _check_levels(levels + (far,) if positive else (far,) + levels, c,
-                  anchor)
+    if not (s_dd < s_down < anchor < s_up < s_uu
+            and (trend < far if positive else far < trend)):
+        raise _collapsed(c, anchor)
     up, down = s_up - anchor, s_down - anchor
-    psi = solve_three_leg((up, up, down, down),
-                          (s_uu - s_up, anchor - s_up, anchor - s_down,
-                           s_dd - s_down),
-                          far - trend, anchor - trend, alpha, q, positive)
-    return CycleRecord(anchor, c, q, alpha, orientation, psi)
+    return solve_three_leg((up, up, down, down),
+                           (s_uu - s_up, anchor - s_up, anchor - s_down,
+                            s_dd - s_down),
+                           far - trend, anchor - trend, alpha, q, positive)
 
 
-def _solved(solve: Callable[..., CycleRecord],
-            memo: dict[float, CycleRecord] | None, anchor: float,
-            *args) -> CycleRecord:
+def _solved(solve: Callable[..., StrategyVector],
+            memo: dict[float, StrategyVector] | None, anchor: float,
+            *args) -> StrategyVector:
     """solve(anchor, *args), looked up in ``memo`` first when one is given.
     Only successful solves are stored, so an anchor whose solve raises
     raises at every cycle."""
     if memo is None:
         return solve(anchor, *args)
-    record = memo.get(anchor)
-    if record is None:
-        record = memo[anchor] = solve(anchor, *args)
-    return record
+    psi = memo.get(anchor)
+    if psi is None:
+        psi = memo[anchor] = solve(anchor, *args)
+    return psi
 
 
 def embedded_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
                    led: TradeLedger,
                    cycle_trace: list[CycleRecord] | None = None, *,
                    c: float, q: float, alpha: float = 0.0,
-                   memo: dict[float, CycleRecord] | None = None) -> Cycle:
+                   memo: dict[float, StrategyVector] | None = None,
+                   ) -> Cycle:
     """One embedded binomial cycle from index ``i``: the two legs of
     _two_legs with the positions of embedded_phi.  alpha is only recorded
     in the trace.  Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c)
     that are not strictly increasing floats raise DegenerateModel.
 
-    ``memo``, when given, keeps the solve of each anchor for reuse by
-    later cycles with the same c, q and alpha (see _cycle).
+    ``memo``, when given, keeps the positions solved at each anchor for
+    reuse by later cycles with the same c, q and alpha (see _cycle).
     """
-    record = _solved(_embedded_solve, memo, anchor, c, q, alpha, "positive")
+    phi = _solved(_embedded_solve, memo, anchor, c, q)
     if cycle_trace is not None:
-        cycle_trace.append(record)
-    return (yield from _two_legs(prices, i, anchor, snap, led, record.psi,
-                                 c))
+        cycle_trace.append(CycleRecord(anchor, c, q, alpha, "positive", phi))
+    return (yield from _two_legs(prices, i, anchor, snap, led, phi, c))
 
 
 def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
@@ -244,7 +238,7 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
                 cycle_trace: list[CycleRecord] | None = None, *,
                 c: float, q: float, alpha: float,
                 orientation: str,
-                memo: dict[float, CycleRecord] | None = None) -> Cycle:
+                memo: dict[float, StrategyVector] | None = None) -> Cycle:
     """One trend-schedule cycle from index ``i``: the two legs of
     _two_legs; if the second ended at the trend barrier (a(1+2c) for a
     positive orientation, a(1-2c) for a negative one), psi3 until the path
@@ -253,15 +247,15 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
     The positions are solve_three_leg's on the grid's increments (the
     reversal level is the anchor, so the trend and dichotomy strategies
     coincide).  Grid levels that are not strictly increasing floats raise
-    DegenerateModel.  ``memo`` is embedded_cycle's, for fixed orientation
-    too.
+    DegenerateModel.  ``memo`` is embedded_cycle's, for a fixed
+    orientation too.
     """
-    record = _solved(_trend_solve, memo, anchor, c, q, alpha, orientation)
-    if cycle_trace is not None:
-        cycle_trace.append(record)
-    psi = record.psi
-    hit = yield from _two_legs(prices, i, anchor, snap, led, psi, c)
     positive = orientation == "positive"
+    psi = _solved(_trend_solve, memo, anchor, c, q, alpha, positive)
+    if cycle_trace is not None:
+        cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
+                                       psi))
+    hit = yield from _two_legs(prices, i, anchor, snap, led, psi, c)
     if hit is None or hit[1] != (anchor * (1 + 2 * c) if positive
                                  else anchor * (1 - 2 * c)):
         return hit
@@ -281,8 +275,8 @@ def _cycle(params: GbmParams, config: StrategyConfig,
     experiment revisit few anchors (164 in 57614 embedded cycles at the
     CLI defaults); the bound cycle then solves each anchor once, in a memo
     keyed on the anchor alone, since c, q, alpha and the orientation are
-    fixed here.  Observed anchors are prices and rarely repeat, so
-    observed mode solves every cycle.
+    fixed here.  Observed anchors are prices, of which only s0 repeats
+    from run to run, so observed mode solves every cycle.
     """
     c = config.resolved_c(params.mu, params.sigma)
     memo = {} if config.execution_mode == "snap" else None

@@ -1,14 +1,15 @@
 """The chunk engine against the one-path API it must reproduce bit for bit.
 
-simulate_gbm_rows against simulate_gbm and a log-space oracle, and
-next_hits against next_hit and a first-exit oracle.
+simulate_gbm_rows against simulate_gbm and a log-space oracle, paths
+generated as a prefix and its rest against simulate_gbm, and next_hits
+against next_hit and a first-exit oracle.
 Both engines run the same cycle schedules (strategies.embedded_cycle,
 strategies.trend_cycle and the run loop), so the run-for-run tests compare
 two drivers of one schedule: run_seeded, which answers the queries with
 next_hits scans that resume cut-off queries and refill finished rows,
 against drive, which answers them with next_hit on one path.  They run
-across strategy kinds, execution modes, alpha, grid sizes, chunk sizes and
-scan lengths, through run_experiment too.
+across strategy kinds, execution modes, alpha, grid sizes, chunk sizes,
+scan lengths and prefix lengths, through run_experiment too.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ def test_prefix_points_cover_a_quarter_of_the_path_and_a_window():
 
 def test_runs_ending_before_their_path_underflows_succeed():
     # the prices fall by about 55% a step and underflow to 0 near step
-    # 950; every run ends at its first cycle, inside the generated prefix,
+    # 940; every run ends at its first cycle, inside the generated prefix,
     # so the experiment succeeds although simulate_gbm rejects the paths
     params = GbmParams(mu=-800.0, sigma=1.0, s0=2186.0, horizon=1.0,
                        n_steps=1000)

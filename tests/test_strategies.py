@@ -15,6 +15,7 @@ from statarb.errors import DegenerateModel, NoSaExists
 from statarb.gbm import GbmParams, embedded_phi, embedded_q
 from statarb.harness import ExperimentConfig, run_experiment
 from statarb.lattice import (
+    StrategyVector,
     TrendLattice,
     gfin_strategy,
     payoff,
@@ -297,7 +298,7 @@ def test_collapsed_grid_levels_raise_degenerate_model():
 def test_collapsed_embedded_grid_raises_at_every_cycle():
     # as above, for the embedded cycle; a memo stores no failed solve
     c, anchor = 1.7869141059965552e-16, 1569.3101395953286
-    memo: dict[float, CycleRecord] = {}
+    memo: dict[float, StrategyVector] = {}
     for _ in range(2):
         for cycle_memo in (None, memo):
             with pytest.raises(DegenerateModel,
