@@ -25,13 +25,12 @@ from .errors import (
     InsufficientData,
     NonMonotoneDates,
     NoSaExists,
-    NoSolution,
     ParseError,
 )
-from .gbm import embedded_q, mle_estimate, mle_from_returns
+from .gbm import embedded_q, mle_from_returns
 from .harness import write_metadata
 from .paths import PricePath, TradeLedger
-from .strategies import drive, trend_cycle
+from .strategies import drive, trend_cycle, trend_positions
 
 __all__ = [
     "DT",
@@ -122,7 +121,7 @@ class BacktestResult:
     the per-cycle traded quantities allow recomputing per-unit variants.
     `skipped` counts the cycle starts skipped by one observation, by
     reason: zero return variance in the window, or the strategy solve
-    raising NoSaExists, NoSolution or DegenerateModel.  `cutoff_pnl` is
+    raising NoSaExists or DegenerateModel.  `cutoff_pnl` is
     the P&L of the final cycle cut off by the end of data (0.0 when no
     cycle was open); it is part of total_pnl but of no CycleLog.
     """
@@ -228,10 +227,9 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     led = ledger if ledger is not None else TradeLedger()
     cycles: list[CycleLog] = []
     c = config.boundary_fraction
-    mle_estimate(closes[:n - 2], DT)  # the closes of every window
     returns = np.diff(np.log(closes))
-    skipped = {"zero_variance": 0, "NoSaExists": 0, "NoSolution": 0,
-               "DegenerateModel": 0}
+    mle_from_returns(returns[:n - 3], DT)  # the returns of every window
+    skipped = {"zero_variance": 0, "NoSaExists": 0, "DegenerateModel": 0}
     cut_from = None  # the cash before a cycle the end of data cut off
     i = window
     while i < n - 1:
@@ -242,18 +240,19 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             i += 1
             continue
         orientation = "positive" if mu_hat >= 0 else "negative"
+        positive = orientation == "positive"
         anchor = float(closes[i])
-        cash_before = led.cash
-        events_before = len(led.events)
         try:
             q = embedded_q(c, mu_hat, sigma_hat)
-            step = drive(trend_cycle(closes, i, anchor, False, led, c=c, q=q,
-                                     alpha=config.alpha,
-                                     orientation=orientation), path)
-        except (NoSaExists, NoSolution, DegenerateModel) as exc:
+            psi = trend_positions(anchor, c, q, config.alpha, positive)
+        except (NoSaExists, DegenerateModel) as exc:
             skipped[type(exc).__name__] += 1
             i += 1
             continue
+        cash_before = led.cash
+        events_before = len(led.events)
+        step = drive(trend_cycle(closes, i, anchor, False, led, psi, c=c,
+                                 positive=positive), path)
         if step is None:
             cut_from = cash_before
             break

@@ -6,20 +6,23 @@ barrier of the cycle, the whole run stops at the first cycle end with
 positive cumulative P&L, and an open position is liquidated at the horizon.
 
 The cycles are written once, as generators of barrier queries on the grid
-a(1 + k*c): embedded_cycle (two legs, solved by embedded_phi) and
-trend_cycle (three legs with a continue/reverse branch, solved from the
-grid's increments by lattice.solve_three_leg).  A snap anchor is a grid
-level, so the drivers' cycles solve each snap anchor once per experiment
-and reuse the solve (_cycle).  Each query is a corridor
+a(1 + k*c) that trade the positions they are given: embedded_cycle (two
+legs) and trend_cycle (three legs with a continue/reverse branch).  The
+positions at an anchor are solved by embedded_positions (embedded_phi)
+and trend_positions (lattice.solve_three_leg on the grid's increments).
+_cycle binds a config's solve and legs into the one cycle the drivers
+run: a snap anchor is a grid level, so there the solve is cached and each
+snap anchor is solved once per experiment, and a cycle trace, when asked
+for, is recorded there too.  Each query is a corridor
 between two barriers, and a leg ends where the path first leaves it.  The
 paper's follow-the-trend and dichotomy strategies coincide on this grid,
 where the reversal level is the anchor, so both are the one "trend" kind.
 The run loop _schedule repeats one cycle along a row of prices.  Two
 drivers answer the queries: drive with next_hit on one PricePath, for
 run_path (which accepts a ledger and a cycle trace for inspection) and for
-the backtest (which drives single trend cycles), and run_seeded with
-next_hits on many simulated paths at once, the Monte Carlo engine of the
-harness.  Both give the same results bit for bit.
+the backtest (which solves and drives single trend cycles), and
+run_seeded with next_hits on many simulated paths at once, the Monte Carlo
+engine of the harness.  Both give the same results bit for bit.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Generator, Iterable, NamedTuple
 
@@ -59,6 +62,8 @@ __all__ = [
     "RunResult",
     "StrategyConfig",
     "CycleRecord",
+    "embedded_positions",
+    "trend_positions",
     "embedded_cycle",
     "trend_cycle",
     "drive",
@@ -137,7 +142,9 @@ class CycleRecord(NamedTuple):
 # A cycle is one trading cycle written as a generator: it yields each barrier
 # query (from_index, lo, hi), the corridor of one leg, and is sent the hit as
 # (index, level), or None when the path ends first; it returns the final stop
-# (index, level), or None when the path ends before the cycle completes.  A
+# (index, level), or None when the path ends before the cycle completes.  The
+# cycle functions take the positions of the cycle; the cycle the run loop
+# calls, cycle(prices, i, anchor, snap, led), is _cycle's, which solves them.  A
 # schedule is a whole run in the same form, returning the RunResult.  Any
 # driver that answers the queries as next_hit would gets the same run bit for
 # bit: drive uses next_hit itself, run_seeded a next_hits scan of many rows
@@ -150,41 +157,27 @@ Cycle = Generator[Query, Hit | None, Hit | None]
 Schedule = Generator[Query, Hit | None, RunResult]
 
 
-def _two_legs(prices: np.ndarray, i: int, anchor: float, snap: bool,
-              led: TradeLedger, phi: StrategyVector, c: float) -> Cycle:
-    """The two legs every cycle starts with, from index ``i``: phi1 until
-    the path leaves (a(1-c), a(1+c)), then phi2+ until it leaves
-    (a, a(1+2c)), or phi2- until it leaves (a(1-2c), a).  The embedded
-    model's second step from a(1+c) also stops at a(1-2c), but a path from
-    inside (a, a(1+2c)) reaches that level only across a; mirrored alike."""
-    led.execute(i, anchor if snap else float(prices[i]),
-                phi.phi1 - led.open_position)
-    hit = yield i, anchor * (1 - c), anchor * (1 + c)
-    if hit is None:
-        return None
-    i1, l1 = hit
-    up = l1 > anchor
-    led.execute(i1, l1 if snap else float(prices[i1]),
-                (phi.phi2_up if up else phi.phi2_down) - led.open_position)
-    if up:
-        return (yield i1, anchor, anchor * (1 + 2 * c))
-    return (yield i1, anchor * (1 - 2 * c), anchor)
-
-
 def _collapsed(c: float, anchor: float) -> DegenerateModel:
     return DegenerateModel(f"grid levels collapse at c={c!r}, "
                            f"anchor={anchor!r}")
 
 
-def _embedded_solve(anchor: float, c: float, q: float) -> StrategyVector:
+def embedded_positions(anchor: float, c: float, q: float) -> StrategyVector:
+    """The positions of an embedded cycle at ``anchor``: embedded_phi.
+    Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c) that are not
+    strictly increasing floats raise DegenerateModel."""
     if not (anchor * (1 - 2 * c) < anchor * (1 - c) < anchor
             < anchor * (1 + c) < anchor * (1 + 2 * c)):
         raise _collapsed(c, anchor)
     return embedded_phi(c, anchor, q)
 
 
-def _trend_solve(anchor: float, c: float, q: float, alpha: float,
-                 positive: bool) -> StrategyVector:
+def trend_positions(anchor: float, c: float, q: float, alpha: float,
+                    positive: bool) -> StrategyVector:
+    """The positions of a trend cycle at ``anchor``: solve_three_leg's on
+    the grid's increments (the reversal level is the anchor, so the trend
+    and dichotomy strategies coincide).  Grid levels that are not strictly
+    increasing floats raise DegenerateModel."""
     s_up, s_down = anchor * (1 + c), anchor * (1 - c)
     s_uu, s_dd = anchor * (1 + 2 * c), anchor * (1 - 2 * c)
     trend = s_uu if positive else s_dd
@@ -199,63 +192,37 @@ def _trend_solve(anchor: float, c: float, q: float, alpha: float,
                            far - trend, anchor - trend, alpha, q, positive)
 
 
-def _solved(solve: Callable[..., StrategyVector],
-            memo: dict[float, StrategyVector] | None, anchor: float,
-            *args) -> StrategyVector:
-    """solve(anchor, *args), looked up in ``memo`` first when one is given.
-    Only successful solves are stored, so an anchor whose solve raises
-    raises at every cycle."""
-    if memo is None:
-        return solve(anchor, *args)
-    psi = memo.get(anchor)
-    if psi is None:
-        psi = memo[anchor] = solve(anchor, *args)
-    return psi
-
-
 def embedded_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
-                   led: TradeLedger,
-                   cycle_trace: list[CycleRecord] | None = None, *,
-                   c: float, q: float, alpha: float = 0.0,
-                   memo: dict[float, StrategyVector] | None = None,
-                   ) -> Cycle:
-    """One embedded binomial cycle from index ``i``: the two legs of
-    _two_legs with the positions of embedded_phi.  alpha is only recorded
-    in the trace.  Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c)
-    that are not strictly increasing floats raise DegenerateModel.
-
-    ``memo``, when given, keeps the positions solved at each anchor for
-    reuse by later cycles with the same c, q and alpha (see _cycle).
-    """
-    phi = _solved(_embedded_solve, memo, anchor, c, q)
-    if cycle_trace is not None:
-        cycle_trace.append(CycleRecord(anchor, c, q, alpha, "positive", phi))
-    return (yield from _two_legs(prices, i, anchor, snap, led, phi, c))
+                   led: TradeLedger, phi: StrategyVector, *,
+                   c: float) -> Cycle:
+    """One embedded binomial cycle from index ``i`` with positions ``phi``:
+    phi1 until the path leaves (a(1-c), a(1+c)), then phi2+ until it
+    leaves (a, a(1+2c)), or phi2- until it leaves (a(1-2c), a).  The
+    embedded model's second step from a(1+c) also stops at a(1-2c), but a
+    path from inside (a, a(1+2c)) reaches that level only across a;
+    mirrored alike."""
+    led.execute(i, anchor if snap else float(prices[i]),
+                phi.phi1 - led.open_position)
+    hit = yield i, anchor * (1 - c), anchor * (1 + c)
+    if hit is None:
+        return None
+    i1, l1 = hit
+    up = l1 > anchor
+    led.execute(i1, l1 if snap else float(prices[i1]),
+                (phi.phi2_up if up else phi.phi2_down) - led.open_position)
+    if up:
+        return (yield i1, anchor, anchor * (1 + 2 * c))
+    return (yield i1, anchor * (1 - 2 * c), anchor)
 
 
 def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
-                led: TradeLedger,
-                cycle_trace: list[CycleRecord] | None = None, *,
-                c: float, q: float, alpha: float,
-                orientation: str,
-                memo: dict[float, StrategyVector] | None = None) -> Cycle:
-    """One trend-schedule cycle from index ``i``: the two legs of
-    _two_legs; if the second ended at the trend barrier (a(1+2c) for a
-    positive orientation, a(1-2c) for a negative one), psi3 until the path
-    leaves (a, a(1+4c)), mirrored (a(1-4c), a).
-
-    The positions are solve_three_leg's on the grid's increments (the
-    reversal level is the anchor, so the trend and dichotomy strategies
-    coincide).  Grid levels that are not strictly increasing floats raise
-    DegenerateModel.  ``memo`` is embedded_cycle's, for a fixed
-    orientation too.
-    """
-    positive = orientation == "positive"
-    psi = _solved(_trend_solve, memo, anchor, c, q, alpha, positive)
-    if cycle_trace is not None:
-        cycle_trace.append(CycleRecord(anchor, c, q, alpha, orientation,
-                                       psi))
-    hit = yield from _two_legs(prices, i, anchor, snap, led, psi, c)
+                led: TradeLedger, psi: StrategyVector, *, c: float,
+                positive: bool) -> Cycle:
+    """One trend-schedule cycle from index ``i`` with positions ``psi``:
+    the two legs of embedded_cycle; if the second ended at the trend
+    barrier (a(1+2c) when ``positive``, a(1-2c) otherwise), psi3 until the
+    path leaves (a, a(1+4c)), mirrored (a(1-4c), a)."""
+    hit = yield from embedded_cycle(prices, i, anchor, snap, led, psi, c=c)
     if hit is None or hit[1] != (anchor * (1 + 2 * c) if positive
                                  else anchor * (1 - 2 * c)):
         return hit
@@ -267,26 +234,44 @@ def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
     return (yield i2, anchor * (1 - 4 * c), anchor)
 
 
-def _cycle(params: GbmParams, config: StrategyConfig,
-           q: float) -> Callable[..., Cycle]:
-    """The cycle of a strategy config, with its fixed arguments bound.
+def _cycle(params: GbmParams, config: StrategyConfig, q: float,
+           trace: list[CycleRecord] | None = None) -> Callable[..., Cycle]:
+    """The cycle of a strategy config, called as
+    cycle(prices, i, anchor, snap, led): it solves the positions at the
+    anchor, appends a CycleRecord to ``trace`` when one is given, and
+    trades the legs.
 
     In snap mode every anchor is a grid level, so a run and the runs of an
     experiment revisit few anchors (164 in 57614 embedded cycles at the
-    CLI defaults); the bound cycle then solves each anchor once, in a memo
-    keyed on the anchor alone, since c, q, alpha and the orientation are
-    fixed here.  Observed anchors are prices, of which only s0 repeats
+    CLI defaults); the solve, whose c, q, alpha and orientation are bound
+    here, is then a functools.cache on the anchor, which stores no solve
+    that raised.  Observed anchors are prices, of which only s0 repeats
     from run to run, so observed mode solves every cycle.
     """
     c = config.resolved_c(params.mu, params.sigma)
-    memo = {} if config.execution_mode == "snap" else None
-    if config.kind == "embedded" or config.alpha == 1.0:
+    alpha = config.alpha
+    if config.kind == "embedded" or alpha == 1.0:
         # the trend leg carries no position at alpha = 1: the embedded run
-        return partial(embedded_cycle, c=c, q=q, alpha=config.alpha,
-                       memo=memo)
-    return partial(trend_cycle, c=c, q=q, alpha=config.alpha,
-                   orientation="positive" if params.mu >= 0 else "negative",
-                   memo=memo)
+        orientation = "positive"
+        solve = partial(embedded_positions, c=c, q=q)
+        legs = partial(embedded_cycle, c=c)
+    else:
+        positive = params.mu >= 0
+        orientation = "positive" if positive else "negative"
+        solve = partial(trend_positions, c=c, q=q, alpha=alpha,
+                        positive=positive)
+        legs = partial(trend_cycle, c=c, positive=positive)
+    if config.execution_mode == "snap":
+        solve = cache(solve)
+
+    def cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
+              led: TradeLedger) -> Cycle:
+        psi = solve(anchor)
+        if trace is not None:
+            trace.append(CycleRecord(anchor, c, q, alpha, orientation, psi))
+        return legs(prices, i, anchor, snap, led, psi)
+
+    return cycle
 
 
 def _last_mark(ledger: TradeLedger, anchor: float) -> float:
@@ -294,8 +279,7 @@ def _last_mark(ledger: TradeLedger, anchor: float) -> float:
 
 
 def _schedule(prices: np.ndarray, cycle: Callable[..., Cycle], snap: bool,
-              led: TradeLedger,
-              cycle_trace: list[CycleRecord] | None = None) -> Schedule:
+              led: TradeLedger) -> Schedule:
     """A run on one row of prices: cycles anchored where the previous one
     stopped, each liquidated at its stop, until the first positive P&L or
     the horizon, where an open position is liquidated."""
@@ -304,7 +288,7 @@ def _schedule(prices: np.ndarray, cycle: Callable[..., Cycle], snap: bool,
     anchor = float(prices[0])
     i = 0
     while i < n - 1:
-        stop = yield from cycle(prices, i, anchor, snap, led, cycle_trace)
+        stop = yield from cycle(prices, i, anchor, snap, led)
         if stop is None:
             break
         i, level = stop
@@ -345,9 +329,9 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
     c = config.resolved_c(params.mu, params.sigma)
     q = embedded_q(c, params.mu, params.sigma)
     led = ledger if ledger is not None else TradeLedger()
-    return drive(_schedule(path.prices, _cycle(params, config, q),
-                           config.execution_mode == "snap", led,
-                           cycle_trace), path)
+    cycle = _cycle(params, config, q, cycle_trace)
+    return drive(_schedule(path.prices, cycle,
+                           config.execution_mode == "snap", led), path)
 
 
 # ---------------------------------------------------------------------------

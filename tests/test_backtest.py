@@ -34,7 +34,7 @@ from statarb.errors import (
     NonMonotoneDates,
     ParseError,
 )
-from statarb.gbm import GbmParams, mle_estimate
+from statarb.gbm import GbmParams, mle_estimate, mle_from_returns
 from statarb.paths import TradeLedger, simulate_gbm
 
 START = datetime.date(2000, 1, 3)
@@ -240,16 +240,16 @@ def test_insufficient_data():
 def test_constant_series_degenerates_before_any_window(monkeypatch):
     calls = []
 
-    def counted(closes, dt):
-        calls.append(len(closes))
-        return mle_estimate(closes, dt)
+    def counted(returns, dt):
+        calls.append(len(returns))
+        return mle_from_returns(returns, dt)
 
-    monkeypatch.setattr(backtest, "mle_estimate", counted)
+    monkeypatch.setattr(backtest, "mle_from_returns", counted)
     series = MarketSeries(daily_dates(2000), np.full(2000, 50.0))
     with pytest.raises(DegenerateSeries, match="return variance is zero"):
         run_backtest(series, BacktestConfig(boundary_fraction=0.1,
                                             window_days=60))
-    assert calls == [1998]  # one estimate over the closes of all windows
+    assert calls == [1997]  # one estimate over the returns of all windows
 
 
 def test_constant_series_degenerates():
@@ -352,7 +352,7 @@ def test_critical_drift_windows_are_skipped():
     assert res.total_pnl == 0.0 and res.gpta == 0.0
     assert led.events == []
     assert res.skipped == {"zero_variance": 0, "NoSaExists": 81 - 1 - 61,
-                           "NoSolution": 0, "DegenerateModel": 0}
+                           "DegenerateModel": 0}
 
 
 def test_collapsed_grid_at_one_anchor_is_skipped():

@@ -576,7 +576,7 @@ def test_backtest_reports_skips_and_cutoff_on_stderr(capsys):
     result = run_backtest(load_csv(data), BacktestConfig(0.02))
     assert result.cutoff_pnl != 0.0
     assert err == ("statarb: skipped windows: zero_variance=0 NoSaExists=0 "
-                   "NoSolution=0 DegenerateModel=0\n"
+                   "DegenerateModel=0\n"
                    f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}\n")
 
 

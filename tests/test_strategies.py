@@ -1,6 +1,7 @@
 """Tests for run_path, the cycles it drives and their ledgers."""
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from statarb.errors import DegenerateModel, NoSaExists
 from statarb.gbm import GbmParams, embedded_phi, embedded_q
 from statarb.harness import ExperimentConfig, run_experiment
 from statarb.lattice import (
-    StrategyVector,
     TrendLattice,
     gfin_strategy,
     payoff,
@@ -29,10 +29,10 @@ from statarb.strategies import (
     CycleRecord,
     RunResult,
     StrategyConfig,
-    embedded_cycle,
+    embedded_positions,
     run_path,
     run_seeded,
-    trend_cycle,
+    trend_positions,
 )
 
 MU, SIGMA = 0.3, 0.2
@@ -248,11 +248,8 @@ def test_alpha_one_reduces_to_embedded():
 
 
 def grid_solve(anchor, c, orientation, alpha, q):
-    """The positions trend_cycle solves for its cycle at ``anchor``."""
-    trace: list[CycleRecord] = []
-    next(trend_cycle(np.array([anchor]), 0, anchor, True, TradeLedger(),
-                     trace, c=c, q=q, alpha=alpha, orientation=orientation))
-    return trace[0].psi
+    """The positions of a trend cycle at ``anchor``."""
+    return trend_positions(anchor, c, q, alpha, orientation == "positive")
 
 
 def outcome(solve, *args, **kwargs):
@@ -295,18 +292,29 @@ def test_collapsed_grid_levels_raise_degenerate_model():
         grid_solve(anchor, c, "positive", 0.0, 1.2)
 
 
-def test_collapsed_embedded_grid_raises_at_every_cycle():
-    # as above, for the embedded cycle; a memo stores no failed solve
+def test_collapsed_embedded_grid_raises_at_every_cycle(monkeypatch):
+    # as above, for the embedded cycle; the snap cache stores no failed
+    # solve
     c, anchor = 1.7869141059965552e-16, 1569.3101395953286
-    memo: dict[float, StrategyVector] = {}
+    caches = []
+
+    def recorded_cache(solve):
+        caches.append(functools.cache(solve))
+        return caches[-1]
+
+    monkeypatch.setattr(strategies, "cache", recorded_cache)
+    cycles = [strategies._cycle(PARAMS, econfig(c=c, execution_mode=mode),
+                                1.2) for mode in MODES]
+    assert len(caches) == 1  # snap mode's solve only
     for _ in range(2):
-        for cycle_memo in (None, memo):
+        with pytest.raises(DegenerateModel,
+                           match=f"c={c!r}.*anchor={anchor!r}"):
+            embedded_positions(anchor, c, 1.2)
+        for cycle in cycles:
             with pytest.raises(DegenerateModel,
                                match=f"c={c!r}.*anchor={anchor!r}"):
-                next(embedded_cycle(np.array([anchor]), 0, anchor, True,
-                                    TradeLedger(), c=c, q=1.2,
-                                    memo=cycle_memo))
-    assert memo == {}
+                cycle(np.array([anchor]), 0, anchor, True, TradeLedger())
+    assert caches[0].cache_info().currsize == 0
 
 
 def count_calls(monkeypatch, name):
@@ -362,9 +370,7 @@ def test_memo_leaves_the_trace_and_the_run_unchanged(kind, monkeypatch):
     calls = count_calls(monkeypatch, SOLVES[kind])
     memoised = run()
     assert len(calls) < len(memoised[2])  # anchors repeat
-    monkeypatch.setattr(strategies, "_solved",
-                        lambda solve, memo, anchor, *args:
-                        solve(anchor, *args))
+    monkeypatch.setattr(strategies, "cache", lambda solve: solve)
     assert run() == memoised
 
 
