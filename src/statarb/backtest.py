@@ -239,8 +239,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             skipped["zero_variance"] += 1
             i += 1
             continue
-        orientation = "positive" if mu_hat >= 0 else "negative"
-        positive = orientation == "positive"
+        positive = mu_hat >= 0
+        orientation = "positive" if positive else "negative"
         anchor = float(closes[i])
         try:
             q = embedded_q(c, mu_hat, sigma_hat)
