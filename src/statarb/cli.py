@@ -114,11 +114,13 @@ def _add_simulation_flags(sp: argparse.ArgumentParser) -> None:
                     help="strategy kind; gfin (the dichotomy strategy) is an "
                          "alias of trend, which it equals on the barrier "
                          "grid (default %(default)s)")
-    sp.add_argument("--c-mult", type=float, default=None, dest="c_mult",
-                    help="barrier step as a multiple of mu/sigma "
-                         "(default 0.01 when --c is absent)")
-    sp.add_argument("--c", type=float, default=None,
-                    help="fixed relative barrier step (excludes --c-mult)")
+    # rejected together at parse time, so the message names both flags
+    step = sp.add_mutually_exclusive_group()
+    step.add_argument("--c-mult", type=float, default=None, dest="c_mult",
+                      help="barrier step as a multiple of mu/sigma "
+                           "(default 0.01 when --c is absent)")
+    step.add_argument("--c", type=float, default=None,
+                      help="fixed relative barrier step (excludes --c-mult)")
     sp.add_argument("--alpha", type=float, default=0.0,
                     help="trend-reversal target gain (default %(default)s)")
     sp.add_argument("--mode", choices=MODES, default="snap",

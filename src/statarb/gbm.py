@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, InvalidInterval, NoSaExists
+from .errors import (DegenerateModel, DegenerateSeries, InvalidInterval,
+                     NoSaExists)
 from .lattice import EPS_TOL, StrategyVector
 
 # switch to the nu -> 0 limit of the exit-probability formula below this
@@ -154,6 +155,9 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     outcome the second step resolves at (s0, s0*(1+2c)) respectively
     (s0*(1-2c), s0).  The anchor price cancels, so everything is computed
     on the normalized grid 1 + k*c, whose levels must be distinct floats.
+    When a probability product underflows (a drift mu/sigma^2 far beyond
+    1/c either way), so that q is 0 or not finite, DegenerateModel is
+    raised.
     """
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
@@ -165,7 +169,13 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     p_up1 = exit_prob_upper(1.0, 1.0 - c, 1.0 + c, mu, sigma)
     p_mid_up = exit_prob_lower(1.0 + c, 1.0, 1.0 + 2.0 * c, mu, sigma)
     p_mid_down = exit_prob_upper(1.0 - c, 1.0 - 2.0 * c, 1.0, mu, sigma)
-    return (p_up1 * p_mid_up) / (p_down1 * p_mid_down)
+    up, down = p_up1 * p_mid_up, p_down1 * p_mid_down
+    q = up / down if up > 0.0 and down > 0.0 else 0.0
+    if not 0.0 < q < math.inf:
+        raise DegenerateModel(f"q = {up!r} / {down!r} at c={c!r}, "
+                              f"mu={mu!r}, sigma={sigma!r}: an exit "
+                              "probability product underflows")
+    return q
 
 
 def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
@@ -178,7 +188,7 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
         phi2- = -3q(c s0)^2 / D,   D = 2(q-1)(c s0)^3.
 
     Raises NoSaExists when q is (numerically) 1, where no such strategy
-    exists, and ValueError when D underflows to 0.
+    exists, and ValueError when (c s0)^3 underflows to 0 or overflows.
     """
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
@@ -187,7 +197,11 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
     if abs(q - 1.0) <= EPS_TOL:
         raise NoSaExists(f"embedded model admits no strategy at q={q!r}")
     step = c * s0_anchor
-    d = 2.0 * (q - 1.0) * step ** 3
+    try:
+        d = 2.0 * (q - 1.0) * step ** 3
+    except OverflowError:
+        raise ValueError(f"s0={s0_anchor!r} is too large for c={c!r}: "
+                         "(c*s0)^3 overflows") from None
     if d == 0.0:
         raise ValueError(f"s0={s0_anchor!r} is too small for c={c!r}: "
                          "(c*s0)^3 underflows to 0")

@@ -3,8 +3,8 @@ and the CSV writers of the per-run and sweep tables.
 
 A single experiment simulates ``n_runs`` independent GBM paths and applies
 one strategy to each.  The runs go through ``strategies.run_seeded``, which
-holds ``paths.chunk_rows`` paths at a time in one price matrix of at most
-``paths.CHUNK_BYTES``.  Per-run streams are
+holds ``paths.chunk_rows`` paths at a time in one ``paths.PathBlock``, a
+price matrix of at most ``paths.CHUNK_BYTES``.  Per-run streams are
 ``np.random.SeedSequence([master_seed, axis_index, run_index])`` turned into
 a 64-bit seed, then ``np.random.default_rng(seed)``, so results are
 reproducible, independent of chunking, and independent across both runs and
@@ -15,7 +15,7 @@ per axis value with the axis position as the salt, so a single-value sweep
 reproduces a plain experiment bit for bit.  Run k of an experiment equals
 ``strategies.run_path`` on ``paths.simulate_gbm(params, seed)`` with
 ``seed = seeding.run_seeds(master_seed, axis_index, range(k, k + 1))[0]``
-for every seed whose path ``simulate_gbm`` accepts.  ``run_seeded``
+for every seed whose path ``simulate_gbm`` accepts.  The ``PathBlock``
 generates the points of a path as its scans reach them, and checks for
 underflow only the points it generates, so a run that ends before its
 path would underflow to 0 no longer fails the experiment, while

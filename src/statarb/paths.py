@@ -7,15 +7,14 @@ predicate on Python floats (legs are short, so a per-call numpy pass would
 cost more than the scan), and TradeLedger accumulates the mark-to-market
 P&L of position changes executed along the way.
 
-simulate_gbm_rows and next_hits are the same two operations for a block of
-paths held as the rows of one price matrix: row k of the matrix is the path
-simulate_gbm would give for seed k, and next_hits answers one next_hit
-query per row with a single vectorised scan of at most SCAN_SEGMENTS
-segments.  Their results equal the one-path functions bit for bit.
-CHUNK_BYTES bounds the memory of both.  extend_gbm_rows is the one
-generator behind them; it continues paths from their generators and last
-log prices, so a block can be generated a part of its columns at a time
-(prefix_points) with the same bits.
+A PathBlock holds the paths of a block of runs as the rows of one price
+matrix of at most CHUNK_BYTES.  It generates each row as a prefix of
+prefix_points(n_steps) points and the rest only when a scan reaches it,
+both with extend_gbm_rows, which continues a path from its generator and
+last log price with the same bits; and it answers one query per row with
+next_hits, one vectorised window of at most SCAN_SEGMENTS segments,
+resuming the queries a window leaves unanswered.  Row k and its hits equal
+simulate_gbm's path for seed k and next_hit's hits on it, bit for bit.
 """
 from __future__ import annotations
 
@@ -28,6 +27,7 @@ from .gbm import GbmParams
 
 __all__ = [
     "PricePath",
+    "PathBlock",
     "HitEvent",
     "TradeLedger",
     "CHUNK_BYTES",
@@ -36,7 +36,6 @@ __all__ = [
     "prefix_points",
     "simulate_gbm",
     "extend_gbm_rows",
-    "simulate_gbm_rows",
     "next_hit",
     "next_hits",
 ]
@@ -81,8 +80,8 @@ CHUNK_BYTES = 384 * 1024
 
 
 # Grid segments a next_hits query scans past its start point before it
-# returns without a hit; the caller resumes it at the next point, so one long
-# leg does not hold up the other rows' scans.  next_hit reads its path in
+# returns without a hit; PathBlock.scan resumes it at the next point, so one
+# long leg does not hold up the other rows' scans.  next_hit reads its path in
 # blocks of this many points, converted to Python floats one block at a
 # time, so a short leg converts little.
 # At the CLI defaults a leg takes 36 segments on average.  In 30 paired
@@ -99,11 +98,11 @@ def chunk_rows(n_steps: int) -> int:
 
 
 def prefix_points(n_steps: int) -> int:
-    """Points of a row that run_seeded generates when it fills the row:
-    enough that every scan starting at or before index n_steps // 4 reads
-    generated points only, and at most the whole row.  A run's last scan
-    starts at a point that scales with the steps per year, and reads
-    SCAN_SEGMENTS points past it.
+    """Points of a row that PathBlock.fill generates: enough that every
+    scan starting at or before index n_steps // 4 reads generated points
+    only, and at most the whole row.  A run's last scan starts at a point
+    that scales with the steps per year, and reads SCAN_SEGMENTS points
+    past it.
     At 1000 steps (2-core x86-64 VM, CPU time, 2000 runs, interleaved
     rounds against whole rows) n_steps // 4 gave a median 1.18x on embedded
     snap, n_steps // 8 1.19x and n_steps // 2 1.06x; trend observed, which
@@ -149,26 +148,12 @@ def extend_gbm_rows(params: GbmParams,
     return prices, log_price
 
 
-def simulate_gbm_rows(
-        params: GbmParams,
-        seeds: Sequence[int | np.random.bit_generator.ISeedSequence],
-        ) -> np.ndarray:
-    """Simulate one GBM path per seed as the rows of a price matrix of shape
-    (len(seeds), n_steps + 1): extend_gbm_rows from s0 with the generator
-    np.random.default_rng(seeds[k]) for row k.
-
-    The same (params, seed) always produces the identical row whatever
-    block it is simulated in.  A seed is an int or a seed object
-    default_rng accepts, such as the harness's batched seeding.RunStream.
-    """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    return extend_gbm_rows(params, rngs, np.zeros(len(rngs)),
-                           params.n_steps + 1)[0]
-
-
 def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
-    """The path of simulate_gbm_rows(params, [seed])."""
-    return PricePath(simulate_gbm_rows(params, [seed])[0])
+    """One GBM path: extend_gbm_rows from s0 with the generator
+    np.random.default_rng(seed), n_steps + 1 points."""
+    rng = np.random.default_rng(seed)
+    return PricePath(extend_gbm_rows(params, [rng], np.zeros(1),
+                                     params.n_steps + 1)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +231,78 @@ def next_hits(prices: np.ndarray, rows: Sequence[int],
     index = np.where(got, start + first, -1)
     level = np.where(got, np.where(below[queries, first], lo, hi), np.nan)
     return index, level
+
+
+# ---------------------------------------------------------------------------
+# path blocks
+# ---------------------------------------------------------------------------
+
+
+class PathBlock:
+    """The GBM paths of a block of runs, as the rows of one price matrix,
+    and the barrier scans on them.
+
+    Most runs end early, so fill generates only the first
+    prefix_points(n_steps) points of a row.  The row keeps its generator
+    and the log price of its last point, and scan generates the rest
+    before the first window that reads past the prefix, with the same
+    bits.  Prices are checked for underflow as they are generated, so a
+    run that ends before its path would underflow to 0 does not fail,
+    while simulate_gbm rejects that path.
+    """
+
+    def __init__(self, params: GbmParams, n_rows: int) -> None:
+        self._params = params
+        self._prefix = prefix_points(params.n_steps)
+        self.prices = np.empty((n_rows, params.n_steps + 1))
+        self._rngs = np.empty(n_rows, dtype=object)  # each row's Generator
+        self._log_price = np.zeros(n_rows)  # at the last point of a prefix
+        # the last start index whose scan window reads only generated points
+        self._covered = np.zeros(n_rows, dtype=np.intp)
+
+    def fill(self, rows: Sequence[int],
+             seeds: Sequence[int | np.random.bit_generator.ISeedSequence],
+             ) -> None:
+        """Start row rows[k] on the path of np.random.default_rng(seeds[k])
+        (a seed default_rng accepts, such as a seeding.RunStream)."""
+        prefix, n_points = self._prefix, self.prices.shape[1]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.prices[rows, :prefix], self._log_price[rows] = extend_gbm_rows(
+            self._params, rngs, np.zeros(len(rngs)), prefix)
+        self._covered[rows] = (prefix - 1 - SCAN_SEGMENTS
+                               if prefix < n_points else n_points)
+        self._rngs[rows] = rngs
+
+    def scan(self, pending: dict[int, tuple[int, float, float]],
+             ) -> list[tuple[int, tuple[int, float] | None]]:
+        """One next_hits window for the query (from_index, lo, hi) of each
+        row in ``pending``.  A query the window leaves unanswered short of
+        the path end is moved, in place, to its first untested point; the
+        others are returned as (row, (index, level)), or (row, None) when
+        the path ends inside the corridor."""
+        n_points = self.prices.shape[1]
+        rows = np.fromiter(pending, dtype=np.intp, count=len(pending))
+        starts, lo, hi = zip(*pending.values())
+        start_at = np.array(starts, dtype=np.intp)
+        late = rows[start_at > self._covered[rows]]
+        if late.size:
+            # the rest starts at the last prefix point, which it recomputes
+            # bit for bit
+            self.prices[late, self._prefix - 1:] = extend_gbm_rows(
+                self._params, self._rngs[late],
+                self._log_price[late], n_points - self._prefix + 1)[0]
+            self._covered[late] = n_points
+        index, level = next_hits(self.prices, rows, start_at, lo, hi)
+        answered = []
+        for r, k, i, lvl in zip(rows.tolist(), starts, index.tolist(),
+                                level.tolist()):
+            if i >= 0:
+                answered.append((r, (i, lvl)))
+            elif k + SCAN_SEGMENTS < n_points - 1:
+                pending[r] = (k + SCAN_SEGMENTS + 1, *pending[r][1:])
+            else:
+                answered.append((r, None))
+        return answered
 
 
 # ---------------------------------------------------------------------------

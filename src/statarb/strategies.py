@@ -21,8 +21,9 @@ The run loop _schedule repeats one cycle along a row of prices.  Two
 drivers answer the queries: drive with next_hit on one PricePath, for
 run_path (which accepts a ledger and a cycle trace for inspection) and for
 the backtest (which solves and drives single trend cycles), and
-run_seeded with next_hits on many simulated paths at once, the Monte Carlo
-engine of the harness.  Both give the same results bit for bit.
+run_seeded with the scans of a paths.PathBlock of many simulated paths,
+the Monte Carlo engine of the harness.  Both give the same results bit
+for bit.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -47,16 +48,7 @@ import numpy as np
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import StrategyVector, solve_three_leg
-from .paths import (
-    SCAN_SEGMENTS,
-    PricePath,
-    TradeLedger,
-    chunk_rows,
-    extend_gbm_rows,
-    next_hit,
-    next_hits,
-    prefix_points,
-)
+from .paths import PathBlock, PricePath, TradeLedger, chunk_rows, next_hit
 
 __all__ = [
     "RunResult",
@@ -147,7 +139,7 @@ class CycleRecord(NamedTuple):
 # calls, cycle(prices, i, anchor, snap, led), is _cycle's, which solves them.  A
 # schedule is a whole run in the same form, returning the RunResult.  Any
 # driver that answers the queries as next_hit would gets the same run bit for
-# bit: drive uses next_hit itself, run_seeded a next_hits scan of many rows
+# bit: drive uses next_hit itself, run_seeded a PathBlock scan of many rows
 # at once.  Each leg starts from the level where the previous one ended,
 # strictly inside its corridor, so its first exit is also the first touch or
 # crossing of a barrier by the segments from that level.
@@ -303,16 +295,23 @@ def _schedule(prices: np.ndarray, cycle: Callable[..., Cycle], snap: bool,
     return RunResult(pnl, n_rep, len(led.events), "Horizon")
 
 
+def _advance(schedule: Generator[Query, Hit | None, object],
+             hit: Hit | None) -> tuple[Query | None, object]:
+    """Send a hit (None to start): its next query, or None and its result."""
+    try:
+        return schedule.send(hit), None
+    except StopIteration as stop:
+        return None, stop.value
+
+
 def drive(schedule: Generator[Query, Hit | None, object],
           path: PricePath):
     """Answer the queries of a schedule or a cycle on ``path`` with
     next_hit; returns what the generator returns."""
-    try:
-        query = next(schedule)
-        while True:
-            query = schedule.send(next_hit(path, *query))
-    except StopIteration as stop:
-        return stop.value
+    query, result = _advance(schedule, None)
+    while query is not None:
+        query, result = _advance(schedule, next_hit(path, *query))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -339,107 +338,51 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
 # ---------------------------------------------------------------------------
 
 
-def _advance(schedule: Schedule, hit: Hit | None,
-             ) -> tuple[Query | None, RunResult | None]:
-    """Send a hit to a schedule: its next query, or its result."""
-    try:
-        return schedule.send(hit), None
-    except StopIteration as stop:
-        return None, stop.value
-
-
 def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
                seeds: Iterable[int | np.random.bit_generator.ISeedSequence],
                ) -> list[RunResult]:
     """Run the strategy on the GBM path of each seed; result k equals
     run_path on simulate_gbm(params, s), with s = seeds[k] for an int seed
     and, for a seeding.RunStream, the int seed its words derive from,
-    whenever simulate_gbm accepts that path.  The seeds are those of
-    simulate_gbm_rows.
+    whenever simulate_gbm accepts that path.
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
-    are the rows of one price matrix of chunk_rows(n_steps) rows, at most
-    CHUNK_BYTES of prices.  In each step one next_hits scan of at most
-    SCAN_SEGMENTS segments answers the pending corridor queries of all
-    rows, and the runs that got a hit (or reached the path end) advance to
-    their next query.  The rows of finished runs are then refilled with the
-    next seeds' paths, so that the scans stay wide until the seeds run out.
-    The per-cycle strategy solves stay scalar Python calls, because
-    vectorised power and division kernels may round differently.
-
-    Most runs end early, so a row is filled with the first
-    prefix_points(n_steps) points of its path only.  The row keeps its
-    generator and last log price, and the rest of the path is generated,
-    for all such rows of a step in one call, before the first scan whose
-    window reads past the prefix.  The split changes no bit of a path, but
-    an underflow to 0 in the part no scan reads no longer fails the run.
+    of chunk_rows(n_steps) runs at a time are the rows of one PathBlock.
+    Each of its scans answers or moves on the pending corridor queries of
+    all rows, and the runs that got an answer advance to their next query.
+    The rows of finished runs are then refilled with the next seeds'
+    paths, so that the scans stay wide until the seeds run out.  The
+    per-cycle strategy solves stay scalar Python calls, because vectorised
+    power and division kernels may round differently.
     """
     cycle = _cycle(params, config, q)
     snap = config.execution_mode == "snap"
-    n_points = params.n_steps + 1
-    prefix = prefix_points(params.n_steps)
     rows = chunk_rows(params.n_steps)
+    block = PathBlock(params, rows)
     seeds = iter(seeds)
-    batch = list(islice(seeds, rows))
-    prices = np.empty((len(batch), n_points))
-    rngs: list[np.random.Generator | None] = [None] * len(batch)
-    log_price = np.zeros(len(batch))  # at the last point of each prefix
-    # the last start index whose scan window reads only generated points
-    covered = np.zeros(len(batch), dtype=np.intp)
     results: list[RunResult | None] = []
-    owner = [0] * len(batch)  # the position in results of each row's run
-    schedules: list[Schedule | None] = [None] * len(batch)
+    owner = [0] * rows  # the position in results of each row's run
+    schedules: list[Schedule | None] = [None] * rows
     pending: dict[int, Query] = {}
-
-    def fill(filled: list[int], batch: list) -> None:
-        new_rngs = [np.random.default_rng(seed) for seed in batch]
-        prices[filled, :prefix], log_price[filled] = extend_gbm_rows(
-            params, new_rngs, np.zeros(len(batch)), prefix)
-        covered[filled] = (prefix - 1 - SCAN_SEGMENTS if prefix < n_points
-                           else n_points)
-        for r, rng in zip(filled, new_rngs):
-            rngs[r] = rng
-            owner[r] = len(results)
-            results.append(None)
-            schedules[r] = _schedule(prices[r], cycle, snap, TradeLedger())
-            pending[r] = next(schedules[r])
-
-    def complete(late: np.ndarray) -> None:
-        # the rest starts at the last prefix point, which it recomputes
-        # bit for bit
-        prices[late, prefix - 1:] = extend_gbm_rows(
-            params, [rngs[r] for r in late], log_price[late],
-            n_points - prefix + 1)[0]
-        covered[late] = n_points
-
-    fill(list(range(len(batch))), batch)
-    free: list[int] = []
-    more = len(batch) == rows
-    while pending:
-        scanned = np.fromiter(pending, dtype=np.intp, count=len(pending))
-        starts, lo, hi = zip(*pending.values())
-        start_at = np.array(starts, dtype=np.intp)
-        late = start_at > covered[scanned]
-        if late.any():
-            complete(scanned[late])
-        index, level = next_hits(prices, scanned, start_at, lo, hi)
-        for r, k, i, lvl in zip(scanned.tolist(), starts, index.tolist(),
-                                level.tolist()):
-            if i < 0 and k + SCAN_SEGMENTS < n_points - 1:
-                # no hit yet: the scan resumes after this window
-                pending[r] = (k + SCAN_SEGMENTS + 1, *pending[r][1:])
-                continue
-            query, result = _advance(schedules[r],
-                                     None if i < 0 else (i, lvl))
+    free = list(range(rows))
+    while True:
+        batch = list(islice(seeds, len(free)))
+        if batch:
+            filled, free = free[:len(batch)], free[len(batch):]
+            block.fill(filled, batch)
+            for r in filled:
+                owner[r] = len(results)
+                results.append(None)
+                schedules[r] = _schedule(block.prices[r], cycle, snap,
+                                         TradeLedger())
+                pending[r] = next(schedules[r])
+        if not pending:
+            return results
+        for r, hit in block.scan(pending):
+            query, result = _advance(schedules[r], hit)
             if query is None:
                 del pending[r]
                 results[owner[r]] = result
                 free.append(r)
             else:
                 pending[r] = query
-        if more and free:
-            batch = list(islice(seeds, len(free)))
-            more = len(batch) == len(free)
-            filled, free = free[:len(batch)], free[len(batch):]
-            fill(filled, batch)
-    return results

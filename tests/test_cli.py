@@ -268,10 +268,14 @@ def test_count_flag_out_of_range_names_the_flag(command, flag, value, low,
 
 
 def test_simulate_c_and_c_mult_conflict_exits_1(capsys):
-    code, _, err = run_cli(["simulate", *SIM_ARGS, "--c", "0.01",
-                            "--c-mult", "0.01"], capsys)
-    assert code == 1
-    assert err
+    # rejected at parse time, naming both flags, by simulate and sweep
+    for command in (["simulate"], ["sweep", "--axis", "c", "--values", "0.1"]):
+        code, out, err = run_cli([*command, *SIM_ARGS, "--c", "0.01",
+                                  "--c-mult", "0.01"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"statarb {command[0]}: error: argument --c-mult: not allowed "
+            "with argument --c")
 
 
 def test_simulate_all_runs_skipped_exits_4(capsys):
@@ -346,12 +350,26 @@ def test_embedded_grid_collapsed_at_s0_exits_1(mode, capsys):
 
 @pytest.mark.parametrize("kind", ["embedded", "trend"])
 def test_simulate_tiny_s0_names_s0_and_c(kind, capsys):
-    # (c * s0)^3 underflows to 0 in the embedded closed form
-    code, out, err = run_cli(["simulate", *SIM_ARGS, "--strategy", kind,
-                              "--s0", "1e-110"], capsys)
+    # (c * s0)^3 underflows to 0, or overflows, in the embedded closed form
+    for s0, message in (("1e-110", "s0=1e-110 is too small for c="),
+                        ("1e110", "s0=1e+110 is too large for c=")):
+        code, out, err = run_cli(["simulate", *SIM_ARGS, "--strategy", kind,
+                                  "--s0", s0], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"statarb: {message}")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mu", ["1", "-1"])
+def test_simulate_underflowing_exit_probabilities_exit_1(mu, capsys):
+    # at mu/sigma^2 = +-1e4 and c = 0.4 both exit-probability products of
+    # embedded_q underflow to 0
+    code, out, err = run_cli(["simulate", "--mu", mu, "--sigma", "0.01",
+                              "--c", "0.4", "--runs", "3", "--steps", "10"],
+                             capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("statarb: s0=1e-110 is too small for c=")
-    assert "Traceback" not in err
+    assert err == (f"statarb: q = 0.0 / 0.0 at c=0.4, mu={float(mu)!r}, "
+                   "sigma=0.01: an exit probability product underflows\n")
 
 
 # ------------------------------------------------------------------- sweep
@@ -551,6 +569,30 @@ def test_backtest_constant_series_exits_1(capsys, tmp_path):
     code, out, err = run_cli(["backtest", "--data", str(flat),
                               "--boundary", "0.10"], capsys)
     assert (code, out, err) == (1, "", "statarb: return variance is zero\n")
+
+
+def test_backtest_skips_windows_whose_exit_probabilities_underflow(
+        capsys, tmp_path):
+    # a smooth trend: daily log-return 0.002 + 1e-5 N(0, 1) estimates
+    # mu/sigma^2 near 1e4, where embedded_q's products underflow
+    import datetime
+
+    returns = 0.002 + 1e-5 * np.random.default_rng(0).standard_normal(1199)
+    closes = 100.0 * np.exp(np.r_[0.0, np.cumsum(returns)])
+    smooth = tmp_path / "smooth.csv"
+    rows = [f"{datetime.date(2000, 1, 1) + datetime.timedelta(days=i)},"
+            f"{float(close)!r}" for i, close in enumerate(closes)]
+    smooth.write_text("date,close\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(["backtest", "--data", str(smooth),
+                              "--boundary", "0.02"], capsys)
+    assert code == 0
+    json.loads(out)
+    line = err.splitlines()[0]
+    assert line.startswith("statarb: skipped windows: ")
+    skipped = dict(item.split("=") for item in line.rpartition(": ")[2]
+                   .split())
+    assert int(skipped["DegenerateModel"]) > 0
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -1,12 +1,13 @@
 """The chunk engine against the one-path API it must reproduce bit for bit.
 
-simulate_gbm_rows against simulate_gbm and a log-space oracle, paths
-generated as a prefix and its rest against simulate_gbm, and next_hits
-against next_hit and a first-exit oracle.
+The rows of a PathBlock (the tests keep the name of simulate_gbm_rows,
+the whole-row generator it replaced) against simulate_gbm and a log-space
+oracle, paths generated as a prefix and its rest against simulate_gbm, and
+next_hits against next_hit and a first-exit oracle.
 Both engines run the same cycle schedules (strategies.embedded_cycle,
 strategies.trend_cycle and the run loop), so the run-for-run tests compare
 two drivers of one schedule: run_seeded, which answers the queries with
-next_hits scans that resume cut-off queries and refill finished rows,
+PathBlock scans that resume cut-off queries and refills finished rows,
 against drive, which answers them with next_hit on one path.  They run
 across strategy kinds, execution modes, alpha, grid sizes, chunk sizes,
 scan lengths and prefix lengths, through run_experiment too.
@@ -24,6 +25,7 @@ from statarb.gbm import GbmParams, embedded_q
 from statarb.harness import ExperimentConfig, run_experiment
 from statarb.paths import (
     SCAN_SEGMENTS,
+    PathBlock,
     PricePath,
     chunk_rows,
     extend_gbm_rows,
@@ -31,7 +33,6 @@ from statarb.paths import (
     next_hits,
     prefix_points,
     simulate_gbm,
-    simulate_gbm_rows,
 )
 from statarb.seeding import run_seeds
 from statarb.strategies import (
@@ -52,6 +53,17 @@ def gbm(n_steps: int, mu: float = 0.1241) -> GbmParams:
 
 
 # ------------------------------------------------------------ path blocks
+
+
+def simulate_gbm_rows(params, seeds):
+    """The whole rows of a PathBlock filled with `seeds`: a scan from each
+    row's last point first generates the rest of every row."""
+    block = PathBlock(params, len(seeds))
+    block.fill(list(range(len(seeds))), seeds)
+    answered = block.scan({r: (params.n_steps, 0.0, np.inf)
+                           for r in range(len(seeds))})
+    assert answered == [(r, None) for r in range(len(seeds))]
+    return block.prices
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 17, 150, 200, 999, 1000])
@@ -139,6 +151,28 @@ def test_runs_ending_before_their_path_underflows_succeed():
     for seed in run_seeds(0, 0, range(3)):
         with pytest.raises(ValueError, match="prices must be positive"):
             simulate_gbm(params, int(seed))
+
+
+def test_path_block_scan_answers_or_moves_each_query():
+    # 200 steps: a 115-point prefix, so windows from point 50 on complete
+    params = gbm(200)
+    assert prefix_points(200) == 115
+    block = PathBlock(params, 3)
+    block.fill([2, 0, 1], [7, 5, 6])
+    paths_of = [simulate_gbm(params, seed).prices for seed in (5, 6, 7)]
+    hi = float(paths_of[0][3])
+    pending = {0: (0, 0.0, hi),  # a hit in the first window
+               1: (10, 0.0, np.inf),  # no hit: moved past the window
+               2: (197, 0.0, np.inf)}  # the window reaches the path end
+    answered = block.scan(pending)
+    hit = next_hit(PricePath(paths_of[0]), 0, 0.0, hi)
+    assert answered == [(0, tuple(hit)), (2, None)]
+    assert pending == {0: (0, 0.0, hi), 1: (11 + SCAN_SEGMENTS, 0.0, np.inf),
+                       2: (197, 0.0, np.inf)}
+    # only the row whose window read past its prefix is completed
+    assert np.array_equal(block.prices[2], paths_of[2])
+    for row in (0, 1):
+        assert np.array_equal(block.prices[row, :115], paths_of[row][:115])
 
 
 def test_chunk_rows_follow_the_byte_budget():
@@ -312,16 +346,15 @@ def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
         if rows is not None:
             patch.setattr(strategies, "chunk_rows", lambda n: rows)
         if prefix is not None:
-            patch.setattr(strategies, "prefix_points",
+            patch.setattr(paths, "prefix_points",
                           lambda n: min(n + 1, prefix))
         patch.setattr(paths, "SCAN_SEGMENTS", scan)
-        patch.setattr(strategies, "SCAN_SEGMENTS", scan)
         got = run_seeded(params, config, q, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
 
 
 def count_completions(patch):
-    """Patch run_seeded's generator to count the rows it completes."""
+    """Patch the path blocks' generator to count the rows they complete."""
     completed = []
 
     def extend(params, rngs, log_price, n_points):
@@ -329,7 +362,7 @@ def count_completions(patch):
             completed.append(len(rngs))
         return extend_gbm_rows(params, rngs, log_price, n_points)
 
-    patch.setattr(strategies, "extend_gbm_rows", extend)
+    patch.setattr(paths, "extend_gbm_rows", extend)
     return completed
 
 
@@ -377,7 +410,7 @@ def test_completion_at_a_resumed_query(monkeypatch):
         return next_hits(prices, rows, from_index, lo, hi)
 
     completed = count_completions(monkeypatch)
-    monkeypatch.setattr(strategies, "next_hits", scan)
+    monkeypatch.setattr(paths, "next_hits", scan)
     got = run_seeded(params, config, q, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
     assert all(r.ended_by == "Horizon" and r.n_repetitions == 0 for r in got)

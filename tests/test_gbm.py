@@ -9,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_binomial, random_exact_grid
-from statarb.errors import DegenerateSeries, InvalidInterval, NoSaExists
+from statarb.errors import (
+    DegenerateModel,
+    DegenerateSeries,
+    InvalidInterval,
+    NoSaExists,
+)
 from statarb.gbm import (
     GbmParams,
     embedded_phi,
@@ -208,6 +213,28 @@ def test_embedded_q_accepts_only_distinct_grid_levels(c):
         assert math.isfinite(q) and q > 0.0
 
 
+@given(c=st.floats(0.01, 0.49), mu=st.floats(-2000.0, 2000.0),
+       sigma=st.sampled_from([0.01, 0.0837, 1.0]))
+@example(c=0.4, mu=1.0, sigma=0.01)
+@example(c=0.4, mu=-1.0, sigma=0.01)
+@example(c=0.4, mu=729.9, sigma=1.0)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_embedded_q_raises_by_name_where_a_product_underflows(c, mu, sigma):
+    # every q with nonzero products and a finite ratio keeps its arithmetic
+    up = (exit_prob_upper(1.0, 1.0 - c, 1.0 + c, mu, sigma)
+          * exit_prob_lower(1.0 + c, 1.0, 1.0 + 2.0 * c, mu, sigma))
+    down = (exit_prob_lower(1.0, 1.0 - c, 1.0 + c, mu, sigma)
+            * exit_prob_upper(1.0 - c, 1.0 - 2.0 * c, 1.0, mu, sigma))
+    if up > 0.0 and down > 0.0 and up / down < math.inf:
+        assert embedded_q(c, mu, sigma) == up / down
+    else:
+        with pytest.raises(DegenerateModel) as info:
+            embedded_q(c, mu, sigma)
+        assert str(info.value) == (
+            f"q = {up!r} / {down!r} at c={c!r}, mu={mu!r}, "
+            f"sigma={sigma!r}: an exit probability product underflows")
+
+
 # ----------------------------------------------------------- embedded phi
 
 
@@ -235,6 +262,15 @@ def test_embedded_phi_degenerate_q():
         embedded_phi(0.05, 100.0, 1.0)
     with pytest.raises(NoSaExists):
         embedded_phi(0.05, 100.0, 1.0 + 1e-12)
+
+
+def test_embedded_phi_names_s0_and_c_when_the_cube_leaves_float_range():
+    with pytest.raises(ValueError, match=r"^s0=1e-110 is too small for "
+                                         r"c=0\.05: \(c\*s0\)\^3 underflows"):
+        embedded_phi(0.05, 1e-110, 1.2)
+    with pytest.raises(ValueError, match=r"^s0=1e\+110 is too large for "
+                                         r"c=0\.05: \(c\*s0\)\^3 overflows"):
+        embedded_phi(0.05, 1e110, 1.2)
 
 
 def test_embedded_phi_simulation_parameters():

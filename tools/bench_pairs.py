@@ -12,8 +12,10 @@ there, one workload run per process, with ``--trace 0``.  Pair k uses
 workload seed ``--seed + k`` on both sides, and the side that runs first
 alternates from pair to pair.  The output records the machine, both
 revisions, every pair's result line, and per end-to-end metric each side's
-median and quartiles and the number of pairs the change won.  It is
-rewritten after every pair, so an interrupted series keeps what it has.
+median and quartiles and the number of pairs the change won, counted
+over the pairs in which both sides ran correctly, and per side the runs
+that did not.  It is rewritten after every pair, so an interrupted series
+keeps what it has.
 """
 from __future__ import annotations
 
@@ -78,25 +80,35 @@ def machine() -> dict:
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median and quartiles, and the change's wins
-    (ties count for neither side)."""
-    out = {}
+    (ties count for neither side), over the pairs in which both sides ran
+    with ``correct: true``, so that a failed run drops its whole pair and
+    leaves every other pair matched.  Under "runs": per side, the runs
+    that were not correct and the failed and attempted operations."""
+    sides = ("parent", "change")
+    valid = [pair for pair in pairs
+             if all(pair[side].get("correct") is True for side in sides)]
+    out: dict = {"runs": {side: {
+        "incorrect": sum(pair[side].get("correct") is not True
+                         for pair in pairs),
+        "failed": sum(pair[side].get("failed", 0) for pair in pairs),
+        "attempted": sum(pair[side].get("attempted", 0) for pair in pairs),
+    } for side in sides}}
+    if not valid:
+        return out
     for metric, direction in better.items():
-        sides = {side: [pair[side]["metrics"][metric]["value"]
-                        for pair in pairs if "metrics" in pair[side]]
-                 for side in ("parent", "change")}
-        if not all(sides.values()):
-            continue
+        values = {side: [pair[side]["metrics"][metric]["value"]
+                         for pair in valid] for side in sides}
         entry = {}
-        for side, values in sides.items():
-            q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                         else (values[0],) * 3)
-            entry[side] = {"median": statistics.median(values),
+        for side in sides:
+            q1, _, q3 = (statistics.quantiles(values[side], n=4)
+                         if len(valid) > 1 else (values[side][0],) * 3)
+            entry[side] = {"median": statistics.median(values[side]),
                            "q1": q1, "q3": q3}
         sign = 1.0 if direction == "higher" else -1.0
         entry["change_wins"] = sum(
-            sign * (c - p) > 0 for p, c in zip(sides["parent"],
-                                                sides["change"]))
-        entry["pairs"] = len(sides["parent"])
+            sign * (c - p) > 0 for p, c in zip(values["parent"],
+                                                values["change"]))
+        entry["pairs"] = len(valid)
         entry["median_ratio_change_over_parent"] = (
             entry["change"]["median"] / entry["parent"]["median"])
         # a gain counts when the medians differ by more than the spread
