@@ -255,7 +255,7 @@ class PathBlock:
         self._params = params
         self._prefix = prefix_points(params.n_steps)
         self.prices = np.empty((n_rows, params.n_steps + 1))
-        self._rngs = np.empty(n_rows, dtype=object)  # each row's Generator
+        self._rngs: dict[int, np.random.Generator] = {}  # by row
         self._log_price = np.zeros(n_rows)  # at the last point of a prefix
         # the last start index whose scan window reads only generated points
         self._covered = np.zeros(n_rows, dtype=np.intp)
@@ -271,7 +271,7 @@ class PathBlock:
             self._params, rngs, np.zeros(len(rngs)), prefix)
         self._covered[rows] = (prefix - 1 - SCAN_SEGMENTS
                                if prefix < n_points else n_points)
-        self._rngs[rows] = rngs
+        self._rngs.update(zip(rows, rngs))
 
     def scan(self, pending: dict[int, tuple[int, float, float]],
              ) -> list[tuple[int, tuple[int, float] | None]]:
@@ -289,7 +289,7 @@ class PathBlock:
             # the rest starts at the last prefix point, which it recomputes
             # bit for bit
             self.prices[late, self._prefix - 1:] = extend_gbm_rows(
-                self._params, self._rngs[late],
+                self._params, [self._rngs[r] for r in late],
                 self._log_price[late], n_points - self._prefix + 1)[0]
             self._covered[late] = n_points
         index, level = next_hits(self.prices, rows, start_at, lo, hi)
