@@ -155,8 +155,8 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     outcome the second step resolves at (s0, s0*(1+2c)) respectively
     (s0*(1-2c), s0).  The anchor price cancels, so everything is computed
     on the normalized grid 1 + k*c, whose levels must be distinct floats.
-    When a probability product underflows (a drift mu/sigma^2 far beyond
-    1/c either way), so that q is 0 or not finite, DegenerateModel is
+    When a probability product underflows (at c = 0.4, from |mu|/sigma^2
+    of about 730 on), so that q is 0 or not finite, DegenerateModel is
     raised.
     """
     if not (0 < c < 0.5):

@@ -574,7 +574,7 @@ def test_backtest_constant_series_exits_1(capsys, tmp_path):
 def test_backtest_skips_windows_whose_exit_probabilities_underflow(
         capsys, tmp_path):
     # a smooth trend: daily log-return 0.002 + 1e-5 N(0, 1) estimates
-    # mu/sigma^2 near 1e4, where embedded_q's products underflow
+    # mu/sigma^2 near 2e7, where embedded_q's products underflow
     import datetime
 
     returns = 0.002 + 1e-5 * np.random.default_rng(0).standard_normal(1199)
