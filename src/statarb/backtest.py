@@ -71,7 +71,12 @@ class MarketSeries:
             raise ValueError("dates and closes must have equal lengths")
         if closes.size == 0:
             raise ValueError("series must not be empty")
-        if not np.all(closes > 0.0):
+        bad = ~np.isfinite(closes)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"closes must be finite, got "
+                             f"{float(closes[k])!r} on {self.dates[k]}")
+        if not (closes > 0.0).all():
             raise ValueError("closes must be positive")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise NonMonotoneDates("dates must be strictly increasing")

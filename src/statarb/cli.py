@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -271,9 +270,14 @@ def _metadata(seed: int, mode: str) -> dict[str, str]:
     }
 
 
-def _report_ended_by(ended: Counter[str], cell: str = "") -> None:
+def _report_runs(row: SweepRow, cell: str = "") -> None:
+    """How the runs of one experiment ended and how many cycles they
+    completed, on stderr."""
+    ended = row.ended_by
     print(f"statarb: ended_by: {cell}PositivePnl={ended['PositivePnl']} "
           f"Horizon={ended['Horizon']}", file=sys.stderr)
+    counts = " ".join(f"{n}={k}" for n, k in sorted(row.repetitions.items()))
+    print(f"statarb: repetitions: {cell}{counts}", file=sys.stderr)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -282,15 +286,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = harness.run_experiment(config)
     meta = _metadata(seed, args.mode)
     c = config.strategy.resolved_c(args.mu, args.sigma)
+    row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
     buf = io.StringIO()
-    dump_sweep_csv([SweepRow(c, result.summary, result.ended_by)], buf,
-                   metadata=meta)
+    dump_sweep_csv([row], buf, metadata=meta)
     sys.stdout.write(buf.getvalue())
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_runs_csv(result, fh, metadata=meta)
     # diagnostics go to stderr, so stdout and --out stay byte-identical
-    _report_ended_by(result.ended_by)
+    _report_runs(row)
     return EXIT_OK
 
 
@@ -313,7 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(buf.getvalue())
     # diagnostics go to stderr, so stdout and --out stay byte-identical
     for row in rows:
-        _report_ended_by(row.ended_by, f"{args.axis}={row.param!r} ")
+        _report_runs(row, f"{args.axis}={row.param!r} ")
     return EXIT_OK
 
 

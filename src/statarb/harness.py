@@ -4,9 +4,9 @@ and the CSV writers of the per-run and sweep tables.
 A single experiment simulates ``n_runs`` independent GBM paths and applies
 one strategy to each.  The runs go through ``strategies.run_seeded``, which
 holds ``paths.chunk_rows`` paths at a time in one ``paths.PathBlock``, a
-price matrix of at most ``paths.CHUNK_BYTES``.  Per-run streams are
-``np.random.SeedSequence([master_seed, axis_index, run_index])`` turned into
-a 64-bit seed, then ``np.random.default_rng(seed)``, so results are
+price matrix and its scan pad of at most ``paths.CHUNK_BYTES``.  Per-run
+streams are ``np.random.SeedSequence([master_seed, axis_index, run_index])``
+turned into a 64-bit seed, then ``np.random.default_rng(seed)``, so results are
 reproducible, independent of chunking, and independent across both runs and
 sweep-axis cells.  ``seeding`` derives them in batches of runs, by the same
 hash that numpy's SeedSequence computes run by run; tests pin the two
@@ -118,14 +118,21 @@ class ExperimentResult:
         """How many runs ended by each cause ("PositivePnl", "Horizon")."""
         return Counter(r.ended_by for r in self.runs)
 
+    @property
+    def repetitions(self) -> Counter[int]:
+        """How many runs completed each number of cycles (n_repetitions)."""
+        return Counter(r.n_repetitions for r in self.runs)
+
 
 class SweepRow(NamedTuple):
-    """One sweep cell: the axis value, its experiment summary and how its
-    runs ended (ExperimentResult.ended_by)."""
+    """One sweep cell: the axis value, its experiment summary, how its
+    runs ended and how many cycles they completed
+    (ExperimentResult.ended_by and .repetitions)."""
 
     param: float
     summary: MetricsSummary
     ended_by: Counter[str]
+    repetitions: Counter[int]
 
 
 # ---------------------------------------------------------------- metrics
@@ -232,7 +239,8 @@ def sweep(config: ExperimentConfig) -> list[SweepRow]:
         cell = _apply_axis(config, config.sweep.name, value)
         result = run_experiment(cell, axis_index=j)
         rows.append(SweepRow(param=float(value), summary=result.summary,
-                             ended_by=result.ended_by))
+                             ended_by=result.ended_by,
+                             repetitions=result.repetitions))
     return rows
 
 

@@ -8,13 +8,15 @@ cost more than the scan), and TradeLedger accumulates the mark-to-market
 P&L of position changes executed along the way.
 
 A PathBlock holds the paths of a block of runs as the rows of one price
-matrix of at most CHUNK_BYTES.  It generates each row as a prefix of
+matrix of at most CHUNK_BYTES, each row followed by SCAN_SEGMENTS NaN pad
+points (scan_matrix).  It generates each row as a prefix of
 prefix_points(n_steps) points and the rest only when a scan reaches it,
 both with extend_gbm_rows, which continues a path from its generator and
 last log price with the same bits; and it answers one query per row with
-next_hits, one vectorised window of at most SCAN_SEGMENTS segments,
-resuming the queries a window leaves unanswered.  Row k and its hits equal
-simulate_gbm's path for seed k and next_hit's hits on it, bit for bit.
+next_hits, one vectorised window of SCAN_SEGMENTS segments per query,
+read as a strided view of the padded row, resuming the queries a window
+leaves unanswered.  Row k and its hits equal simulate_gbm's path for
+seed k and next_hit's hits on it, bit for bit.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gbm import GbmParams
 
@@ -34,6 +37,7 @@ __all__ = [
     "SCAN_SEGMENTS",
     "chunk_rows",
     "prefix_points",
+    "scan_matrix",
     "simulate_gbm",
     "extend_gbm_rows",
     "next_hit",
@@ -64,7 +68,9 @@ class PricePath:
             raise ValueError("prices must be 1-d")
         if prices.size < 1:
             raise ValueError("path needs at least one point")
-        if not np.all(prices > 0):
+        if not np.isfinite(prices).all():
+            raise ValueError("prices must be finite")
+        if not (prices > 0).all():
             raise ValueError("prices must be positive")
         prices.setflags(write=False)
         object.__setattr__(self, "prices", prices)
@@ -76,7 +82,7 @@ class PricePath:
 # At 1000 steps it holds 49 rows.  On a 2-core x86-64 VM, 65 rows (512 KiB)
 # ran 3% faster but raised the peak RSS of repeated 500-run `simulate`
 # calls by 1.05 MiB over the one-path engine, against 0.7 MiB here.
-CHUNK_BYTES = 384 * 1024
+CHUNK_BYTES = 768 * 1024
 
 
 # Grid segments a next_hits query scans past its start point before it
@@ -92,9 +98,9 @@ SCAN_SEGMENTS = 64
 
 
 def chunk_rows(n_steps: int) -> int:
-    """Paths per block: as many (n_steps + 1)-point rows as CHUNK_BYTES
-    holds, and at least one."""
-    return max(1, CHUNK_BYTES // (8 * (n_steps + 1)))
+    """Paths per block: as many rows of n_steps + 1 points and their
+    SCAN_SEGMENTS pad points as CHUNK_BYTES holds, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * (n_steps + 1 + SCAN_SEGMENTS)))
 
 
 def prefix_points(n_steps: int) -> int:
@@ -127,8 +133,8 @@ def extend_gbm_rows(params: GbmParams,
     draw the same normals in the same order, and the cumsum runs on from
     the same log price, so a path generated in parts equals the path
     generated at once bit for bit, the point where the parts meet
-    included.  Raises ValueError when a price underflows to 0, as
-    PricePath does.
+    included.  Raises ValueError when a price underflows to 0 or
+    overflows to inf, which PricePath rejects too.
     """
     dt = params.dt
     prices = np.zeros((len(rngs), n_points))
@@ -141,10 +147,13 @@ def extend_gbm_rows(params: GbmParams,
     prices[:, 0] = log_price
     np.cumsum(prices, axis=1, out=prices)
     log_price = prices[:, -1].copy()
-    np.exp(prices, out=prices)
-    prices *= params.s0
-    if not np.all(prices > 0):
+    with np.errstate(over="ignore"):  # reported below, by name
+        np.exp(prices, out=prices)
+        prices *= params.s0
+    if not (prices > 0).all():
         raise ValueError("prices must be positive")
+    if not (prices < np.inf).all():
+        raise ValueError("prices overflow to inf")
     return prices, log_price
 
 
@@ -196,33 +205,47 @@ def next_hit(path: PricePath, from_index: int, lo: float,
     return None
 
 
-def next_hits(prices: np.ndarray, rows: Sequence[int],
+def scan_matrix(n_rows: int,
+                n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """A price matrix of n_rows rows of n_points points, and the next_hits
+    windows on it.
+
+    The rows are views into a matrix padded with SCAN_SEGMENTS columns of
+    NaN, and windows[r, k] is the view of the SCAN_SEGMENTS + 1 points of
+    padded row r from point k on, one per point of the row.  A window
+    past the row's end reads pad points, and a NaN leaves no corridor, so
+    the pad changes no first exit and nothing writes to it.
+    """
+    padded = np.empty((n_rows, n_points + SCAN_SEGMENTS))
+    padded[:, n_points:] = np.nan
+    return (padded[:, :n_points],
+            sliding_window_view(padded, SCAN_SEGMENTS + 1, axis=1))
+
+
+def next_hits(windows: np.ndarray, rows: Sequence[int],
               from_index: Sequence[int], lo: Sequence[float],
               hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """next_hit for several rows of a price matrix at once, each scan cut
     after SCAN_SEGMENTS grid segments.
 
-    Query r tests the points from_index[r] .. from_index[r] + SCAN_SEGMENTS
-    of row rows[r] of `prices` against the corridor (lo[r], hi[r]).
-    Returns the hit indices and levels as arrays, index -1 (level NaN)
-    where next_hit on the row cut after that window returns None; the scan
-    then resumes at from_index[r] + SCAN_SEGMENTS + 1, the first point not
-    yet tested.  The predicate is next_hit's, so the hits are the same bit
-    for bit.
+    ``windows`` are the scan windows of a scan_matrix.  Query r tests the
+    window windows[rows[r], from_index[r]], the points from_index[r] ..
+    from_index[r] + SCAN_SEGMENTS of row rows[r], against the corridor
+    (lo[r], hi[r]), each window read as one contiguous copy.  Returns the
+    hit indices and levels as arrays, index -1 (level NaN) where next_hit
+    on the row cut after that window returns None; the scan then resumes
+    at from_index[r] + SCAN_SEGMENTS + 1, the first point not yet tested.
+    The predicate is next_hit's, so the hits are the same bit for bit.
     """
-    n = prices.shape[1]
+    n = windows.shape[1]
     start = np.asarray(from_index, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if np.any((start < 0) | (start >= n)):
+    if ((start < 0) | (start >= n)).any():
         raise ValueError("from_index outside path")
-    if not np.all(lo < hi):
+    if not (lo < hi).all():
         raise ValueError("every corridor needs lo < hi")
-    # columns past the path end repeat its last point, which changes no
-    # first exit
-    cols = np.minimum(start[:, None] + np.arange(min(SCAN_SEGMENTS + 1, n)),
-                      n - 1)
-    window = prices[np.asarray(rows, dtype=np.intp)[:, None], cols]
+    window = windows[np.asarray(rows, dtype=np.intp), start]
     below = window <= lo[:, None]
     out = below | (window >= hi[:, None])
     first = out.argmax(axis=1)
@@ -246,15 +269,16 @@ class PathBlock:
     prefix_points(n_steps) points of a row.  The row keeps its generator
     and the log price of its last point, and scan generates the rest
     before the first window that reads past the prefix, with the same
-    bits.  Prices are checked for underflow as they are generated, so a
-    run that ends before its path would underflow to 0 does not fail,
-    while simulate_gbm rejects that path.
+    bits.  Prices are checked for underflow and overflow as they are
+    generated, so a run that ends before its path would underflow to 0
+    does not fail, while simulate_gbm rejects that path.  The rows live
+    in a scan_matrix, whose NaN pad no generation step writes.
     """
 
     def __init__(self, params: GbmParams, n_rows: int) -> None:
         self._params = params
         self._prefix = prefix_points(params.n_steps)
-        self.prices = np.empty((n_rows, params.n_steps + 1))
+        self.prices, self._windows = scan_matrix(n_rows, params.n_steps + 1)
         self._rngs: dict[int, np.random.Generator] = {}  # by row
         self._log_price = np.zeros(n_rows)  # at the last point of a prefix
         # the last start index whose scan window reads only generated points
@@ -292,7 +316,7 @@ class PathBlock:
                 self._params, [self._rngs[r] for r in late],
                 self._log_price[late], n_points - self._prefix + 1)[0]
             self._covered[late] = n_points
-        index, level = next_hits(self.prices, rows, start_at, lo, hi)
+        index, level = next_hits(self._windows, rows, start_at, lo, hi)
         answered = []
         for r, k, i, lvl in zip(rows.tolist(), starts, index.tolist(),
                                 level.tolist()):

@@ -112,6 +112,18 @@ def test_market_series_validation():
         MarketSeries((START, START), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_market_series_rejects_non_finite_closes(value, recwarn):
+    # an inf close used to pass, and run_backtest then failed naming sigma
+    closes = np.full(400, 50.0)
+    closes[300] = value
+    dates = daily_dates(400)
+    with pytest.raises(ValueError, match=(
+            rf"^closes must be finite, got {value!r} on {dates[300]}$")):
+        MarketSeries(dates, closes)
+    assert not recwarn.list
+
+
 def test_market_series_leaves_the_callers_array_writeable():
     mine = np.array([1.0, 2.0])
     series = MarketSeries(daily_dates(2), mine)

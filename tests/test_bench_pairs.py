@@ -58,3 +58,59 @@ def test_lower_is_better_and_no_valid_pair(bench_pairs):
         {"throughput_per_s": "higher"})
     assert "throughput_per_s" not in summary
     assert summary["runs"]["parent"]["incorrect"] == 1
+
+
+def pairs_of(parent, change):
+    return [{"parent": run(p), "change": run(c)}
+            for p, c in zip(parent, change)]
+
+
+def test_claim_met_needs_nine_wins_in_ten_and_a_gap_past_the_iqr(
+        bench_pairs):
+    parent = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0,
+              108.0, 109.0]  # quartiles 101.75 and 107.25
+    better = {"throughput_per_s": "higher"}
+
+    def entry(change, direction="higher"):
+        return bench_pairs.summarize(
+            pairs_of(parent, change), {"throughput_per_s": direction})[
+                "throughput_per_s"]
+
+    # +20 in every pair: the gap of 20 exceeds the spread of 5.5
+    assert entry([p + 20.0 for p in parent])["claim_met"] is True
+    # nine wins of ten still count
+    nine = [p + 20.0 for p in parent[:9]] + [parent[9] - 1.0]
+    assert entry(nine)["change_wins"] == 9
+    assert entry(nine)["claim_met"] is True
+    # eight wins do not
+    eight = [p + 20.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]]
+    assert entry(eight)["claim_met"] is False
+    # every pair won, but the medians are closer than the parent's spread
+    small = [p + 1.0 for p in parent]
+    assert entry(small)["change_wins"] == 10
+    assert entry(small)["claim_met"] is False
+    # a gap past the spread in the wrong direction is no claim
+    lower = entry([p - 20.0 for p in parent], "lower")
+    assert lower["claim_met"] is True
+    worse = entry([p + 20.0 for p in parent], "lower")
+    assert worse["median_gap_exceeds_parent_iqr"] is True
+    assert worse["claim_met"] is False
+    assert "within_bound" not in bench_pairs.summarize(
+        pairs_of(parent, parent), better)["throughput_per_s"]
+
+
+@pytest.mark.parametrize("direction, change, within", [
+    ("higher", 76.0, True),  # 24% lower
+    ("higher", 75.0, True),  # exactly the 25% bound
+    ("higher", 74.0, False),
+    ("higher", 500.0, True),
+    ("lower", 124.0, True),  # 24% higher
+    ("lower", 126.0, False),
+    ("lower", 1.0, True),
+])
+def test_within_bound_follows_the_metric_direction(bench_pairs, direction,
+                                                   change, within):
+    summary = bench_pairs.summarize(
+        pairs_of([100.0] * 4, [change] * 4),
+        {"throughput_per_s": direction}, {"throughput_per_s": 0.25})
+    assert summary["throughput_per_s"]["within_bound"] is within

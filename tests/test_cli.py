@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,9 +184,9 @@ def test_simulate_reports_ended_by_on_stderr(tmp_path, capsys):
              if not ln.startswith("#")][1:]
     ended = [ln.split(",")[4] for ln in table]
     assert 0 < ended.count("Horizon") < ended.count("PositivePnl")
-    assert err == (f"statarb: ended_by: "
-                   f"PositivePnl={ended.count('PositivePnl')} "
-                   f"Horizon={ended.count('Horizon')}\n")
+    assert err.splitlines(keepends=True)[0] == (
+        f"statarb: ended_by: PositivePnl={ended.count('PositivePnl')} "
+        f"Horizon={ended.count('Horizon')}\n")
     assert "ended_by" not in out
 
 
@@ -372,6 +373,15 @@ def test_simulate_underflowing_exit_probabilities_exit_1(mu, capsys):
                    "sigma=0.01: an exit probability product underflows\n")
 
 
+def test_simulate_overflowing_prices_exit_1(capsys):
+    # the log price reaches about 728 by step 10, and exp overflows
+    code, out, err = run_cli(["simulate", "--mu", "729", "--sigma", "1",
+                              "--c", "0.4", "--s0", "1e40", "--runs", "3",
+                              "--steps", "10"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "statarb: prices overflow to inf\n"
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -413,7 +423,8 @@ def test_sweep_reports_ended_by_per_cell_on_stderr(tmp_path, capsys):
         lines.append(f"statarb: ended_by: eta={eta!r} "
                      f"PositivePnl={ended.count('PositivePnl')} "
                      f"Horizon={ended.count('Horizon')}\n")
-    assert err == "".join(lines)
+    # each cell's ended_by line comes first, its repetitions line second
+    assert err.splitlines(keepends=True)[::2] == lines
     assert "Horizon=0" not in err  # both causes occur
     # the diagnostics leave stdout and --out as they were
     code, out2, _ = run_cli([*argv, "--out", str(tmp_path / "b.csv")],
@@ -421,6 +432,50 @@ def test_sweep_reports_ended_by_per_cell_on_stderr(tmp_path, capsys):
     assert out2 == out == (tmp_path / "a.csv").read_text()
     assert (tmp_path / "b.csv").read_bytes() == \
         (tmp_path / "a.csv").read_bytes()
+
+
+def repetitions_line(runs, cell=""):
+    counts = Counter(r.n_repetitions for r in runs)
+    return "statarb: repetitions: " + cell + " ".join(
+        f"{n}={counts[n]}" for n in sorted(counts))
+
+
+def test_simulate_and_sweep_report_repetitions_on_stderr(tmp_path, capsys):
+    # simulate: the line after ended_by counts the runs by completed cycles
+    argv = ["simulate", "--runs", "60", "--steps", "150", "--seed", "7"]
+    runs = []
+    for name in ("a.csv", "b.csv"):
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / name)],
+                                 capsys)
+        assert code == 0
+        runs.append(out)
+    result, _ = expected_summary(runs=60)
+    assert result.repetitions == Counter(r.n_repetitions
+                                         for r in result.runs)
+    assert len(result.repetitions) > 2
+    assert err.splitlines()[1:] == [repetitions_line(result.runs)]
+    assert "repetitions" not in out
+    # the diagnostics leave stdout and --out as they were
+    assert runs[0] == runs[1]
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
+    # sweep: one line per cell, after the cell's ended_by line
+    code, out, err = run_cli(["sweep", *SIM_ARGS, "--axis", "eta",
+                              "--values", "1.0,1.5", "--mu", "0.1",
+                              "--strategy", "trend", "--mode", "observed"],
+                             capsys)
+    assert code == 0
+    params = GbmParams(mu=0.1, sigma=0.0837, s0=2186.0, horizon=1.0,
+                       n_steps=150)
+    strategy = StrategyConfig(kind="trend", c_mult=0.01,
+                              execution_mode="observed")
+    lines = []
+    for j, eta in enumerate((1.0, 1.5)):
+        cell = ExperimentConfig(params=replace(params, sigma=0.1 / eta),
+                                strategy=strategy, n_runs=12, master_seed=7)
+        lines.append(repetitions_line(run_experiment(cell, axis_index=j).runs,
+                                      f"eta={eta!r} "))
+    assert err.splitlines()[1::2] == lines
 
 
 def test_sweep_out_file_equals_stdout(tmp_path, capsys):

@@ -32,6 +32,7 @@ from statarb.paths import (
     next_hit,
     next_hits,
     prefix_points,
+    scan_matrix,
     simulate_gbm,
 )
 from statarb.seeding import run_seeds
@@ -105,6 +106,30 @@ def test_underflowing_prices_fail_like_the_one_path_engine():
         run_experiment(config)
 
 
+def test_overflowing_prices_fail_by_name(recwarn):
+    # the log price reaches about 728 by step 10; exp and the scaling by s0
+    # overflow to inf without a numpy warning
+    params = GbmParams(mu=729.0, sigma=1.0, s0=1e40, horizon=1.0,
+                       n_steps=10)
+    rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    with pytest.raises(ValueError, match="^prices overflow to inf$"):
+        extend_gbm_rows(params, rngs, np.zeros(2), 11)
+    with pytest.raises(ValueError, match="^prices overflow to inf$"):
+        simulate_gbm(params, 1)
+    config = ExperimentConfig(params=params,
+                              strategy=StrategyConfig(kind="embedded", c=0.4),
+                              n_runs=3, master_seed=0)
+    with pytest.raises(ValueError, match="^prices overflow to inf$"):
+        run_experiment(config)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_price_path_rejects_non_finite_prices(value):
+    with pytest.raises(ValueError, match="^prices must be finite$"):
+        PricePath(np.array([1.0, value]))
+
+
 @given(n_steps=st.integers(1, 400), data=st.data(),
        seed=st.integers(0, 2**64 - 1), mu=st.sampled_from([0.1241, -0.5]))
 @EXACT
@@ -176,9 +201,25 @@ def test_path_block_scan_answers_or_moves_each_query():
 
 
 def test_chunk_rows_follow_the_byte_budget():
-    assert chunk_rows(1000) == 49  # 384 KiB of 1001-point rows
-    assert chunk_rows(200) == 244
+    # 768 KiB of 1001-point rows and their 64 pad points
+    assert chunk_rows(1000) == 92
+    assert chunk_rows(200) == 370
     assert chunk_rows(10**6) == 1  # a row larger than the budget
+
+
+def test_path_block_pad_stays_nan():
+    # 50 steps: the prefix is the whole row; 200 steps: scan completes it
+    for n_steps, seeds in ((50, [3, 4]), (200, [5, 6])):
+        params = gbm(n_steps)
+        block = PathBlock(params, 2)
+        block.fill([0, 1], seeds)
+        block.scan({0: (n_steps, 0.0, np.inf), 1: (n_steps, 0.0, np.inf)})
+        windows = block._windows
+        assert windows.shape == (2, n_steps + 1, SCAN_SEGMENTS + 1)
+        for row, seed in enumerate(seeds):
+            last = windows[row, n_steps]
+            assert last[0] == simulate_gbm(params, seed).prices[-1]
+            assert np.isnan(last[1:]).all()
 
 
 # ------------------------------------------------------------- hit scans
@@ -189,13 +230,21 @@ def reference(prices, row, start, lo, hi, bound):
     return next_hit(PricePath(prices[row, :start + bound + 1]), start, lo, hi)
 
 
+def windows_of(prices):
+    """The next_hits windows of a scan_matrix holding `prices`, at the
+    current SCAN_SEGMENTS."""
+    matrix, windows = scan_matrix(*prices.shape)
+    matrix[:] = prices
+    return windows
+
+
 def check_scan(prices, queries, bound=SCAN_SEGMENTS):
     """next_hits with SCAN_SEGMENTS set to `bound` against next_hit and the
     first-exit oracle."""
     rows, starts, lo, hi = zip(*queries)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(paths, "SCAN_SEGMENTS", bound)
-        index, level = next_hits(prices, rows, starts, lo, hi)
+        index, level = next_hits(windows_of(prices), rows, starts, lo, hi)
     for k, (row, start, low, high) in enumerate(queries):
         expected = reference(prices, row, start, low, high, bound)
         assert expected == first_exit(prices[row, :start + bound + 1],
@@ -269,7 +318,7 @@ def test_next_hits_equal_next_hit_on_gbm_paths(n_steps, seed, c, bound):
 ])
 def test_next_hits_named_cases(path, start, lo, hi, expected):
     prices = np.array([path, path[::-1]])
-    index, level = next_hits(prices, [0], [start], [lo], [hi])
+    index, level = next_hits(windows_of(prices), [0], [start], [lo], [hi])
     got = None if index[0] < 0 else (int(index[0]), float(level[0]))
     assert got == expected
     check_scan(prices, [(0, start, lo, hi), (1, start, lo, hi)])
@@ -283,26 +332,46 @@ def test_next_hits_window_ends_at_scan_segments(offset, start):
     hit_at = start + SCAN_SEGMENTS + offset
     prices = np.full((1, 3 * SCAN_SEGMENTS), 100.0)
     prices[0, hit_at] = 105.0
-    index, level = next_hits(prices, [0], [start], [95.0], [105.0])
+    windows = windows_of(prices)
+    index, level = next_hits(windows, [0], [start], [95.0], [105.0])
     if offset <= 0:
         assert (int(index[0]), float(level[0])) == (hit_at, 105.0)
     else:
         assert index[0] == -1 and np.isnan(level[0])
         resumed = start + SCAN_SEGMENTS + 1
-        index, level = next_hits(prices, [0], [resumed], [95.0], [105.0])
+        index, level = next_hits(windows, [0], [resumed], [95.0], [105.0])
         assert (int(index[0]), float(level[0])) == (hit_at, 105.0)
 
 
+@pytest.mark.parametrize("bound", [1, 3, SCAN_SEGMENTS])
+@pytest.mark.parametrize("before_end", [0, 1])
+def test_next_hits_windows_past_the_path_end(monkeypatch, bound,
+                                             before_end):
+    # the window of a start point near the end reads the row's pad, which
+    # no corridor, however wide, counts as an exit
+    monkeypatch.setattr(paths, "SCAN_SEGMENTS", bound)
+    prices = np.array([[5.0, 6.0, 7.0, 3.0], [5.0, 6.0, 5.5, 6.5]])
+    windows = windows_of(prices)
+    start = 3 - before_end
+    index, level = next_hits(windows, [0, 1, 1], [start] * 3,
+                             [2.0, 4.0, -np.inf], [8.0, 7.0, np.inf])
+    assert index.tolist() == [-1] * 3 and np.isnan(level).all()
+    index, level = next_hits(windows, [0, 1], [start] * 2, [3.0, 4.0],
+                             [8.0, 6.5])
+    assert index.tolist() == [3, 3] and level.tolist() == [3.0, 6.5]
+
+
 def test_next_hits_errors():
-    prices = np.array([[5.0, 6.0, 7.0, 3.0]])
-    index, level = next_hits(prices, [0, 0], [0, 1], [4.0, 3.0], [7.0, 9.0])
+    windows = windows_of(np.array([[5.0, 6.0, 7.0, 3.0]]))
+    index, level = next_hits(windows, [0, 0], [0, 1], [4.0, 3.0],
+                             [7.0, 9.0])
     assert index.tolist() == [2, 3] and level.tolist() == [7.0, 3.0]
     for start in (4, -1):
         with pytest.raises(ValueError, match="from_index"):
-            next_hits(prices, [0], [start], [4.0], [7.0])
+            next_hits(windows, [0], [start], [4.0], [7.0])
     for lo, hi in ((7.0, 7.0), (7.0, 4.0), (np.nan, 7.0)):
         with pytest.raises(ValueError, match="lo < hi"):
-            next_hits(prices, [0, 0], [0, 0], [4.0, lo], [7.0, hi])
+            next_hits(windows, [0, 0], [0, 0], [4.0, lo], [7.0, hi])
 
 
 # ----------------------------------------------------------- chunk engine
@@ -403,11 +472,11 @@ def test_completion_at_a_resumed_query(monkeypatch):
     config = StrategyConfig(kind="embedded", c=0.3)
     q = embedded_q(0.3, params.mu, params.sigma)
     seeds = list(range(20))
-    windows = []
+    starts = []
 
-    def scan(prices, rows, from_index, lo, hi):
-        windows.extend(from_index.tolist())
-        return next_hits(prices, rows, from_index, lo, hi)
+    def scan(windows, rows, from_index, lo, hi):
+        starts.extend(from_index.tolist())
+        return next_hits(windows, rows, from_index, lo, hi)
 
     completed = count_completions(monkeypatch)
     monkeypatch.setattr(paths, "next_hits", scan)
@@ -415,7 +484,7 @@ def test_completion_at_a_resumed_query(monkeypatch):
     assert_same_runs(got, per_path(params, config, seeds))
     assert all(r.ended_by == "Horizon" and r.n_repetitions == 0 for r in got)
     assert sum(completed) == 20
-    assert sorted(set(windows)) == [0, 65, 130, 195]
+    assert sorted(set(starts)) == [0, 65, 130, 195]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -14,8 +14,12 @@ alternates from pair to pair.  The output records the machine, both
 revisions, every pair's result line, and per end-to-end metric each side's
 median and quartiles and the number of pairs the change won, counted
 over the pairs in which both sides ran correctly, and per side the runs
-that did not.  It is rewritten after every pair, so an interrupted series
-keeps what it has.
+that did not.  Per metric it also records two verdicts: ``claim_met``
+(the change won at least 9 of 10 valid pairs and its median beats the
+parent's by more than the parent's quartile spread) and ``within_bound``
+(the change's median is worse than the parent's by no more than the
+metric's relative ``bound`` in BENCHMARK.json).  It is rewritten after
+every pair, so an interrupted series keeps what it has.
 """
 from __future__ import annotations
 
@@ -78,12 +82,21 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's median and quartiles, and the change's wins
     (ties count for neither side), over the pairs in which both sides ran
     with ``correct: true``, so that a failed run drops its whole pair and
     leaves every other pair matched.  Under "runs": per side, the runs
-    that were not correct and the failed and attempted operations."""
+    that were not correct and the failed and attempted operations.
+
+    ``better`` gives each metric's direction ("higher" or "lower"), and
+    ``bounds`` the largest relative loss of the change's median against
+    the parent's that keeps a metric ``within_bound`` (a metric without
+    a bound gets no such verdict).  ``claim_met`` holds when the change
+    won at least 9/10 of the valid pairs and its median beats the
+    parent's, in the better direction, by more than the parent's
+    quartile spread."""
     sides = ("parent", "change")
     valid = [pair for pair in pairs
              if all(pair[side].get("correct") is True for side in sides)]
@@ -113,9 +126,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             entry["change"]["median"] / entry["parent"]["median"])
         # a gain counts when the medians differ by more than the spread
         # of the parent's own runs
-        entry["median_gap_exceeds_parent_iqr"] = (
-            abs(entry["change"]["median"] - entry["parent"]["median"])
-            > entry["parent"]["q3"] - entry["parent"]["q1"])
+        gap = entry["change"]["median"] - entry["parent"]["median"]
+        spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+        entry["median_gap_exceeds_parent_iqr"] = abs(gap) > spread
+        entry["claim_met"] = (10 * entry["change_wins"] >= 9 * len(valid)
+                              and sign * gap > spread)
+        if bounds and metric in bounds:
+            entry["within_bound"] = (
+                -sign * gap <= bounds[metric] * abs(entry["parent"]["median"]))
         out[metric] = entry
     return out
 
@@ -134,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             (item.split("=", 1) for item in args.pairs)]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = {"parent": checkout(args.parent), "change": checkout(args.change)}
     record = {"machine": machine(),
               "revisions": {side: sha for side, (sha, _) in trees.items()},
@@ -150,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
                 pair[side] = run_once(trees[side][1], name, seed,
                                       args.seconds)
             pairs.append(pair)
-            record["workloads"][name]["summary"] = summarize(pairs, better)
+            record["workloads"][name]["summary"] = summarize(pairs, better,
+                                                             bounds)
             args.out.write_text(json.dumps(record, indent=1) + "\n")
             print(f"{name} pair {k + 1}/{n_pairs} seed {seed}: " + ", ".join(
                 f"{side} correct={pair[side]['correct']}"
