@@ -6,9 +6,9 @@ one strategy to each.  The runs go through ``strategies.run_seeded``, which
 holds ``paths.chunk_rows`` paths at a time in one ``paths.PathBlock``, a
 price matrix and its scan pad of at most ``paths.CHUNK_BYTES``.  Per-run
 streams are ``np.random.SeedSequence([master_seed, axis_index, run_index])``
-turned into a 64-bit seed, then ``np.random.default_rng(seed)``, so results are
-reproducible, independent of chunking, and independent across both runs and
-sweep-axis cells.  ``seeding`` derives them in batches of runs, by the same
+turned into a 64-bit seed, then ``np.random.default_rng(seed)``, so results
+are reproducible, independent of chunking, and independent across both runs
+and sweep-axis cells.  ``seeding`` derives them in batches of runs, by the same
 hash that numpy's SeedSequence computes run by run; tests pin the two
 against each other.  Sweeps re-run the experiment once
 per axis value with the axis position as the salt, so a single-value sweep

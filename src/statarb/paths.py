@@ -76,12 +76,16 @@ class PricePath:
         object.__setattr__(self, "prices", prices)
 
 
-# Memory budget of one block of paths: the price matrix stays within this
-# many bytes, and a next_hits window of one query per row, at most
-# SCAN_SEGMENTS + 1 points each, within the matrix.
-# At 1000 steps it holds 49 rows.  On a 2-core x86-64 VM, 65 rows (512 KiB)
-# ran 3% faster but raised the peak RSS of repeated 500-run `simulate`
-# calls by 1.05 MiB over the one-path engine, against 0.7 MiB here.
+# Memory budget of one block of paths: the price matrix and its
+# SCAN_SEGMENTS pad points per row stay within this many bytes.  A
+# next_hits window costs the same per query at any width, so a wider block
+# means fewer scans and fills per run, and more memory.
+# At 1000 steps it holds 92 rows.  perfbench simulate_embedded_snap
+# (2-core x86-64 VM, 30 s runs, medians of 4 alternating pairs per step):
+# 384 KiB (46 rows) 19599 runs/s at 40.20 MiB peak RSS; 768 KiB (92 rows)
+# 21911 runs/s at 40.53 MiB, 4 of 4 pairs won; 1152 KiB (138 rows)
+# 24453 runs/s against 23593 at 768 KiB, 2 of 4 pairs won, at 41.27 MiB
+# against 40.56 MiB.
 CHUNK_BYTES = 768 * 1024
 
 
