@@ -347,8 +347,8 @@ def test_next_hits_window_ends_at_scan_segments(offset, start):
 @pytest.mark.parametrize("before_end", [0, 1])
 def test_next_hits_windows_past_the_path_end(monkeypatch, bound,
                                              before_end):
-    # the window of a start point near the end reads the row's pad, which
-    # no corridor, however wide, counts as an exit
+    # a window from a start point near the end runs into the row's pad,
+    # which no corridor, however wide, counts as an exit
     monkeypatch.setattr(paths, "SCAN_SEGMENTS", bound)
     prices = np.array([[5.0, 6.0, 7.0, 3.0], [5.0, 6.0, 5.5, 6.5]])
     windows = windows_of(prices)
