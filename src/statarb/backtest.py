@@ -3,8 +3,9 @@
 The backtester walks a daily close series: at each cycle start it estimates
 (mu, sigma) by maximum likelihood on the trailing window (strictly earlier
 observations only), anchors the barrier grid at the current close, picks the
-orientation from the sign of the estimated drift, and executes the final
-above/below-start schedule on observed prices.  Cycles chain across the
+orientation from the sign of the estimated drift, and trades one cycle of
+that orientation's trend leg table (strategies.run_cycle) on observed
+prices.  Cycles chain across the
 whole series — no stop-at-first-gain — and any open position is liquidated
 at the last close, so every backtest ends flat.
 """
@@ -30,7 +31,7 @@ from .errors import (
 from .gbm import embedded_q, mle_from_returns
 from .harness import write_metadata
 from .paths import PricePath, TradeLedger
-from .strategies import drive, trend_cycle, trend_positions
+from .strategies import leg_table, run_cycle, trend_positions
 
 __all__ = [
     "DT",
@@ -235,6 +236,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     returns = np.diff(np.log(closes))
     mle_from_returns(returns[:n - 3], DT)  # the returns of every window
     skipped = {"zero_variance": 0, "NoSaExists": 0, "DegenerateModel": 0}
+    legs = {positive: leg_table(c, "trend", positive)
+            for positive in (True, False)}
     cut_from = None  # the cash before a cycle the end of data cut off
     i = window
     while i < n - 1:
@@ -256,8 +259,7 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             continue
         cash_before = led.cash
         events_before = len(led.events)
-        step = drive(trend_cycle(closes, i, anchor, False, led, psi, c=c,
-                                 positive=positive), path)
+        step = run_cycle(path, i, anchor, False, led, legs[positive], psi)
         if step is None:
             cut_from = cash_before
             break

@@ -31,11 +31,17 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
-from .gbm import GbmParams, embedded_phi, embedded_q
-from .strategies import RunResult, StrategyConfig, run_seeded
+from .gbm import GbmParams, embedded_q
+from .strategies import (
+    RunResult,
+    StrategyConfig,
+    embedded_positions,
+    run_seeded,
+)
 
 __all__ = [
     "SWEEP_AXES",
+    "MIN_STEP_RATIO",
     "SweepAxis",
     "ExperimentConfig",
     "MetricsSummary",
@@ -49,6 +55,15 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("c", "c_mult", "mu", "sigma", "eta")
+
+# The smallest barrier step an experiment accepts, as a multiple of
+# sigma * sqrt(dt), the volatility of one grid step.  Below it one grid step
+# crosses hundreds of grid levels, which a snap run trades one cycle at a
+# time at one grid index: at c / (sigma * sqrt(dt)) = 8.4e-5 (c = 1e-6, 50
+# steps) one run made 12482 cycles, and at 8.4e-12 (c = 1e-13) five runs grew
+# past 1.2 GB.  The smallest ratio of any golden or acceptance experiment is
+# 0.32, and the eta sweep golden runs at 0.43.
+MIN_STEP_RATIO = 0.01
 
 
 class SweepAxis(NamedTuple):
@@ -182,19 +197,27 @@ def run_experiment(config: ExperimentConfig, *,
     """Execute ``config.n_runs`` seeded runs and aggregate their metrics.
 
     Raises AllRunsSkipped when the strategy precondition (q = 1) voids the
-    whole batch.
+    whole batch, DegenerateModel when the grid levels collapse at s0, and
+    ValueError when c / (sigma * sqrt(dt)) lies below MIN_STEP_RATIO.
     """
-    c = config.strategy.resolved_c(config.params.mu, config.params.sigma)
+    params = config.params
+    c = config.strategy.resolved_c(params.mu, params.sigma)
     try:
-        q = embedded_q(c, config.params.mu, config.params.sigma)
-        embedded_phi(c, config.params.s0, q)
+        q = embedded_q(c, params.mu, params.sigma)
+        embedded_positions(params.s0, c, q)  # grid levels collapsed at s0
     except NoSaExists as exc:
         raise AllRunsSkipped(
             f"q = 1 at c={c!r}: every run is voided") from exc
+    ratio = c / (params.sigma * math.sqrt(params.dt))
+    if ratio < MIN_STEP_RATIO:
+        raise ValueError(
+            f"c={c!r} is too small for sigma={params.sigma!r} and "
+            f"steps={params.n_steps}: c / (sigma * sqrt(dt)) = {ratio:.3g} "
+            f"lies below {MIN_STEP_RATIO}")
 
     from .seeding import run_streams
     streams = run_streams(config.master_seed, axis_index, config.n_runs)
-    results = run_seeded(config.params, config.strategy, q, streams)
+    results = run_seeded(params, config.strategy, q, streams)
     summary = metrics(
         [r.pnl for r in results],
         [r.trade_count for r in results],

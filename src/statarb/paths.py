@@ -14,9 +14,9 @@ prefix_points(n_steps) points and the rest only when a scan reaches it,
 both with extend_gbm_rows, which continues a path from its generator and
 last log price with the same bits; and it answers one query per row with
 next_hits, one vectorised window of SCAN_SEGMENTS segments per query,
-read as a strided view of the padded row, resuming the queries a window
-leaves unanswered.  Row k and its hits equal simulate_gbm's path for
-seed k and next_hit's hits on it, bit for bit.
+read as a strided view of the padded row; its caller resumes the queries
+a window leaves unanswered.  Row k and its hits equal simulate_gbm's path
+for seed k and next_hit's hits on it, bit for bit.
 """
 from __future__ import annotations
 
@@ -90,8 +90,8 @@ CHUNK_BYTES = 768 * 1024
 
 
 # Grid segments a next_hits query scans past its start point before it
-# returns without a hit; PathBlock.scan resumes it at the next point, so one
-# long leg does not hold up the other rows' scans.  next_hit reads its path in
+# returns without a hit; the chunk engine resumes it at the next point, so
+# one long leg does not hold up the other rows' scans.  next_hit reads its path in
 # blocks of this many points, converted to Python floats one block at a
 # time, so a short leg converts little.
 # At the CLI defaults a leg takes 36 segments on average.  In 30 paired
@@ -302,12 +302,13 @@ class PathBlock:
         self._rngs.update(zip(rows, rngs))
 
     def scan(self, pending: dict[int, tuple[int, float, float]],
-             ) -> list[tuple[int, tuple[int, float] | None]]:
+             ) -> tuple[np.ndarray, np.ndarray]:
         """One next_hits window for the query (from_index, lo, hi) of each
-        row in ``pending``.  A query the window leaves unanswered short of
-        the path end is moved, in place, to its first untested point; the
-        others are returned as (row, (index, level)), or (row, None) when
-        the path ends inside the corridor."""
+        row in ``pending``, after generating the rest of each row whose
+        window reads past its prefix.  Returns next_hits' hit indices and
+        levels, in the order of ``pending``: index -1 (level NaN) where the
+        window ends inside the corridor, and the query, if it is to go on,
+        resumes at from_index + SCAN_SEGMENTS + 1."""
         n_points = self.prices.shape[1]
         rows = np.fromiter(pending, dtype=np.intp, count=len(pending))
         starts, lo, hi = zip(*pending.values())
@@ -320,17 +321,7 @@ class PathBlock:
                 self._params, [self._rngs[r] for r in late],
                 self._log_price[late], n_points - self._prefix + 1)[0]
             self._covered[late] = n_points
-        index, level = next_hits(self._windows, rows, start_at, lo, hi)
-        answered = []
-        for r, k, i, lvl in zip(rows.tolist(), starts, index.tolist(),
-                                level.tolist()):
-            if i >= 0:
-                answered.append((r, (i, lvl)))
-            elif k + SCAN_SEGMENTS < n_points - 1:
-                pending[r] = (k + SCAN_SEGMENTS + 1, *pending[r][1:])
-            else:
-                answered.append((r, None))
-        return answered
+        return next_hits(self._windows, rows, start_at, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,34 @@
-"""Drive lattice strategies over price paths via barrier-hit schedules.
+"""Drive lattice strategies over price paths with a table of cycle legs.
 
 Each run iterates trading cycles anchored at the price reached by the
 previous cycle: positions are adjusted whenever the path reaches the next
 barrier of the cycle, the whole run stops at the first cycle end with
 positive cumulative P&L, and an open position is liquidated at the horizon.
 
-The cycles are written once, as generators of barrier queries on the grid
-a(1 + k*c) that trade the positions they are given: embedded_cycle (two
-legs) and trend_cycle (three legs with a continue/reverse branch).  The
-positions at an anchor are solved by embedded_positions (embedded_phi)
-and trend_positions (lattice.solve_three_leg on the grid's increments).
-_cycle binds a config's solve and legs into the one cycle the drivers
-run: a snap anchor is a grid level, so there the solve is cached and each
-snap anchor is solved once per experiment, and a cycle trace, when asked
-for, is recorded there too.  Each query is a corridor
-between two barriers, and a leg ends where the path first leaves it.  The
-paper's follow-the-trend and dichotomy strategies coincide on this grid,
-where the reversal level is the anchor, so both are the one "trend" kind.
-The run loop _schedule repeats one cycle along a row of prices.  Two
-drivers answer the queries: drive with next_hit on one PricePath, for
-run_path (which accepts a ledger and a cycle trace for inspection) and for
-the backtest (which solves and drives single trend cycles), and
-run_seeded with the scans of a paths.PathBlock of many simulated paths,
-the Monte Carlo engine of the harness.  Both give the same results bit
-for bit.
+A cycle is a small automaton on the grid a(1 + k*c), written once as a leg
+table (leg_table).  Each Leg is a corridor, given as two multipliers of
+the anchor a, the index of the position it holds in the cycle's solved
+StrategyVector, and the leg that follows an exit through each side, or
+None where the cycle ends.  A leg ends where the path first leaves its
+corridor.  The embedded cycle has three legs (first, up, down); the trend
+cycle adds a third leg after the up leg in the positive orientation and
+after the down leg in the negative one.  The paper's follow-the-trend and
+dichotomy strategies coincide on this grid, where the reversal level is
+the anchor, so both are the one "trend" kind.  The positions at an anchor
+are solved by embedded_positions (embedded_phi) and trend_positions
+(lattice.solve_three_leg on the grid's increments).  _plan binds a
+config's solve and table: a snap anchor is a grid level, so there the
+solve is cached and each snap anchor is solved once per experiment.
+
+Two interpreters run the table and give the same results bit for bit:
+- run_cycle trades one cycle on one PricePath with next_hit and a
+  TradeLedger, whose events it records.  run_path repeats it along a path
+  (and accepts a ledger and a cycle trace for inspection), and the
+  backtest solves and trades single trend cycles with it.
+- run_seeded, the Monte Carlo engine of the harness, keeps the run state
+  of each row of a paths.PathBlock in plain lists and advances, in one
+  loop per scan, every row the scan answered, and resumes the others.  It
+  makes no ledger events: it applies the ledger's arithmetic in place.
 
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
@@ -41,24 +46,32 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
-from typing import Callable, Generator, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from . import paths
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import StrategyVector, solve_three_leg
-from .paths import PathBlock, PricePath, TradeLedger, chunk_rows, next_hit
+from .paths import (
+    HitEvent,
+    PathBlock,
+    PricePath,
+    TradeLedger,
+    chunk_rows,
+    next_hit,
+)
 
 __all__ = [
     "RunResult",
     "StrategyConfig",
     "CycleRecord",
+    "Leg",
+    "leg_table",
     "embedded_positions",
     "trend_positions",
-    "embedded_cycle",
-    "trend_cycle",
-    "drive",
+    "run_cycle",
     "run_path",
     "run_seeded",
 ]
@@ -127,26 +140,54 @@ class CycleRecord(NamedTuple):
     psi: StrategyVector
 
 
+
+
 # ---------------------------------------------------------------------------
-# cycles and the run loop
+# the leg table and the solves
 # ---------------------------------------------------------------------------
 
-# A cycle is one trading cycle written as a generator: it yields each barrier
-# query (from_index, lo, hi), the corridor of one leg, and is sent the hit as
-# (index, level), or None when the path ends first; it returns the final stop
-# (index, level), or None when the path ends before the cycle completes.  The
-# cycle functions take the positions of the cycle; the cycle the run loop
-# calls, cycle(prices, i, anchor, snap, led), is _cycle's, which solves them.  A
-# schedule is a whole run in the same form, returning the RunResult.  Any
-# driver that answers the queries as next_hit would gets the same run bit for
-# bit: drive uses next_hit itself, run_seeded a PathBlock scan of many rows
-# at once.  Each leg starts from the level where the previous one ended,
-# strictly inside its corridor, so its first exit is also the first touch or
-# crossing of a barrier by the segments from that level.
-Query = tuple[int, float, float]
-Hit = tuple[int, float]
-Cycle = Generator[Query, Hit | None, Hit | None]
-Schedule = Generator[Query, Hit | None, RunResult]
+
+class Leg(NamedTuple):
+    """One leg of a cycle at anchor a: it holds the position
+    positions(psi)[position] inside the corridor (lo * a, hi * a), and the
+    leg that follows an exit through lo or hi is on_lo or on_hi, an index
+    into the cycle's table, or None where the cycle ends there."""
+
+    lo: float
+    hi: float
+    position: int
+    on_lo: int | None
+    on_hi: int | None
+
+
+def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
+    """The legs of a cycle at step c, the first leg first.
+
+    embedded: phi1 in (a(1-c), a(1+c)), then phi2+ in (a, a(1+2c)) after
+    an exit up, or phi2- in (a(1-2c), a) after an exit down.  The embedded
+    model's second step from a(1+c) also stops at a(1-2c), but a path from
+    inside (a, a(1+2c)) reaches that level only across a; mirrored alike.
+    trend: the same legs, and psi3 in (a, a(1+4c)) after the up leg's exit
+    at a(1+2c) when ``positive``, or in (a(1-4c), a) after the down leg's
+    exit at a(1-2c) otherwise.
+
+    A corridor's multipliers are the factors of the levels a * (1 + k*c),
+    and a * 1.0 == a, so every barrier is the float those levels are."""
+    first = Leg(1 - c, 1 + c, 0, 2, 1)
+    up = Leg(1.0, 1 + 2 * c, 1, None, None)
+    down = Leg(1 - 2 * c, 1.0, 2, None, None)
+    if kind == "embedded":
+        return first, up, down
+    if positive:
+        return first, up._replace(on_hi=3), down, Leg(1.0, 1 + 4 * c, 3,
+                                                      None, None)
+    return first, up, down._replace(on_lo=3), Leg(1 - 4 * c, 1.0, 3, None,
+                                                  None)
+
+
+def positions(psi: StrategyVector) -> tuple[float, ...]:
+    """The positions of psi in the order Leg.position indexes them."""
+    return psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3
 
 
 def _collapsed(c: float, anchor: float) -> DegenerateModel:
@@ -184,54 +225,11 @@ def trend_positions(anchor: float, c: float, q: float, alpha: float,
                            far - trend, anchor - trend, alpha, q, positive)
 
 
-def embedded_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
-                   led: TradeLedger, phi: StrategyVector, *,
-                   c: float) -> Cycle:
-    """One embedded binomial cycle from index ``i`` with positions ``phi``:
-    phi1 until the path leaves (a(1-c), a(1+c)), then phi2+ until it
-    leaves (a, a(1+2c)), or phi2- until it leaves (a(1-2c), a).  The
-    embedded model's second step from a(1+c) also stops at a(1-2c), but a
-    path from inside (a, a(1+2c)) reaches that level only across a;
-    mirrored alike."""
-    led.execute(i, anchor if snap else float(prices[i]),
-                phi.phi1 - led.open_position)
-    hit = yield i, anchor * (1 - c), anchor * (1 + c)
-    if hit is None:
-        return None
-    i1, l1 = hit
-    up = l1 > anchor
-    led.execute(i1, l1 if snap else float(prices[i1]),
-                (phi.phi2_up if up else phi.phi2_down) - led.open_position)
-    if up:
-        return (yield i1, anchor, anchor * (1 + 2 * c))
-    return (yield i1, anchor * (1 - 2 * c), anchor)
-
-
-def trend_cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
-                led: TradeLedger, psi: StrategyVector, *, c: float,
-                positive: bool) -> Cycle:
-    """One trend-schedule cycle from index ``i`` with positions ``psi``:
-    the two legs of embedded_cycle; if the second ended at the trend
-    barrier (a(1+2c) when ``positive``, a(1-2c) otherwise), psi3 until the
-    path leaves (a, a(1+4c)), mirrored (a(1-4c), a)."""
-    hit = yield from embedded_cycle(prices, i, anchor, snap, led, psi, c=c)
-    if hit is None or hit[1] != (anchor * (1 + 2 * c) if positive
-                                 else anchor * (1 - 2 * c)):
-        return hit
-    i2, l2 = hit
-    led.execute(i2, l2 if snap else float(prices[i2]),
-                psi.phi3 - led.open_position)
-    if positive:
-        return (yield i2, anchor, anchor * (1 + 4 * c))
-    return (yield i2, anchor * (1 - 4 * c), anchor)
-
-
-def _cycle(params: GbmParams, config: StrategyConfig, q: float,
-           trace: list[CycleRecord] | None = None) -> Callable[..., Cycle]:
-    """The cycle of a strategy config, called as
-    cycle(prices, i, anchor, snap, led): it solves the positions at the
-    anchor, appends a CycleRecord to ``trace`` when one is given, and
-    trades the legs.
+def _plan(params: GbmParams, config: StrategyConfig, q: float,
+          ) -> tuple[Callable[[float], StrategyVector], tuple[Leg, ...],
+                     str]:
+    """A config's solve, a function of the anchor, its leg table and its
+    orientation.
 
     In snap mode every anchor is a grid level, so a run and the runs of an
     experiment revisit few anchors (164 in 57614 embedded cycles at the
@@ -241,96 +239,93 @@ def _cycle(params: GbmParams, config: StrategyConfig, q: float,
     from run to run, so observed mode solves every cycle.
     """
     c = config.resolved_c(params.mu, params.sigma)
-    alpha = config.alpha
-    if config.kind == "embedded" or alpha == 1.0:
+    if config.kind == "embedded" or config.alpha == 1.0:
         # the trend leg carries no position at alpha = 1: the embedded run
-        orientation = "positive"
+        positive = True
         solve = partial(embedded_positions, c=c, q=q)
-        legs = partial(embedded_cycle, c=c)
+        legs = leg_table(c, "embedded")
     else:
         positive = params.mu >= 0
-        orientation = "positive" if positive else "negative"
-        solve = partial(trend_positions, c=c, q=q, alpha=alpha,
+        solve = partial(trend_positions, c=c, q=q, alpha=config.alpha,
                         positive=positive)
-        legs = partial(trend_cycle, c=c, positive=positive)
+        legs = leg_table(c, "trend", positive)
     if config.execution_mode == "snap":
         solve = cache(solve)
-
-    def cycle(prices: np.ndarray, i: int, anchor: float, snap: bool,
-              led: TradeLedger) -> Cycle:
-        psi = solve(anchor)
-        if trace is not None:
-            trace.append(CycleRecord(anchor, c, q, alpha, orientation, psi))
-        return legs(prices, i, anchor, snap, led, psi)
-
-    return cycle
-
-
-def _last_mark(ledger: TradeLedger, anchor: float) -> float:
-    return ledger.events[-1][1] if ledger.events else anchor
-
-
-def _schedule(prices: np.ndarray, cycle: Callable[..., Cycle], snap: bool,
-              led: TradeLedger) -> Schedule:
-    """A run on one row of prices: cycles anchored where the previous one
-    stopped, each liquidated at its stop, until the first positive P&L or
-    the horizon, where an open position is liquidated."""
-    n = prices.size
-    n_rep = 0
-    anchor = float(prices[0])
-    i = 0
-    while i < n - 1:
-        stop = yield from cycle(prices, i, anchor, snap, led)
-        if stop is None:
-            break
-        i, level = stop
-        led.close_out(i, level if snap else float(prices[i]))
-        n_rep += 1
-        if led.cash > 0.0:
-            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-        anchor = level if snap else float(prices[i])
-    pnl = led.close_out(n - 1,
-                        _last_mark(led, anchor) if snap
-                        else float(prices[-1]))
-    return RunResult(pnl, n_rep, len(led.events), "Horizon")
-
-
-def _advance(schedule: Generator[Query, Hit | None, object],
-             hit: Hit | None) -> tuple[Query | None, object]:
-    """Send a hit (None to start): its next query, or None and its result."""
-    try:
-        return schedule.send(hit), None
-    except StopIteration as stop:
-        return None, stop.value
-
-
-def drive(schedule: Generator[Query, Hit | None, object],
-          path: PricePath):
-    """Answer the queries of a schedule or a cycle on ``path`` with
-    next_hit; returns what the generator returns."""
-    query, result = _advance(schedule, None)
-    while query is not None:
-        query, result = _advance(schedule, next_hit(path, *query))
-    return result
+    return solve, legs, "positive" if positive else "negative"
 
 
 # ---------------------------------------------------------------------------
-# one-path runner
+# one-path interpreter
 # ---------------------------------------------------------------------------
+
+
+def run_cycle(path: PricePath, i: int, anchor: float, snap: bool,
+              led: TradeLedger, legs: tuple[Leg, ...],
+              psi: StrategyVector) -> HitEvent | None:
+    """Trade one cycle of ``legs`` with the positions of ``psi`` on
+    ``path`` from index ``i``, answering each leg's corridor with next_hit.
+
+    The first leg's position is executed at the anchor, which is the price
+    at i wherever a cycle starts in observed mode, and each later leg's at
+    the exit that enters it: at the barrier level in snap mode, at the grid
+    price in observed mode.  Each leg starts from the level where the
+    previous one ended, strictly inside its corridor, so its first exit is
+    also the first touch or crossing of a barrier by the segments from that
+    level.  Returns the hit that ends the cycle, with its position still
+    open, or None when the path ends first."""
+    prices = path.prices
+    held = positions(psi)
+    leg, price = legs[0], anchor
+    while True:
+        led.execute(i, price, held[leg.position] - led.open_position)
+        hi = anchor * leg.hi
+        hit = next_hit(path, i, anchor * leg.lo, hi)
+        if hit is None:
+            return None
+        i, level = hit
+        price = level if snap else float(prices[i])
+        following = leg.on_hi if level == hi else leg.on_lo
+        if following is None:
+            return hit
+        leg = legs[following]
 
 
 def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
              ledger: TradeLedger | None = None,
              cycle_trace: list[CycleRecord] | None = None) -> RunResult:
-    """Run the configured strategy along one path.  The ledger and the
-    cycle trace, when given, record the executions and the per-cycle
-    solves.  Raises NoSaExists when q = 1 (skipped-run marker)."""
+    """Run the configured strategy along one path: cycles anchored where
+    the previous one stopped, each liquidated at its stop, until the first
+    positive P&L or the horizon, where an open position is liquidated.
+    The ledger and the cycle trace, when given, record the executions and
+    the per-cycle solves.  Raises NoSaExists when q = 1 (skipped-run
+    marker)."""
     c = config.resolved_c(params.mu, params.sigma)
     q = embedded_q(c, params.mu, params.sigma)
     led = ledger if ledger is not None else TradeLedger()
-    cycle = _cycle(params, config, q, cycle_trace)
-    return drive(_schedule(path.prices, cycle,
-                           config.execution_mode == "snap", led), path)
+    solve, legs, orientation = _plan(params, config, q)
+    snap = config.execution_mode == "snap"
+    prices = path.prices
+    n = prices.size
+    n_rep = 0
+    anchor = float(prices[0])
+    i = 0
+    while i < n - 1:
+        psi = solve(anchor)
+        if cycle_trace is not None:
+            cycle_trace.append(CycleRecord(anchor, c, q, config.alpha,
+                                           orientation, psi))
+        stop = run_cycle(path, i, anchor, snap, led, legs, psi)
+        if stop is None:
+            break
+        i, level = stop
+        anchor = level if snap else float(prices[i])
+        led.close_out(i, anchor)
+        n_rep += 1
+        if led.cash > 0.0:
+            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
+    last_mark = led.events[-1][1] if led.events else anchor
+    pnl = led.close_out(n - 1, last_mark if snap else float(prices[-1]))
+    return RunResult(pnl, n_rep, len(led.events), "Horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -347,42 +342,113 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     whenever simulate_gbm accepts that path.
 
     q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
-    of chunk_rows(n_steps) runs at a time are the rows of one PathBlock.
-    Each of its scans answers or moves on the pending corridor queries of
-    all rows, and the runs that got an answer advance to their next query.
-    The rows of finished runs are then refilled with the next seeds'
-    paths, so that the scans stay wide until the seeds run out.  The
-    per-cycle strategy solves stay scalar Python calls, because vectorised
-    power and division kernels may round differently.
+    of chunk_rows(n_steps) runs at a time are the rows of one PathBlock,
+    and each row's run state lives in plain lists: its anchor, the
+    positions of its cycle, its leg, position, cash, last execution price
+    and event and cycle counts.  Each scan answers the pending corridor
+    query of every row with one window; one loop then moves each
+    unanswered query to its first untested point, or ends the run at the
+    path end, and advances each answered row by one leg.  It applies
+    TradeLedger's arithmetic in the same order, so the bits are run_path's.
+    The rows of finished runs are refilled with the next seeds' paths, so
+    that the scans stay wide until the seeds run out.  The per-cycle
+    strategy solves stay scalar Python calls, because vectorised power and
+    division kernels may round differently.
     """
-    cycle = _cycle(params, config, q)
+    solve, legs, _ = _plan(params, config, q)
+    lo_of, hi_of, position_of, on_lo, on_hi = zip(*legs)
     snap = config.execution_mode == "snap"
-    rows = chunk_rows(params.n_steps)
-    block = PathBlock(params, rows)
+    n_rows = chunk_rows(params.n_steps)
+    block = PathBlock(params, n_rows)
+    prices = block.prices
+    last = params.n_steps  # the index of a row's last point
+    window = paths.SCAN_SEGMENTS + 1  # the points one scan tests
     seeds = iter(seeds)
     results: list[RunResult | None] = []
-    owner = [0] * rows  # the position in results of each row's run
-    schedules: list[Schedule | None] = [None] * rows
-    pending: dict[int, Query] = {}
-    free = list(range(rows))
+    owner = [0] * n_rows  # the position in results of each row's run
+    anchor = [0.0] * n_rows
+    held: list[tuple[float, ...]] = [()] * n_rows  # the cycle's positions
+    leg = [0] * n_rows
+    position = [0.0] * n_rows
+    cash = [0.0] * n_rows
+    mark = [0.0] * n_rows  # the price of the last execution
+    events = [0] * n_rows
+    cycles = [0] * n_rows
+    pending: dict[int, tuple[int, float, float]] = {}  # each row's query
+    starting: list[tuple[int, int, float]] = []  # (row, index, anchor)
+    free = list(range(n_rows))
     while True:
         batch = list(islice(seeds, len(free)))
         if batch:
             filled, free = free[:len(batch)], free[len(batch):]
             block.fill(filled, batch)
-            for r in filled:
+            for r, s in zip(filled, prices[filled, 0].tolist()):
                 owner[r] = len(results)
                 results.append(None)
-                schedules[r] = _schedule(block.prices[r], cycle, snap,
-                                         TradeLedger())
-                pending[r] = next(schedules[r])
+                position[r] = cash[r] = 0.0
+                events[r] = cycles[r] = 0
+                starting.append((r, 0, s))
+        # cycles start in the order the old ones ended, the new runs last
+        for r, i, a in starting:
+            held[r] = h = positions(solve(a))
+            p = position[r]
+            delta = h[position_of[0]] - p
+            cash[r] -= delta * a
+            position[r] = p + delta
+            events[r] += 1
+            mark[r] = anchor[r] = a
+            leg[r] = 0
+            pending[r] = (i, a * lo_of[0], a * hi_of[0])
+        starting.clear()
         if not pending:
             return results
-        for r, hit in block.scan(pending):
-            query, result = _advance(schedules[r], hit)
-            if query is None:
-                del pending[r]
-                results[owner[r]] = result
-                free.append(r)
-            else:
-                pending[r] = query
+        index, level = block.scan(pending)
+        for (r, (k, lo, hi)), i, lvl in zip(list(pending.items()),
+                                            index.tolist(), level.tolist()):
+            if i >= 0:
+                price = lvl if snap else prices.item(r, i)
+                following = on_hi[leg[r]] if lvl == hi else on_lo[leg[r]]
+                if following is not None:
+                    p = position[r]
+                    delta = held[r][position_of[following]] - p
+                    cash[r] -= delta * price
+                    position[r] = p + delta
+                    events[r] += 1
+                    mark[r] = price
+                    leg[r] = following
+                    a = anchor[r]
+                    pending[r] = (i, a * lo_of[following],
+                                  a * hi_of[following])
+                    continue
+                # the cycle ends: close out at its stop
+                p = position[r]
+                if p != 0.0:
+                    delta = -p
+                    cash[r] -= delta * price
+                    position[r] = 0.0
+                    events[r] += 1
+                    mark[r] = price
+                cycles[r] += 1
+                if cash[r] > 0.0:
+                    results[owner[r]] = RunResult(cash[r], cycles[r],
+                                                  events[r], "PositivePnl")
+                    del pending[r]
+                    free.append(r)
+                    continue
+                if i < last:
+                    starting.append((r, i, price))
+                    continue
+            elif k + window <= last:
+                pending[r] = (k + window, lo, hi)
+                continue
+            # the horizon: liquidate at the last execution price (snap) or
+            # at the path's last price (observed)
+            p = position[r]
+            if p != 0.0:
+                delta = -p
+                cash[r] -= delta * (mark[r] if snap else prices.item(r, last))
+                events[r] += 1
+            results[owner[r]] = RunResult(cash[r], cycles[r], events[r],
+                                          "Horizon")
+            del pending[r]
+            free.append(r)

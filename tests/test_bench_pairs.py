@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -114,3 +115,83 @@ def test_within_bound_follows_the_metric_direction(bench_pairs, direction,
         pairs_of([100.0] * 4, [change] * 4),
         {"throughput_per_s": direction}, {"throughput_per_s": 0.25})
     assert summary["throughput_per_s"]["within_bound"] is within
+
+
+ROOT = TOOL.parent.parent
+
+
+def resummarize(bench_pairs, name):
+    """Each workload's summary of a committed BENCH_*.json, recomputed."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    record = json.loads((ROOT / name).read_text())
+    return record, {workload: bench_pairs.summarize(entry["pairs"], better,
+                                                    bounds)
+                    for workload, entry in record["workloads"].items()}
+
+
+def rounded(entry):
+    ratio = entry["pair_ratio"]
+    return (round(ratio["median"], 3),
+            tuple(round(x, 3) for x in ratio["ci95"]))
+
+
+@pytest.mark.parametrize("name, snap, backtest", [
+    # 8 of 10 pairs won, inside the parent's quartiles: claim not met
+    ("BENCH_scan_windows.json", (1.138, (1.020, 1.241)),
+     (1.084, (0.960, 1.324))),
+    # 9 of 10 pairs won, past the parent's quartiles: claim met
+    ("BENCH_scan_windows_rerun.json", (1.204, (1.159, 1.314)), None),
+])
+def test_committed_scan_window_series_resummarise_to_pinned_ratios(
+        bench_pairs, name, snap, backtest):
+    record, summaries = resummarize(bench_pairs, name)
+    for workload, summary in summaries.items():
+        committed = record["workloads"][workload]["summary"]
+        # the figures the record was written with are unchanged
+        for metric, entry in committed.items():
+            if metric != "runs":
+                assert {k: summary[metric][k] for k in entry} == entry
+    entry = summaries["simulate_embedded_snap"]["throughput_per_s"]
+    assert rounded(entry) == snap
+    assert entry["claim_met"] is (name == "BENCH_scan_windows_rerun.json")
+    if backtest is not None:
+        # the control runs none of the changed code, yet read 1.08x
+        assert rounded(summaries["backtest_walkforward"][
+            "throughput_per_s"]) == backtest
+
+
+def test_bootstrap_interval_is_fixed_and_brackets_the_median(bench_pairs):
+    values = [0.9, 1.0, 1.1, 1.2, 1.3, 1.25, 1.05]
+    lo, hi = bench_pairs.bootstrap_median(values)
+    assert (lo, hi) == bench_pairs.bootstrap_median(values)
+    assert lo <= 1.1 <= hi and min(values) <= lo and hi <= max(values)
+    assert bench_pairs.bootstrap_median([2.0] * 4) == (2.0, 2.0)
+
+
+def test_pair_ratio_is_the_median_ratio_within_pairs(bench_pairs):
+    # the medians of the sides move together, the ratios within pairs
+    # show the change's gain of 10%
+    parent = [100.0, 80.0, 120.0, 90.0, 110.0]
+    entry = bench_pairs.summarize(
+        pairs_of(parent, [1.1 * p for p in parent]),
+        {"throughput_per_s": "higher"})["throughput_per_s"]
+    assert entry["pair_ratio"]["median"] == pytest.approx(1.1)
+    assert entry["pair_ratio"]["ci95"] == pytest.approx([1.1, 1.1])
+    zero = bench_pairs.summarize(pairs_of([0.0, 1.0], [1.0, 1.0]),
+                                 {"throughput_per_s": "lower"})
+    assert "pair_ratio" not in zero["throughput_per_s"]
+
+
+def test_ratio_report_marks_the_control(bench_pairs):
+    record, summaries = resummarize(bench_pairs, "BENCH_scan_windows.json")
+    for workload, summary in summaries.items():
+        record["workloads"][workload]["summary"] = summary
+    record["control"] = "backtest_walkforward"
+    lines = bench_pairs.ratio_report(record)
+    assert ("simulate_embedded_snap throughput_per_s: 1.138 (1.020-1.241) "
+            "over 10 pairs, claim_met=False") in lines
+    assert any(line.startswith("backtest_walkforward (control) "
+                               "throughput_per_s: 1.084 (0.960-1.324)")
+               for line in lines)

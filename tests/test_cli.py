@@ -338,6 +338,23 @@ def test_collapsed_grid_c_exits_1_naming_c(argv, capsys):
         "1 + k*c are not distinct floats\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--c", "1e-13", "--steps", "50", "--runs", "5"],
+    ["simulate", "--c", "1e-06", "--steps", "50", "--runs", "5", "--mode",
+     "observed"],
+    ["sweep", "--axis", "c", "--values", "0.01,1e-06", "--steps", "50",
+     "--runs", "5"],
+])
+def test_barrier_step_far_below_a_grid_step_exits_1_naming_c(argv, capsys):
+    # one grid step would cross thousands of levels; such runs used to go
+    # on for minutes, one snap cycle per level
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("statarb: c=1e-") and "Traceback" not in err
+    assert "sigma=0.0837 and steps=50" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mode", ["snap", "observed"])
 def test_embedded_grid_collapsed_at_s0_exits_1(mode, capsys):
     # the normalized levels 1 + k*c are distinct floats at this c, but

@@ -4,13 +4,14 @@ The rows of a PathBlock (the tests keep the name of simulate_gbm_rows,
 the whole-row generator it replaced) against simulate_gbm and a log-space
 oracle, paths generated as a prefix and its rest against simulate_gbm, and
 next_hits against next_hit and a first-exit oracle.
-Both engines run the same cycle schedules (strategies.embedded_cycle,
-strategies.trend_cycle and the run loop), so the run-for-run tests compare
-two drivers of one schedule: run_seeded, which answers the queries with
-PathBlock scans that resume cut-off queries and refills finished rows,
-against drive, which answers them with next_hit on one path.  They run
-across strategy kinds, execution modes, alpha, grid sizes, chunk sizes,
-scan lengths and prefix lengths, through run_experiment too.
+Both engines interpret the same leg tables (strategies.leg_table), so the
+run-for-run tests compare two interpreters of one table: run_seeded, which
+keeps the run state of a PathBlock's rows in lists, answers their queries
+with PathBlock scans, resumes the queries a scan cut off and refills
+finished rows, against run_path, which trades each cycle with run_cycle,
+next_hit and a TradeLedger on one path.  They run across strategy kinds,
+execution modes, alpha, grid sizes, chunk sizes, scan lengths and prefix
+lengths, through run_experiment too.
 """
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ def simulate_gbm_rows(params, seeds):
     row's last point first generates the rest of every row."""
     block = PathBlock(params, len(seeds))
     block.fill(list(range(len(seeds))), seeds)
-    answered = block.scan({r: (params.n_steps, 0.0, np.inf)
+    index, _ = block.scan({r: (params.n_steps, 0.0, np.inf)
                            for r in range(len(seeds))})
-    assert answered == [(r, None) for r in range(len(seeds))]
+    assert index.tolist() == [-1] * len(seeds)
     return block.prices
 
 
@@ -178,7 +179,7 @@ def test_runs_ending_before_their_path_underflows_succeed():
             simulate_gbm(params, int(seed))
 
 
-def test_path_block_scan_answers_or_moves_each_query():
+def test_path_block_scan_answers_each_query_in_one_window():
     # 200 steps: a 115-point prefix, so windows from point 50 on complete
     params = gbm(200)
     assert prefix_points(200) == 115
@@ -187,13 +188,14 @@ def test_path_block_scan_answers_or_moves_each_query():
     paths_of = [simulate_gbm(params, seed).prices for seed in (5, 6, 7)]
     hi = float(paths_of[0][3])
     pending = {0: (0, 0.0, hi),  # a hit in the first window
-               1: (10, 0.0, np.inf),  # no hit: moved past the window
+               1: (10, 0.0, np.inf),  # no hit within the window
                2: (197, 0.0, np.inf)}  # the window reaches the path end
-    answered = block.scan(pending)
+    queries = dict(pending)
+    index, level = block.scan(pending)
     hit = next_hit(PricePath(paths_of[0]), 0, 0.0, hi)
-    assert answered == [(0, tuple(hit)), (2, None)]
-    assert pending == {0: (0, 0.0, hi), 1: (11 + SCAN_SEGMENTS, 0.0, np.inf),
-                       2: (197, 0.0, np.inf)}
+    assert index.tolist() == [hit.index, -1, -1]
+    assert level[0] == hit.level and np.isnan(level[1:]).all()
+    assert pending == queries  # the caller resumes or ends the others
     # only the row whose window read past its prefix is completed
     assert np.array_equal(block.prices[2], paths_of[2])
     for row in (0, 1):

@@ -13,6 +13,7 @@ from helpers import find_no_sa_mu
 from statarb.errors import AllRunsSkipped, EmptySample
 from statarb.gbm import GbmParams, embedded_q
 from statarb.harness import (
+    MIN_STEP_RATIO,
     RUNS_HEADER,
     SWEEP_HEADER,
     ExperimentConfig,
@@ -445,3 +446,22 @@ def test_identical_invocations_byte_identical_outputs():
         return buf.getvalue()
 
     assert render() == render()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_barrier_steps_below_the_floor_are_rejected(mode):
+    # c / (sigma * sqrt(dt)) just above MIN_STEP_RATIO runs; just below,
+    # the experiment is rejected by name before any path is generated
+    grid_sigma = PARAMS.sigma * math.sqrt(PARAMS.dt)
+    for factor in (1.01, 0.99):
+        c = factor * MIN_STEP_RATIO * grid_sigma
+        config = small_config(
+            strategy=StrategyConfig(kind="trend", c=c, alpha=0.5,
+                                    execution_mode=mode), n_runs=3)
+        if factor > 1:
+            assert len(run_experiment(config).runs) == 3
+        else:
+            with pytest.raises(ValueError, match=(
+                    rf"^c={c!r} is too small for sigma=0\.0837 and "
+                    r"steps=200: c / \(sigma \* sqrt\(dt\)\) = 0\.0099 ")):
+                run_experiment(config)

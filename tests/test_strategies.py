@@ -1,4 +1,4 @@
-"""Tests for run_path, the cycles it drives and their ledgers."""
+"""Tests for run_path, the leg tables it interprets and their ledgers."""
 from __future__ import annotations
 
 import functools
@@ -30,6 +30,7 @@ from statarb.strategies import (
     RunResult,
     StrategyConfig,
     embedded_positions,
+    leg_table,
     run_path,
     run_seeded,
     trend_positions,
@@ -180,6 +181,67 @@ def test_embedded_stops_once_cumulative_turns_positive():
     assert res.pnl == pytest.approx(-2.0 + 3.0 / (Q - 1.0), rel=1e-9)
 
 
+# ------------------------------------------------------------- leg tables
+
+
+def test_leg_tables_follow_the_corridor_table():
+    # README "Engine": leg 1 in (a(1-c), a(1+c)); leg 2 in (a, a(1+2c))
+    # after an up exit, in (a(1-2c), a) after a down exit; the trend leg in
+    # (a, a(1+4c)) after the up leg's hi exit (positive orientation), in
+    # (a(1-4c), a) after the down leg's lo exit (negative orientation)
+    first = (1 - C, 1 + C, 0, 2, 1)
+    up = (1.0, 1 + 2 * C, 1, None, None)
+    down = (1 - 2 * C, 1.0, 2, None, None)
+    assert leg_table(C, "embedded") == (first, up, down)
+    assert leg_table(C, "trend", True) == (
+        first, (1.0, 1 + 2 * C, 1, None, 3), down,
+        (1.0, 1 + 4 * C, 3, None, None))
+    assert leg_table(C, "trend", False) == (
+        first, up, (1 - 2 * C, 1.0, 2, 3, None),
+        (1 - 4 * C, 1.0, 3, None, None))
+    # the barriers at anchor A are the floats the grid levels are
+    corridors = {(DOWN, UP), (A, UP2), (DOWN2, A), (A, UP4), (DOWN4, A)}
+    for legs in (leg_table(C, "trend", True), leg_table(C, "trend", False)):
+        assert {(A * leg.lo, A * leg.hi) for leg in legs} <= corridors
+    # the position a leg holds is the solved vector's entry of that name
+    psi = trend_positions(A, C, Q, 0.25, False)
+    held = strategies.positions(psi)
+    assert [held[leg.position] for leg in leg_table(C, "trend", False)] \
+        == [psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_negative_trend_runs_take_the_third_leg(mode, monkeypatch):
+    # with a negative drift and orientation, many cycles leave the down leg
+    # at a(1-2c) into the trend leg (a(1-4c), a); its lo exit is the
+    # down leg's, and the run engine must take the same side
+    params = GbmParams(mu=-MU, sigma=SIGMA, s0=100.0, horizon=1.0,
+                       n_steps=300)
+    config = econfig(kind="trend", alpha=0.5, execution_mode=mode)
+    queries = []
+    original = strategies.next_hit
+
+    def recorded(path, i, lo, hi):
+        queries.append((lo, hi))
+        return original(path, i, lo, hi)
+
+    monkeypatch.setattr(strategies, "next_hit", recorded)
+    seeds = list(range(40))
+    expected, third = [], 0
+    for seed in seeds:
+        trace: list[CycleRecord] = []
+        queries.clear()
+        expected.append(run_path(simulate_gbm(params, seed), params, config,
+                                 cycle_trace=trace))
+        assert {rec.orientation for rec in trace} == {"negative"}
+        legs = {(rec.anchor * (1 - 4 * C), rec.anchor) for rec in trace}
+        third += sum(corridor in legs for corridor in queries)
+    assert third > 0
+    got = run_seeded(params, config, embedded_q(C, -MU, SIGMA), seeds)
+    assert got == expected
+    assert [repr(r.pnl) for r in got] == [repr(r.pnl) for r in expected]
+
+
 # ------------------------------------------------------------ trend traces
 
 
@@ -293,8 +355,8 @@ def test_collapsed_grid_levels_raise_degenerate_model():
 
 
 def test_collapsed_embedded_grid_raises_at_every_cycle(monkeypatch):
-    # as above, for the embedded cycle; the snap cache stores no failed
-    # solve
+    # as above, for the embedded cycle's solve, which every cycle of both
+    # interpreters calls; the snap cache stores no failed solve
     c, anchor = 1.7869141059965552e-16, 1569.3101395953286
     caches = []
 
@@ -303,18 +365,28 @@ def test_collapsed_embedded_grid_raises_at_every_cycle(monkeypatch):
         return caches[-1]
 
     monkeypatch.setattr(strategies, "cache", recorded_cache)
-    cycles = [strategies._cycle(PARAMS, econfig(c=c, execution_mode=mode),
-                                1.2) for mode in MODES]
+    solves = [strategies._plan(PARAMS, econfig(c=c, execution_mode=mode),
+                               1.2)[0] for mode in MODES]
     assert len(caches) == 1  # snap mode's solve only
     for _ in range(2):
         with pytest.raises(DegenerateModel,
                            match=f"c={c!r}.*anchor={anchor!r}"):
             embedded_positions(anchor, c, 1.2)
-        for cycle in cycles:
+        for solve in solves:
             with pytest.raises(DegenerateModel,
                                match=f"c={c!r}.*anchor={anchor!r}"):
-                cycle(np.array([anchor]), 0, anchor, True, TradeLedger())
+                solve(anchor)
     assert caches[0].cache_info().currsize == 0
+    params = GbmParams(mu=MU, sigma=SIGMA, s0=anchor, horizon=1.0,
+                       n_steps=5)
+    for mode in MODES:
+        config = econfig(c=c, execution_mode=mode)
+        with pytest.raises(DegenerateModel,
+                           match=f"c={c!r}.*anchor={anchor!r}"):
+            run_path(make_path([anchor, anchor]), params, config)
+        with pytest.raises(DegenerateModel,
+                           match=f"c={c!r}.*anchor={anchor!r}"):
+            run_seeded(params, config, 1.2, [1, 2])
 
 
 def count_calls(monkeypatch, name):

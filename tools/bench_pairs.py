@@ -4,7 +4,7 @@ Run from anywhere inside a checkout, with both revisions committed:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --pairs simulate_embedded_snap=10 --pairs backtest_walkforward=4 \\
-        --seconds 30 --out BENCH_example.json
+        --control backtest_walkforward --seconds 30 --out BENCH_example.json
 
 Each revision is exported with ``git archive`` into ``.bench_build/<sha>``
 (git-ignored), and each side runs its own, unchanged ``perfbench/run.py``
@@ -18,8 +18,15 @@ that did not.  Per metric it also records two verdicts: ``claim_met``
 (the change won at least 9 of 10 valid pairs and its median beats the
 parent's by more than the parent's quartile spread) and ``within_bound``
 (the change's median is worse than the parent's by no more than the
-metric's relative ``bound`` in BENCHMARK.json).  It is rewritten after
-every pair, so an interrupted series keeps what it has.
+metric's relative ``bound`` in BENCHMARK.json).  Next to them it records
+the median of the change/parent ratios within the pairs and a bootstrap
+95% interval of that median (``pair_ratio``): both sides of a pair run
+back to back, so the ratio cancels a drift of the host slower than one
+pair.  ``--control WORKLOAD`` names a workload that runs none of the
+changed code; its interval shows how far the host alone moved during
+the series, and it is printed next to the others at the end.  The record
+is rewritten after every pair, so an interrupted series keeps what it
+has.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -82,6 +90,19 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
+def bootstrap_median(values: list[float], resamples: int = 4000,
+                     seed: int = 0) -> tuple[float, float]:
+    """A 95% percentile-bootstrap interval of the median of ``values``:
+    the 2.5% and 97.5% order statistics of the medians of ``resamples``
+    resamples with replacement, drawn by random.Random(seed), so that a
+    record re-summarises to the same figures."""
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(values, k=len(values)))
+                     for _ in range(resamples))
+    tail = int(0.025 * resamples)
+    return medians[tail], medians[resamples - 1 - tail]
+
+
 def summarize(pairs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's median and quartiles, and the change's wins
@@ -96,7 +117,9 @@ def summarize(pairs: list[dict], better: dict[str, str],
     a bound gets no such verdict).  ``claim_met`` holds when the change
     won at least 9/10 of the valid pairs and its median beats the
     parent's, in the better direction, by more than the parent's
-    quartile spread."""
+    quartile spread.  ``pair_ratio`` gives the median change/parent
+    ratio within the valid pairs and its bootstrap_median interval, when
+    no parent value is 0."""
     sides = ("parent", "change")
     valid = [pair for pair in pairs
              if all(pair[side].get("correct") is True for side in sides)]
@@ -131,11 +154,33 @@ def summarize(pairs: list[dict], better: dict[str, str],
         entry["median_gap_exceeds_parent_iqr"] = abs(gap) > spread
         entry["claim_met"] = (10 * entry["change_wins"] >= 9 * len(valid)
                               and sign * gap > spread)
+        if all(values["parent"]):
+            ratios = [c / p for p, c in zip(values["parent"],
+                                            values["change"])]
+            entry["pair_ratio"] = {"median": statistics.median(ratios),
+                                   "ci95": list(bootstrap_median(ratios))}
         if bounds and metric in bounds:
             entry["within_bound"] = (
                 -sign * gap <= bounds[metric] * abs(entry["parent"]["median"]))
         out[metric] = entry
     return out
+
+
+def ratio_report(record: dict) -> list[str]:
+    """One line per workload and metric that has a pair ratio: its median,
+    interval and claim_met, with the control workload marked."""
+    lines = []
+    for name, workload in record["workloads"].items():
+        tag = " (control)" if name == record.get("control") else ""
+        for metric, entry in workload.get("summary", {}).items():
+            if "pair_ratio" not in entry:
+                continue
+            ratio = entry["pair_ratio"]
+            lo, hi = ratio["ci95"]
+            lines.append(f"{name}{tag} {metric}: {ratio['median']:.3f} "
+                         f"({lo:.3f}-{hi:.3f}) over {entry['pairs']} pairs, "
+                         f"claim_met={entry['claim_met']}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--control", metavar="WORKLOAD",
+                        help="a workload that runs none of the changed code")
     args = parser.parse_args(argv)
     plan = [(name, int(n)) for name, n in
             (item.split("=", 1) for item in args.pairs)]
@@ -156,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": checkout(args.parent), "change": checkout(args.change)}
     record = {"machine": machine(),
               "revisions": {side: sha for side, (sha, _) in trees.items()},
-              "seconds": args.seconds, "workloads": {}}
+              "seconds": args.seconds, "control": args.control,
+              "workloads": {}}
     for name, n_pairs in plan:
         pairs: list[dict] = []
         record["workloads"][name] = {"pairs": pairs}
@@ -175,6 +223,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name} pair {k + 1}/{n_pairs} seed {seed}: " + ", ".join(
                 f"{side} correct={pair[side]['correct']}"
                 for side in ("parent", "change")), file=sys.stderr)
+    for line in ratio_report(record):
+        print(line, file=sys.stderr)
     return 0
 
 
