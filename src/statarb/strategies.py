@@ -140,8 +140,6 @@ class CycleRecord(NamedTuple):
     psi: StrategyVector
 
 
-
-
 # ---------------------------------------------------------------------------
 # the leg table and the solves
 # ---------------------------------------------------------------------------
@@ -179,10 +177,10 @@ def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
     if kind == "embedded":
         return first, up, down
     if positive:
-        return first, up._replace(on_hi=3), down, Leg(1.0, 1 + 4 * c, 3,
-                                                      None, None)
-    return first, up, down._replace(on_lo=3), Leg(1 - 4 * c, 1.0, 3, None,
-                                                  None)
+        trend = Leg(1.0, 1 + 4 * c, 3, None, None)
+        return first, up._replace(on_hi=3), down, trend
+    trend = Leg(1 - 4 * c, 1.0, 3, None, None)
+    return first, up, down._replace(on_lo=3), trend
 
 
 def positions(psi: StrategyVector) -> tuple[float, ...]:
