@@ -386,7 +386,9 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
                 position[r] = cash[r] = 0.0
                 events[r] = cycles[r] = 0
                 starting.append((r, 0, s))
-        # cycles start in the order the old ones ended, the new runs last
+        # cycles start in the order their rows' last cycles ended, then the
+        # new runs' first cycles: of several solves that would raise, the
+        # one the scans reached first raises
         for r, i, a in starting:
             held[r] = h = positions(solve(a))
             p = position[r]
