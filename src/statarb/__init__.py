@@ -7,8 +7,8 @@ Subpackage map:
 * ``gbm`` -- geometric-Brownian-motion closed forms (exit probabilities,
   embedded-model quantities) and parameter estimation.
 * ``paths`` -- path simulation, barrier-hit detection, trade ledgers.
-* ``strategies`` -- stopping-time schedules driving lattice strategies over
-  paths.
+* ``strategies`` -- the cycles as a table of legs, and the interpreters
+  that trade lattice strategies by it along paths.
 * ``harness`` -- batched Monte Carlo experiments, metrics, parameter sweeps.
 * ``seeding`` -- per-run random streams derived in batches (imported by
   ``harness`` on first use, as it loads ``numpy.random``).

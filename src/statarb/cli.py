@@ -244,9 +244,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _experiment_config(args: argparse.Namespace, seed: int,
-                       sweep_axis: SweepAxis | None = None,
-                       ) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace,
+                       seed: int) -> ExperimentConfig:
     params = GbmParams(mu=args.mu, sigma=args.sigma, s0=args.s0,
                        horizon=args.horizon, n_steps=args.steps)
     c, c_mult = args.c, args.c_mult
@@ -257,8 +256,7 @@ def _experiment_config(args: argparse.Namespace, seed: int,
                               alpha=args.alpha,
                               execution_mode=args.mode)
     return ExperimentConfig(params=params, strategy=strategy,
-                            n_runs=args.runs, master_seed=seed,
-                            sweep=sweep_axis)
+                            n_runs=args.runs, master_seed=seed)
 
 
 def _metadata(seed: int, mode: str) -> dict[str, str]:
@@ -306,9 +304,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     seed = _resolve_seed(args)
-    config = _experiment_config(args, seed,
-                                sweep_axis=SweepAxis(args.axis, values))
-    rows = harness.sweep(config)
+    config = _experiment_config(args, seed)
+    rows = harness.sweep(config, SweepAxis(args.axis, values))
     buf = io.StringIO()
     dump_sweep_csv(rows, buf, metadata=_metadata(seed, args.mode))
     sys.stdout.write(buf.getvalue())

@@ -81,19 +81,12 @@ class ExperimentConfig:
     strategy: StrategyConfig
     n_runs: int
     master_seed: int
-    sweep: SweepAxis | None = None
 
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if self.sweep is not None:
-            if self.sweep.name not in SWEEP_AXES:
-                raise ValueError(f"unknown sweep axis {self.sweep.name!r}; "
-                                 f"expected one of {SWEEP_AXES}")
-            if not self.sweep.values:
-                raise ValueError("sweep axis needs at least one value")
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ def run_experiment(config: ExperimentConfig, *,
 
     from .seeding import run_streams
     streams = run_streams(config.master_seed, axis_index, config.n_runs)
-    results = run_seeded(params, config.strategy, q, streams)
+    results = run_seeded(params, config.strategy, streams)
     summary = metrics(
         [r.pnl for r in results],
         [r.trade_count for r in results],
@@ -228,7 +221,8 @@ def run_experiment(config: ExperimentConfig, *,
 
 def _apply_axis(config: ExperimentConfig, name: str,
                 value: float) -> ExperimentConfig:
-    """A copy of ``config`` with one swept parameter replaced."""
+    """A copy of ``config`` with the swept parameter ``name``, one of
+    SWEEP_AXES, replaced."""
     params, strategy = config.params, config.strategy
     if name == "c":
         strategy = replace(strategy, c=float(value), c_mult=None)
@@ -238,7 +232,7 @@ def _apply_axis(config: ExperimentConfig, name: str,
         params = replace(params, mu=float(value))
     elif name == "sigma":
         params = replace(params, sigma=float(value))
-    elif name == "eta":
+    else:
         # eta = mu / sigma swept at fixed drift by varying the volatility
         if value == 0:
             raise ValueError("eta must be nonzero")
@@ -248,18 +242,19 @@ def _apply_axis(config: ExperimentConfig, name: str,
             raise ValueError(f"eta={value!r} must have the sign of "
                              f"mu={params.mu!r}")
         params = replace(params, sigma=params.mu / float(value))
-    else:
-        raise ValueError(f"unknown sweep axis {name!r}")
-    return replace(config, params=params, strategy=strategy, sweep=None)
+    return replace(config, params=params, strategy=strategy)
 
 
-def sweep(config: ExperimentConfig) -> list[SweepRow]:
+def sweep(config: ExperimentConfig, axis: SweepAxis) -> list[SweepRow]:
     """Run one experiment per axis value, salting seeds by axis position."""
-    if config.sweep is None:
-        raise ValueError("config carries no sweep axis")
+    if axis.name not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis.name!r}; "
+                         f"expected one of {SWEEP_AXES}")
+    if not axis.values:
+        raise ValueError("sweep axis needs at least one value")
     rows = []
-    for j, value in enumerate(config.sweep.values):
-        cell = _apply_axis(config, config.sweep.name, value)
+    for j, value in enumerate(axis.values):
+        cell = _apply_axis(config, axis.name, value)
         result = run_experiment(cell, axis_index=j)
         rows.append(SweepRow(param=float(value), summary=result.summary,
                              ended_by=result.ended_by,

@@ -166,12 +166,13 @@ class TrendLattice:
     """Two-period binomial extended by a third leg after two same-direction
     moves.
 
-    Positive orientation (third leg after up-up), paths 0..4:
-    0 = up,up,continue; 1 = ud; 2 = du; 3 = dd; 4 = up,up,reverse.
-    Negative orientation (third leg after down-down):
-    0 = uu; 1 = ud; 2 = du; 3 = down,down,continue; 4 = down,down,reverse.
-    ``s3_continue`` extends the trend, ``s3_reverse`` pulls back toward the
-    start.
+    Paths 0..3 are the embedded binomial's (uu, ud, du, dd), and the third
+    leg extends path ``extended``: 0 = uu in the positive orientation, 3 = dd
+    in the negative one.  That path goes on to ``s3_continue``, which extends
+    the trend, and path 4 makes the same two moves and then reverses to
+    ``s3_reverse``, back toward the start.  Positive: 0 = up,up,continue;
+    1 = ud; 2 = du; 3 = dd; 4 = up,up,reverse.  Negative: 0 = uu; 1 = ud;
+    2 = du; 3 = down,down,continue; 4 = down,down,reverse.
     """
 
     orientation: str
@@ -190,68 +191,56 @@ class TrendLattice:
         _check_probs(self.p, 5)
         if self.orientation not in ("positive", "negative"):
             raise ValueError("orientation must be 'positive' or 'negative'")
-        if not (self.s_up > self.s0 > self.s_down):
-            raise ValueError("need s_up > s0 > s_down")
-        if not (self.s_uu > self.s_up):
-            raise ValueError("need s_uu > s_up")
-        if not (self.s_down < self.s_ud < self.s_up):
-            raise ValueError("need s_down < s_ud < s_up")
-        if not (self.s_dd < self.s_down):
-            raise ValueError("need s_dd < s_down")
-        if self.orientation == "positive":
+        self.embedded_binomial()  # the two-period prices' checks
+        if self.extended == 0:
             if not (self.s3_reverse < self.s_uu < self.s3_continue):
                 raise ValueError("need s3_reverse < s_uu < s3_continue")
-        else:
-            if not (self.s3_continue < self.s_dd < self.s3_reverse):
-                raise ValueError("need s3_continue < s_dd < s3_reverse")
+        elif not (self.s3_continue < self.s_dd < self.s3_reverse):
+            raise ValueError("need s3_continue < s_dd < s3_reverse")
 
     n_paths = 5
 
     @property
+    def extended(self) -> int:
+        """The two-period path that the third leg extends: 0 (uu) in the
+        positive orientation, 3 (dd) in the negative one."""
+        return 0 if self.orientation == "positive" else 3
+
+    @property
     def q(self) -> float:
         """Probability ratio of the two middle paths, p(ud)/p(du)."""
-        return self.p[1] / self.p[2]
+        return self.embedded_binomial().q
 
     @property
     def ds1(self) -> tuple[float, ...]:
-        u, d = self.s_up - self.s0, self.s_down - self.s0
-        if self.orientation == "positive":
-            return (u, u, d, d, u)
-        return (u, u, d, d, d)
+        ds1 = self.embedded_binomial().ds1
+        return ds1 + (ds1[self.extended],)
 
     @property
     def ds2(self) -> tuple[float, ...]:
-        uu = self.s_uu - self.s_up
-        ud = self.s_ud - self.s_up
-        du = self.s_ud - self.s_down
-        dd = self.s_dd - self.s_down
-        if self.orientation == "positive":
-            return (uu, ud, du, dd, uu)
-        return (uu, ud, du, dd, dd)
+        ds2 = self.embedded_binomial().ds2
+        return ds2 + (ds2[self.extended],)
 
     @property
     def ds3(self) -> tuple[float, ...]:
-        if self.orientation == "positive":
-            return (self.s3_continue - self.s_uu, 0.0, 0.0, 0.0,
-                    self.s3_reverse - self.s_uu)
-        return (0.0, 0.0, 0.0, self.s3_continue - self.s_dd,
-                self.s3_reverse - self.s_dd)
+        end = (self.s_uu, self.s_ud, self.s_ud, self.s_dd)[self.extended]
+        ds3 = [0.0] * 5
+        ds3[self.extended] = self.s3_continue - end
+        ds3[4] = self.s3_reverse - end
+        return tuple(ds3)
 
     @property
     def first_up(self) -> tuple[bool, ...]:
-        if self.orientation == "positive":
-            return (True, True, False, False, True)
-        return (True, True, False, False, False)
+        first_up = TwoPeriodBinomial.first_up
+        return first_up + (first_up[self.extended],)
 
     def embedded_binomial(self) -> TwoPeriodBinomial:
         """The two-period sub-model obtained by merging the third leg; the
         merged same-direction probability is the sum of continue + reverse."""
-        if self.orientation == "positive":
-            p = (self.p[0] + self.p[4], self.p[1], self.p[2], self.p[3])
-        else:
-            p = (self.p[0], self.p[1], self.p[2], self.p[3] + self.p[4])
+        p = list(self.p[:4])
+        p[self.extended] += self.p[4]
         return TwoPeriodBinomial(self.s0, self.s_up, self.s_down,
-                                 self.s_uu, self.s_ud, self.s_dd, p)
+                                 self.s_uu, self.s_ud, self.s_dd, tuple(p))
 
 
 @dataclass(frozen=True)
@@ -460,7 +449,7 @@ def solve_binomial_sa(model: TwoPeriodBinomial) -> StrategyVector:
     q = model.q
     if abs(q - tilde_q(model)) <= EPS_TOL:
         raise NoSaExists("q equals the critical ratio; no arbitrage exists")
-    return _solve_embedded(model.ds1, model.ds2, q)
+    return StrategyVector(*_solve_embedded(model.ds1, model.ds2, q))
 
 
 # ------------------------------------------------- trinomial certificates
@@ -537,42 +526,32 @@ def _binomial_D(ds1, ds2, q: float) -> float:
             + ds1[3] * ds2[0] * ds2[2])
 
 
-def _solve_embedded(ds1, ds2, ratio: float) -> StrategyVector:
-    """Closed-form solve of the two-period model with increments ds1, ds2
-    (paths uu, ud, du, dd) and an explicit probability ratio
-    p(ud)/p(du)."""
+def _solve_embedded(ds1, ds2, ratio: float) -> tuple[float, float, float]:
+    """Closed-form solve (phi1, phi2_up, phi2_down) of the two-period model
+    with increments ds1, ds2 (paths uu, ud, du, dd) and an explicit
+    probability ratio p(ud)/p(du)."""
     xi1 = (ratio * ds2[1] - ds2[0]) * ds2[3] + ds2[0] * ds2[2]
     xi2 = (-(ds1[2] + ratio * ds1[1] - ds1[0]) * ds2[3]
            - (ds1[0] - ds1[3]) * ds2[2])
     xi3 = (-(ratio * ds1[3] - ratio * ds1[0]) * ds2[1]
            - (-ds1[3] + ds1[2] + ratio * ds1[1]) * ds2[0])
     d = _binomial_D(ds1, ds2, ratio)
-    return StrategyVector(xi1 / d, xi2 / d, xi3 / d)
+    return xi1 / d, xi2 / d, xi3 / d
 
 
-def trend_A_matrix(model: TrendLattice,
-                   ratio: float | None = None) -> np.ndarray:
+def trend_A_matrix(model: TrendLattice) -> np.ndarray:
     """4x4 constraint matrix for psi = (psi1, psi2_up, psi2_down, psi3).
 
-    Rows: the trend-continue path (third-leg increment in column 4), the
-    opposite-extreme path, the q-weighted middle cell, and the trend-reverse
-    path.  The three-period strategies satisfy (matrix @ psi) = (1,1,1,alpha).
+    The embedded binomial's rows (the uu path, the dd path and the
+    q-weighted middle cell) with the third-leg increments in column 4, and
+    the extended path's row again with the trend-reverse increment.  The
+    three-period strategies satisfy (matrix @ psi) = (1,1,1,alpha).
     """
-    q = model.q if ratio is None else ratio
-    ds1, ds2, ds3 = model.ds1, model.ds2, model.ds3
-    if model.orientation == "positive":
-        return np.array([
-            [ds1[0], ds2[0], 0.0, ds3[0]],
-            [ds1[3], 0.0, ds2[3], 0.0],
-            [q * ds1[1] + ds1[2], q * ds2[1], ds2[2], 0.0],
-            [ds1[0], ds2[0], 0.0, ds3[4]],
-        ])
-    return np.array([
-        [ds1[0], ds2[0], 0.0, 0.0],
-        [ds1[3], 0.0, ds2[3], ds3[3]],
-        [q * ds1[1] + ds1[2], q * ds2[1], ds2[2], 0.0],
-        [ds1[3], 0.0, ds2[3], ds3[4]],
-    ])
+    a = binomial_A_matrix(model.embedded_binomial())
+    ds3 = model.ds3
+    extended = a[(0, 3).index(model.extended)]
+    return np.vstack([np.column_stack([a, (ds3[0], ds3[3], 0.0)]),
+                      np.append(extended, ds3[4])])
 
 
 def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
@@ -589,7 +568,7 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
     if abs(denom3) <= EPS_TOL * _scale(ds1, ds2):
         raise DegenerateModel("third-leg increments coincide")
     psi3 = (1.0 - alpha) / denom3
-    phi = _solve_embedded(ds1, ds2, ratio)
+    phi1, phi2_up, phi2_down = _solve_embedded(ds1, ds2, ratio)
     d = _binomial_D(ds1, ds2, ratio)
     if positive:
         gamma = (
@@ -605,40 +584,35 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
             / d,
         )
     shift = ds3_continue * psi3
-    return StrategyVector(phi.phi1 - shift * gamma[0],
-                          phi.phi2_up - shift * gamma[1],
-                          phi.phi2_down - shift * gamma[2],
+    return StrategyVector(phi1 - shift * gamma[0],
+                          phi2_up - shift * gamma[1],
+                          phi2_down - shift * gamma[2],
                           psi3)
 
 
-def _three_leg(model: TrendLattice, alpha: float,
-               ratio: float | None) -> StrategyVector:
+def _three_leg(model: TrendLattice, alpha: float) -> StrategyVector:
     """solve_three_leg on the increments of a trend lattice."""
-    positive = model.orientation == "positive"
-    ds3 = model.ds3
-    return solve_three_leg(model.ds1[:4], model.ds2[:4],
-                           ds3[0] if positive else ds3[3], ds3[4], alpha,
-                           model.q if ratio is None else ratio, positive)
+    binomial, ds3 = model.embedded_binomial(), model.ds3
+    return solve_three_leg(binomial.ds1, binomial.ds2, ds3[model.extended],
+                           ds3[4], alpha, binomial.q, model.extended == 0)
 
 
-def trend_strategy(model: TrendLattice, alpha: float = 0.0,
-                   ratio: float | None = None) -> StrategyVector:
+def trend_strategy(model: TrendLattice,
+                   alpha: float = 0.0) -> StrategyVector:
     """Three-period trend-following strategy for the positive orientation.
 
     Extends the embedded two-period strategy phi with a third-leg position
     psi3 = (1-alpha)/(ds3(continue) - ds3(reverse)) and shifts the early legs
     by -ds3(continue)*psi3*gamma, where gamma solves A gamma = e1.  Satisfies
-    trend_A_matrix(model, ratio) @ psi = (1, 1, 1, alpha).  ``ratio``
-    defaults to the model's own p(ud)/p(du); path runners pass the ratio
-    implied by barrier exit probabilities instead.
+    trend_A_matrix(model) @ psi = (1, 1, 1, alpha).
     """
     if model.orientation != "positive":
         raise ValueError("trend_strategy requires the positive orientation")
-    return _three_leg(model, alpha, ratio)
+    return _three_leg(model, alpha)
 
 
-def gfin_strategy(model: TrendLattice, alpha: float = 0.0,
-                  ratio: float | None = None) -> StrategyVector:
+def gfin_strategy(model: TrendLattice,
+                  alpha: float = 0.0) -> StrategyVector:
     """Three-period strategy certifying the dichotomy partition (terminal
     above/below start), for either orientation.
 
@@ -655,7 +629,7 @@ def gfin_strategy(model: TrendLattice, alpha: float = 0.0,
                 "positive dichotomy strategy needs s3_reverse <= s0")
     elif model.s3_reverse < model.s0:
         raise ValueError("negative dichotomy strategy needs s3_reverse >= s0")
-    return _three_leg(model, alpha, ratio)
+    return _three_leg(model, alpha)
 
 
 def gfin_psi_bounds(model: TrendLattice,

@@ -223,11 +223,11 @@ def trend_positions(anchor: float, c: float, q: float, alpha: float,
                            far - trend, anchor - trend, alpha, q, positive)
 
 
-def _plan(params: GbmParams, config: StrategyConfig, q: float,
+def _plan(params: GbmParams, config: StrategyConfig,
           ) -> tuple[Callable[[float], StrategyVector], tuple[Leg, ...],
-                     str]:
-    """A config's solve, a function of the anchor, its leg table and its
-    orientation.
+                     str, float, float]:
+    """A config's solve, a function of the anchor, its leg table, its
+    orientation, and the c and q = embedded_q(c, mu, sigma) it solves at.
 
     In snap mode every anchor is a grid level, so a run and the runs of an
     experiment revisit few anchors (164 in 57614 embedded cycles at the
@@ -237,6 +237,7 @@ def _plan(params: GbmParams, config: StrategyConfig, q: float,
     from run to run, so observed mode solves every cycle.
     """
     c = config.resolved_c(params.mu, params.sigma)
+    q = embedded_q(c, params.mu, params.sigma)
     if config.kind == "embedded" or config.alpha == 1.0:
         # the trend leg carries no position at alpha = 1: the embedded run
         positive = True
@@ -249,7 +250,7 @@ def _plan(params: GbmParams, config: StrategyConfig, q: float,
         legs = leg_table(c, "trend", positive)
     if config.execution_mode == "snap":
         solve = cache(solve)
-    return solve, legs, "positive" if positive else "negative"
+    return solve, legs, "positive" if positive else "negative", c, q
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +298,8 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
     The ledger and the cycle trace, when given, record the executions and
     the per-cycle solves.  Raises NoSaExists when q = 1 (skipped-run
     marker)."""
-    c = config.resolved_c(params.mu, params.sigma)
-    q = embedded_q(c, params.mu, params.sigma)
     led = ledger if ledger is not None else TradeLedger()
-    solve, legs, orientation = _plan(params, config, q)
+    solve, legs, orientation, c, q = _plan(params, config)
     snap = config.execution_mode == "snap"
     prices = path.prices
     n = prices.size
@@ -331,7 +330,7 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
 # ---------------------------------------------------------------------------
 
 
-def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
+def run_seeded(params: GbmParams, config: StrategyConfig,
                seeds: Iterable[int | np.random.bit_generator.ISeedSequence],
                ) -> list[RunResult]:
     """Run the strategy on the GBM path of each seed; result k equals
@@ -339,11 +338,10 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     and, for a seeding.RunStream, the int seed its words derive from,
     whenever simulate_gbm accepts that path.
 
-    q is embedded_q(c, mu, sigma), computed once by the caller.  The paths
-    of chunk_rows(n_steps) runs at a time are the rows of one PathBlock,
-    and each row's run state lives in plain lists: its anchor, the
-    positions of its cycle, its leg, position, cash, last execution price
-    and event and cycle counts.  Each scan answers the pending corridor
+    The paths of chunk_rows(n_steps) runs at a time are the rows of one
+    PathBlock, and each row's run state lives in plain lists: its anchor,
+    the positions of its cycle, its leg, position, cash, last execution
+    price and event and cycle counts.  Each scan answers the pending corridor
     query of every row with one window; one loop then moves each
     unanswered query to its first untested point, or ends the run at the
     path end, and advances each answered row by one leg.  It applies
@@ -353,7 +351,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig, q: float,
     strategy solves stay scalar Python calls, because vectorised power and
     division kernels may round differently.
     """
-    solve, legs, _ = _plan(params, config, q)
+    solve, legs, *_ = _plan(params, config)
     lo_of, hi_of, position_of, on_lo, on_hi = zip(*legs)
     snap = config.execution_mode == "snap"
     n_rows = chunk_rows(params.n_steps)

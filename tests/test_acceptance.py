@@ -407,8 +407,8 @@ def seed_averaged_sweep(params: GbmParams, axis: SweepAxis,
     per_seed = []
     for seed in (0, 1, 2):
         rows = sweep(ExperimentConfig(params=params, strategy=strategy,
-                                      n_runs=10_000, master_seed=seed,
-                                      sweep=axis))
+                                      n_runs=10_000, master_seed=seed),
+                     axis)
         per_seed.append([metric(r.summary) for r in rows])
     return [float(np.mean(col)) for col in zip(*per_seed)]
 
@@ -455,8 +455,9 @@ def test_criterion_08_family_coherence():
                  StrategyConfig(kind="trend", alpha=0.0, **base),
                  cycle_trace=trace)
         for rec in trace:
-            model = grid_trend_lattice(rec.anchor, rec.c, rec.orientation)
-            a = trend_A_matrix(model, ratio=rec.q)
+            model = grid_trend_lattice(rec.anchor, rec.c, rec.orientation,
+                                       rec.q)
+            a = trend_A_matrix(model)
             psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
                             rec.psi.phi2_down, rec.psi.phi3])
             resid = a @ psi - np.array([1.0, 1.0, 1.0, 0.0])

@@ -412,9 +412,9 @@ def test_sweep_matches_library(capsys):
     params = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
                        n_steps=150)
     strategy = StrategyConfig(kind="embedded", c_mult=0.01)
-    rows = sweep(ExperimentConfig(
-        params=params, strategy=strategy, n_runs=12, master_seed=7,
-        sweep=SweepAxis("c_mult", (0.01, 0.02, 0.04))))
+    rows = sweep(ExperimentConfig(params=params, strategy=strategy,
+                                  n_runs=12, master_seed=7),
+                 SweepAxis("c_mult", (0.01, 0.02, 0.04)))
     for line, row in zip(table[1:], rows):
         cells = line.split(",")
         assert float(cells[0]) == row.param

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import first_exit
 from statarb import paths, strategies
-from statarb.gbm import GbmParams, embedded_q
+from statarb.gbm import GbmParams
 from statarb.harness import ExperimentConfig, run_experiment
 from statarb.paths import (
     SCAN_SEGMENTS,
@@ -407,7 +407,6 @@ def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
     params = gbm(n_steps, mu)
     config = StrategyConfig(kind=kind, c_mult=c_mult, alpha=alpha,
                             execution_mode=mode)
-    q = embedded_q(config.resolved_c(mu, params.sigma), mu, params.sigma)
     seeds = [int(s) for s in
              np.random.SeedSequence(master).generate_state(17, np.uint64)]
     # 17 runs: more than a chunk of 1 or 7 rows and not a multiple of it;
@@ -420,7 +419,7 @@ def test_run_seeded_equals_one_path_runners(kind, mode, alpha, n_steps,
             patch.setattr(paths, "prefix_points",
                           lambda n: min(n + 1, prefix))
         patch.setattr(paths, "SCAN_SEGMENTS", scan)
-        got = run_seeded(params, config, q, seeds)
+        got = run_seeded(params, config, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
 
 
@@ -456,10 +455,9 @@ def test_run_seeded_equals_run_path_around_the_prefix(n_steps, past_prefix,
                        n_steps=n_steps)
     config = StrategyConfig(kind=kind, c=0.05, alpha=0.5,
                             execution_mode=mode)
-    q = embedded_q(0.05, params.mu, params.sigma)
     seeds = list(range(60))
     completed = count_completions(monkeypatch)
-    got = run_seeded(params, config, q, seeds)
+    got = run_seeded(params, config, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
     assert (sum(completed) > 0) == (past_prefix > 0)
 
@@ -472,7 +470,6 @@ def test_completion_at_a_resumed_query(monkeypatch):
                        n_steps=256)
     assert prefix_points(256) == 2 * (SCAN_SEGMENTS + 1) - 1
     config = StrategyConfig(kind="embedded", c=0.3)
-    q = embedded_q(0.3, params.mu, params.sigma)
     seeds = list(range(20))
     starts = []
 
@@ -482,7 +479,7 @@ def test_completion_at_a_resumed_query(monkeypatch):
 
     completed = count_completions(monkeypatch)
     monkeypatch.setattr(paths, "next_hits", scan)
-    got = run_seeded(params, config, q, seeds)
+    got = run_seeded(params, config, seeds)
     assert_same_runs(got, per_path(params, config, seeds))
     assert all(r.ended_by == "Horizon" and r.n_repetitions == 0 for r in got)
     assert sum(completed) == 20

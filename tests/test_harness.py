@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import find_no_sa_mu
 from statarb.errors import AllRunsSkipped, EmptySample
-from statarb.gbm import GbmParams, embedded_q
+from statarb.gbm import GbmParams
 from statarb.harness import (
     MIN_STEP_RATIO,
     RUNS_HEADER,
@@ -281,8 +281,7 @@ def test_run_experiment_builds_no_seed_sequence(monkeypatch):
     assert len(seeded) == n_runs and set(seeded) == {RunStream}
     # the same runs on the reference int seeds, across every batch edge
     seeds = [numpy_run_seed(2**40 + 3, 2, r) for r in range(n_runs)]
-    q = embedded_q(EMBEDDED.resolved_c(0.1241, 0.0837), 0.1241, 0.0837)
-    assert list(result.runs) == run_seeded(config.params, EMBEDDED, q, seeds)
+    assert list(result.runs) == run_seeded(config.params, EMBEDDED, seeds)
 
 
 # ------------------------------------------------------------- experiments
@@ -293,10 +292,6 @@ def test_experiment_config_validation():
         small_config(n_runs=0)
     with pytest.raises(ValueError):
         small_config(master_seed=-1)
-    with pytest.raises(ValueError):
-        small_config(sweep=SweepAxis("volatility", (0.1,)))
-    with pytest.raises(ValueError):
-        small_config(sweep=SweepAxis("c", ()))
 
 
 def test_run_experiment_deterministic():
@@ -352,14 +347,15 @@ def test_run_experiment_covers_all_strategies():
 # ------------------------------------------------------------------ sweeps
 
 
-def test_sweep_requires_axis():
-    with pytest.raises(ValueError):
-        sweep(small_config())
+def test_sweep_axis_validation():
+    with pytest.raises(ValueError, match="unknown sweep axis 'volatility'"):
+        sweep(small_config(), SweepAxis("volatility", (0.1,)))
+    with pytest.raises(ValueError, match="needs at least one value"):
+        sweep(small_config(), SweepAxis("c", ()))
 
 
 def test_single_value_sweep_equals_run_experiment():
-    cfg = small_config(sweep=SweepAxis("c_mult", (0.01,)))
-    rows = sweep(cfg)
+    rows = sweep(small_config(), SweepAxis("c_mult", (0.01,)))
     assert len(rows) == 1
     assert rows[0].param == 0.01
     assert rows[0].summary == run_experiment(small_config()).summary
@@ -368,8 +364,8 @@ def test_single_value_sweep_equals_run_experiment():
 def test_sweep_c_and_c_mult_axes_agree():
     c_mult = 0.01
     c_value = c_mult * PARAMS.mu / PARAMS.sigma
-    by_mult = sweep(small_config(sweep=SweepAxis("c_mult", (c_mult,))))
-    by_c = sweep(small_config(sweep=SweepAxis("c", (c_value,))))
+    by_mult = sweep(small_config(), SweepAxis("c_mult", (c_mult,)))
+    by_c = sweep(small_config(), SweepAxis("c", (c_value,)))
     assert by_mult[0].summary == by_c[0].summary
 
 
@@ -377,8 +373,7 @@ def test_sweep_eta_axis_fixes_drift_and_scales_volatility():
     params = GbmParams(mu=0.1, sigma=0.25, s0=100.0, horizon=1.0,
                        n_steps=200)
     eta = 1.25
-    rows = sweep(small_config(params=params,
-                              sweep=SweepAxis("eta", (eta,))))
+    rows = sweep(small_config(params=params), SweepAxis("eta", (eta,)))
     direct = run_experiment(small_config(
         params=GbmParams(mu=0.1, sigma=0.1 / eta, s0=100.0, horizon=1.0,
                          n_steps=200)))
@@ -386,9 +381,9 @@ def test_sweep_eta_axis_fixes_drift_and_scales_volatility():
 
 
 def test_sweep_mu_and_sigma_axes():
-    rows = sweep(small_config(sweep=SweepAxis("mu", (0.05, 0.1))))
+    rows = sweep(small_config(), SweepAxis("mu", (0.05, 0.1)))
     assert [r.param for r in rows] == [0.05, 0.1]
-    rows = sweep(small_config(sweep=SweepAxis("sigma", (0.1,))))
+    rows = sweep(small_config(), SweepAxis("sigma", (0.1,)))
     direct = run_experiment(small_config(
         params=GbmParams(mu=PARAMS.mu, sigma=0.1, s0=2186.0, horizon=1.0,
                          n_steps=200)))
@@ -397,7 +392,7 @@ def test_sweep_mu_and_sigma_axes():
 
 def test_sweep_cells_use_independent_seeds():
     # same value twice: axis-index salt must make the cells differ
-    rows = sweep(small_config(sweep=SweepAxis("c_mult", (0.01, 0.01))))
+    rows = sweep(small_config(), SweepAxis("c_mult", (0.01, 0.01)))
     assert rows[0].summary != rows[1].summary
 
 
@@ -423,8 +418,7 @@ def test_dump_runs_csv_round_trip():
 
 
 def test_dump_sweep_csv():
-    rows = sweep(small_config(n_runs=15,
-                              sweep=SweepAxis("c_mult", (0.01, 0.02))))
+    rows = sweep(small_config(n_runs=15), SweepAxis("c_mult", (0.01, 0.02)))
     buf = io.StringIO()
     dump_sweep_csv(rows, buf, metadata={"version": "0.1.0"})
     lines = buf.getvalue().splitlines()
@@ -439,8 +433,7 @@ def test_dump_sweep_csv():
 
 def test_identical_invocations_byte_identical_outputs():
     def render() -> str:
-        rows = sweep(small_config(n_runs=10,
-                                  sweep=SweepAxis("c_mult", (0.01,))))
+        rows = sweep(small_config(n_runs=10), SweepAxis("c_mult", (0.01,)))
         buf = io.StringIO()
         dump_sweep_csv(rows, buf, metadata={"seed": "7"})
         return buf.getvalue()

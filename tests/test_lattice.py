@@ -349,6 +349,60 @@ def test_counterexample_pid_check_emm_member():
 
 # ------------------------------------------------- three-period strategies
 
+# Hand-worked trend lattices: every price and probability is exact in
+# binary, so each increment, q and matrix entry is an exact float.
+PIN_P = (0.25, 0.125, 0.0625, 0.3125, 0.25)
+PIN_LATTICES = {
+    "positive": TrendLattice("positive", 100.0, 110.0, 90.0, 121.0, 99.0,
+                             81.0, 133.0, 100.0, PIN_P),
+    "negative": TrendLattice("negative", 100.0, 110.0, 90.0, 121.0, 99.0,
+                             81.0, 72.0, 100.0, PIN_P),
+}
+
+
+def test_trend_lattice_pinned_values():
+    pos, neg = PIN_LATTICES["positive"], PIN_LATTICES["negative"]
+    assert pos.ds1 == (10.0, 10.0, -10.0, -10.0, 10.0)
+    assert neg.ds1 == (10.0, 10.0, -10.0, -10.0, -10.0)
+    assert pos.ds2 == (11.0, -11.0, 9.0, -9.0, 11.0)
+    assert neg.ds2 == (11.0, -11.0, 9.0, -9.0, -9.0)
+    assert pos.ds3 == (12.0, 0.0, 0.0, 0.0, -21.0)
+    assert neg.ds3 == (0.0, 0.0, 0.0, -9.0, 19.0)
+    assert pos.first_up == (True, True, False, False, True)
+    assert neg.first_up == (True, True, False, False, False)
+    assert pos.q == neg.q == 2.0
+    assert pos.embedded_binomial().p == (0.5, 0.125, 0.0625, 0.3125)
+    assert neg.embedded_binomial().p == (0.25, 0.125, 0.0625, 0.5625)
+    assert trend_A_matrix(pos).tolist() == [
+        [10.0, 11.0, 0.0, 12.0],
+        [-10.0, 0.0, -9.0, 0.0],
+        [10.0, -22.0, 9.0, 0.0],
+        [10.0, 11.0, 0.0, -21.0],
+    ]
+    assert trend_A_matrix(neg).tolist() == [
+        [10.0, 11.0, 0.0, 0.0],
+        [-10.0, 0.0, -9.0, -9.0],
+        [10.0, -22.0, 9.0, 0.0],
+        [-10.0, 0.0, -9.0, 19.0],
+    ]
+
+
+@pytest.mark.parametrize("orientation", ["positive", "negative"])
+@pytest.mark.parametrize("prices", [
+    (100.0, 90.0, 110.0, 121.0, 99.0, 81.0),   # s_up < s0 < s_down
+    (100.0, 110.0, 90.0, 105.0, 99.0, 81.0),   # s_uu below s_up
+    (100.0, 110.0, 90.0, 121.0, 115.0, 81.0),  # s_ud above s_up
+    (100.0, 110.0, 90.0, 121.0, 99.0, 95.0),   # s_dd above s_down
+])
+def test_trend_lattice_two_period_errors_are_the_binomials(orientation,
+                                                           prices):
+    with pytest.raises(ValueError) as binomial:
+        TwoPeriodBinomial(*prices, PIN_P[:3] + (PIN_P[3] + PIN_P[4],))
+    third = (133.0, 100.0) if orientation == "positive" else (72.0, 100.0)
+    with pytest.raises(ValueError) as trend:
+        TrendLattice(orientation, *prices, *third, PIN_P)
+    assert str(trend.value) == str(binomial.value)
+
 
 def test_trend_strategy_grid_values():
     m = grid_trend_lattice(100.0, 0.05, "positive")

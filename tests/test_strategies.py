@@ -237,7 +237,7 @@ def test_negative_trend_runs_take_the_third_leg(mode, monkeypatch):
         legs = {(rec.anchor * (1 - 4 * C), rec.anchor) for rec in trace}
         third += sum(corridor in legs for corridor in queries)
     assert third > 0
-    got = run_seeded(params, config, embedded_q(C, -MU, SIGMA), seeds)
+    got = run_seeded(params, config, seeds)
     assert got == expected
     assert [repr(r.pnl) for r in got] == [repr(r.pnl) for r in expected]
 
@@ -339,9 +339,9 @@ def test_grid_solve_is_gfin_strategy_on_the_grid_lattice(
         log_anchor, log_c, q, alpha, orientation):
     # bit for bit, exception types included
     anchor, c = math.exp(log_anchor), math.exp(log_c)
-    model = grid_trend_lattice(anchor, c, orientation)
+    model = grid_trend_lattice(anchor, c, orientation, q)
     assert outcome(grid_solve, anchor, c, orientation, alpha, q) == \
-        outcome(gfin_strategy, model, alpha, ratio=q)
+        outcome(gfin_strategy, model, alpha)
 
 
 def test_collapsed_grid_levels_raise_degenerate_model():
@@ -365,8 +365,8 @@ def test_collapsed_embedded_grid_raises_at_every_cycle(monkeypatch):
         return caches[-1]
 
     monkeypatch.setattr(strategies, "cache", recorded_cache)
-    solves = [strategies._plan(PARAMS, econfig(c=c, execution_mode=mode),
-                               1.2)[0] for mode in MODES]
+    solves = [strategies._plan(PARAMS, econfig(c=c, execution_mode=mode))[0]
+              for mode in MODES]
     assert len(caches) == 1  # snap mode's solve only
     for _ in range(2):
         with pytest.raises(DegenerateModel,
@@ -386,7 +386,7 @@ def test_collapsed_embedded_grid_raises_at_every_cycle(monkeypatch):
             run_path(make_path([anchor, anchor]), params, config)
         with pytest.raises(DegenerateModel,
                            match=f"c={c!r}.*anchor={anchor!r}"):
-            run_seeded(params, config, 1.2, [1, 2])
+            run_seeded(params, config, [1, 2])
 
 
 def count_calls(monkeypatch, name):
@@ -419,7 +419,7 @@ def test_experiment_solves_each_snap_anchor_once(kind, mode, monkeypatch):
                  cycle_trace=trace)
         anchors += [rec.anchor for rec in trace]
     calls = count_calls(monkeypatch, SOLVES[kind])
-    run_seeded(params, config, embedded_q(0.02, MU, SIGMA), seeds)
+    run_seeded(params, config, seeds)
     if mode == "snap":
         assert len(calls) == len(set(anchors)) < len(anchors)
     else:
@@ -552,8 +552,9 @@ def test_cycle_trace_solves_schedule_system():
                  cycle_trace=trace)
         assert trace
         for rec in trace:
-            model = grid_trend_lattice(rec.anchor, rec.c, rec.orientation)
-            a = trend_A_matrix(model, ratio=rec.q)
+            model = grid_trend_lattice(rec.anchor, rec.c, rec.orientation,
+                                       rec.q)
+            a = trend_A_matrix(model)
             psi = np.array([rec.psi.phi1, rec.psi.phi2_up,
                             rec.psi.phi2_down, rec.psi.phi3])
             target = np.array([1.0, 1.0, 1.0, rec.alpha])
