@@ -16,9 +16,10 @@ after the down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
 the anchor, so both are the one "trend" kind.  The positions at an anchor
 are solved by embedded_positions (embedded_phi) and trend_positions
-(lattice.solve_three_leg on the grid's increments).  _plan binds a
-config's solve and table: a snap anchor is a grid level, so there the
-solve is cached and each snap anchor is solved once per experiment.
+(lattice.solve_three_leg on the grid's increments).  _plan resolves a
+config's c and q and binds its solve and table: a snap anchor is a grid
+level, so there the solve is cached and each snap anchor is solved once
+per experiment.
 
 Two interpreters run the table and give the same results bit for bit:
 - run_cycle trades one cycle on one PricePath with next_hit and a
