@@ -14,12 +14,18 @@ Subpackage map:
   ``harness`` on first use, as it loads ``numpy.random``).
 * ``backtest`` -- rolling-window walk-forward backtests on market CSVs.
 * ``cli`` -- the ``statarb`` command-line front end.
+
+Each submodule loads on first access (``statarb.harness``, ``from statarb
+import harness``), so importing the package, or ``lattice`` and ``cli``,
+does not import numpy; the modules that compute on arrays do.  The error
+classes and ``__version__`` load with the package.
 """
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import backtest, cli, gbm, harness, lattice, paths, strategies
 from .errors import (
     AllRunsSkipped,
     DegenerateModel,
@@ -34,3 +40,14 @@ from .errors import (
     ParseError,
     StatarbError,
 )
+
+_SUBMODULES = frozenset({"backtest", "cli", "gbm", "harness", "lattice",
+                         "paths", "seeding", "strategies"})
+
+
+def __getattr__(name: str):
+    """Import a submodule on first attribute access (PEP 562); the import
+    binds it on the package, so later lookups do not come here."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,10 @@
 """Command-line front end tying the package into reproducible experiments.
 
 Exit codes: 0 success / NsaCertified, 1 usage or parse failure, 2 SaExists,
-3 NotCertified, 4 every run skipped.  When `--seed` is absent the
+3 NotCertified, 4 every run skipped.  Only ``errors`` and ``lattice`` load
+with this module, so `check-model`, `--help`, `--version` and usage errors
+run without numpy; `simulate`, `sweep` and `backtest` import the modules
+they run (and numpy with them) when they start.  When `--seed` is absent the
 STATARB_SEED environment variable is consulted, then 0.  Identical
 invocations produce byte-identical outputs: metadata headers carry the
 version, seed, quantile method and execution mode — never timestamps.
@@ -14,22 +17,14 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
-from . import harness
-from .backtest import (
-    BacktestConfig,
-    dump_cycles_csv,
-    dump_summary_json,
-    load_csv,
-    run_backtest,
-)
 from .errors import AllRunsSkipped, NoSolution, StatarbError
-from .gbm import GbmParams
-from .harness import ExperimentConfig, SweepAxis, SweepRow, dump_runs_csv, \
-    dump_sweep_csv
 from .lattice import (
+    KINDS,
+    MODES,
+    SWEEP_AXES,
     TrinomialTopModel,
     TwoPeriodBinomial,
     counterexample_pid_check,
@@ -37,7 +32,9 @@ from .lattice import (
     solve_binomial_sa,
     trinomial_nsa,
 )
-from .strategies import KINDS, MODES, StrategyConfig
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig, SweepRow
 
 __all__ = ["main", "build_parser"]
 
@@ -149,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep",
                          help="run one experiment per axis value")
     _add_simulation_flags(swp)
-    swp.add_argument("--axis", choices=harness.SWEEP_AXES, required=True)
+    swp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     swp.add_argument("--values", required=True,
                      help="comma-separated axis values")
 
@@ -246,6 +243,10 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 def _experiment_config(args: argparse.Namespace,
                        seed: int) -> ExperimentConfig:
+    from .gbm import GbmParams
+    from .harness import ExperimentConfig
+    from .strategies import StrategyConfig
+
     params = GbmParams(mu=args.mu, sigma=args.sigma, s0=args.s0,
                        horizon=args.horizon, n_steps=args.steps)
     c, c_mult = args.c, args.c_mult
@@ -279,9 +280,12 @@ def _report_runs(row: SweepRow, cell: str = "") -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .harness import SweepRow, dump_runs_csv, dump_sweep_csv, \
+        run_experiment
+
     seed = _resolve_seed(args)
     config = _experiment_config(args, seed)
-    result = harness.run_experiment(config)
+    result = run_experiment(config)
     meta = _metadata(seed, args.mode)
     c = config.strategy.resolved_c(args.mu, args.sigma)
     row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
@@ -297,6 +301,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness import SweepAxis, dump_sweep_csv, sweep
+
     try:
         values = tuple(float(v) for v in args.values.split(","))
     except ValueError:
@@ -305,7 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     seed = _resolve_seed(args)
     config = _experiment_config(args, seed)
-    rows = harness.sweep(config, SweepAxis(args.axis, values))
+    rows = sweep(config, SweepAxis(args.axis, values))
     buf = io.StringIO()
     dump_sweep_csv(rows, buf, metadata=_metadata(seed, args.mode))
     sys.stdout.write(buf.getvalue())
@@ -322,6 +328,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
+    from .backtest import BacktestConfig, dump_cycles_csv, \
+        dump_summary_json, load_csv, run_backtest
+
     series = load_csv(args.data)
     config = BacktestConfig(boundary_fraction=args.boundary,
                             window_days=args.window, alpha=args.alpha)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_q
+from .lattice import SWEEP_AXES
 from .strategies import (
     RunResult,
     StrategyConfig,
@@ -53,8 +54,6 @@ __all__ = [
     "dump_runs_csv",
     "dump_sweep_csv",
 ]
-
-SWEEP_AXES = ("c", "c_mult", "mu", "sigma", "eta")
 
 # The smallest barrier step an experiment accepts, as a multiple of
 # sigma * sqrt(dt), the volatility of one grid step.  Below it one grid step

@@ -24,10 +24,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateModel, NoSaExists, NoSolution, InvalidBase
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = [
+    "EPS_TOL",
+    "TwoPeriodBinomial",
+    "TrinomialTopModel",
+    "TrendLattice",
+    "ScenarioPartition",
+    "StrategyVector",
+    "NsaCertificate",
+    "PidCheckReport",
+    "payoff",
+    "expected_gain",
+    "conditional_gains",
+    "is_statistical_arbitrage",
+    "terminal_state_partition",
+    "trend_partition",
+    "dichotomy_partition",
+    "binomial_A_matrix",
+    "tilde_q",
+    "nsa_binomial",
+    "emm_binomial",
+    "solve_binomial_sa",
+    "trinomial_nsa",
+    "counterexample_pid_check",
+    "trend_A_matrix",
+    "solve_three_leg",
+    "trend_strategy",
+    "gfin_strategy",
+    "gfin_psi_bounds",
+]
+
+# The command-line choices, defined here because the CLI parser needs them
+# and this module loads without numpy; strategies and harness import them.
+KINDS = ("embedded", "trend")
+MODES = ("snap", "observed")
+SWEEP_AXES = ("c", "c_mult", "mu", "sigma", "eta")
 
 EPS_TOL = 1e-10
 
@@ -375,17 +413,22 @@ def dichotomy_partition(model: TrendLattice) -> ScenarioPartition:
 # ------------------------------------- binomial certificates and solver
 
 
+def _binomial_rows(model: TwoPeriodBinomial) -> tuple[tuple, tuple, tuple]:
+    """The rows of binomial_A_matrix as tuples of floats."""
+    q = model.q
+    ds1, ds2 = model.ds1, model.ds2
+    return ((ds1[0], ds2[0], 0.0),
+            (ds1[3], 0.0, ds2[3]),
+            (q * ds1[1] + ds1[2], q * ds2[1], ds2[2]))
+
+
 def binomial_A_matrix(model: TwoPeriodBinomial) -> np.ndarray:
     """3x3 constraint matrix for phi = (phi1, phi2_up, phi2_down): rows are
     the uu-path gain, the dd-path gain, and the q-weighted middle-cell gain,
     with q = p(ud)/p(du)."""
-    q = model.q
-    ds1, ds2 = model.ds1, model.ds2
-    return np.array([
-        [ds1[0], ds2[0], 0.0],
-        [ds1[3], 0.0, ds2[3]],
-        [q * ds1[1] + ds1[2], q * ds2[1], ds2[2]],
-    ])
+    import numpy as np
+
+    return np.array(_binomial_rows(model))
 
 
 def _scale(ds1, ds2) -> float:
@@ -407,10 +450,12 @@ def _tilde_q(ds1, ds2) -> float:
     return ds2[0] * k1 / den
 
 
-def _det3(a: np.ndarray) -> float:
-    return (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+def _det3(a) -> float:
+    """Cofactor determinant of a 3x3 matrix given as nested rows (tuples or
+    an ndarray alike)."""
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
 def nsa_binomial(model: TwoPeriodBinomial) -> NsaCertificate:
@@ -419,15 +464,16 @@ def nsa_binomial(model: TwoPeriodBinomial) -> NsaCertificate:
     the critical ratio, and det(A)."""
     q = model.q
     qt = tilde_q(model)
-    a = binomial_A_matrix(model)
     status = "NsaCertified" if abs(q - qt) <= EPS_TOL else "SaExists"
     return NsaCertificate(status, {"q": q, "tilde_q": qt,
-                                   "det_A": _det3(a)})
+                                   "det_A": _det3(_binomial_rows(model))})
 
 
 def emm_binomial(model: TwoPeriodBinomial) -> np.ndarray:
     """The unique equivalent martingale measure of the two-period binomial
     model, as path weights (w_uu, w_ud, w_du, w_dd)."""
+    import numpy as np
+
     ds1, ds2 = model.ds1, model.ds2
     k1 = ds1[2] * ds2[3] - ds1[3] * ds2[2]
     k2 = ds1[0] * ds2[1] - ds1[1] * ds2[0]
@@ -497,6 +543,8 @@ def counterexample_pid_check(model: TrinomialTopModel) -> PidCheckReport:
     state: w1/w4 = p1/p4 and w3/w5 = p3/p5).  Nonnegative-screens the
     solution; a strictly positive solution would be an equivalent martingale
     measure."""
+    import numpy as np
+
     ds1, ds2, p = model.ds1, model.ds2, model.p
     m = np.array([
         [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
@@ -547,6 +595,8 @@ def trend_A_matrix(model: TrendLattice) -> np.ndarray:
     the extended path's row again with the trend-reverse increment.  The
     three-period strategies satisfy (matrix @ psi) = (1,1,1,alpha).
     """
+    import numpy as np
+
     a = binomial_A_matrix(model.embedded_binomial())
     ds3 = model.ds3
     extended = a[(0, 3).index(model.extended)]

@@ -54,7 +54,7 @@ import numpy as np
 from . import paths
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .lattice import StrategyVector, solve_three_leg
+from .lattice import KINDS, MODES, StrategyVector, solve_three_leg
 from .paths import (
     HitEvent,
     PathBlock,
@@ -76,9 +76,6 @@ __all__ = [
     "run_path",
     "run_seeded",
 ]
-
-KINDS = ("embedded", "trend")
-MODES = ("snap", "observed")
 
 
 @dataclass(frozen=True)

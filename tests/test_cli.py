@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -746,3 +747,38 @@ def test_module_invocation_roundtrip():
         cwd=Path(statarb.__file__).resolve().parents[1])
     assert proc.returncode == 2
     assert "phi=(1.6,-1.4,-1.8)" in proc.stdout
+
+
+STARTUP_PROBE = """\
+import contextlib, io, json, sys
+import statarb.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    codes = [statarb.cli.main(["check-model", "sec34"]),
+             statarb.cli.main(["--version"]),
+             statarb.cli.main(["simulate", "--runs", "0"])]
+numpy_at_start = "numpy" in sys.modules
+import statarb
+harness = statarb.harness
+with contextlib.redirect_stdout(out):
+    codes.append(statarb.cli.main(["check-model",
+                                   "bondarenko-counterexample"]))
+print(json.dumps([codes, numpy_at_start, harness.__name__,
+                  "numpy" in sys.modules]))
+"""
+
+
+def test_cli_starts_without_numpy():
+    """check-model, --version and usage errors leave numpy unimported;
+    the package still resolves its array modules on first access."""
+    import statarb
+    src = Path(statarb.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_at_start, harness, numpy_at_end = json.loads(proc.stdout)
+    assert codes == [2, 0, 1, 0]
+    assert not numpy_at_start
+    assert harness == "statarb.harness"
+    assert numpy_at_end

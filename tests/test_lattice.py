@@ -40,6 +40,7 @@ from statarb.lattice import (
     trend_partition,
     trend_strategy,
     trinomial_nsa,
+    _det3,
 )
 
 
@@ -219,6 +220,19 @@ def test_nsa_binomial_matches_determinant_oracle():
         a = binomial_A_matrix(m)
         det_zero = abs(np.linalg.det(a)) <= 1e-10 * np.linalg.norm(a) ** 3
         assert (nsa_binomial(m).status == "NsaCertified") == det_zero
+
+
+@pytest.mark.parametrize("model", [
+    sec34_binomial(),
+    grid_binomial(100.0, 0.03, 1.0),
+    grid_binomial(2186.0, 0.0123, 1.37),
+    TwoPeriodBinomial(10.0, 12.0, 8.0, 13.0, 10.0, 6.0,
+                      (0.25, 0.25, 0.25, 0.25)),
+    TwoPeriodBinomial(1.0, 1.1, 0.93, 1.27, 1.01, 0.85, (0.1, 0.2, 0.3, 0.4)),
+])
+def test_nsa_binomial_det_A_is_the_matrix_determinant_exactly(model):
+    assert nsa_binomial(model).diagnostics["det_A"] == _det3(
+        binomial_A_matrix(model))
 
 
 def test_emm_binomial_symmetric_additive():

@@ -5,8 +5,8 @@ import importlib
 
 import pytest
 
-MODULES = ("backtest", "cli", "gbm", "harness", "paths", "seeding",
-           "strategies")
+MODULES = ("backtest", "cli", "gbm", "harness", "lattice", "paths",
+           "seeding", "strategies")
 
 
 @pytest.mark.parametrize("module", MODULES)
