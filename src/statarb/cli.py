@@ -2,12 +2,12 @@
 
 Exit codes: 0 success / NsaCertified, 1 usage or parse failure, 2 SaExists,
 3 NotCertified, 4 every run skipped.  Only ``errors`` and ``lattice`` load
-with this module, so `check-model`, `--help`, `--version` and usage errors
-run without numpy; `simulate`, `sweep` and `backtest` import the modules
-they run (and numpy with them) when they start.  When `--seed` is absent the
-STATARB_SEED environment variable is consulted, then 0.  Identical
-invocations produce byte-identical outputs: metadata headers carry the
-version, seed, quantile method and execution mode — never timestamps.
+with this module, so `check-model` on a binomial, `--help`, `--version` and
+usage errors run without numpy; `simulate`, `sweep` and `backtest` import
+the modules they run (and numpy with them) when they start.  When `--seed`
+is absent the STATARB_SEED environment variable is consulted, then 0.
+Identical invocations produce byte-identical outputs: metadata headers carry
+the version, seed, quantile method and execution mode — never timestamps.
 """
 from __future__ import annotations
 
