@@ -5,9 +5,9 @@ The backtester walks a daily close series: at each cycle start it estimates
 observations only), anchors the barrier grid at the current close, picks the
 orientation from the sign of the estimated drift, and trades one cycle of
 that orientation's trend leg table (strategies.run_cycle) on observed
-prices.  Cycles chain across the
-whole series — no stop-at-first-gain — and any open position is liquidated
-at the last close, so every backtest ends flat.
+prices.  Cycles chain across the whole series — no stop-at-first-gain —
+and run_cycle closes each one out at its stop, or liquidates it at the
+last close when the data ends first, so every backtest ends flat.
 """
 from __future__ import annotations
 
@@ -52,6 +52,10 @@ CYCLES_HEADER = "cycle_start,cycle_end,mu_hat,sigma_hat,orientation,pnl,traded_q
 
 # years per observation: the closes are trading days, 252 to the year
 DT = 1.0 / 252.0
+
+# the errors that skip a window, and the `skipped` key each counts under
+SKIP_REASONS = {DegenerateSeries: "zero_variance", NoSaExists: "NoSaExists",
+                DegenerateModel: "DegenerateModel"}
 
 
 @dataclass(frozen=True)
@@ -215,13 +219,14 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     The log-returns are computed once for the whole series, and each
     window's estimate is mle_from_returns on its slice of them, which
     equals mle_estimate on the window's closes bit for bit.
-    Windows whose returns have zero variance, or where the critical ratio
-    degenerates (q = 1), are skipped by one observation and counted in
-    `skipped`; DegenerateSeries is raised at once when the returns of all
-    windows together have zero variance, as then no window is estimable.
-    A final cycle interrupted by the end of data is liquidated at the last
-    close and included in total_pnl and cutoff_pnl, but not in the
-    per-cycle log (n_cycles counts completed cycles).
+    A window whose estimate or solve raises one of SKIP_REASONS (zero
+    return variance, q = 1, collapsed levels) is skipped by one observation
+    and counted in `skipped` under that reason; DegenerateSeries is raised
+    at once when the returns of all windows together have zero variance,
+    as then no window is estimable.  run_cycle liquidates a final cycle
+    interrupted by the end of data at the last close; it is included in
+    total_pnl and cutoff_pnl, but not in the per-cycle log (n_cycles counts
+    completed cycles).
     """
     n = series.n_points
     window = config.window_days
@@ -235,26 +240,20 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     c = config.boundary_fraction
     returns = np.diff(np.log(closes))
     mle_from_returns(returns[:n - 3], DT)  # the returns of every window
-    skipped = {"zero_variance": 0, "NoSaExists": 0, "DegenerateModel": 0}
+    skipped = dict.fromkeys(SKIP_REASONS.values(), 0)
     legs = {positive: leg_table(c, "trend", positive)
             for positive in (True, False)}
     cut_from = None  # the cash before a cycle the end of data cut off
     i = window
     while i < n - 1:
-        try:
-            mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1], DT)
-        except DegenerateSeries:
-            skipped["zero_variance"] += 1
-            i += 1
-            continue
-        positive = mu_hat >= 0
-        orientation = "positive" if positive else "negative"
         anchor = float(closes[i])
         try:
+            mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1], DT)
+            positive = mu_hat >= 0
             q = embedded_q(c, mu_hat, sigma_hat)
             psi = trend_positions(anchor, c, q, config.alpha, positive)
-        except (NoSaExists, DegenerateModel) as exc:
-            skipped[type(exc).__name__] += 1
+        except tuple(SKIP_REASONS) as exc:
+            skipped[SKIP_REASONS[type(exc)]] += 1
             i += 1
             continue
         cash_before = led.cash
@@ -264,13 +263,13 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             cut_from = cash_before
             break
         i_end, _ = step
-        led.close_out(i_end, float(closes[i_end]))
         qty = sum(abs(delta) for _, _, delta in led.events[events_before:])
         cycles.append(CycleLog(series.dates[i], series.dates[i_end],
-                               mu_hat, sigma_hat, orientation,
+                               mu_hat, sigma_hat,
+                               "positive" if positive else "negative",
                                led.cash - cash_before, qty))
         i = i_end
-    total_pnl = led.close_out(n - 1, float(closes[-1]))
+    total_pnl = led.cash
     traded_qty = sum(abs(delta) for _, _, delta in led.events)
     traded_notional = sum(abs(delta) * price
                           for _, price, delta in led.events)

@@ -346,8 +346,7 @@ class TradeLedger:
         """Change the position by position_delta at the given price."""
         if not (price > 0):
             raise ValueError("price must be positive")
-        self.events.append((int(time_index), float(price),
-                            float(position_delta)))
+        self.events.append((time_index, price, position_delta))
         self.cash -= position_delta * price
         self.open_position += position_delta
         return self

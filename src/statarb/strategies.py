@@ -7,10 +7,9 @@ positive cumulative P&L, and an open position is liquidated at the horizon.
 
 A cycle is a small automaton on the grid a(1 + k*c), written once as a leg
 table (leg_table).  Each Leg is a corridor, given as two multipliers of
-the anchor a, the index of the position it holds in the cycle's solved
-StrategyVector, and the leg that follows an exit through each side, or
-None where the cycle ends.  A leg ends where the path first leaves its
-corridor.  The embedded cycle has three legs (first, up, down); the trend
+the anchor a, and the leg that follows an exit through each side, or None
+where the cycle ends; leg k holds positions(psi)[k] of the cycle's solved
+StrategyVector.  A leg ends where the path first leaves its corridor.  The embedded cycle has three legs (first, up, down); the trend
 cycle adds a third leg after the up leg in the positive orientation and
 after the down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
@@ -23,9 +22,10 @@ per experiment.
 
 Two interpreters run the table and give the same results bit for bit:
 - run_cycle trades one cycle on one PricePath with next_hit and a
-  TradeLedger, whose events it records.  run_path repeats it along a path
-  (and accepts a ledger and a cycle trace for inspection), and the
-  backtest solves and trades single trend cycles with it.
+  TradeLedger, whose events it records, and ends it flat: closed out at
+  its final exit or liquidated at the path end.  run_path repeats it
+  along a path (and accepts a ledger and a cycle trace for inspection),
+  and the backtest solves and trades single trend cycles with it.
 - run_seeded, the Monte Carlo engine of the harness, keeps the run state
   of each row of a paths.PathBlock in plain lists and advances, in one
   loop per scan, every row the scan answered, and resumes the others.  It
@@ -56,7 +56,6 @@ from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import KINDS, MODES, StrategyVector, solve_three_leg
 from .paths import (
-    HitEvent,
     PathBlock,
     PricePath,
     TradeLedger,
@@ -144,14 +143,13 @@ class CycleRecord(NamedTuple):
 
 
 class Leg(NamedTuple):
-    """One leg of a cycle at anchor a: it holds the position
-    positions(psi)[position] inside the corridor (lo * a, hi * a), and the
-    leg that follows an exit through lo or hi is on_lo or on_hi, an index
-    into the cycle's table, or None where the cycle ends there."""
+    """One leg of a cycle at anchor a: leg k of a table holds the position
+    positions(psi)[k] inside the corridor (lo * a, hi * a), and the leg
+    that follows an exit through lo or hi is on_lo or on_hi, an index into
+    the cycle's table, or None where the cycle ends there."""
 
     lo: float
     hi: float
-    position: int
     on_lo: int | None
     on_hi: int | None
 
@@ -169,20 +167,20 @@ def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
 
     A corridor's multipliers are the factors of the levels a * (1 + k*c),
     and a * 1.0 == a, so every barrier is the float those levels are."""
-    first = Leg(1 - c, 1 + c, 0, 2, 1)
-    up = Leg(1.0, 1 + 2 * c, 1, None, None)
-    down = Leg(1 - 2 * c, 1.0, 2, None, None)
+    first = Leg(1 - c, 1 + c, 2, 1)
+    up = Leg(1.0, 1 + 2 * c, None, None)
+    down = Leg(1 - 2 * c, 1.0, None, None)
     if kind == "embedded":
         return first, up, down
     if positive:
-        trend = Leg(1.0, 1 + 4 * c, 3, None, None)
+        trend = Leg(1.0, 1 + 4 * c, None, None)
         return first, up._replace(on_hi=3), down, trend
-    trend = Leg(1 - 4 * c, 1.0, 3, None, None)
+    trend = Leg(1 - 4 * c, 1.0, None, None)
     return first, up, down._replace(on_lo=3), trend
 
 
 def positions(psi: StrategyVector) -> tuple[float, ...]:
-    """The positions of psi in the order Leg.position indexes them."""
+    """The positions of psi in the order of the legs that hold them."""
     return psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3
 
 
@@ -258,9 +256,10 @@ def _plan(params: GbmParams, config: StrategyConfig,
 
 def run_cycle(path: PricePath, i: int, anchor: float, snap: bool,
               led: TradeLedger, legs: tuple[Leg, ...],
-              psi: StrategyVector) -> HitEvent | None:
+              psi: StrategyVector) -> tuple[int, float] | None:
     """Trade one cycle of ``legs`` with the positions of ``psi`` on
-    ``path`` from index ``i``, answering each leg's corridor with next_hit.
+    ``path`` from index ``i``, answering each leg's corridor with next_hit,
+    and leave ``led`` flat.
 
     The first leg's position is executed at the anchor, which is the price
     at i wherever a cycle starts in observed mode, and each later leg's at
@@ -268,23 +267,29 @@ def run_cycle(path: PricePath, i: int, anchor: float, snap: bool,
     price in observed mode.  Each leg starts from the level where the
     previous one ended, strictly inside its corridor, so its first exit is
     also the first touch or crossing of a barrier by the segments from that
-    level.  Returns the hit that ends the cycle, with its position still
-    open, or None when the path ends first."""
+    level.  At the cycle's final exit the position is closed out at that
+    exit's price, and (index, price) of the exit is returned: the next
+    anchor.  When the path ends first, the position is liquidated at its
+    last point, at the last execution price in snap mode and the last grid
+    price in observed mode, and None is returned."""
     prices = path.prices
     held = positions(psi)
-    leg, price = legs[0], anchor
+    k, price = 0, anchor
     while True:
-        led.execute(i, price, held[leg.position] - led.open_position)
+        led.execute(i, price, held[k] - led.open_position)
+        leg = legs[k]
         hi = anchor * leg.hi
         hit = next_hit(path, i, anchor * leg.lo, hi)
         if hit is None:
+            led.close_out(prices.size - 1,
+                          price if snap else float(prices[-1]))
             return None
         i, level = hit
         price = level if snap else float(prices[i])
-        following = leg.on_hi if level == hi else leg.on_lo
-        if following is None:
-            return hit
-        leg = legs[following]
+        k = leg.on_hi if level == hi else leg.on_lo
+        if k is None:
+            led.close_out(i, price)
+            return i, price
 
 
 def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
@@ -299,10 +304,9 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
     led = ledger if ledger is not None else TradeLedger()
     solve, legs, orientation, c, q = _plan(params, config)
     snap = config.execution_mode == "snap"
-    prices = path.prices
-    n = prices.size
+    n = path.prices.size
     n_rep = 0
-    anchor = float(prices[0])
+    anchor = float(path.prices[0])
     i = 0
     while i < n - 1:
         psi = solve(anchor)
@@ -312,15 +316,11 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
         stop = run_cycle(path, i, anchor, snap, led, legs, psi)
         if stop is None:
             break
-        i, level = stop
-        anchor = level if snap else float(prices[i])
-        led.close_out(i, anchor)
+        i, anchor = stop
         n_rep += 1
         if led.cash > 0.0:
             return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-    last_mark = led.events[-1][1] if led.events else anchor
-    pnl = led.close_out(n - 1, last_mark if snap else float(prices[-1]))
-    return RunResult(pnl, n_rep, len(led.events), "Horizon")
+    return RunResult(led.cash, n_rep, len(led.events), "Horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
     division kernels may round differently.
     """
     solve, legs, *_ = _plan(params, config)
-    lo_of, hi_of, position_of, on_lo, on_hi = zip(*legs)
+    lo_of, hi_of, on_lo, on_hi = zip(*legs)
     snap = config.execution_mode == "snap"
     n_rows = chunk_rows(params.n_steps)
     block = PathBlock(params, n_rows)
@@ -388,7 +388,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
         for r, i, a in starting:
             held[r] = h = positions(solve(a))
             p = position[r]
-            delta = h[position_of[0]] - p
+            delta = h[0] - p
             cash[r] -= delta * a
             position[r] = p + delta
             events[r] += 1
@@ -406,7 +406,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
                 following = on_hi[leg[r]] if lvl == hi else on_lo[leg[r]]
                 if following is not None:
                     p = position[r]
-                    delta = held[r][position_of[following]] - p
+                    delta = held[r][following] - p
                     cash[r] -= delta * price
                     position[r] = p + delta
                     events[r] += 1

@@ -189,25 +189,45 @@ def test_leg_tables_follow_the_corridor_table():
     # after an up exit, in (a(1-2c), a) after a down exit; the trend leg in
     # (a, a(1+4c)) after the up leg's hi exit (positive orientation), in
     # (a(1-4c), a) after the down leg's lo exit (negative orientation)
-    first = (1 - C, 1 + C, 0, 2, 1)
-    up = (1.0, 1 + 2 * C, 1, None, None)
-    down = (1 - 2 * C, 1.0, 2, None, None)
+    first = (1 - C, 1 + C, 2, 1)
+    up = (1.0, 1 + 2 * C, None, None)
+    down = (1 - 2 * C, 1.0, None, None)
     assert leg_table(C, "embedded") == (first, up, down)
     assert leg_table(C, "trend", True) == (
-        first, (1.0, 1 + 2 * C, 1, None, 3), down,
-        (1.0, 1 + 4 * C, 3, None, None))
+        first, (1.0, 1 + 2 * C, None, 3), down, (1.0, 1 + 4 * C, None, None))
     assert leg_table(C, "trend", False) == (
-        first, up, (1 - 2 * C, 1.0, 2, 3, None),
-        (1 - 4 * C, 1.0, 3, None, None))
+        first, up, (1 - 2 * C, 1.0, 3, None), (1 - 4 * C, 1.0, None, None))
     # the barriers at anchor A are the floats the grid levels are
     corridors = {(DOWN, UP), (A, UP2), (DOWN2, A), (A, UP4), (DOWN4, A)}
     for legs in (leg_table(C, "trend", True), leg_table(C, "trend", False)):
         assert {(A * leg.lo, A * leg.hi) for leg in legs} <= corridors
-    # the position a leg holds is the solved vector's entry of that name
+    # leg k holds positions(psi)[k]: first, up, down and trend leg in turn
     psi = trend_positions(A, C, Q, 0.25, False)
-    held = strategies.positions(psi)
-    assert [held[leg.position] for leg in leg_table(C, "trend", False)] \
-        == [psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3]
+    assert strategies.positions(psi) \
+        == (psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_cycle_ends_flat(mode):
+    # a cycle that stops closes out at its final exit and returns the exit's
+    # index and price; one the path end cuts off is liquidated at the last
+    # point and returns None
+    snap = mode == "snap"
+    legs = leg_table(C, "embedded")
+    psi = embedded_positions(A, C, Q)
+    stops = make_path([A, 107.0, 112.0, 101.0])
+    led = TradeLedger()
+    assert strategies.run_cycle(stops, 0, A, snap, led, legs, psi) \
+        == (2, UP2 if snap else 112.0)
+    assert led.open_position == 0.0
+    assert led.events[-1][:2] == (2, UP2 if snap else 112.0)
+    assert led.events[-1][2] == pytest.approx(-psi.phi2_up, rel=1e-12)
+    cut = make_path([A, 94.0, 97.0, 98.0])
+    led = TradeLedger()
+    assert strategies.run_cycle(cut, 0, A, snap, led, legs, psi) is None
+    assert led.open_position == 0.0
+    assert led.events[-1][:2] == (3, DOWN if snap else 98.0)
+    assert led.events[-1][2] == pytest.approx(-psi.phi2_down, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", MODES)

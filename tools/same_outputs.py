@@ -1,0 +1,97 @@
+"""Fingerprint the engine's outputs, to check that a change keeps them.
+
+Run from anywhere, with no options:
+
+    python3 tools/same_outputs.py > outputs.txt
+
+It imports the ``src/`` of the checkout it lives in and prints one
+``name sha256`` line per case, the sha256 of the ``repr`` of what the case
+returns (or of the error it raises):
+
+- ``run_experiment(...).runs`` over kinds x modes x alpha {0, 0.5, 1} x
+  mu {+-0.1241} x steps {3, 50, 1000}, 200 runs each;
+- ``run_path`` results, ledger events and cycle traces for seeds 0-19 of
+  ``simulate_gbm`` per kind x mode x alpha x mu, at 300 steps;
+- ``run_backtest`` results and ledger events on both ``tests/data`` CSVs
+  at boundary 0.02 and alpha {0, 0.5, 1}.
+
+The other parameters are the CLI defaults.  Two checkouts whose outputs
+print the same lines give the same results, bit for bit, on these cases.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from itertools import product
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from statarb.backtest import BacktestConfig, load_csv, run_backtest  # noqa: E402
+from statarb.errors import StatarbError  # noqa: E402
+from statarb.gbm import GbmParams  # noqa: E402
+from statarb.harness import ExperimentConfig, run_experiment  # noqa: E402
+from statarb.lattice import KINDS, MODES  # noqa: E402
+from statarb.paths import TradeLedger, simulate_gbm  # noqa: E402
+from statarb.strategies import StrategyConfig, run_path  # noqa: E402
+
+ALPHAS = (0.0, 0.5, 1.0)
+MUS = (0.1241, -0.1241)
+
+
+def digest(compute) -> str:
+    try:
+        value = compute()
+    except StatarbError as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def params(mu: float, n_steps: int) -> GbmParams:
+    return GbmParams(mu=mu, sigma=0.0837, s0=2186.0, horizon=1.0,
+                     n_steps=n_steps)
+
+
+def experiment(strategy: StrategyConfig, mu: float, n_steps: int):
+    config = ExperimentConfig(params(mu, n_steps), strategy, n_runs=200,
+                              master_seed=0)
+    return run_experiment(config).runs
+
+
+def paths(strategy: StrategyConfig, mu: float):
+    law = params(mu, 300)
+    out = []
+    for seed in range(20):
+        ledger, trace = TradeLedger(), []
+        result = run_path(simulate_gbm(law, seed), law, strategy,
+                          ledger=ledger, cycle_trace=trace)
+        out.append((result, ledger.events, trace))
+    return out
+
+
+def backtest(csv: Path, alpha: float):
+    ledger = TradeLedger()
+    result = run_backtest(load_csv(csv),
+                          BacktestConfig(boundary_fraction=0.02, alpha=alpha),
+                          ledger=ledger)
+    return result, ledger.events
+
+
+def main() -> None:
+    for kind, mode, alpha, mu in product(KINDS, MODES, ALPHAS, MUS):
+        strategy = StrategyConfig(kind=kind, c_mult=0.01, alpha=alpha,
+                                  execution_mode=mode)
+        name = f"{kind}/{mode}/alpha={alpha}/mu={mu}"
+        for n_steps in (3, 50, 1000):
+            print(f"run_experiment/{name}/steps={n_steps}",
+                  digest(lambda: experiment(strategy, mu, n_steps)))
+        print(f"run_path/{name}", digest(lambda: paths(strategy, mu)))
+    for csv, alpha in product(sorted((ROOT / "tests" / "data").glob("*.csv")),
+                              ALPHAS):
+        print(f"run_backtest/{csv.name}/alpha={alpha}",
+              digest(lambda: backtest(csv, alpha)))
+
+
+if __name__ == "__main__":
+    main()
