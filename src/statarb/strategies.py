@@ -9,9 +9,10 @@ A cycle is a small automaton on the grid a(1 + k*c), written once as a leg
 table (leg_table).  Each Leg is a corridor, given as two multipliers of
 the anchor a, and the leg that follows an exit through each side, or None
 where the cycle ends; leg k holds positions(psi)[k] of the cycle's solved
-StrategyVector.  A leg ends where the path first leaves its corridor.  The embedded cycle has three legs (first, up, down); the trend
-cycle adds a third leg after the up leg in the positive orientation and
-after the down leg in the negative one.  The paper's follow-the-trend and
+StrategyVector.  A leg ends where the path first leaves its corridor.
+The embedded cycle has three legs (first, up, down); the trend cycle adds
+a third leg after the up leg in the positive orientation and after the
+down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
 the anchor, so both are the one "trend" kind.  The positions at an anchor
 are solved by embedded_positions (embedded_phi) and trend_positions
