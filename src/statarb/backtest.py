@@ -72,6 +72,8 @@ class MarketSeries:
         closes.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "closes", closes)
+        if closes.ndim != 1:
+            raise ValueError("closes must be 1-d")
         if len(self.dates) != closes.size:
             raise ValueError("dates and closes must have equal lengths")
         if closes.size == 0:

@@ -18,7 +18,7 @@ reproduces a plain experiment bit for bit.  Run k of an experiment equals
 for every seed whose path ``simulate_gbm`` accepts.  The ``PathBlock``
 generates the points of a path as its scans reach them, and checks for
 underflow only the points it generates, so a run that ends before its
-path would underflow to 0 no longer fails the experiment, while
+path would underflow to 0 completes and is counted, while
 ``simulate_gbm`` rejects that path.
 """
 from __future__ import annotations

@@ -354,9 +354,11 @@ class TradeLedger:
     def close_out(self, time_index: int, price: float) -> float:
         """Flatten the position at the given price; returns cumulative P&L.
 
-        Closing an already-flat ledger is legal and returns current cash.
+        The closing execution's delta is -open_position, and the running
+        sum it leaves, p + (-p), is exactly 0.0 for a finite position.
+        Closing an already-flat ledger is legal, makes no event and returns
+        current cash.
         """
         if self.open_position != 0.0:
             self.execute(time_index, price, -self.open_position)
-            self.open_position = 0.0
         return self.cash

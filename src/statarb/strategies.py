@@ -340,11 +340,14 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
     The paths of chunk_rows(n_steps) runs at a time are the rows of one
     PathBlock, and each row's run state lives in plain lists: its anchor,
     the positions of its cycle, its leg, position, cash, last execution
-    price and event and cycle counts.  Each scan answers the pending corridor
-    query of every row with one window; one loop then moves each
-    unanswered query to its first untested point, or ends the run at the
-    path end, and advances each answered row by one leg.  It applies
-    TradeLedger's arithmetic in the same order, so the bits are run_path's.
+    price and event and cycle counts; a new run's first anchor is s0.  Each
+    scan answers the pending corridor query of every row with one window;
+    one loop then moves each unanswered query short of the path end to its
+    first untested point, and resolves each other query to a price and the
+    following leg, None at a cycle's stop or the path end.  One ledger step
+    per query enters that leg's position or flattens a row that is not
+    flat, with TradeLedger's arithmetic in the same order, so the bits are
+    run_path's.
     The rows of finished runs are refilled with the next seeds' paths, so
     that the scans stay wide until the seeds run out.  The per-cycle
     strategy solves stay scalar Python calls, because vectorised power and
@@ -357,6 +360,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
     block = PathBlock(params, n_rows)
     prices = block.prices
     last = params.n_steps  # the index of a row's last point
+    s0 = float(params.s0)  # a row's first price: its log price starts at 0
     window = paths.SCAN_SEGMENTS + 1  # the points one scan tests
     seeds = iter(seeds)
     results: list[RunResult | None] = []
@@ -377,12 +381,12 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
         if batch:
             filled, free = free[:len(batch)], free[len(batch):]
             block.fill(filled, batch)
-            for r, s in zip(filled, prices[filled, 0].tolist()):
+            for r in filled:
                 owner[r] = len(results)
                 results.append(None)
                 position[r] = cash[r] = 0.0
                 events[r] = cycles[r] = 0
-                starting.append((r, 0, s))
+                starting.append((r, 0, s0))
         # cycles start in the order their rows' last cycles ended, then the
         # new runs' first cycles: of several solves that would raise, the
         # one the scans reached first raises
@@ -405,47 +409,33 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
             if i >= 0:
                 price = lvl if snap else prices.item(r, i)
                 following = on_hi[leg[r]] if lvl == hi else on_lo[leg[r]]
-                if following is not None:
-                    p = position[r]
-                    delta = held[r][following] - p
-                    cash[r] -= delta * price
-                    position[r] = p + delta
-                    events[r] += 1
-                    mark[r] = price
-                    leg[r] = following
-                    a = anchor[r]
-                    pending[r] = (i, a * lo_of[following],
-                                  a * hi_of[following])
-                    continue
-                # the cycle ends: close out at its stop
-                p = position[r]
-                if p != 0.0:
-                    delta = -p
-                    cash[r] -= delta * price
-                    position[r] = 0.0
-                    events[r] += 1
-                    mark[r] = price
-                cycles[r] += 1
-                if cash[r] > 0.0:
-                    results[owner[r]] = RunResult(cash[r], cycles[r],
-                                                  events[r], "PositivePnl")
-                    del pending[r]
-                    free.append(r)
-                    continue
-                if i < last:
-                    starting.append((r, i, price))
-                    continue
             elif k + window <= last:
                 pending[r] = (k + window, lo, hi)
                 continue
-            # the horizon: liquidate at the last execution price (snap) or
-            # at the path's last price (observed)
+            else:  # the horizon: the last execution (snap) or last price
+                price = mark[r] if snap else prices.item(r, last)
+                following = None
             p = position[r]
-            if p != 0.0:
-                delta = -p
-                cash[r] -= delta * (mark[r] if snap else prices.item(r, last))
+            if following is not None or p != 0.0:
+                delta = (0.0 if following is None else held[r][following]) - p
+                cash[r] -= delta * price
+                position[r] = p + delta
                 events[r] += 1
+                mark[r] = price
+            if following is not None:
+                leg[r] = following
+                a = anchor[r]
+                pending[r] = (i, a * lo_of[following], a * hi_of[following])
+                continue
+            status = "Horizon"
+            if i >= 0:  # the cycle ended at its stop
+                cycles[r] += 1
+                if cash[r] > 0.0:
+                    status = "PositivePnl"
+                elif i < last:
+                    starting.append((r, i, price))
+                    continue
             results[owner[r]] = RunResult(cash[r], cycles[r], events[r],
-                                          "Horizon")
+                                          status)
             del pending[r]
             free.append(r)

@@ -104,6 +104,9 @@ def test_load_csv_errors_carry_line_numbers():
 def test_market_series_validation():
     with pytest.raises(ValueError):
         MarketSeries(daily_dates(3), np.array([1.0, 2.0]))
+    # as many closes as dates, in the wrong shape
+    with pytest.raises(ValueError, match="^closes must be 1-d$"):
+        MarketSeries(daily_dates(6), np.ones((2, 3)))
     with pytest.raises(ValueError):
         MarketSeries((), np.array([]))
     with pytest.raises(ValueError):

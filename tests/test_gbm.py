@@ -257,6 +257,18 @@ def test_embedded_phi_matches_lattice_solver_randomized():
         assert phi.phi2_down == pytest.approx(ref.phi2_down, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, -0.01, 0.5, 0.7])
+def test_embedded_phi_rejects_bad_c(c):
+    with pytest.raises(ValueError, match=r"^c must lie in \(0, 1/2\)$"):
+        embedded_phi(c, 100.0, 1.2)
+
+
+@pytest.mark.parametrize("s0", [0.0, -100.0, math.nan])
+def test_embedded_phi_rejects_an_anchor_that_is_not_positive(s0):
+    with pytest.raises(ValueError, match="^s0_anchor must be positive$"):
+        embedded_phi(0.05, s0, 1.2)
+
+
 def test_embedded_phi_degenerate_q():
     with pytest.raises(NoSaExists):
         embedded_phi(0.05, 100.0, 1.0)
@@ -290,6 +302,21 @@ def test_mle_estimate_degenerate_series():
         mle_estimate(np.exp(0.001 * np.arange(100)), dt=1 / 252)
     with pytest.raises(DegenerateSeries):
         mle_estimate(np.linspace(100.0, 110.0, 10), dt=1 / 252)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1 / 252, math.nan])
+def test_mle_estimate_rejects_a_dt_that_is_not_positive(dt):
+    closes = 50.0 + np.sin(np.arange(40.0))
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        mle_estimate(closes, dt)
+
+
+@pytest.mark.parametrize("bad", [0.0, -50.0])
+def test_mle_estimate_rejects_prices_that_are_not_positive(bad):
+    closes = 50.0 + np.sin(np.arange(40.0))
+    closes[7] = bad
+    with pytest.raises(ValueError, match="^prices must be positive$"):
+        mle_estimate(closes, 1 / 252)
 
 
 def test_mle_estimate_recovers_gbm_parameters():

@@ -33,7 +33,7 @@ CASES: dict[str, list[str]] = {
     f"simulate_{kind}_{mode}_s{seed}": [
         "simulate", *SMALL, "--seed", str(seed), "--strategy", kind,
         "--mode", mode]
-    for kind in ("embedded", "trend", "gfin")
+    for kind in ("embedded", "trend")
     for mode in ("snap", "observed")
     for seed in (3, 11)
 }
@@ -44,8 +44,8 @@ CASES.update({
     for mode in ("snap", "observed")
 })
 CASES.update({
-    "simulate_gfin_observed_alpha05": [
-        "simulate", *SMALL, "--seed", "3", "--strategy", "gfin",
+    "simulate_trend_observed_alpha05": [
+        "simulate", *SMALL, "--seed", "3", "--strategy", "trend",
         "--mode", "observed", "--alpha", "0.5"],
     "simulate_trend_snap_negative_drift": [
         "simulate", *SMALL, "--seed", "3", "--strategy", "trend",
@@ -71,6 +71,12 @@ CASES.update({
 
 # exit codes other than 0: sec34 admits a statistical arbitrage
 EXIT_CODES = {"check_model_sec34": 2}
+
+# trend cases that --strategy gfin, the CLI's name for the dichotomy
+# strategy, must reproduce byte for byte
+GFIN_TWINS = [*(f"simulate_trend_{mode}_s{seed}"
+                for mode in ("snap", "observed") for seed in (3, 11)),
+              "simulate_trend_observed_alpha05"]
 
 
 def run_case(argv: list[str], out: Path | None) -> tuple[int, bytes]:
@@ -98,6 +104,16 @@ def test_golden_output(name, tmp_path):
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     if out is not None:
         assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("name", GFIN_TWINS)
+def test_gfin_writes_the_trend_outputs(name, tmp_path):
+    argv = ["gfin" if arg == "trend" else arg for arg in CASES[name]]
+    out = tmp_path / f"{name}.out.csv"
+    code, stdout = run_case(argv, out)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
 def test_golden_directory_holds_exactly_the_cases():

@@ -1,7 +1,9 @@
 """Tests for the lattice models, certificates, and strategy solvers."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from helpers import (
     random_trinomial,
     sec34_binomial,
 )
-from statarb.errors import InvalidBase, NoSaExists
+from statarb.errors import DegenerateModel, InvalidBase, NoSaExists, NoSolution
 from statarb.lattice import (
     ScenarioPartition,
     StrategyVector,
@@ -34,6 +36,7 @@ from statarb.lattice import (
     nsa_binomial,
     payoff,
     solve_binomial_sa,
+    solve_three_leg,
     terminal_state_partition,
     tilde_q,
     trend_A_matrix,
@@ -199,6 +202,15 @@ def test_tilde_q_matches_det_root():
         assert tilde_q(m) == pytest.approx(det_root_oracle(m), rel=1e-9)
 
 
+def test_tilde_q_rejects_a_vanishing_denominator():
+    # s_dd a hair below s_down: ds2(dd) * k2 is below EPS_TOL * scale^3
+    m = TwoPeriodBinomial(100.0, 110.0, 90.0, 121.0, 99.0, 90.0 - 1e-10,
+                          (0.25,) * 4)
+    with pytest.raises(DegenerateModel,
+                       match="^critical-ratio denominator vanishes$"):
+        tilde_q(m)
+
+
 def test_nsa_binomial_worked_example():
     cert = nsa_binomial(sec34_binomial())
     assert cert.status == "SaExists"
@@ -256,6 +268,27 @@ def test_emm_binomial_martingale_and_oracle():
         assert abs(w[2] * m.ds2[2] + w[3] * m.ds2[3]) <= 1e-12 * scale
 
 
+def test_emm_binomial_rejects_a_vanishing_normalizer():
+    # at prices near 1e-110 the normalizer, a product of three increments,
+    # underflows to 0
+    prices = (1e-110 * s for s in (100.0, 110.0, 90.0, 121.0, 99.0, 81.0))
+    m = TwoPeriodBinomial(*prices, (0.25,) * 4)
+    with pytest.raises(DegenerateModel,
+                       match="^martingale-measure normalizer vanishes$"):
+        emm_binomial(m)
+
+
+def test_emm_binomial_rejects_a_weight_that_underflows():
+    # at prices near 2^-350, with s_ud an ulp below s_up, w_uu's numerator
+    # underflows to 0 while the normalizer does not
+    k = 2.0 ** -350
+    m = TwoPeriodBinomial(100 * k, 110 * k, 90 * k, 121 * k,
+                          math.nextafter(110 * k, 0.0), 81 * k, (0.25,) * 4)
+    with pytest.raises(DegenerateModel, match=(
+            "^martingale measure has a non-positive weight$")):
+        emm_binomial(m)
+
+
 def test_solve_binomial_sa_worked_example():
     phi = solve_binomial_sa(sec34_binomial())
     assert (phi.phi1, phi.phi2_up, phi.phi2_down) == (1.6, -1.4, -1.8)
@@ -301,6 +334,25 @@ def test_solver_homogeneity():
 
 
 # ----------------------------------------------------- trinomial certificate
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("s2_circ", 12.5, "need s2_circ > s2_uu > s2_ud > s2_dd > 0"),
+    ("s1_up", 9.0, "need s1_up > s0 > s1_down"),
+    ("s1_up", 13.5, "need s2_uu > s1_up"),
+    ("s2_ud", 7.0, "need s1_down < s2_ud < s1_up"),
+    ("s2_dd", 9.0, "need s2_dd < s1_down"),
+])
+def test_trinomial_top_model_rejects_misordered_prices(field, value,
+                                                       message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(counterexample_trinomial(), **{field: value})
+
+
+def test_trinomial_nsa_rejects_a_vanishing_increment():
+    m = dataclasses.replace(counterexample_trinomial(), s2_dd=8.0 - 1e-12)
+    with pytest.raises(DegenerateModel, match=r"^ds2\(dd\) vanishes$"):
+        trinomial_nsa(m)
 
 
 def test_trinomial_nsa_fixture():
@@ -361,6 +413,17 @@ def test_counterexample_pid_check_emm_member():
     assert rep.is_valid_emm is True
 
 
+def test_counterexample_pid_check_rejects_a_singular_system():
+    # p0 = p3 = the smallest subnormal: the path-independence row
+    # p3*w0 - p0*w3 = 0 vanishes in the elimination
+    tiny = math.ulp(0.0)
+    m = dataclasses.replace(counterexample_trinomial(),
+                            p=(tiny, 0.25, 0.25, tiny, 0.25, 0.25))
+    with pytest.raises(NoSolution, match=(
+            "^path-independence constraint system is singular$")):
+        counterexample_pid_check(m)
+
+
 # ------------------------------------------------- three-period strategies
 
 # Hand-worked trend lattices: every price and probability is exact in
@@ -418,6 +481,17 @@ def test_trend_lattice_two_period_errors_are_the_binomials(orientation,
     assert str(trend.value) == str(binomial.value)
 
 
+@pytest.mark.parametrize("orientation, s3_continue, message", [
+    ("positive", 120.0, "need s3_reverse < s_uu < s3_continue"),
+    ("negative", 85.0, "need s3_continue < s_dd < s3_reverse"),
+])
+def test_trend_lattice_rejects_a_misordered_third_leg(orientation,
+                                                      s3_continue, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(PIN_LATTICES[orientation],
+                            s3_continue=s3_continue)
+
+
 def test_trend_strategy_grid_values():
     m = grid_trend_lattice(100.0, 0.05, "positive")
     psi = trend_strategy(m, alpha=0.0)
@@ -444,6 +518,13 @@ def test_trend_strategy_no_sa_boundary():
     m = grid_trend_lattice(100.0, 0.05, "positive", q=1.0)
     with pytest.raises(NoSaExists):
         trend_strategy(m)
+
+
+def test_solve_three_leg_rejects_coinciding_third_leg_increments():
+    m = PIN_LATTICES["positive"]
+    with pytest.raises(DegenerateModel,
+                       match="^third-leg increments coincide$"):
+        solve_three_leg(m.ds1[:4], m.ds2[:4], 5.0, 5.0, 0.0, 2.0, True)
 
 
 def test_trend_strategy_solves_four_row_system():
