@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, NamedTuple
@@ -85,7 +86,7 @@ class MarketSeries:
                              f"{float(closes[k])!r} on {self.dates[k]}")
         if not (closes > 0.0).all():
             raise ValueError("closes must be positive")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if any(map(operator.le, self.dates[1:], self.dates)):
             raise NonMonotoneDates("dates must be strictly increasing")
 
     @property

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,6 +148,25 @@ def exit_prob_upper(s0: float, a: float, b: float, mu: float,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _q_grid(c: float) -> tuple[tuple[float, float, float], ...]:
+    """The (near, far, width) log-barrier triples of embedded_q's four exit
+    probabilities at c, in the order p_down1, p_up1, p_mid_up, p_mid_down:
+    the logs exit_prob_lower / exit_prob_upper take of the same normalized
+    levels, after the same checks on c."""
+    if not (0 < c < 0.5):
+        raise ValueError("c must lie in (0, 1/2)")
+    levels = [1.0 + k * c for k in (-4, -2, -1, 0, 1, 2, 4)]
+    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
+        raise ValueError(f"c={c!r} is too small: the grid levels 1 + k*c "
+                         "are not distinct floats")
+    a1, b1 = math.log(1.0 - c), math.log(1.0 + c)
+    a2, b2 = math.log(1.0 / (1.0 + c)), math.log((1.0 + 2.0 * c) / (1.0 + c))
+    a3, b3 = math.log((1.0 - 2.0 * c) / (1.0 - c)), math.log(1.0 / (1.0 - c))
+    return ((a1, b1, b1 - a1), (b1, -a1, b1 - a1), (a2, b2, b2 - a2),
+            (b3, -a3, b3 - a3))
+
+
 def embedded_q(c: float, mu: float, sigma: float) -> float:
     """Probability ratio q = P(up-then-back) / P(down-then-back) of the
     binomial model embedded at hitting times of the levels s0*(1 +- c).
@@ -158,17 +178,30 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     When a probability product underflows (at c = 0.4, from |mu|/sigma^2
     of about 730 on), so that q is 0 or not finite, DegenerateModel is
     raised.
+
+    The four probabilities are exit_prob_lower(1, 1-c, 1+c),
+    exit_prob_upper(1, 1-c, 1+c), exit_prob_lower(1+c, 1, 1+2c) and
+    exit_prob_upper(1-c, 1-2c, 1), bit for bit, with the same errors in
+    the same order: their log-barriers depend only on c, so _q_grid caches
+    them with the checks on c, and the rest is _exit_prob's arithmetic,
+    with nu and the first step's log sinh of its width computed once.
     """
-    if not (0 < c < 0.5):
-        raise ValueError("c must lie in (0, 1/2)")
-    levels = [1.0 + k * c for k in (-4, -2, -1, 0, 1, 2, 4)]
-    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
-        raise ValueError(f"c={c!r} is too small: the grid levels 1 + k*c "
-                         "are not distinct floats")
-    p_down1 = exit_prob_lower(1.0, 1.0 - c, 1.0 + c, mu, sigma)
-    p_up1 = exit_prob_upper(1.0, 1.0 - c, 1.0 + c, mu, sigma)
-    p_mid_up = exit_prob_lower(1.0 + c, 1.0, 1.0 + 2.0 * c, mu, sigma)
-    p_mid_down = exit_prob_upper(1.0 - c, 1.0 - 2.0 * c, 1.0, mu, sigma)
+    (n1, f1, width1), (n2, f2, _), (n3, f3, width3), (n4, f4, width4) = \
+        _q_grid(c)
+    if not (sigma > 0):
+        raise ValueError("sigma must be positive")
+    nu = mu / (sigma * sigma) - 0.5
+    w = abs(nu)
+    if w <= NU_EPS:
+        probs = (f1 / width1, f2 / width1, f3 / width3, f4 / width4)
+    else:
+        sinh1 = _logsinh(w * width1)
+        probs = (math.exp(nu * n1 + _logsinh(w * f1) - sinh1),
+                 math.exp(nu * n2 + _logsinh(w * f2) - sinh1),
+                 math.exp(nu * n3 + _logsinh(w * f3) - _logsinh(w * width3)),
+                 math.exp(nu * n4 + _logsinh(w * f4) - _logsinh(w * width4)))
+    p_down1, p_up1, p_mid_up, p_mid_down = [min(1.0, max(0.0, p))
+                                            for p in probs]
     up, down = p_up1 * p_mid_up, p_down1 * p_mid_down
     q = up / down if up > 0.0 and down > 0.0 else 0.0
     if not 0.0 < q < math.inf:
@@ -220,25 +253,39 @@ def mle_from_returns(r: np.ndarray, dt: float) -> tuple[float, float]:
     years: sigma^2 = Var(r)/dt (n-1 denominator) and
     mu = mean(r)/dt + sigma^2/2.  (Numerically) zero return variance raises
     DegenerateSeries.
+
+    One sum gives the mean and one sum of squared deviations the variance.
+    These are the same pairwise add.reduce calls, elementwise subtraction
+    and squaring, and IEEE divisions by n and n - 1 that np.mean and
+    np.var(ddof=1) perform, so the estimate equals theirs bit for bit.
     """
-    var = float(np.var(r, ddof=1))
+    n = r.size
+    mean = r.sum() / n
+    dev = r - mean
+    dev *= dev
+    var = float(dev.sum() / (n - 1))
     if var <= 1e-24:
         raise DegenerateSeries("return variance is zero")
     sigma_sq = var / dt
-    mu = float(np.mean(r)) / dt + sigma_sq / 2.0
+    mu = float(mean) / dt + sigma_sq / 2.0
     return mu, math.sqrt(sigma_sq)
 
 
 def mle_estimate(closes: np.ndarray, dt: float) -> tuple[float, float]:
     """mle_from_returns on the log-returns of a price series sampled every
     dt years.  A series shorter than 30 observations, or with (numerically)
-    zero return variance, raises DegenerateSeries.
+    zero return variance, raises DegenerateSeries; closes that are not 1-d,
+    not finite or not positive raise ValueError.
     """
     prices = np.asarray(closes, dtype=float)
-    if prices.ndim != 1 or prices.size < 30:
+    if prices.ndim != 1:
+        raise ValueError("closes must be 1-d")
+    if prices.size < 30:
         raise DegenerateSeries("need at least 30 observations")
     if not (dt > 0):
         raise ValueError("dt must be positive")
+    if not np.isfinite(prices).all():
+        raise ValueError("prices must be finite")
     if np.any(prices <= 0):
         raise ValueError("prices must be positive")
     return mle_from_returns(np.diff(np.log(prices)), dt)

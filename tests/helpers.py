@@ -9,8 +9,8 @@ from typing import IO
 import numpy as np
 
 from statarb.backtest import MARKET_HEADER, MarketSeries
-from statarb.errors import ParseError
-from statarb.gbm import embedded_q
+from statarb.errors import DegenerateModel, DegenerateSeries, ParseError
+from statarb.gbm import embedded_q, exit_prob_lower, exit_prob_upper
 from statarb.lattice import TrendLattice, TrinomialTopModel, TwoPeriodBinomial
 from statarb.paths import HitEvent
 
@@ -227,3 +227,37 @@ def reference_load_csv(source: str | Path | IO[str]) -> MarketSeries:
     if not dates:
         raise ParseError("no data rows", 2)
     return MarketSeries(tuple(dates), np.array(closes))
+
+
+def reference_mle_from_returns(r: np.ndarray,
+                               dt: float) -> tuple[float, float]:
+    """The np.var / np.mean body that gbm.mle_from_returns was first
+    written as, kept verbatim as the oracle of its estimates and errors."""
+    var = float(np.var(r, ddof=1))
+    if var <= 1e-24:
+        raise DegenerateSeries("return variance is zero")
+    sigma_sq = var / dt
+    mu = float(np.mean(r)) / dt + sigma_sq / 2.0
+    return mu, math.sqrt(sigma_sq)
+
+
+def reference_embedded_q(c: float, mu: float, sigma: float) -> float:
+    """The four exit_prob_* calls that gbm.embedded_q was first written
+    as, kept verbatim as the oracle of its ratios and errors."""
+    if not (0 < c < 0.5):
+        raise ValueError("c must lie in (0, 1/2)")
+    levels = [1.0 + k * c for k in (-4, -2, -1, 0, 1, 2, 4)]
+    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
+        raise ValueError(f"c={c!r} is too small: the grid levels 1 + k*c "
+                         "are not distinct floats")
+    p_down1 = exit_prob_lower(1.0, 1.0 - c, 1.0 + c, mu, sigma)
+    p_up1 = exit_prob_upper(1.0, 1.0 - c, 1.0 + c, mu, sigma)
+    p_mid_up = exit_prob_lower(1.0 + c, 1.0, 1.0 + 2.0 * c, mu, sigma)
+    p_mid_down = exit_prob_upper(1.0 - c, 1.0 - 2.0 * c, 1.0, mu, sigma)
+    up, down = p_up1 * p_mid_up, p_down1 * p_mid_down
+    q = up / down if up > 0.0 and down > 0.0 else 0.0
+    if not 0.0 < q < math.inf:
+        raise DegenerateModel(f"q = {up!r} / {down!r} at c={c!r}, "
+                              f"mu={mu!r}, sigma={sigma!r}: an exit "
+                              "probability product underflows")
+    return q

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_binomial, random_exact_grid
+from helpers import (grid_binomial, random_exact_grid, reference_embedded_q,
+                     reference_mle_from_returns)
 from statarb.errors import (
     DegenerateModel,
     DegenerateSeries,
@@ -21,9 +23,19 @@ from statarb.gbm import (
     embedded_q,
     exit_prob_lower,
     exit_prob_upper,
+    NU_EPS,
     mle_estimate,
+    mle_from_returns,
 )
 from statarb.lattice import solve_binomial_sa
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any error
+        return type(exc), str(exc)
 
 
 def scale_function_oracle(s0, a, b, mu, sigma):
@@ -235,6 +247,47 @@ def test_embedded_q_raises_by_name_where_a_product_underflows(c, mu, sigma):
             f"sigma={sigma!r}: an exit probability product underflows")
 
 
+# the smallest c whose grid levels 1 + k*c are distinct floats
+C_MIN = 1.6653345369377348e-16
+
+# c spread over (0, 1/2), and around the smallest c with distinct levels
+CS = st.one_of(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+               st.floats(1e-16, 1e-14))
+SIGMAS = st.floats(1e-3, 2.0)
+
+
+def driftless(c, nu, sigma):
+    """(c, mu, sigma) with mu/sigma^2 - 1/2 = nu up to rounding."""
+    return c, (nu + 0.5) * sigma * sigma, sigma
+
+
+@given(args=st.one_of(
+    st.tuples(CS, st.floats(-5.0, 5.0), SIGMAS),
+    st.builds(driftless, CS, st.floats(-NU_EPS, NU_EPS), SIGMAS),
+    st.tuples(st.just(0.4), st.floats(-2000.0, 2000.0),
+              st.sampled_from([0.01, 0.0837, 1.0])),
+    st.tuples(CS, st.floats(-5.0, 5.0), st.floats(-1.0, 0.0)),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-5.0, 5.0), SIGMAS)))
+@example(args=(C_MIN, 0.1241, 0.0837))
+@example(args=(math.nextafter(C_MIN, 0.0), 0.1241, 0.0837))
+@example(args=(0.05, 0.02, 0.2))
+@example(args=(0.05, 0.02 + 1e-12, 0.2))
+@example(args=(0.4, 729.9, 1.0))
+@example(args=(0.4, -730.5, 1.0))
+@example(args=(0.05, 0.1, 0.0))
+@example(args=(0.05, 0.1, -0.0))
+@example(args=(0.05, 0.1, math.nan))
+@example(args=(0.05, math.nan, 0.2))
+@example(args=(0.05, 1.0, 1e-170))
+@example(args=(0.05, 0.1, math.inf))
+@example(args=(1e-16, 0.1, 0.0))
+@example(args=(0.5, 0.1, 0.0))
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+def test_embedded_q_equals_the_four_exit_probability_calls(args):
+    # the cached grid and shared log sinh keep every ratio and every error
+    assert outcome(embedded_q, *args) == outcome(reference_embedded_q, *args)
+
+
 # ----------------------------------------------------------- embedded phi
 
 
@@ -317,6 +370,63 @@ def test_mle_estimate_rejects_prices_that_are_not_positive(bad):
     closes[7] = bad
     with pytest.raises(ValueError, match="^prices must be positive$"):
         mle_estimate(closes, 1 / 252)
+
+
+@st.composite
+def return_arrays(draw):
+    """Log-return arrays of 2-3000 points: random draws at one scale, with
+    per-point magnitudes from 1e-12 to 1e2, constant (zero variance), or
+    hypothesis floats up to 1e100."""
+    n = draw(st.integers(2, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["scale", "mixed", "constant", "floats"]))
+    if kind == "scale":
+        loc = draw(st.floats(-1.0, 1.0))
+        scale = 10.0 ** draw(st.floats(-13.0, 1.0))
+        return rng.normal(loc * scale, scale, n)
+    if kind == "mixed":
+        return (rng.standard_normal(n)
+                * 10.0 ** rng.integers(-12, 3, n).astype(float))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e100, 1e100)))
+    return np.array(draw(st.lists(st.floats(-1e100, 1e100), min_size=2,
+                                  max_size=40)))
+
+
+@given(r=return_arrays(), dt=st.sampled_from([1 / 252, 1.0, 1e-3, 7.5]))
+@example(r=np.full(756, 0.001), dt=1 / 252)
+@example(r=np.zeros(2), dt=1 / 252)
+@example(r=np.array([1e-13, -1e-13]), dt=1 / 252)
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+def test_mle_from_returns_equals_np_var_and_np_mean(r, dt):
+    # one sum and one squared-deviation sum round as np.var / np.mean do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(mle_from_returns, r, dt) == outcome(
+            reference_mle_from_returns, r, dt)
+
+
+def test_mle_estimate_rejects_a_2d_array():
+    closes = 50 + np.sin(np.arange(100.0)).reshape(10, 10)
+    with pytest.raises(ValueError, match="^closes must be 1-d$"):
+        mle_estimate(closes, 1 / 252)
+
+
+def test_mle_estimate_rejects_nan_prices():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^prices must be finite$"):
+            mle_estimate(np.array([1.0, np.nan] * 20), 1 / 252)
+
+
+def test_mle_estimate_rejects_inf_prices():
+    closes = 50.0 + np.sin(np.arange(40.0))
+    closes[-1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^prices must be finite$"):
+            mle_estimate(closes, 1 / 252)
 
 
 def test_mle_estimate_recovers_gbm_parameters():
