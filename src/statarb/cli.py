@@ -196,21 +196,18 @@ def cmd_check_model(args: argparse.Namespace) -> int:
         print(f"statarb: cannot load model {args.model!r}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(model, TwoPeriodBinomial):
-        cert = nsa_binomial(model)
-        print(f"status={cert.status}")
-        for key, value in cert.diagnostics.items():
-            print(f"{key}={_fmt(value)}")
+    binomial = isinstance(model, TwoPeriodBinomial)
+    cert = (nsa_binomial if binomial else trinomial_nsa)(model)
+    print(f"status={cert.status}")
+    for key, value in cert.diagnostics.items():
+        print(f"{key}={_fmt(value)}")
+    if binomial:
         if cert.status == "SaExists":
             phi = solve_binomial_sa(model)
             print(f"phi=({_fmt(phi.phi1)},{_fmt(phi.phi2_up)},"
                   f"{_fmt(phi.phi2_down)})")
             return EXIT_SA_EXISTS
         return EXIT_OK
-    cert = trinomial_nsa(model)
-    print(f"status={cert.status}")
-    for key, value in cert.diagnostics.items():
-        print(f"{key}={_fmt(value)}")
     try:
         report = counterexample_pid_check(model)
     except NoSolution as exc:

@@ -91,12 +91,22 @@ def _check_interval(s0: float, a: float, b: float, sigma: float) -> None:
                               f"a={a}, s0={s0}, b={b}")
 
 
+def _nu(mu: float, sigma: float) -> float:
+    """nu = mu/sigma^2 - 1/2 for a positive sigma; a sigma whose square
+    underflows to 0 raises DegenerateModel."""
+    var = sigma * sigma
+    if var == 0.0:
+        raise DegenerateModel(f"sigma={sigma!r} is too small: sigma^2 "
+                              "underflows to 0")
+    return mu / var - 0.5
+
+
 def _exit_prob(near: float, far: float, width: float, mu: float,
                sigma: float) -> float:
     """exp(nu*near) * sinh(|nu|*far) / sinh(|nu|*width) with nu =
     mu/sigma^2 - 1/2, evaluated in log space, or its driftless limit
     far / width for |nu| <= NU_EPS; clipped to [0, 1]."""
-    nu = mu / (sigma * sigma) - 0.5
+    nu = _nu(mu, sigma)
     if abs(nu) <= NU_EPS:
         p = far / width
     else:
@@ -190,7 +200,7 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
         _q_grid(c)
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
-    nu = mu / (sigma * sigma) - 0.5
+    nu = _nu(mu, sigma)
     w = abs(nu)
     if w <= NU_EPS:
         probs = (f1 / width1, f2 / width1, f3 / width3, f4 / width4)
@@ -251,8 +261,8 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
 def mle_from_returns(r: np.ndarray, dt: float) -> tuple[float, float]:
     """Maximum-likelihood (mu, sigma) from log-returns r sampled every dt
     years: sigma^2 = Var(r)/dt (n-1 denominator) and
-    mu = mean(r)/dt + sigma^2/2.  (Numerically) zero return variance raises
-    DegenerateSeries.
+    mu = mean(r)/dt + sigma^2/2.  Fewer than 2 returns, or (numerically)
+    zero return variance, raise DegenerateSeries.
 
     One sum gives the mean and one sum of squared deviations the variance.
     These are the same pairwise add.reduce calls, elementwise subtraction
@@ -260,6 +270,8 @@ def mle_from_returns(r: np.ndarray, dt: float) -> tuple[float, float]:
     np.var(ddof=1) perform, so the estimate equals theirs bit for bit.
     """
     n = r.size
+    if n < 2:
+        raise DegenerateSeries("need at least 2 returns")
     mean = r.sum() / n
     dev = r - mean
     dev *= dev

@@ -210,11 +210,8 @@ def run_experiment(config: ExperimentConfig, *,
     from .seeding import run_streams
     streams = run_streams(config.master_seed, axis_index, config.n_runs)
     results = run_seeded(params, config.strategy, streams)
-    summary = metrics(
-        [r.pnl for r in results],
-        [r.trade_count for r in results],
-        [r.n_repetitions for r in results],
-    )
+    pnl, n_rep, trades, _ = zip(*results)
+    summary = metrics(pnl, trades, n_rep)
     return ExperimentResult(summary=summary, runs=tuple(results))
 
 

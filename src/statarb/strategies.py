@@ -78,8 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of one run: realized P&L, the count N of completed cycles,
     the number of ledger events, and what ended the run."""
 
@@ -392,10 +391,9 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
         # one the scans reached first raises
         for r, i, a in starting:
             held[r] = h = positions(solve(a))
-            p = position[r]
-            delta = h[0] - p
-            cash[r] -= delta * a
-            position[r] = p + delta
+            # the row is flat (+0.0), h[0] is never -0.0: the ledger's bits
+            cash[r] -= h[0] * a
+            position[r] = h[0]
             events[r] += 1
             mark[r] = anchor[r] = a
             leg[r] = 0

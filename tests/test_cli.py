@@ -391,6 +391,15 @@ def test_simulate_underflowing_exit_probabilities_exit_1(mu, capsys):
                    "sigma=0.01: an exit probability product underflows\n")
 
 
+def test_simulate_underflowing_sigma_squared_exits_1_naming_sigma(capsys):
+    # sigma^2 underflows to 0, so nu = mu / sigma^2 - 1/2 has no value
+    code, out, err = run_cli(["simulate", "--sigma", "1e-170", "--c", "0.05",
+                              "--runs", "3", "--steps", "10"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("statarb: sigma=1e-170 is too small: sigma^2 underflows "
+                   "to 0\n")
+
+
 def test_simulate_overflowing_prices_exit_1(capsys):
     # the log price reaches about 728 by step 10, and exp overflows
     code, out, err = run_cli(["simulate", "--mu", "729", "--sigma", "1",

@@ -152,6 +152,14 @@ def test_exit_prob_extreme_drift_is_stable():
     assert 1.0 - 1e-10 < p_down_drift <= 1.0
 
 
+@pytest.mark.parametrize("exit_prob", [exit_prob_lower, exit_prob_upper])
+def test_exit_prob_names_a_sigma_whose_square_underflows(exit_prob):
+    # sigma > 0, but sigma * sigma is 0.0 and nu has no value
+    with pytest.raises(DegenerateModel, match=(
+            r"^sigma=1e-170 is too small: sigma\^2 underflows to 0$")):
+        exit_prob(1.0, 0.9, 1.1, 1.0, 1e-170)
+
+
 # ------------------------------------------------------------- embedded q
 
 
@@ -355,6 +363,16 @@ def test_mle_estimate_degenerate_series():
         mle_estimate(np.exp(0.001 * np.arange(100)), dt=1 / 252)
     with pytest.raises(DegenerateSeries):
         mle_estimate(np.linspace(100.0, 110.0, 10), dt=1 / 252)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_mle_from_returns_needs_two_returns(n):
+    # the n - 1 denominator: one return used to give (nan, nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSeries,
+                           match="^need at least 2 returns$"):
+            mle_from_returns(np.full(n, 0.01), 1 / 252)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1 / 252, math.nan])

@@ -2,8 +2,9 @@
 
 The files under tests/golden/ were written by the package itself and are
 the reproducibility contract made concrete: an engine change that moves a
-single printed digit fails here.  After a deliberate output change,
-regenerate them from the repository root with
+single printed digit fails here.  A twin case (TWINS) has no files of its
+own: it must reproduce another case's files byte for byte.  After a
+deliberate output change, regenerate them from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -38,12 +39,6 @@ CASES: dict[str, list[str]] = {
     for seed in (3, 11)
 }
 CASES.update({
-    f"simulate_trend_{mode}_alpha1": [
-        "simulate", *SMALL, "--seed", "3", "--strategy", "trend",
-        "--mode", mode, "--alpha", "1.0"]
-    for mode in ("snap", "observed")
-})
-CASES.update({
     "simulate_trend_observed_alpha05": [
         "simulate", *SMALL, "--seed", "3", "--strategy", "trend",
         "--mode", "observed", "--alpha", "0.5"],
@@ -72,11 +67,23 @@ CASES.update({
 # exit codes other than 0: sec34 admits a statistical arbitrage
 EXIT_CODES = {"check_model_sec34": 2}
 
-# trend cases that --strategy gfin, the CLI's name for the dichotomy
-# strategy, must reproduce byte for byte
-GFIN_TWINS = [*(f"simulate_trend_{mode}_s{seed}"
-                for mode in ("snap", "observed") for seed in (3, 11)),
-              "simulate_trend_observed_alpha05"]
+# twin case name -> (CLI argv, the case whose golden files it must
+# reproduce byte for byte): --strategy gfin, the CLI's name for the
+# dichotomy strategy, writes the trend outputs, and trend at alpha = 1 runs
+# the embedded cycle
+TWINS: dict[str, tuple[list[str], str]] = {
+    name.replace("trend", "gfin"): (
+        ["gfin" if arg == "trend" else arg for arg in CASES[name]], name)
+    for name in (*(f"simulate_trend_{mode}_s{seed}"
+                   for mode in ("snap", "observed") for seed in (3, 11)),
+                 "simulate_trend_observed_alpha05")
+}
+TWINS.update({
+    f"simulate_trend_{mode}_alpha1": (
+        ["simulate", *SMALL, "--seed", "3", "--strategy", "trend",
+         "--mode", mode, "--alpha", "1.0"], f"simulate_embedded_{mode}_s3")
+    for mode in ("snap", "observed")
+})
 
 
 def run_case(argv: list[str], out: Path | None) -> tuple[int, bytes]:
@@ -95,25 +102,16 @@ def _out_path(directory: Path, name: str, argv: list[str]) -> Path | None:
     return None
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted([*CASES, *TWINS]))
 def test_golden_output(name, tmp_path):
-    argv = CASES[name]
+    argv, golden = TWINS.get(name) or (CASES[name], name)
     out = _out_path(tmp_path, name, argv)
     code, stdout = run_case(argv, out)
     assert code == EXIT_CODES.get(name, 0)
-    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert stdout == (GOLDEN / f"{golden}.stdout").read_bytes()
     if out is not None:
-        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
-
-
-@pytest.mark.parametrize("name", GFIN_TWINS)
-def test_gfin_writes_the_trend_outputs(name, tmp_path):
-    argv = ["gfin" if arg == "trend" else arg for arg in CASES[name]]
-    out = tmp_path / f"{name}.out.csv"
-    code, stdout = run_case(argv, out)
-    assert code == 0
-    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
-    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+        assert out.read_bytes() == (
+            GOLDEN / f"{golden}.out.csv").read_bytes()
 
 
 def test_golden_directory_holds_exactly_the_cases():
@@ -122,6 +120,7 @@ def test_golden_directory_holds_exactly_the_cases():
         expected.add(f"{name}.stdout")
         if _out_path(GOLDEN, name, argv) is not None:
             expected.add(f"{name}.out.csv")
+    assert len(expected) == 33
     assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
