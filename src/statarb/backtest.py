@@ -2,9 +2,9 @@
 
 The backtester walks a daily close series: at each cycle start it estimates
 (mu, sigma) by maximum likelihood on the trailing window (strictly earlier
-observations only), anchors the barrier grid at the current close, picks the
-orientation from the sign of the estimated drift, and trades one cycle of
-that orientation's trend leg table (strategies.run_cycle) on observed
+observations only), anchors the barrier grid at the current close, and
+trades the trend cycle that strategies.cycle_plan plans for the estimate
+(the embedded cycle at alpha = 1) with strategies.run_cycle on observed
 prices.  Cycles chain across the whole series — no stop-at-first-gain —
 and run_cycle closes each one out at its stop, or liquidates it at the
 last close when the data ends first, so every backtest ends flat.
@@ -32,7 +32,7 @@ from .errors import (
 from .gbm import embedded_q, mle_from_returns
 from .harness import write_metadata
 from .paths import PricePath, TradeLedger
-from .strategies import leg_table, run_cycle, trend_positions
+from .strategies import cycle_plan, run_cycle
 
 __all__ = [
     "DT",
@@ -218,7 +218,7 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     """Walk the series forward, trading one barrier cycle at a time.
 
     Each cycle uses only observations strictly before its start for the
-    (mu, sigma) estimate; mu_hat >= 0 selects the positive orientation.
+    (mu, sigma) estimate, from which cycle_plan plans the cycle.
     The log-returns are computed once for the whole series, and each
     window's estimate is mle_from_returns on its slice of them, which
     equals mle_estimate on the window's closes bit for bit.
@@ -244,32 +244,30 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     returns = np.diff(np.log(closes))
     mle_from_returns(returns[:n - 3], DT)  # the returns of every window
     skipped = dict.fromkeys(SKIP_REASONS.values(), 0)
-    legs = {positive: leg_table(c, "trend", positive)
-            for positive in (True, False)}
     cut_from = None  # the cash before a cycle the end of data cut off
     i = window
     while i < n - 1:
         anchor = float(closes[i])
         try:
             mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1], DT)
-            positive = mu_hat >= 0
             q = embedded_q(c, mu_hat, sigma_hat)
-            psi = trend_positions(anchor, c, q, config.alpha, positive)
+            solve, legs, orientation = cycle_plan(c, q, "trend", config.alpha,
+                                                  mu_hat)
+            psi = solve(anchor)
         except tuple(SKIP_REASONS) as exc:
             skipped[SKIP_REASONS[type(exc)]] += 1
             i += 1
             continue
         cash_before = led.cash
         events_before = len(led.events)
-        step = run_cycle(path, i, anchor, False, led, legs[positive], psi)
+        step = run_cycle(path, i, anchor, False, led, legs, psi)
         if step is None:
             cut_from = cash_before
             break
         i_end, _ = step
         qty = sum(abs(delta) for _, _, delta in led.events[events_before:])
         cycles.append(CycleLog(series.dates[i], series.dates[i_end],
-                               mu_hat, sigma_hat,
-                               "positive" if positive else "negative",
+                               mu_hat, sigma_hat, orientation,
                                led.cash - cash_before, qty))
         i = i_end
     total_pnl = led.cash

@@ -288,10 +288,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
     buf = io.StringIO()
     dump_sweep_csv([row], buf, metadata=meta)
-    sys.stdout.write(buf.getvalue())
-    if args.out is not None:
+    if args.out is not None:  # first, so that a failed write prints nothing
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_runs_csv(result, fh, metadata=meta)
+    sys.stdout.write(buf.getvalue())
     # diagnostics go to stderr, so stdout and --out stay byte-identical
     _report_runs(row)
     return EXIT_OK
@@ -311,10 +311,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(config, SweepAxis(args.axis, values))
     buf = io.StringIO()
     dump_sweep_csv(rows, buf, metadata=_metadata(seed, args.mode))
-    sys.stdout.write(buf.getvalue())
-    if args.out is not None:
+    if args.out is not None:  # first, so that a failed write prints nothing
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
+    sys.stdout.write(buf.getvalue())
     # diagnostics go to stderr, so stdout and --out stay byte-identical
     for row in rows:
         _report_runs(row, f"{args.axis}={row.param!r} ")
@@ -338,10 +338,10 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         "boundary": repr(float(args.boundary)),
         "execution_mode": "observed",
     }
-    dump_summary_json(result, sys.stdout, metadata=meta)
-    if args.out is not None:
+    if args.out is not None:  # first, so that a failed write prints nothing
         with open(args.out, "w", encoding="utf-8") as fh:
             dump_cycles_csv(result, fh, metadata=meta)
+    dump_summary_json(result, sys.stdout, metadata=meta)
     # diagnostics go to stderr, so stdout and --out stay byte-identical
     skipped = " ".join(f"{k}={v}" for k, v in result.skipped.items())
     print(f"statarb: skipped windows: {skipped}", file=sys.stderr)

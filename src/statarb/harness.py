@@ -189,8 +189,9 @@ def run_experiment(config: ExperimentConfig, *,
     """Execute ``config.n_runs`` seeded runs and aggregate their metrics.
 
     Raises AllRunsSkipped when the strategy precondition (q = 1) voids the
-    whole batch, DegenerateModel when the grid levels collapse at s0, and
-    ValueError when c / (sigma * sqrt(dt)) lies below MIN_STEP_RATIO.
+    whole batch, DegenerateModel when the grid levels collapse at s0 or
+    (c*s0)^3 leaves float range, and ValueError when
+    c / (sigma * sqrt(dt)) lies below MIN_STEP_RATIO.
     """
     params = config.params
     c = config.strategy.resolved_c(params.mu, params.sigma)
@@ -234,7 +235,7 @@ def _apply_axis(config: ExperimentConfig, name: str,
             raise ValueError("eta must be nonzero")
         if not math.isfinite(value):
             raise ValueError(f"eta must be finite, got {value!r}")
-        if (value > 0) != (params.mu > 0):
+        if params.mu == 0 or (value > 0) != (params.mu > 0):
             raise ValueError(f"eta={value!r} must have the sign of "
                              f"mu={params.mu!r}")
         params = replace(params, sigma=params.mu / float(value))

@@ -435,6 +435,17 @@ def _scale(ds1, ds2) -> float:
     return max(map(abs, ds1 + ds2))
 
 
+def _scale_cubed(ds1, ds2) -> float:
+    """The scale of a product of three increments; an increment whose cube
+    overflows raises DegenerateModel."""
+    scale = _scale(ds1, ds2)
+    try:
+        return scale ** 3
+    except OverflowError:
+        raise DegenerateModel(f"increment {scale!r} is too large: its cube "
+                              "overflows") from None
+
+
 def tilde_q(model: TwoPeriodBinomial) -> float:
     """Critical value of q = p(ud)/p(du) at which the model admits no
     statistical arbitrage (equivalently, at which det(A) vanishes)."""
@@ -445,7 +456,7 @@ def _tilde_q(ds1, ds2) -> float:
     k1 = ds1[2] * ds2[3] - ds1[3] * ds2[2]
     k2 = ds1[0] * ds2[1] - ds1[1] * ds2[0]
     den = ds2[3] * k2
-    if abs(den) <= EPS_TOL * _scale(ds1, ds2) ** 3:
+    if abs(den) <= EPS_TOL * _scale_cubed(ds1, ds2):
         raise DegenerateModel("critical-ratio denominator vanishes")
     return ds2[0] * k1 / den
 
@@ -480,7 +491,7 @@ def emm_binomial(model: TwoPeriodBinomial) -> np.ndarray:
     raw = np.array([ds2[1] * k1, -ds2[0] * k1, -ds2[3] * k2, ds2[2] * k2])
     b = (ds2[1] * ((ds1[2] - ds1[0]) * ds2[3] + (ds1[0] - ds1[3]) * ds2[2])
          + ds2[0] * ((ds1[1] - ds1[2]) * ds2[3] + (ds1[3] - ds1[1]) * ds2[2]))
-    if abs(b) <= EPS_TOL * _scale(ds1, ds2) ** 3:
+    if abs(b) <= EPS_TOL * _scale_cubed(ds1, ds2):
         raise DegenerateModel("martingale-measure normalizer vanishes")
     weights = raw / b
     if np.any(weights <= 0.0):

@@ -16,17 +16,17 @@ down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
 the anchor, so both are the one "trend" kind.  The positions at an anchor
 are solved by embedded_positions (embedded_phi) and trend_positions
-(lattice.solve_three_leg on the grid's increments).  _plan resolves a
-config's c and q and binds its solve and table: a snap anchor is a grid
-level, so there the solve is cached and each snap anchor is solved once
-per experiment.
+(lattice.solve_three_leg on the grid's increments).  cycle_plan picks a
+cycle's solve, table and orientation for simulations and the backtest;
+_plan resolves a config's c and q for it, and caches the solve in snap
+mode, where anchors are grid levels and each is solved once per experiment.
 
 Two interpreters run the table and give the same results bit for bit:
 - run_cycle trades one cycle on one PricePath with next_hit and a
   TradeLedger, whose events it records, and ends it flat: closed out at
   its final exit or liquidated at the path end.  run_path repeats it
   along a path (and accepts a ledger and a cycle trace for inspection),
-  and the backtest solves and trades single trend cycles with it.
+  and the backtest trades one planned cycle per estimation window.
 - run_seeded, the Monte Carlo engine of the harness, keeps the run state
   of each row of a paths.PathBlock in plain lists and advances, in one
   loop per scan, every row the scan answered, and resumes the others.  It
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
@@ -70,6 +70,7 @@ __all__ = [
     "CycleRecord",
     "Leg",
     "leg_table",
+    "cycle_plan",
     "embedded_positions",
     "trend_positions",
     "run_cycle",
@@ -154,6 +155,7 @@ class Leg(NamedTuple):
     on_hi: int | None
 
 
+@lru_cache(maxsize=64)
 def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
     """The legs of a cycle at step c, the first leg first.
 
@@ -192,11 +194,15 @@ def _collapsed(c: float, anchor: float) -> DegenerateModel:
 def embedded_positions(anchor: float, c: float, q: float) -> StrategyVector:
     """The positions of an embedded cycle at ``anchor``: embedded_phi.
     Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c) that are not
-    strictly increasing floats raise DegenerateModel."""
+    strictly increasing floats, and a step c*a whose cube underflows to 0
+    or overflows, raise DegenerateModel."""
     if not (anchor * (1 - 2 * c) < anchor * (1 - c) < anchor
             < anchor * (1 + c) < anchor * (1 + 2 * c)):
         raise _collapsed(c, anchor)
-    return embedded_phi(c, anchor, q)
+    try:
+        return embedded_phi(c, anchor, q)
+    except ValueError as exc:  # a > 0, c in (0, 1/2): (c*a)^3 is 0 or inf
+        raise DegenerateModel(str(exc)) from None
 
 
 def trend_positions(anchor: float, c: float, q: float, alpha: float,
@@ -219,34 +225,34 @@ def trend_positions(anchor: float, c: float, q: float, alpha: float,
                            far - trend, anchor - trend, alpha, q, positive)
 
 
+def cycle_plan(c: float, q: float, kind: str, alpha: float,
+               mu: float) -> tuple[Callable[[float], StrategyVector],
+                                   tuple[Leg, ...], str]:
+    """The solve (a function of the anchor), legs and orientation of a
+    cycle at c and q: mu >= 0 orients a trend cycle positive, and at
+    alpha = 1, where its trend leg holds 0, it is the embedded cycle."""
+    if kind == "embedded" or alpha == 1.0:
+        return (lambda anchor: embedded_positions(anchor, c, q),
+                leg_table(c, "embedded"), "positive")
+    positive = mu >= 0
+    return (lambda anchor: trend_positions(anchor, c, q, alpha, positive),
+            leg_table(c, "trend", positive),
+            "positive" if positive else "negative")
+
+
 def _plan(params: GbmParams, config: StrategyConfig,
           ) -> tuple[Callable[[float], StrategyVector], tuple[Leg, ...],
                      str, float, float]:
-    """A config's solve, a function of the anchor, its leg table, its
-    orientation, and the c and q = embedded_q(c, mu, sigma) it solves at.
-
-    In snap mode every anchor is a grid level, so a run and the runs of an
-    experiment revisit few anchors (164 in 57614 embedded cycles at the
-    CLI defaults); the solve, whose c, q, alpha and orientation are bound
-    here, is then a functools.cache on the anchor, which stores no solve
-    that raised.  Observed anchors are prices, of which only s0 repeats
-    from run to run, so observed mode solves every cycle.
-    """
+    """A config's cycle_plan, its solve a functools.cache on the anchor in
+    snap mode (which stores no solve that raised), and the c and
+    q = embedded_q(c, mu, sigma) it solves at."""
     c = config.resolved_c(params.mu, params.sigma)
     q = embedded_q(c, params.mu, params.sigma)
-    if config.kind == "embedded" or config.alpha == 1.0:
-        # the trend leg carries no position at alpha = 1: the embedded run
-        positive = True
-        solve = partial(embedded_positions, c=c, q=q)
-        legs = leg_table(c, "embedded")
-    else:
-        positive = params.mu >= 0
-        solve = partial(trend_positions, c=c, q=q, alpha=config.alpha,
-                        positive=positive)
-        legs = leg_table(c, "trend", positive)
+    solve, legs, orientation = cycle_plan(c, q, config.kind, config.alpha,
+                                          params.mu)
     if config.execution_mode == "snap":
         solve = cache(solve)
-    return solve, legs, "positive" if positive else "negative", c, q
+    return solve, legs, orientation, c, q
 
 
 # ---------------------------------------------------------------------------

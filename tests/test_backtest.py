@@ -34,8 +34,9 @@ from statarb.errors import (
     NonMonotoneDates,
     ParseError,
 )
-from statarb.gbm import GbmParams, mle_estimate, mle_from_returns
+from statarb.gbm import GbmParams, embedded_q, mle_estimate, mle_from_returns
 from statarb.paths import TradeLedger, simulate_gbm
+from statarb.strategies import embedded_positions, leg_table, run_cycle
 
 START = datetime.date(2000, 1, 3)
 DATA = Path(__file__).resolve().parent / "data"
@@ -538,6 +539,29 @@ def test_cutoff_pnl_is_the_cycle_open_at_end_of_data(name):
                                            rel=1e-12, abs=1e-9)
     assert sum(c.pnl for c in res.cycles) + res.cutoff_pnl == \
         pytest.approx(res.total_pnl, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])
+def test_alpha_one_trades_the_embedded_cycle(name, monkeypatch):
+    # the trend leg holds 0 at alpha = 1: each window trades the embedded
+    # cycle with the embedded positions, as a simulation does
+    calls = []
+
+    def recorded(path, i, anchor, snap, led, legs, psi):
+        calls.append((i, anchor, legs, psi))
+        return run_cycle(path, i, anchor, snap, led, legs, psi)
+
+    monkeypatch.setattr(backtest, "run_cycle", recorded)
+    series = load_csv(DATA / name)
+    c = 0.02
+    res = run_backtest(series, BacktestConfig(boundary_fraction=c, alpha=1.0))
+    assert len(calls) >= res.n_cycles > 100
+    assert {cycle.orientation for cycle in res.cycles} == {"positive"}
+    for i, anchor, legs, psi in calls:
+        assert len(legs) == 3 and legs == leg_table(c, "embedded")
+        q = embedded_q(c, *mle_estimate(series.closes[i - 756:i], DT))
+        # repr prints each float's shortest round-trip form: bit for bit
+        assert repr(psi) == repr(embedded_positions(anchor, c, q))
 
 
 @pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])

@@ -29,6 +29,7 @@ from statarb.lattice import tilde_q
 from statarb.strategies import StrategyConfig
 
 SIM_ARGS = ["--runs", "12", "--steps", "150", "--seed", "7"]
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -546,13 +547,31 @@ def test_sweep_zero_eta_exits_1(capsys):
     ("-1", "eta=-1.0 must have the sign of mu=0.1241"),
     ("nan", "eta must be finite, got nan"),
     ("inf", "eta must be finite, got inf"),
+    ("-1", "eta=-1.0 must have the sign of mu=0.0"),
+    ("1", "eta=1.0 must have the sign of mu=0.0"),
 ])
 def test_sweep_bad_eta_exits_1(value, message, capsys):
-    code, out, err = run_cli(["sweep", *SIM_ARGS, "--axis", "eta",
-                              "--values", value], capsys)
+    # no eta has the sign of a zero drift; the sweep runs at the mu its
+    # sign message names, else at the default
+    mu = message.partition("mu=")[2] or "0.1241"
+    code, out, err = run_cli(["sweep", *SIM_ARGS, "--mu", mu, "--axis",
+                              "eta", "--values", value], capsys)
     assert code == 1
     assert out == ""
     assert err == f"statarb: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *SIM_ARGS],
+    ["sweep", *SIM_ARGS, "--axis", "c", "--values", "0.02"],
+    ["backtest", "--data", str(DATA / "gbm_up.csv"), "--boundary", "0.02"],
+], ids=["simulate", "sweep", "backtest"])
+def test_failed_out_write_prints_nothing_on_stdout(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"statarb: [Errno 2] No such file or directory: " \
+        f"{str(target)!r}\n"
 
 
 def test_sweep_unknown_axis_exits_1(capsys):
@@ -675,6 +694,27 @@ def test_backtest_skips_windows_whose_exit_probabilities_underflow(
                    .split())
     assert int(skipped["DegenerateModel"]) > 0
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
+@pytest.mark.parametrize("scale", [1e-170, 1e120])
+def test_backtest_skips_windows_whose_step_cube_leaves_float_range(
+        scale, alpha, capsys, tmp_path):
+    # (c * anchor)^3 underflows to 0 or overflows at every anchor, in the
+    # embedded solve (alpha = 1) and in the trend solve alike
+    from statarb.backtest import MarketSeries, dump_csv, load_csv
+
+    series = load_csv(DATA / "gbm_up.csv")
+    scaled = tmp_path / "scaled.csv"
+    with open(scaled, "w", encoding="utf-8") as fh:
+        dump_csv(MarketSeries(series.dates, series.closes * scale), fh)
+    code, out, err = run_cli(["backtest", "--data", str(scaled),
+                              "--boundary", "0.02", "--alpha", alpha], capsys)
+    assert code == 0
+    assert json.loads(out)["n_cycles"] == 0
+    windows = series.n_points - 1 - 756
+    assert err.splitlines()[0] == ("statarb: skipped windows: zero_variance=0"
+                                   f" NoSaExists=0 DegenerateModel={windows}")
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -278,6 +278,17 @@ def test_emm_binomial_rejects_a_vanishing_normalizer():
         emm_binomial(m)
 
 
+def test_an_increment_whose_cube_overflows_is_named():
+    # the determinant scale, a product of three increments, leaves float
+    # range at prices near 1e110
+    m = TwoPeriodBinomial(*(1e110 * s for s in (100.0, 110.0, 90.0, 121.0,
+                                                 99.0, 81.0)), (0.25,) * 4)
+    message = r"^increment 1\.1\d*e\+111 is too large: its cube overflows$"
+    for certify in (tilde_q, emm_binomial):
+        with pytest.raises(DegenerateModel, match=message):
+            certify(m)
+
+
 def test_emm_binomial_rejects_a_weight_that_underflows():
     # at prices near 2^-350, with s_ud an ulp below s_up, w_uu's numerator
     # underflows to 0 while the normalizer does not

@@ -4,7 +4,8 @@ tools/same_outputs.py prints one sha256 per case of run_experiment runs,
 run_path results, ledgers and cycle traces, and run_backtest results and
 ledgers; tests/same_outputs.txt holds the lines it printed when those
 outputs last changed on purpose.  A change that moves a single bit of them
-fails here.  After a deliberate output change, regenerate the file from
+fails here, and the failure names the cases that moved, were added or are
+missing.  After a deliberate output change, regenerate the file from
 the repository root with
 
     python3 tools/same_outputs.py > tests/same_outputs.txt
@@ -20,9 +21,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def changed_cases(printed: list[str], expected: list[str]) -> str:
+    """The names of the cases whose digest moved, was added or is missing,
+    from `name digest` lines."""
+    now = dict(line.rpartition(" ")[::2] for line in printed)
+    then = dict(line.rpartition(" ")[::2] for line in expected)
+    moved = sorted(name for name in now.keys() & then.keys()
+                   if now[name] != then[name])
+    return (f"moved: {moved}; added: {sorted(now.keys() - then.keys())}; "
+            f"missing: {sorted(then.keys() - now.keys())}")
+
+
 def test_same_outputs_prints_the_committed_digests():
     printed = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "same_outputs.py")],
-        capture_output=True, text=True, check=True).stdout
-    expected = (ROOT / "tests" / "same_outputs.txt").read_text()
-    assert printed.splitlines() == expected.splitlines()
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    expected = (ROOT / "tests" / "same_outputs.txt").read_text().splitlines()
+    assert printed == expected, changed_cases(printed, expected)
+
+
+def test_changed_cases_names_moved_added_and_missing_cases():
+    expected = ["a 1", "b 2", "c 3"]
+    printed = ["a 1", "b 9", "d 4"]
+    assert changed_cases(printed, expected) == \
+        "moved: ['b']; added: ['d']; missing: ['c']"
