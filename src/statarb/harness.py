@@ -115,26 +115,19 @@ class MetricsSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Metrics plus the per-run table they were computed from."""
+    """Metrics plus the per-run table they were computed from, and its runs
+    counted by ended_by ("PositivePnl", "Horizon") and by n_repetitions."""
 
     summary: MetricsSummary
     runs: tuple[RunResult, ...]
-
-    @property
-    def ended_by(self) -> Counter[str]:
-        """How many runs ended by each cause ("PositivePnl", "Horizon")."""
-        return Counter(r.ended_by for r in self.runs)
-
-    @property
-    def repetitions(self) -> Counter[int]:
-        """How many runs completed each number of cycles (n_repetitions)."""
-        return Counter(r.n_repetitions for r in self.runs)
+    ended_by: Counter[str]
+    repetitions: Counter[int]
 
 
 class SweepRow(NamedTuple):
-    """One sweep cell: the axis value, its experiment summary, how its
-    runs ended and how many cycles they completed
-    (ExperimentResult.ended_by and .repetitions)."""
+    """One sweep cell: the axis value, its experiment summary, and the
+    counts of how its runs ended and how many cycles they completed, which
+    ExperimentResult stores as ended_by and repetitions."""
 
     param: float
     summary: MetricsSummary
@@ -211,9 +204,10 @@ def run_experiment(config: ExperimentConfig, *,
     from .seeding import run_streams
     streams = run_streams(config.master_seed, axis_index, config.n_runs)
     results = run_seeded(params, config.strategy, streams)
-    pnl, n_rep, trades, _ = zip(*results)
-    summary = metrics(pnl, trades, n_rep)
-    return ExperimentResult(summary=summary, runs=tuple(results))
+    pnl, n_rep, trades, ended_by = zip(*results)
+    return ExperimentResult(summary=metrics(pnl, trades, n_rep),
+                            runs=tuple(results), ended_by=Counter(ended_by),
+                            repetitions=Counter(n_rep))
 
 
 def _apply_axis(config: ExperimentConfig, name: str,

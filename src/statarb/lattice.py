@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateModel, NoSaExists, NoSolution, InvalidBase
 
@@ -305,23 +305,28 @@ class ScenarioPartition:
                 f"partition must cover exactly paths 0..{n_paths - 1}")
 
 
-@dataclass(frozen=True)
-class StrategyVector:
-    """Predictable positions per lattice node: phi1 held over the first
-    period, phi2_up / phi2_down over the second depending on the first move,
-    and optionally phi3 over the third leg of a TrendLattice."""
-
+class _Positions(NamedTuple):
     phi1: float
     phi2_up: float
     phi2_down: float
     phi3: float | None = None
 
-    def __post_init__(self):
-        vals = [self.phi1, self.phi2_up, self.phi2_down]
-        if self.phi3 is not None:
-            vals.append(self.phi3)
-        if any(not math.isfinite(v) for v in vals):
+
+class StrategyVector(_Positions):
+    """Predictable positions per lattice node: phi1 held over the first
+    period, phi2_up / phi2_down over the second depending on the first move,
+    and optionally phi3 over the third leg of a TrendLattice.  Field k is
+    the position of leg k of a strategies.leg_table cycle."""
+
+    __slots__ = ()
+
+    def __new__(cls, phi1: float, phi2_up: float, phi2_down: float,
+                phi3: float | None = None) -> StrategyVector:
+        if not (math.isfinite(phi1) and math.isfinite(phi2_up)
+                and math.isfinite(phi2_down)
+                and (phi3 is None or math.isfinite(phi3))):
             raise ValueError("strategy components must be finite")
+        return tuple.__new__(cls, (phi1, phi2_up, phi2_down, phi3))
 
 
 @dataclass(frozen=True)
@@ -435,10 +440,9 @@ def _scale(ds1, ds2) -> float:
     return max(map(abs, ds1 + ds2))
 
 
-def _scale_cubed(ds1, ds2) -> float:
-    """The scale of a product of three increments; an increment whose cube
-    overflows raises DegenerateModel."""
-    scale = _scale(ds1, ds2)
+def _scale_cubed(scale: float) -> float:
+    """The scale of a product of three increments of the given scale; an
+    increment whose cube overflows raises DegenerateModel."""
     try:
         return scale ** 3
     except OverflowError:
@@ -449,14 +453,15 @@ def _scale_cubed(ds1, ds2) -> float:
 def tilde_q(model: TwoPeriodBinomial) -> float:
     """Critical value of q = p(ud)/p(du) at which the model admits no
     statistical arbitrage (equivalently, at which det(A) vanishes)."""
-    return _tilde_q(model.ds1, model.ds2)
+    ds1, ds2 = model.ds1, model.ds2
+    return _tilde_q(ds1, ds2, _scale(ds1, ds2))
 
 
-def _tilde_q(ds1, ds2) -> float:
+def _tilde_q(ds1, ds2, scale: float) -> float:
     k1 = ds1[2] * ds2[3] - ds1[3] * ds2[2]
     k2 = ds1[0] * ds2[1] - ds1[1] * ds2[0]
     den = ds2[3] * k2
-    if abs(den) <= EPS_TOL * _scale_cubed(ds1, ds2):
+    if abs(den) <= EPS_TOL * _scale_cubed(scale):
         raise DegenerateModel("critical-ratio denominator vanishes")
     return ds2[0] * k1 / den
 
@@ -491,7 +496,7 @@ def emm_binomial(model: TwoPeriodBinomial) -> np.ndarray:
     raw = np.array([ds2[1] * k1, -ds2[0] * k1, -ds2[3] * k2, ds2[2] * k2])
     b = (ds2[1] * ((ds1[2] - ds1[0]) * ds2[3] + (ds1[0] - ds1[3]) * ds2[2])
          + ds2[0] * ((ds1[1] - ds1[2]) * ds2[3] + (ds1[3] - ds1[1]) * ds2[2]))
-    if abs(b) <= EPS_TOL * _scale_cubed(ds1, ds2):
+    if abs(b) <= EPS_TOL * _scale_cubed(_scale(ds1, ds2)):
         raise DegenerateModel("martingale-measure normalizer vanishes")
     weights = raw / b
     if np.any(weights <= 0.0):
@@ -506,7 +511,7 @@ def solve_binomial_sa(model: TwoPeriodBinomial) -> StrategyVector:
     q = model.q
     if abs(q - tilde_q(model)) <= EPS_TOL:
         raise NoSaExists("q equals the critical ratio; no arbitrage exists")
-    return StrategyVector(*_solve_embedded(model.ds1, model.ds2, q))
+    return StrategyVector(*_solve_embedded(model.ds1, model.ds2, q)[:3])
 
 
 # ------------------------------------------------- trinomial certificates
@@ -580,22 +585,19 @@ def counterexample_pid_check(model: TrinomialTopModel) -> PidCheckReport:
 # ------------------------------------------------ three-period strategies
 
 
-def _binomial_D(ds1, ds2, q: float) -> float:
-    return ((q * ds1[0] * ds2[1] + (-ds1[2] - q * ds1[1]) * ds2[0]) * ds2[3]
-            + ds1[3] * ds2[0] * ds2[2])
-
-
-def _solve_embedded(ds1, ds2, ratio: float) -> tuple[float, float, float]:
+def _solve_embedded(ds1, ds2,
+                    ratio: float) -> tuple[float, float, float, float]:
     """Closed-form solve (phi1, phi2_up, phi2_down) of the two-period model
     with increments ds1, ds2 (paths uu, ud, du, dd) and an explicit
-    probability ratio p(ud)/p(du)."""
+    probability ratio p(ud)/p(du), and the determinant d it divides by."""
     xi1 = (ratio * ds2[1] - ds2[0]) * ds2[3] + ds2[0] * ds2[2]
     xi2 = (-(ds1[2] + ratio * ds1[1] - ds1[0]) * ds2[3]
            - (ds1[0] - ds1[3]) * ds2[2])
     xi3 = (-(ratio * ds1[3] - ratio * ds1[0]) * ds2[1]
            - (-ds1[3] + ds1[2] + ratio * ds1[1]) * ds2[0])
-    d = _binomial_D(ds1, ds2, ratio)
-    return xi1 / d, xi2 / d, xi3 / d
+    d = ((ratio * ds1[0] * ds2[1] + (-ds1[2] - ratio * ds1[1]) * ds2[0])
+         * ds2[3] + ds1[3] * ds2[0] * ds2[2])
+    return xi1 / d, xi2 / d, xi3 / d, d
 
 
 def trend_A_matrix(model: TrendLattice) -> np.ndarray:
@@ -623,14 +625,14 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
     two-period phi plus psi3 = (1-alpha)/(ds3_continue - ds3_reverse), the
     early legs shifted by -ds3_continue*psi3*gamma, where A gamma = e1
     (positive: third leg after up-up) or e2 (negative: after down-down)."""
-    if abs(ratio - _tilde_q(ds1, ds2)) <= EPS_TOL:
+    scale = _scale(ds1, ds2)
+    if abs(ratio - _tilde_q(ds1, ds2, scale)) <= EPS_TOL:
         raise NoSaExists("embedded two-period model admits no arbitrage")
     denom3 = ds3_continue - ds3_reverse
-    if abs(denom3) <= EPS_TOL * _scale(ds1, ds2):
+    if abs(denom3) <= EPS_TOL * scale:
         raise DegenerateModel("third-leg increments coincide")
     psi3 = (1.0 - alpha) / denom3
-    phi1, phi2_up, phi2_down = _solve_embedded(ds1, ds2, ratio)
-    d = _binomial_D(ds1, ds2, ratio)
+    phi1, phi2_up, phi2_down, d = _solve_embedded(ds1, ds2, ratio)
     if positive:
         gamma = (
             ratio * ds2[1] * ds2[3] / d,
@@ -652,7 +654,11 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
 
 
 def _three_leg(model: TrendLattice, alpha: float) -> StrategyVector:
-    """solve_three_leg on the increments of a trend lattice."""
+    """solve_three_leg on the increments of a trend lattice, whose
+    third-leg prices must be positive: GBM never reaches a level <= 0."""
+    price = min(model.s3_continue, model.s3_reverse)
+    if price <= 0.0:
+        raise DegenerateModel(f"third-leg price {price!r} is not positive")
     binomial, ds3 = model.embedded_binomial(), model.ds3
     return solve_three_leg(binomial.ds1, binomial.ds2, ds3[model.extended],
                            ds3[4], alpha, binomial.q, model.extended == 0)

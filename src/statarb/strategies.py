@@ -8,8 +8,8 @@ positive cumulative P&L, and an open position is liquidated at the horizon.
 A cycle is a small automaton on the grid a(1 + k*c), written once as a leg
 table (leg_table).  Each Leg is a corridor, given as two multipliers of
 the anchor a, and the leg that follows an exit through each side, or None
-where the cycle ends; leg k holds positions(psi)[k] of the cycle's solved
-StrategyVector.  A leg ends where the path first leaves its corridor.
+where the cycle ends; leg k holds psi[k], field k of the cycle's solved
+StrategyVector psi.  A leg ends where the path first leaves its corridor.
 The embedded cycle has three legs (first, up, down); the trend cycle adds
 a third leg after the up leg in the positive orientation and after the
 down leg in the negative one.  The paper's follow-the-trend and
@@ -145,9 +145,9 @@ class CycleRecord(NamedTuple):
 
 class Leg(NamedTuple):
     """One leg of a cycle at anchor a: leg k of a table holds the position
-    positions(psi)[k] inside the corridor (lo * a, hi * a), and the leg
-    that follows an exit through lo or hi is on_lo or on_hi, an index into
-    the cycle's table, or None where the cycle ends there."""
+    psi[k] of the cycle's StrategyVector psi in the corridor (lo * a, hi * a),
+    and the leg that follows an exit through lo or hi is on_lo or on_hi, an
+    index into the cycle's table, or None where the cycle ends there."""
 
     lo: float
     hi: float
@@ -181,11 +181,6 @@ def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
     return first, up, down._replace(on_lo=3), trend
 
 
-def positions(psi: StrategyVector) -> tuple[float, ...]:
-    """The positions of psi in the order of the legs that hold them."""
-    return psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3
-
-
 def _collapsed(c: float, anchor: float) -> DegenerateModel:
     return DegenerateModel(f"grid levels collapse at c={c!r}, "
                            f"anchor={anchor!r}")
@@ -210,7 +205,9 @@ def trend_positions(anchor: float, c: float, q: float, alpha: float,
     """The positions of a trend cycle at ``anchor``: solve_three_leg's on
     the grid's increments (the reversal level is the anchor, so the trend
     and dichotomy strategies coincide).  Grid levels that are not strictly
-    increasing floats raise DegenerateModel."""
+    increasing floats raise DegenerateModel, and so does a trend level
+    a(1 - 4c) <= 0 (negative orientation, c >= 1/4), which GBM never
+    reaches."""
     s_up, s_down = anchor * (1 + c), anchor * (1 - c)
     s_uu, s_dd = anchor * (1 + 2 * c), anchor * (1 - 2 * c)
     trend = s_uu if positive else s_dd
@@ -218,6 +215,9 @@ def trend_positions(anchor: float, c: float, q: float, alpha: float,
     if not (s_dd < s_down < anchor < s_up < s_uu
             and (trend < far if positive else far < trend)):
         raise _collapsed(c, anchor)
+    if far <= 0.0:
+        raise DegenerateModel(f"trend level {far!r} is not positive at "
+                              f"c={c!r}, anchor={anchor!r}")
     up, down = s_up - anchor, s_down - anchor
     return solve_three_leg((up, up, down, down),
                            (s_uu - s_up, anchor - s_up, anchor - s_down,
@@ -279,10 +279,9 @@ def run_cycle(path: PricePath, i: int, anchor: float, snap: bool,
     last point, at the last execution price in snap mode and the last grid
     price in observed mode, and None is returned."""
     prices = path.prices
-    held = positions(psi)
     k, price = 0, anchor
     while True:
-        led.execute(i, price, held[k] - led.open_position)
+        led.execute(i, price, psi[k] - led.open_position)
         leg = legs[k]
         hi = anchor * leg.hi
         hit = next_hit(path, i, anchor * leg.lo, hi)
@@ -371,7 +370,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
     results: list[RunResult | None] = []
     owner = [0] * n_rows  # the position in results of each row's run
     anchor = [0.0] * n_rows
-    held: list[tuple[float, ...]] = [()] * n_rows  # the cycle's positions
+    held: list[StrategyVector | None] = [None] * n_rows  # the cycle's psi
     leg = [0] * n_rows
     position = [0.0] * n_rows
     cash = [0.0] * n_rows
@@ -396,7 +395,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
         # new runs' first cycles: of several solves that would raise, the
         # one the scans reached first raises
         for r, i, a in starting:
-            held[r] = h = positions(solve(a))
+            held[r] = h = solve(a)
             # the row is flat (+0.0), h[0] is never -0.0: the ledger's bits
             cash[r] -= h[0] * a
             position[r] = h[0]

@@ -371,6 +371,17 @@ def test_critical_drift_windows_are_skipped():
                            "DegenerateModel": 0}
 
 
+@pytest.mark.parametrize("boundary", [0.25, 0.3])
+def test_trend_level_at_or_below_zero_is_skipped(boundary):
+    # a negative-drift window at c >= 1/4 puts the trend level a(1 - 4c) at
+    # or below 0, which GBM never reaches: the window is skipped, not traded
+    res = run_backtest(load_csv(DATA / "gbm_up.csv"),
+                       BacktestConfig(boundary_fraction=boundary))
+    assert res.skipped["DegenerateModel"] > 0
+    assert res.n_cycles > 0
+    assert all(log.orientation == "positive" for log in res.cycles)
+
+
 def test_collapsed_grid_at_one_anchor_is_skipped():
     # at this c the levels anchor*(1 - 2c) and anchor*(1 - c) are one float
     # at the first cycle's anchor: that window is skipped, the walk goes on

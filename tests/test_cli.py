@@ -368,6 +368,17 @@ def test_embedded_grid_collapsed_at_s0_exits_1(mode, capsys):
     assert err == f"statarb: grid levels collapse at c={c}, anchor={s0}\n"
 
 
+@pytest.mark.parametrize("mode", ["snap", "observed"])
+def test_trend_level_at_or_below_zero_exits_1(mode, capsys):
+    # at mu < 0 and c >= 1/4 the trend level s0*(1 - 4c) is <= 0
+    code, out, err = run_cli(["simulate", "--strategy", "trend", "--mu",
+                              "-0.1241", "--c", "0.3", "--runs", "3",
+                              "--steps", "50", "--mode", mode], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("statarb: trend level -437.1999999999999 is not positive "
+                   "at c=0.3, anchor=2186.0\n")
+
+
 @pytest.mark.parametrize("kind", ["embedded", "trend"])
 def test_simulate_tiny_s0_names_s0_and_c(kind, capsys):
     # (c * s0)^3 underflows to 0, or overflows, in the embedded closed form

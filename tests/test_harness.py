@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -342,6 +343,17 @@ def test_run_experiment_covers_all_strategies():
             assert len(res.runs) == 10
             assert all(r.ended_by in ("PositivePnl", "Horizon")
                        for r in res.runs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_run_experiment_counts_how_runs_ended_and_their_cycles(kind, mode):
+    res = run_experiment(small_config(
+        strategy=StrategyConfig(kind=kind, c_mult=0.01, execution_mode=mode)))
+    assert res.ended_by == Counter(r.ended_by for r in res.runs)
+    assert res.repetitions == Counter(r.n_repetitions for r in res.runs)
+    assert set(res.ended_by) == {"PositivePnl", "Horizon"}
+    assert len(res.repetitions) > 2
 
 
 # ------------------------------------------------------------------ sweeps

@@ -583,6 +583,16 @@ def test_gfin_strategy_gate():
         gfin_strategy(below)
 
 
+@pytest.mark.parametrize("s3_continue", [0.0, -5.0])
+def test_gfin_strategy_rejects_a_third_leg_price_at_or_below_zero(
+        s3_continue):
+    # GBM never reaches a price <= 0, so no scenario ends there
+    m = dataclasses.replace(PIN_LATTICES["negative"], s3_continue=s3_continue)
+    with pytest.raises(DegenerateModel,
+                       match=f"third-leg price {s3_continue!r} is not positive"):
+        gfin_strategy(m)
+
+
 def test_gfin_strategy_alpha_one_reduces():
     m = grid_trend_lattice(100.0, 0.05, "negative")
     psi = gfin_strategy(m, alpha=1.0)

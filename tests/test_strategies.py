@@ -201,10 +201,9 @@ def test_leg_tables_follow_the_corridor_table():
     corridors = {(DOWN, UP), (A, UP2), (DOWN2, A), (A, UP4), (DOWN4, A)}
     for legs in (leg_table(C, "trend", True), leg_table(C, "trend", False)):
         assert {(A * leg.lo, A * leg.hi) for leg in legs} <= corridors
-    # leg k holds positions(psi)[k]: first, up, down and trend leg in turn
+    # leg k holds psi[k]: first, up, down and trend leg in turn
     psi = trend_positions(A, C, Q, 0.25, False)
-    assert strategies.positions(psi) \
-        == (psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3)
+    assert tuple(psi) == (psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3)
 
 
 @pytest.mark.parametrize("mode", MODES)

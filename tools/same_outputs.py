@@ -13,7 +13,10 @@ returns (or of the error it raises):
 - ``run_path`` results, ledger events and cycle traces for seeds 0-19 of
   ``simulate_gbm`` per kind x mode x alpha x mu, at 300 steps;
 - ``run_backtest`` results and ledger events on both ``tests/data`` CSVs
-  at boundary 0.02 and alpha {0, 0.5, 1}.
+  at boundary 0.02 and alpha {0, 0.5, 1};
+- the negative-drift trend cycle at c = 0.3, whose trend level
+  a(1 - 4c) lies below 0: ``run_experiment`` at 50 steps in each mode,
+  and ``run_backtest`` on both CSVs at boundary 0.3.
 
 The other parameters are the CLI defaults.  Two checkouts whose outputs
 print the same lines give the same results, bit for bit, on these cases.
@@ -70,10 +73,11 @@ def paths(strategy: StrategyConfig, mu: float):
     return out
 
 
-def backtest(csv: Path, alpha: float):
+def backtest(csv: Path, alpha: float, boundary: float = 0.02):
     ledger = TradeLedger()
     result = run_backtest(load_csv(csv),
-                          BacktestConfig(boundary_fraction=0.02, alpha=alpha),
+                          BacktestConfig(boundary_fraction=boundary,
+                                         alpha=alpha),
                           ledger=ledger)
     return result, ledger.events
 
@@ -91,6 +95,14 @@ def main() -> None:
                               ALPHAS):
         print(f"run_backtest/{csv.name}/alpha={alpha}",
               digest(lambda: backtest(csv, alpha)))
+    mu = MUS[1]
+    for mode in MODES:
+        strategy = StrategyConfig(kind="trend", c=0.3, execution_mode=mode)
+        print(f"run_experiment/trend/{mode}/alpha=0.0/mu={mu}/c=0.3/steps=50",
+              digest(lambda: experiment(strategy, mu, 50)))
+    for csv in sorted((ROOT / "tests" / "data").glob("*.csv")):
+        print(f"run_backtest/{csv.name}/alpha=0.0/boundary=0.3",
+              digest(lambda: backtest(csv, 0.0, 0.3)))
 
 
 if __name__ == "__main__":
