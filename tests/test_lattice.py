@@ -588,8 +588,8 @@ def test_gfin_strategy_rejects_a_third_leg_price_at_or_below_zero(
         s3_continue):
     # GBM never reaches a price <= 0, so no scenario ends there
     m = dataclasses.replace(PIN_LATTICES["negative"], s3_continue=s3_continue)
-    with pytest.raises(DegenerateModel,
-                       match=f"third-leg price {s3_continue!r} is not positive"):
+    with pytest.raises(DegenerateModel, match=f"third-leg price "
+                       f"{s3_continue!r} is not positive"):
         gfin_strategy(m)
 
 
