@@ -229,7 +229,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     as then no window is estimable.  run_cycle liquidates a final cycle
     interrupted by the end of data at the last close; it is included in
     total_pnl and cutoff_pnl, but not in the per-cycle log (n_cycles counts
-    completed cycles).
+    completed cycles).  The positions scale with 1 - alpha, so a P&L or
+    traded total that overflows raises ValueError naming alpha.
     """
     n = series.n_points
     window = config.window_days
@@ -274,6 +275,11 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     traded_qty = sum(abs(delta) for _, _, delta in led.events)
     traded_notional = sum(abs(delta) * price
                           for _, price, delta in led.events)
+    cutoff_pnl = 0.0 if cut_from is None else total_pnl - cut_from
+    if not all(map(math.isfinite, (total_pnl, traded_qty, traded_notional,
+                                   cutoff_pnl))):
+        raise ValueError(f"alpha={config.alpha!r} is too large: the "
+                         "backtest's totals overflow")
     gpta = total_pnl / traded_notional if traded_notional > 0.0 else 0.0
     return BacktestResult(
         gpta=gpta,
@@ -285,7 +291,7 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
         boundary_fraction=c,
         cycles=tuple(cycles),
         skipped=skipped,
-        cutoff_pnl=0.0 if cut_from is None else total_pnl - cut_from,
+        cutoff_pnl=cutoff_pnl,
     )
 
 

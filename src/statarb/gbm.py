@@ -3,10 +3,16 @@
 Exit probabilities for two-sided barriers, the probability ratio q of the
 binomial model embedded at barrier hitting times, the closed-form embedded
 strategy, and maximum-likelihood drift/volatility estimation.
+
+Each closed form is written once: _exit_prob is the exit-probability
+formula that exit_prob_lower, exit_prob_upper and embedded_q's four
+probabilities evaluate, and embedded_phi itself raises DegenerateModel for
+a step whose cube leaves float range, as the trend solve does.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,7 +46,8 @@ __all__ = [
 class GbmParams:
     """Parameters of dS = mu*S dt + sigma*S dB on [0, horizon].
 
-    `n_steps` is the number of equally spaced observation intervals.
+    `n_steps` is the number of equally spaced observation intervals, an
+    integer (numpy integers included).
     """
 
     mu: float
@@ -59,6 +66,11 @@ class GbmParams:
             raise ValueError("s0 must be positive")
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
+        try:
+            operator.index(self.n_steps)
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got "
+                             f"{self.n_steps!r}") from None
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -101,12 +113,11 @@ def _nu(mu: float, sigma: float) -> float:
     return mu / var - 0.5
 
 
-def _exit_prob(near: float, far: float, width: float, mu: float,
-               sigma: float) -> float:
-    """exp(nu*near) * sinh(|nu|*far) / sinh(|nu|*width) with nu =
-    mu/sigma^2 - 1/2, evaluated in log space, or its driftless limit
-    far / width for |nu| <= NU_EPS; clipped to [0, 1]."""
-    nu = _nu(mu, sigma)
+def _exit_prob(near: float, far: float, width: float, nu: float) -> float:
+    """exp(nu*near) * sinh(|nu|*far) / sinh(|nu|*width), evaluated in log
+    space, or its driftless limit far / width for |nu| <= NU_EPS; clipped
+    to [0, 1].  The one exit-probability formula: exit_prob_lower,
+    exit_prob_upper and embedded_q all evaluate it."""
     if abs(nu) <= NU_EPS:
         p = far / width
     else:
@@ -131,7 +142,7 @@ def exit_prob_lower(s0: float, a: float, b: float, mu: float,
         return 0.0
     big_a = math.log(a / s0)
     big_b = math.log(b / s0)
-    return _exit_prob(big_a, big_b, big_b - big_a, mu, sigma)
+    return _exit_prob(big_a, big_b, big_b - big_a, _nu(mu, sigma))
 
 
 def exit_prob_upper(s0: float, a: float, b: float, mu: float,
@@ -150,7 +161,7 @@ def exit_prob_upper(s0: float, a: float, b: float, mu: float,
         return 1.0
     big_a = math.log(a / s0)
     big_b = math.log(b / s0)
-    return _exit_prob(big_b, -big_a, big_b - big_a, mu, sigma)
+    return _exit_prob(big_b, -big_a, big_b - big_a, _nu(mu, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +171,11 @@ def exit_prob_upper(s0: float, a: float, b: float, mu: float,
 
 @lru_cache(maxsize=64)
 def _q_grid(c: float) -> tuple[tuple[float, float, float], ...]:
-    """The (near, far, width) log-barrier triples of embedded_q's four exit
-    probabilities at c, in the order p_down1, p_up1, p_mid_up, p_mid_down:
-    the logs exit_prob_lower / exit_prob_upper take of the same normalized
-    levels, after the same checks on c."""
+    """The (near, far, width) _exit_prob arguments of embedded_q's four
+    exit probabilities at c, in the order p_down1, p_up1, p_mid_up,
+    p_mid_down: the logs exit_prob_lower / exit_prob_upper take of the same
+    normalized levels, after the same checks on c.  They depend on c alone,
+    so they are cached per c."""
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
     levels = [1.0 + k * c for k in (-4, -2, -1, 0, 1, 2, 4)]
@@ -192,27 +204,15 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     The four probabilities are exit_prob_lower(1, 1-c, 1+c),
     exit_prob_upper(1, 1-c, 1+c), exit_prob_lower(1+c, 1, 1+2c) and
     exit_prob_upper(1-c, 1-2c, 1), bit for bit, with the same errors in
-    the same order: their log-barriers depend only on c, so _q_grid caches
-    them with the checks on c, and the rest is _exit_prob's arithmetic,
-    with nu and the first step's log sinh of its width computed once.
+    the same order: _exit_prob on the log-barriers that _q_grid caches per
+    c with the checks on c, and one nu.
     """
-    (n1, f1, width1), (n2, f2, _), (n3, f3, width3), (n4, f4, width4) = \
-        _q_grid(c)
+    (n1, f1, w1), (n2, f2, w2), (n3, f3, w3), (n4, f4, w4) = _q_grid(c)
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
     nu = _nu(mu, sigma)
-    w = abs(nu)
-    if w <= NU_EPS:
-        probs = (f1 / width1, f2 / width1, f3 / width3, f4 / width4)
-    else:
-        sinh1 = _logsinh(w * width1)
-        probs = (math.exp(nu * n1 + _logsinh(w * f1) - sinh1),
-                 math.exp(nu * n2 + _logsinh(w * f2) - sinh1),
-                 math.exp(nu * n3 + _logsinh(w * f3) - _logsinh(w * width3)),
-                 math.exp(nu * n4 + _logsinh(w * f4) - _logsinh(w * width4)))
-    p_down1, p_up1, p_mid_up, p_mid_down = [min(1.0, max(0.0, p))
-                                            for p in probs]
-    up, down = p_up1 * p_mid_up, p_down1 * p_mid_down
+    up = _exit_prob(n2, f2, w2, nu) * _exit_prob(n3, f3, w3, nu)
+    down = _exit_prob(n1, f1, w1, nu) * _exit_prob(n4, f4, w4, nu)
     q = up / down if up > 0.0 and down > 0.0 else 0.0
     if not 0.0 < q < math.inf:
         raise DegenerateModel(f"q = {up!r} / {down!r} at c={c!r}, "
@@ -231,7 +231,9 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
         phi2- = -3q(c s0)^2 / D,   D = 2(q-1)(c s0)^3.
 
     Raises NoSaExists when q is (numerically) 1, where no such strategy
-    exists, and ValueError when (c s0)^3 underflows to 0 or overflows.
+    exists, and DegenerateModel, naming s0 and c, when (c s0)^3 underflows
+    to 0 or overflows; a c outside (0, 1/2) or an anchor s0 <= 0 raises
+    ValueError.
     """
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
@@ -243,11 +245,11 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
     try:
         d = 2.0 * (q - 1.0) * step ** 3
     except OverflowError:
-        raise ValueError(f"s0={s0_anchor!r} is too large for c={c!r}: "
-                         "(c*s0)^3 overflows") from None
+        raise DegenerateModel(f"s0={s0_anchor!r} is too large for c={c!r}: "
+                              "(c*s0)^3 overflows") from None
     if d == 0.0:
-        raise ValueError(f"s0={s0_anchor!r} is too small for c={c!r}: "
-                         "(c*s0)^3 underflows to 0")
+        raise DegenerateModel(f"s0={s0_anchor!r} is too small for c={c!r}: "
+                              "(c*s0)^3 underflows to 0")
     s2 = step * step
     return StrategyVector((2.0 + q) * s2 / d, (q - 4.0) * s2 / d,
                           -3.0 * q * s2 / d)

@@ -109,6 +109,8 @@ class TwoPeriodBinomial:
             raise ValueError("need s_down < s_ud < s_up")
         if not (self.s_dd < self.s_down):
             raise ValueError("need s_dd < s_down")
+        if not (self.s_dd > 0.0):  # the smallest price: GBM stays above 0
+            raise ValueError("need s_dd > 0")
 
     n_paths = 4
 
@@ -624,7 +626,9 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
     ds3_reverse of the third leg, and ratio = p(ud)/p(du).  It is the
     two-period phi plus psi3 = (1-alpha)/(ds3_continue - ds3_reverse), the
     early legs shifted by -ds3_continue*psi3*gamma, where A gamma = e1
-    (positive: third leg after up-up) or e2 (negative: after down-down)."""
+    (positive: third leg after up-up) or e2 (negative: after down-down).
+    Positions that overflow, which only an alpha near the float range
+    reaches, raise ValueError naming alpha."""
     scale = _scale(ds1, ds2)
     if abs(ratio - _tilde_q(ds1, ds2, scale)) <= EPS_TOL:
         raise NoSaExists("embedded two-period model admits no arbitrage")
@@ -647,10 +651,12 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
             / d,
         )
     shift = ds3_continue * psi3
-    return StrategyVector(phi1 - shift * gamma[0],
-                          phi2_up - shift * gamma[1],
-                          phi2_down - shift * gamma[2],
-                          psi3)
+    psi = (phi1 - shift * gamma[0], phi2_up - shift * gamma[1],
+           phi2_down - shift * gamma[2], psi3)
+    if not all(map(math.isfinite, psi)):  # psi3, shift scale with 1-alpha
+        raise ValueError(f"alpha={alpha!r} is too large: the three-leg "
+                         "positions overflow")
+    return StrategyVector(*psi)
 
 
 def _three_leg(model: TrendLattice, alpha: float) -> StrategyVector:

@@ -187,17 +187,14 @@ def _collapsed(c: float, anchor: float) -> DegenerateModel:
 
 
 def embedded_positions(anchor: float, c: float, q: float) -> StrategyVector:
-    """The positions of an embedded cycle at ``anchor``: embedded_phi.
-    Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c) that are not
-    strictly increasing floats, and a step c*a whose cube underflows to 0
-    or overflows, raise DegenerateModel."""
+    """The positions of an embedded cycle at ``anchor``: embedded_phi,
+    which raises DegenerateModel for a step c*a whose cube underflows to 0
+    or overflows.  Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c)
+    that are not strictly increasing floats raise DegenerateModel too."""
     if not (anchor * (1 - 2 * c) < anchor * (1 - c) < anchor
             < anchor * (1 + c) < anchor * (1 + 2 * c)):
         raise _collapsed(c, anchor)
-    try:
-        return embedded_phi(c, anchor, q)
-    except ValueError as exc:  # a > 0, c in (0, 1/2): (c*a)^3 is 0 or inf
-        raise DegenerateModel(str(exc)) from None
+    return embedded_phi(c, anchor, q)
 
 
 def trend_positions(anchor: float, c: float, q: float, alpha: float,

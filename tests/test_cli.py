@@ -124,6 +124,23 @@ def test_check_model_bad_files_exit_1(tmp_path, capsys, payload):
     assert "cannot load model" in err
 
 
+@pytest.mark.parametrize("s_dd", [-6.0, 0.0])
+def test_check_model_json_binomial_with_s_dd_not_positive_exits_1(
+        s_dd, tmp_path, capsys):
+    # GBM never reaches a price at or below 0; the ordered prices
+    # s_dd < s_down < s_ud < s_up < s_uu used to certify such a model
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "kind": "binomial",
+        "prices": {"s0": 10, "s_up": 20, "s_down": 2, "s_uu": 30,
+                   "s_ud": 12, "s_dd": s_dd},
+        "weights": [0.25] * 4,
+    }))
+    code, out, err = run_cli(["check-model", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"statarb: cannot load model {str(path)!r}: need s_dd > 0\n"
+
+
 def test_check_model_unknown_fixture_exits_1(capsys):
     code, _, err = run_cli(["check-model", "sec99"], capsys)
     assert code == 1
@@ -422,6 +439,24 @@ def test_simulate_overflowing_prices_exit_1(capsys):
 
 
 # ------------------------------------------------------------------- sweep
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["simulate", "--alpha", "1e308"], "the three-leg positions overflow"),
+    (["simulate", "--alpha", "1e307"], "the runs' P&L overflows"),
+    (["simulate", "--alpha", "1e307", "--mode", "observed"],
+     "the runs' P&L overflows"),
+    (["sweep", "--alpha", "1e307", "--axis", "c", "--values", "0.02"],
+     "the runs' P&L overflows"),
+], ids=["simulate-positions", "simulate-pnl", "simulate-observed", "sweep"])
+def test_alpha_whose_pnl_overflows_exits_1_naming_alpha(argv, cause, capsys):
+    # the trend positions scale with 1 - alpha: at 1e308 they overflow, and
+    # at 1e307 the runs' cash does, which used to print nan at exit 0
+    code, out, err = run_cli([*argv, "--strategy", "trend", "--runs", "3",
+                              "--steps", "50"], capsys)
+    assert (code, out) == (1, "")
+    alpha = float(argv[argv.index("--alpha") + 1])
+    assert err == f"statarb: alpha={alpha!r} is too large: {cause}\n"
 
 
 def test_sweep_matches_library(capsys):
@@ -734,6 +769,22 @@ def test_backtest_non_finite_alpha_exits_1(market_csv, capsys, alpha):
                               "--boundary", "0.10", "--alpha", alpha],
                              capsys)
     assert (code, out, err) == (1, "", "statarb: alpha must be finite\n")
+
+
+@pytest.mark.parametrize("data,boundary,cause", [
+    ("gbm_up.csv", "0.2", "the backtest's totals overflow"),
+    ("gbm_down.csv", "0.2", "the three-leg positions overflow"),
+])
+def test_backtest_alpha_whose_totals_overflow_exits_1_naming_alpha(
+        data, boundary, cause, capsys):
+    # on gbm_up at boundary 0.2 the positions are finite (phi1 = 1.6e306 at
+    # anchor 100), but the traded notional overflows: the backtest used to
+    # print NaN and Infinity in its JSON at exit 0
+    code, out, err = run_cli(["backtest", "--data", str(DATA / data),
+                              "--boundary", boundary, "--alpha", "1e308"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"statarb: alpha=1e+308 is too large: {cause}\n"
 
 
 def test_backtest_reports_skips_and_cutoff_on_stderr(capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -338,11 +339,13 @@ def test_embedded_phi_degenerate_q():
 
 
 def test_embedded_phi_names_s0_and_c_when_the_cube_leaves_float_range():
-    with pytest.raises(ValueError, match=r"^s0=1e-110 is too small for "
-                                         r"c=0\.05: \(c\*s0\)\^3 underflows"):
+    with pytest.raises(DegenerateModel,
+                       match=r"^s0=1e-110 is too small for "
+                             r"c=0\.05: \(c\*s0\)\^3 underflows"):
         embedded_phi(0.05, 1e-110, 1.2)
-    with pytest.raises(ValueError, match=r"^s0=1e\+110 is too large for "
-                                         r"c=0\.05: \(c\*s0\)\^3 overflows"):
+    with pytest.raises(DegenerateModel,
+                       match=r"^s0=1e\+110 is too large for "
+                             r"c=0\.05: \(c\*s0\)\^3 overflows"):
         embedded_phi(0.05, 1e110, 1.2)
 
 
@@ -472,6 +475,19 @@ def test_mle_estimate_recovers_gbm_parameters():
 
 
 # ---------------------------------------------------------------- params
+
+
+@pytest.mark.parametrize("n_steps", [50.5, 50.0, "50"])
+def test_gbm_params_rejects_an_n_steps_that_is_not_an_integer(n_steps):
+    # 50.5 used to be accepted and a run then failed inside numpy
+    with pytest.raises(ValueError, match=r"^n_steps must be an integer, "
+                                         rf"got {re.escape(repr(n_steps))}$"):
+        GbmParams(0.1, 0.2, 100.0, 1.0, n_steps)
+
+
+def test_gbm_params_accepts_numpy_integer_steps():
+    p = GbmParams(0.1, 0.2, 100.0, 1.0, np.int64(50))
+    assert p.dt == 1.0 / 50
 
 
 def test_gbm_params_validation_and_accessors():

@@ -503,6 +503,25 @@ def test_trend_lattice_rejects_a_misordered_third_leg(orientation,
                             s3_continue=s3_continue)
 
 
+@pytest.mark.parametrize("s_dd", [-6.0, 0.0, -0.0])
+def test_binomial_rejects_an_s_dd_that_is_not_positive(s_dd):
+    # the prices are ordered, so s_dd is the smallest; GBM stays above 0
+    with pytest.raises(ValueError, match=r"^need s_dd > 0$"):
+        TwoPeriodBinomial(10.0, 20.0, 2.0, 30.0, 12.0, s_dd, (0.25,) * 4)
+
+
+@pytest.mark.parametrize("orientation, s3_continue, s3_reverse", [
+    ("positive", 40.0, 5.0),
+    ("negative", -9.0, 5.0),
+])
+def test_trend_lattice_rejects_an_s_dd_that_is_not_positive(
+        orientation, s3_continue, s3_reverse):
+    # through embedded_binomial(), before the third leg's own checks
+    with pytest.raises(ValueError, match=r"^need s_dd > 0$"):
+        TrendLattice(orientation, 10.0, 20.0, 2.0, 30.0, 12.0, -6.0,
+                     s3_continue, s3_reverse, (0.2, 0.1, 0.2, 0.3, 0.2))
+
+
 def test_trend_strategy_grid_values():
     m = grid_trend_lattice(100.0, 0.05, "positive")
     psi = trend_strategy(m, alpha=0.0)
@@ -536,6 +555,16 @@ def test_solve_three_leg_rejects_coinciding_third_leg_increments():
     with pytest.raises(DegenerateModel,
                        match="^third-leg increments coincide$"):
         solve_three_leg(m.ds1[:4], m.ds2[:4], 5.0, 5.0, 0.0, 2.0, True)
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_solve_three_leg_names_an_alpha_whose_positions_overflow(positive):
+    # psi3 = (1 - alpha) / (ds3_continue - ds3_reverse) overflows
+    m = PIN_LATTICES["positive"]
+    with pytest.raises(ValueError, match=r"^alpha=1e\+308 is too large: "
+                                         r"the three-leg positions overflow$"):
+        solve_three_leg(m.ds1[:4], m.ds2[:4], 0.25, -0.25, 1e308, 2.0,
+                        positive)
 
 
 def test_trend_strategy_solves_four_row_system():
