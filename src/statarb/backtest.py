@@ -31,6 +31,7 @@ from .errors import (
 )
 from .gbm import embedded_q, mle_from_returns
 from .harness import write_metadata
+from .lattice import check_alpha
 from .paths import PricePath, TradeLedger
 from .strategies import cycle_plan, run_cycle
 
@@ -276,10 +277,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     traded_notional = sum(abs(delta) * price
                           for _, price, delta in led.events)
     cutoff_pnl = 0.0 if cut_from is None else total_pnl - cut_from
-    if not all(map(math.isfinite, (total_pnl, traded_qty, traded_notional,
-                                   cutoff_pnl))):
-        raise ValueError(f"alpha={config.alpha!r} is too large: the "
-                         "backtest's totals overflow")
+    check_alpha(config.alpha, "the backtest's totals overflow", total_pnl,
+                traded_qty, traded_notional, cutoff_pnl)
     gpta = total_pnl / traded_notional if traded_notional > 0.0 else 0.0
     return BacktestResult(
         gpta=gpta,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_q
-from .lattice import SWEEP_AXES
+from .lattice import SWEEP_AXES, check_alpha
 from .strategies import (
     RunResult,
     StrategyConfig,
@@ -184,9 +184,8 @@ def run_experiment(config: ExperimentConfig, *,
     Raises AllRunsSkipped when the strategy precondition (q = 1) voids the
     whole batch, DegenerateModel when the grid levels collapse at s0 or
     (c*s0)^3 leaves float range, and ValueError when
-    c / (sigma * sqrt(dt)) lies below MIN_STEP_RATIO, or when the P&L of
-    the runs overflows, which the trend positions' scale 1 - alpha reaches
-    at an alpha near the float range.
+    c / (sigma * sqrt(dt)) lies below MIN_STEP_RATIO, or when the runs'
+    P&L overflows (check_alpha).
     """
     params = config.params
     c = config.strategy.resolved_c(params.mu, params.sigma)
@@ -207,9 +206,8 @@ def run_experiment(config: ExperimentConfig, *,
     streams = run_streams(config.master_seed, axis_index, config.n_runs)
     results = run_seeded(params, config.strategy, streams)
     pnl, n_rep, trades, ended_by = zip(*results)
-    if not math.isfinite(sum(map(abs, pnl))):  # so metrics' sums are finite
-        raise ValueError(f"alpha={config.strategy.alpha!r} is too large: "
-                         "the runs' P&L overflows")
+    check_alpha(config.strategy.alpha, "the runs' P&L overflows",
+                sum(map(abs, pnl)))  # so metrics' sums are finite
     return ExperimentResult(summary=metrics(pnl, trades, n_rep),
                             runs=tuple(results), ended_by=Counter(ended_by),
                             repetitions=Counter(n_rep))

@@ -55,6 +55,7 @@ __all__ = [
     "trinomial_nsa",
     "counterexample_pid_check",
     "trend_A_matrix",
+    "check_alpha",
     "solve_three_leg",
     "trend_strategy",
     "gfin_strategy",
@@ -619,6 +620,13 @@ def trend_A_matrix(model: TrendLattice) -> np.ndarray:
                       np.append(extended, ds3[4])])
 
 
+def check_alpha(alpha: float, what: str, *values: float) -> None:
+    """Raise ValueError naming alpha and ``what`` when a value is not
+    finite: the values scale with 1 - alpha, so only a huge alpha does it."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"alpha={alpha!r} is too large: {what}")
+
+
 def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
                     ratio: float, positive: bool) -> StrategyVector:
     """The three-leg strategy from plain increments: ds1, ds2 of the
@@ -627,8 +635,7 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
     two-period phi plus psi3 = (1-alpha)/(ds3_continue - ds3_reverse), the
     early legs shifted by -ds3_continue*psi3*gamma, where A gamma = e1
     (positive: third leg after up-up) or e2 (negative: after down-down).
-    Positions that overflow, which only an alpha near the float range
-    reaches, raise ValueError naming alpha."""
+    Positions that overflow raise check_alpha's ValueError."""
     scale = _scale(ds1, ds2)
     if abs(ratio - _tilde_q(ds1, ds2, scale)) <= EPS_TOL:
         raise NoSaExists("embedded two-period model admits no arbitrage")
@@ -653,9 +660,7 @@ def solve_three_leg(ds1, ds2, ds3_continue, ds3_reverse, alpha: float,
     shift = ds3_continue * psi3
     psi = (phi1 - shift * gamma[0], phi2_up - shift * gamma[1],
            phi2_down - shift * gamma[2], psi3)
-    if not all(map(math.isfinite, psi)):  # psi3, shift scale with 1-alpha
-        raise ValueError(f"alpha={alpha!r} is too large: the three-leg "
-                         "positions overflow")
+    check_alpha(alpha, "the three-leg positions overflow", *psi)
     return StrategyVector(*psi)
 
 

@@ -55,7 +55,7 @@ import numpy as np
 from . import paths
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .lattice import KINDS, MODES, StrategyVector, solve_three_leg
+from .lattice import KINDS, MODES, StrategyVector, check_alpha, solve_three_leg
 from .paths import (
     PathBlock,
     PricePath,
@@ -302,7 +302,7 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
     positive P&L or the horizon, where an open position is liquidated.
     The ledger and the cycle trace, when given, record the executions and
     the per-cycle solves.  Raises NoSaExists when q = 1 (skipped-run
-    marker)."""
+    marker), and run_experiment's ValueError when the P&L overflows."""
     led = ledger if ledger is not None else TradeLedger()
     solve, legs, orientation, c, q = _plan(params, config)
     snap = config.execution_mode == "snap"
@@ -310,6 +310,7 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
     n_rep = 0
     anchor = float(path.prices[0])
     i = 0
+    ended_by = "Horizon"
     while i < n - 1:
         psi = solve(anchor)
         if cycle_trace is not None:
@@ -321,8 +322,10 @@ def run_path(path: PricePath, params: GbmParams, config: StrategyConfig, *,
         i, anchor = stop
         n_rep += 1
         if led.cash > 0.0:
-            return RunResult(led.cash, n_rep, len(led.events), "PositivePnl")
-    return RunResult(led.cash, n_rep, len(led.events), "Horizon")
+            ended_by = "PositivePnl"
+            break
+    check_alpha(config.alpha, "the runs' P&L overflows", led.cash)
+    return RunResult(led.cash, n_rep, len(led.events), ended_by)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
     """Run the strategy on the GBM path of each seed; result k equals
     run_path on simulate_gbm(params, s), with s = seeds[k] for an int seed
     and, for a seeding.RunStream, the int seed its words derive from,
-    whenever simulate_gbm accepts that path.
+    whenever simulate_gbm accepts that path and that run's P&L is finite.
 
     The paths of chunk_rows(n_steps) runs at a time are the rows of one
     PathBlock, and each row's run state lives in plain lists: its anchor,

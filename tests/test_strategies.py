@@ -325,6 +325,28 @@ def test_alpha_one_reduces_to_embedded():
             assert led_e.events == led_t.events
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("alpha,cause", [
+    (1e305, "the runs' P&L overflows"),
+    (1e307, "the runs' P&L overflows"),
+    (1e308, "the three-leg positions overflow"),
+])
+def test_run_path_fails_as_run_experiment_on_an_overflowing_alpha(
+        alpha, cause, mode):
+    # the trend positions scale with 1 - alpha: below 1e308 they are finite,
+    # but the run's cash overflows, and run_path used to return a nan P&L
+    params = GbmParams(0.1241, 0.0837, 2186.0, 1.0, 50)
+    config = StrategyConfig("trend", c_mult=0.01, alpha=alpha,
+                            execution_mode=mode)
+    with pytest.raises(ValueError) as experiment:
+        run_experiment(ExperimentConfig(params, config, n_runs=3,
+                                        master_seed=0))
+    with pytest.raises(ValueError) as one_path:
+        run_path(simulate_gbm(params, 1), params, config)
+    assert str(one_path.value) == str(experiment.value) == \
+        f"alpha={alpha!r} is too large: {cause}"
+
+
 # --------------------------------------------------------------- grid solve
 
 
