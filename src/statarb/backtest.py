@@ -15,6 +15,7 @@ import datetime
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, NamedTuple
@@ -51,6 +52,11 @@ __all__ = [
 
 MARKET_HEADER = "date,close"
 CYCLES_HEADER = "cycle_start,cycle_end,mu_hat,sigma_hat,orientation,pnl,traded_qty"
+
+# characters of CSV text, in whole lines, that load_csv parses at a time
+CSV_BLOCK = 65536
+# one CSV row as numpy's reader parses it: the date text and the close
+_CSV_ROW = [("date", object), ("close", np.float64)]
 
 # years per observation: the closes are trading days, 252 to the year
 DT = 1.0 / 252.0
@@ -159,18 +165,70 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
     """Parse a `date,close` CSV (ISO dates, positive decimal closes).
 
     Lines starting with `#` are metadata and skipped; errors carry the
-    1-based physical line number.
+    1-based physical line number.  The text is read CSV_BLOCK characters
+    of whole lines at a time.  After the header, a block of well-formed
+    rows is parsed by numpy's C reader (_read_rows); any other block goes
+    through _parse_lines, the line loop that defines the format and
+    raises every error that names a line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_csv(fh)
     dates: list[datetime.date] = []
+    closes: list[np.ndarray | list[float]] = []
+    saw_header = False
+    lineno = 1
+    while lines := source.readlines(CSV_BLOCK):
+        rows = _read_rows(lines) if saw_header else None
+        if rows is None:
+            days, block, saw_header = _parse_lines(lines, lineno, saw_header)
+        else:
+            days, block = rows
+        dates += days
+        closes.append(block)
+        lineno += len(lines)
+    if not saw_header:
+        raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
+    if not dates:
+        raise ParseError("no data rows", 2)
+    return MarketSeries(tuple(dates), np.concatenate(closes))
+
+
+def _read_rows(lines: list[str]) -> tuple[list[datetime.date],
+                                          np.ndarray] | None:
+    """The dates and closes of a block of data rows, or None unless
+    numpy's reader yields one row per line with no error or warning, every
+    close finite and > 0 and every date an ISO date.
+
+    numpy converts a close with PyOS_string_to_double, as float() does,
+    and keeps the date text before the first comma unstripped, which
+    fromisoformat rejects wherever the loop's stripped text differs; so an
+    accepted block holds _parse_lines' values bit for bit.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            rows = np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW,
+                              comments=None, ndmin=1)
+        closes = rows["close"]
+        if len(rows) != len(lines) or \
+                not ((closes > 0.0) & (closes < math.inf)).all():
+            return None
+        return list(map(datetime.date.fromisoformat, rows["date"])), closes
+    except (ValueError, Warning):
+        return None
+
+
+def _parse_lines(lines: list[str], lineno: int, saw_header: bool
+                 ) -> tuple[list[datetime.date], list[float], bool]:
+    """Parse a block of lines whose first is line `lineno`: the dates and
+    closes of its data rows, and whether the header has been seen."""
+    dates: list[datetime.date] = []
     closes: list[float] = []
     # names bound once, outside the per-line loop
     add_day, add_close = dates.append, closes.append
     fromisoformat, isfinite = datetime.date.fromisoformat, math.isfinite
-    saw_header = False
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -195,11 +253,7 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
             raise ParseError(f"non-positive price {fields[1]!r}", lineno)
         add_day(day)
         add_close(close)
-    if not saw_header:
-        raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
-    if not dates:
-        raise ParseError("no data rows", 2)
-    return MarketSeries(tuple(dates), closes)
+    return dates, closes, saw_header
 
 
 def dump_csv(series: MarketSeries, stream: IO[str],

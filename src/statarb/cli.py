@@ -12,6 +12,7 @@ the version, seed, quantile method and execution mode — never timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -360,10 +361,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser that every main call reuses: building one takes about
+    half of a one-run simulate."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -228,6 +228,92 @@ def test_load_csv_equals_reference_loop(text):
         _parse_outcome(reference_load_csv, text)
 
 
+# blocks of one line, and of a few lines, put fast blocks, loop blocks and
+# errors past the first block into texts that fit one production block
+@pytest.mark.parametrize("block", [1, 48])
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=csv_texts())
+@example(text="date,close\r\n 2020-01-02,3.5 \r\n\r\n# x\r\n2020-01-03,inf\r\n")
+@example(text="date,close\n2020-01-02,1.0\n\n\n2020-01-03,2.0\n2020-01-04,x\n")
+@example(text="date,close\n2020-01-02,1.0\n2020-01-02,2.0\n")
+def test_load_csv_in_small_blocks_equals_reference_loop(block, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backtest, "CSV_BLOCK", block)
+        assert _parse_outcome(load_csv, text) == \
+            _parse_outcome(reference_load_csv, text)
+
+
+def test_two_block_file_loads_bit_for_bit(monkeypatch):
+    target = DATA / "gbm_up.csv"
+    assert target.stat().st_size > backtest.CSV_BLOCK
+    read_rows = backtest._read_rows
+    fast = []
+
+    def spy(lines):
+        fast.append(read_rows(lines))
+        return fast[-1]
+
+    monkeypatch.setattr(backtest, "_read_rows", spy)
+    series, want = load_csv(target), reference_load_csv(target)
+    assert fast and all(rows is not None for rows in fast)
+    assert series.dates == want.dates
+    assert series.closes.tobytes() == want.closes.tobytes()
+
+
+def test_bad_price_past_the_first_block_names_its_line():
+    rows = [f"{datetime.date(1990, 1, 1) + datetime.timedelta(days=k)},"
+            f"{100.0 + k / 7!r}\n" for k in range(4000)]
+    text = "date,close\n" + "".join(rows)
+    assert len(text) > backtest.CSV_BLOCK
+    text += "2001-01-01,12x\n"
+    outcome = _parse_outcome(load_csv, text)
+    assert outcome == _parse_outcome(reference_load_csv, text)
+    assert outcome == ("ParseError", "line 4002: bad price '12x'", 4002)
+
+
+def test_blank_and_comment_blocks_record_no_warning(monkeypatch, recwarn):
+    # numpy's reader warns "input contained no data" on a blank line
+    monkeypatch.setattr(backtest, "CSV_BLOCK", 1)
+    text = "date,close\n\n2020-01-02,3.5\n\n# x\n\n2020-01-03,4.0\n\n"
+    assert load_csv(io.StringIO(text)).closes.tolist() == [3.5, 4.0]
+    assert not recwarn.list
+
+
+# numpy's reader reads a close only where float() does, to float()'s
+# value; the closes it rejects go through the line loop.  None: the loop's
+# non-positive price error
+@pytest.mark.parametrize("text, numpy_reads, close", [
+    ("1_0", False, 10.0),
+    ("٥", False, 5.0),
+    ("inf", True, None),
+    ("nan", True, None),
+    ("1e999", True, None),
+    (" 5 ", True, 5.0),
+    ("5.", True, 5.0),
+    (".5", True, 0.5),
+    ("+5", True, 5.0),
+    ("1E5", True, 1e5),
+])
+def test_numpy_reader_agrees_with_float(text, numpy_reads, close,
+                                        monkeypatch):
+    line = f"2020-01-02,{text}\n"
+    try:
+        read = np.loadtxt([line], delimiter=",", dtype=backtest._CSV_ROW,
+                          comments=None)["close"]
+    except ValueError:
+        read = None
+    assert (read is not None) == numpy_reads
+    if numpy_reads:
+        assert repr(float(read)) == repr(float(text))
+    monkeypatch.setattr(backtest, "CSV_BLOCK", 1)  # the row is a block
+    got = _parse_outcome(load_csv, "date,close\n" + line)
+    if close is None:
+        assert got == ("ParseError", f"line 2: non-positive price "
+                                     f"{text!r}", 2)
+    else:
+        assert got == ((datetime.date(2020, 1, 2),), [close])
+
+
 # ----------------------------------------------------------- configuration
 
 

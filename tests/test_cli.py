@@ -15,6 +15,7 @@ import pytest
 from helpers import find_no_sa_mu, grid_binomial
 from statarb import __version__
 from statarb.backtest import CYCLES_HEADER
+from statarb import cli
 from statarb.cli import main
 from statarb.gbm import GbmParams
 from statarb.harness import (
@@ -845,6 +846,45 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(["--version"], capsys)
     assert code == 0
     assert __version__ in out
+
+
+# in order: a valid call of each command with every flag, a usage error of
+# each, then the same commands with --seed and --out absent
+PARSED_ARGVS = [
+    ["check-model", "sec34"],
+    ["simulate", "--runs", "5", "--seed", "3", "--c", "0.02", "--out",
+     "runs.csv", "--strategy", "trend", "--mode", "observed"],
+    ["sweep", "--axis", "mu", "--values", "0.1,0.2", "--seed", "4",
+     "--c-mult", "0.5", "--out", "sweep.csv"],
+    ["backtest", "--data", "prices.csv", "--boundary", "0.1", "--window",
+     "90", "--alpha", "0.5", "--out", "cycles.csv"],
+    [],
+    ["check-model"],
+    ["simulate", "--c", "0.1", "--c-mult", "0.1"],
+    ["simulate", "--runs", "0"],
+    ["sweep", "--axis", "mu"],
+    ["backtest", "--data", "prices.csv"],
+    ["backtest", "--data", "prices.csv", "--boundary", "0.7"],
+    ["check-model", "bondarenko-counterexample"],
+    ["simulate"],
+    ["sweep", "--axis", "eta", "--values", "1"],
+    ["backtest", "--data", "prices.csv", "--boundary", "0.2"],
+]
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_shared_parser_parses_as_a_fresh_one(capsys):
+    shared = cli._shared_parser()
+    assert cli._shared_parser() is shared
+    for argv in PARSED_ARGVS:
+        assert _parsed(shared, argv) == _parsed(cli.build_parser(), argv)
+    capsys.readouterr()
 
 
 def test_module_invocation_roundtrip():
