@@ -12,13 +12,14 @@ last close when the data ends first, so every backtest ends flat.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -165,30 +166,29 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
     """Parse a `date,close` CSV (ISO dates, positive decimal closes).
 
     Lines starting with `#` are metadata and skipped; errors carry the
-    1-based physical line number.  The text is read CSV_BLOCK characters
-    of whole lines at a time.  After the header, a block of well-formed
-    rows is parsed by numpy's C reader (_read_rows); any other block goes
-    through _parse_lines, the line loop that defines the format and
-    raises every error that names a line.
+    1-based physical line number.  After the header, the text is read
+    CSV_BLOCK characters of whole lines at a time: numpy's C reader
+    (_read_rows) parses a block of well-formed rows, and _parse_lines,
+    the line loop that raises every error naming a data line, any other.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_csv(fh)
+    for lineno, raw in enumerate(iter(source.readline, ""), start=1):
+        if (line := raw.strip()) and line[0] != "#":
+            break
+    else:
+        raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
+    if line != MARKET_HEADER:
+        raise ParseError(f"expected header {MARKET_HEADER!r}, got {line!r}",
+                         lineno)
     dates: list[datetime.date] = []
     closes: list[np.ndarray | list[float]] = []
-    saw_header = False
-    lineno = 1
     while lines := source.readlines(CSV_BLOCK):
-        rows = _read_rows(lines) if saw_header else None
-        if rows is None:
-            days, block, saw_header = _parse_lines(lines, lineno, saw_header)
-        else:
-            days, block = rows
+        days, block = _read_rows(lines) or _parse_lines(lines, lineno + 1)
         dates += days
         closes.append(block)
         lineno += len(lines)
-    if not saw_header:
-        raise ParseError(f"missing header {MARKET_HEADER!r}", 1)
     if not dates:
         raise ParseError("no data rows", 2)
     return MarketSeries(tuple(dates), np.concatenate(closes))
@@ -219,10 +219,10 @@ def _read_rows(lines: list[str]) -> tuple[list[datetime.date],
         return None
 
 
-def _parse_lines(lines: list[str], lineno: int, saw_header: bool
-                 ) -> tuple[list[datetime.date], list[float], bool]:
-    """Parse a block of lines whose first is line `lineno`: the dates and
-    closes of its data rows, and whether the header has been seen."""
+def _parse_lines(lines: list[str], lineno: int
+                 ) -> tuple[list[datetime.date], list[float]]:
+    """Parse a block of lines after the header, whose first is line
+    `lineno`: the dates and closes of its data rows."""
     dates: list[datetime.date] = []
     closes: list[float] = []
     # names bound once, outside the per-line loop
@@ -231,12 +231,6 @@ def _parse_lines(lines: list[str], lineno: int, saw_header: bool
     for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         if not line or line[0] == "#":
-            continue
-        if not saw_header:
-            if line != MARKET_HEADER:
-                raise ParseError(f"expected header {MARKET_HEADER!r}, "
-                                 f"got {line!r}", lineno)
-            saw_header = True
             continue
         fields = line.split(",")
         if len(fields) != 2:
@@ -253,7 +247,7 @@ def _parse_lines(lines: list[str], lineno: int, saw_header: bool
             raise ParseError(f"non-positive price {fields[1]!r}", lineno)
         add_day(day)
         add_close(close)
-    return dates, closes, saw_header
+    return dates, closes
 
 
 def dump_csv(series: MarketSeries, stream: IO[str],
@@ -266,6 +260,11 @@ def dump_csv(series: MarketSeries, stream: IO[str],
 
 
 # --------------------------------------------------------------- backtest
+
+
+def _total(values: Iterable[float]) -> float:
+    """values added left to right from 0.0 (sum() compensates on 3.12+)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def run_backtest(series: MarketSeries, config: BacktestConfig, *,
@@ -321,15 +320,15 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             cut_from = cash_before
             break
         i_end, _ = step
-        qty = sum(abs(delta) for _, _, delta in led.events[events_before:])
+        qty = _total(abs(delta) for _, _, delta in led.events[events_before:])
         cycles.append(CycleLog(series.dates[i], series.dates[i_end],
                                mu_hat, sigma_hat, orientation,
                                led.cash - cash_before, qty))
         i = i_end
     total_pnl = led.cash
-    traded_qty = sum(abs(delta) for _, _, delta in led.events)
-    traded_notional = sum(abs(delta) * price
-                          for _, price, delta in led.events)
+    traded_qty = _total(abs(delta) for _, _, delta in led.events)
+    traded_notional = _total(abs(delta) * price
+                             for _, price, delta in led.events)
     cutoff_pnl = 0.0 if cut_from is None else total_pnl - cut_from
     check_alpha(config.alpha, "the backtest's totals overflow", total_pnl,
                 traded_qty, traded_notional, cutoff_pnl)

@@ -1,6 +1,7 @@
 """Tests for CSV market-data loading and the walk-forward backtester."""
 from __future__ import annotations
 
+import builtins
 import datetime
 import io
 import json
@@ -159,7 +160,8 @@ def test_load_csv_from_path(tmp_path):
 # CSV texts for the parser oracle: valid rows on mostly increasing dates,
 # mixed with metadata, blank lines, a missing or repeated header, rows of
 # 1 or 3 fields, bad dates and bad, zero, negative or non-finite prices,
-# each line padded with whitespace and ended by LF, CRLF or nothing
+# each line padded with whitespace and ended by LF, CRLF or nothing; a
+# preamble of blank, whitespace-only and metadata lines comes first
 BAD_DATES = st.sampled_from(["2020-13-01", "2020-02-30", "01/02/2020",
                              "2020-1-5", "", "date", "x"])
 BAD_PRICES = st.sampled_from(["abc", "", "0", "0.0", "-0", "-1.5", "nan",
@@ -169,12 +171,14 @@ GOOD_PRICES = st.one_of(
     st.sampled_from(["3.5", "100", "1e2", "+7.25", ".5", "1_000"]))
 PADDING = st.sampled_from(["", " ", "\t", "  "])
 ENDINGS = st.sampled_from(["\n", "\r\n"])
+PREAMBLE = st.sampled_from(["", "# seed=7", "#", "#date,close"])
 
 
 @st.composite
 def csv_texts(draw) -> str:
     day = datetime.date(1990, 1, 1).toordinal()
-    lines = []
+    lines = [draw(PADDING) + draw(PREAMBLE) + draw(PADDING) + draw(ENDINGS)
+             for _ in range(draw(st.integers(0, 3)))]
     if draw(st.integers(0, 9)):
         lines.append("date,close\n")
     elif draw(st.booleans()):
@@ -223,6 +227,8 @@ def _parse_outcome(parse, text: str):
 @example("date,close\r\n 2020-01-02,3.5 \r\n\r\n# x\r\n2020-01-03,inf\r\n")
 @example("\n\n  # meta\ndate,close\n2020-01-02,1.0,2.0\n")
 @example("date,close\n2020-01-02,1.0\n2020-01-02,2.0\n")
+@example("# seed=7\n\n  #\n")  # missing header, line 1
+@example("\n# seed=7\n date,close ")  # no data rows, line 2
 def test_load_csv_equals_reference_loop(text):
     assert _parse_outcome(load_csv, text) == \
         _parse_outcome(reference_load_csv, text)
@@ -236,6 +242,8 @@ def test_load_csv_equals_reference_loop(text):
 @example(text="date,close\r\n 2020-01-02,3.5 \r\n\r\n# x\r\n2020-01-03,inf\r\n")
 @example(text="date,close\n2020-01-02,1.0\n\n\n2020-01-03,2.0\n2020-01-04,x\n")
 @example(text="date,close\n2020-01-02,1.0\n2020-01-02,2.0\n")
+@example(text="# seed=7\n\n  #\n")
+@example(text="\n# seed=7\n date,close ")
 def test_load_csv_in_small_blocks_equals_reference_loop(block, text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "CSV_BLOCK", block)
@@ -258,6 +266,27 @@ def test_two_block_file_loads_bit_for_bit(monkeypatch):
     assert fast and all(rows is not None for rows in fast)
     assert series.dates == want.dates
     assert series.closes.tobytes() == want.closes.tobytes()
+
+
+def test_rows_after_the_header_go_to_numpy_first(monkeypatch):
+    # the header is read before the blocks, so no block of well-formed
+    # rows goes through the line loop, the header's block included
+    rows = [f"{datetime.date(1990, 1, 1) + datetime.timedelta(days=k)},"
+            f"{100.0 + k / 7!r}\n" for k in range(10_000)]
+    text = "# seed=7\n#\n# rows=10000\ndate,close\n" + "".join(rows)
+    parse_lines = backtest._parse_lines
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return parse_lines(*args)
+
+    monkeypatch.setattr(backtest, "_parse_lines", spy)
+    for source in (lambda: DATA / "gbm_up.csv", lambda: io.StringIO(text)):
+        series, want = load_csv(source()), reference_load_csv(source())
+        assert series.dates == want.dates
+        assert series.closes.tobytes() == want.closes.tobytes()
+    assert calls == []
 
 
 def test_bad_price_past_the_first_block_names_its_line():
@@ -674,3 +703,22 @@ def test_cycle_estimates_equal_mle_on_their_window(name):
         window = series.closes[i - config.window_days:i]
         assert (cycle.mu_hat, cycle.sigma_hat) == \
             mle_estimate(window, DT)
+
+
+@pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_backtest_totals_are_sequential_sums(name, alpha):
+    # the builtin sum compensates its float adds from Python 3.12 on; the
+    # totals add left to right, so a compensated sum must not move them
+    series = load_csv(DATA / name)
+    config = BacktestConfig(boundary_fraction=0.02, alpha=alpha)
+    runs = []
+    for total in (builtins.sum, math.fsum):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(builtins, "sum", total)
+            led = TradeLedger()
+            runs.append((run_backtest(series, config, ledger=led),
+                         led.events))
+    (plain, plain_events), (compensated, compensated_events) = runs
+    assert plain.n_cycles > 100
+    assert compensated == plain and compensated_events == plain_events
