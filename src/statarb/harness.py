@@ -138,18 +138,20 @@ class SweepRow(NamedTuple):
 # ---------------------------------------------------------------- metrics
 
 
-def metrics(pnl: Sequence[float], n: Sequence[int]) -> MetricsSummary:
-    """Summarize equal-length per-run samples of P&L and cycles.
+def metrics(pnl: Sequence[float], trades: Sequence[int],
+            n: Sequence[int]) -> MetricsSummary:
+    """Summarize equal-length per-run samples of P&L, trades and cycles.
 
     median is the lower-median order statistic; var95 is minus the order
     statistic at 1-based index ceil(0.05 * len) of the sorted P&L.
     """
     pnl = np.asarray(pnl, dtype=float)
+    trades = np.asarray(trades, dtype=float)
     n = np.asarray(n, dtype=float)
     if pnl.size == 0:
         raise EmptySample("metrics need at least one run")
-    if pnl.size != n.size:
-        raise ValueError("pnl and n must have equal lengths")
+    if not pnl.size == trades.size == n.size:
+        raise ValueError("pnl, trades and n must have equal lengths")
 
     ordered = np.sort(pnl)
     size = pnl.size
@@ -203,10 +205,10 @@ def run_experiment(config: ExperimentConfig, *,
     from .seeding import run_streams
     streams = run_streams(config.master_seed, axis_index, config.n_runs)
     results = run_seeded(params, config.strategy, streams)
-    pnl, n_rep, _, ended_by = zip(*results)
+    pnl, n_rep, trades, ended_by = zip(*results)
     check_alpha(config.strategy.alpha, "the runs' P&L overflows",
                 sum(map(abs, pnl)))  # so metrics' sums are finite
-    return ExperimentResult(summary=metrics(pnl, n_rep),
+    return ExperimentResult(summary=metrics(pnl, trades, n_rep),
                             runs=tuple(results), ended_by=Counter(ended_by),
                             repetitions=Counter(n_rep))
 

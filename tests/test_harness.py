@@ -66,7 +66,7 @@ def reference_metrics(pnl, n):
 
 def test_metrics_ascending_sample():
     pnl = list(range(1, 101))
-    s = metrics(pnl, [1] * 100)
+    s = metrics(pnl, [1] * 100, [1] * 100)
     assert s.var95 == -5.0  # 5th order statistic, negated
     assert s.median_gain == 50.0
     assert s.mean_gain == 50.5
@@ -76,7 +76,7 @@ def test_metrics_ascending_sample():
 
 
 def test_metrics_mixed_signs():
-    s = metrics([-10.0, -5.0, 5.0, 10.0], [1, 2, 1, 2])
+    s = metrics([-10.0, -5.0, 5.0, 10.0], [2] * 4, [1, 2, 1, 2])
     assert s.loss_fraction == 0.5
     assert s.loss_mean == -7.5
     assert s.mean_gain == 0.0
@@ -84,7 +84,7 @@ def test_metrics_mixed_signs():
 
 
 def test_metrics_single_run_degenerates_to_scalars():
-    s = metrics([42.0], [2])
+    s = metrics([42.0], [3], [2])
     assert s.mean_gain == s.median_gain == 42.0
     assert s.var95 == -42.0
     assert s.avg_n == 2.0 and s.max_n == 2
@@ -93,13 +93,13 @@ def test_metrics_single_run_degenerates_to_scalars():
 
 def test_metrics_errors():
     with pytest.raises(EmptySample):
-        metrics([], [])
+        metrics([], [], [])
     with pytest.raises(ValueError):
-        metrics([1.0, 2.0], [1])
+        metrics([1.0, 2.0], [1], [1, 1])
 
 
 def test_metrics_zero_cycles_guard():
-    s = metrics([0.5, -0.5], [0, 0])
+    s = metrics([0.5, -0.5], [2, 2], [0, 0])
     assert s.avg_n == 0.0 and s.gain_per_trade == 0.0
 
 
@@ -109,7 +109,8 @@ def test_metrics_against_reference_randomized():
         size = int(rng.integers(1, 300))
         pnl = list(rng.normal(scale=100.0, size=size))
         n = list(int(v) for v in rng.integers(0, 30, size=size))
-        s = metrics(pnl, n)
+        trades = [3 * v for v in n]
+        s = metrics(pnl, trades, n)
         mean, median, var95, lf, lm, avg_n, max_n = reference_metrics(pnl, n)
         assert s.mean_gain == pytest.approx(mean, rel=1e-12, abs=1e-12)
         assert s.median_gain == median
@@ -126,7 +127,7 @@ def test_metrics_against_reference_randomized():
 def test_metrics_order_statistics_equal_sorted(pnl):
     # few distinct values, so ties at the order statistics are common
     ordered = sorted(pnl)
-    s = metrics(pnl, [1] * len(pnl))
+    s = metrics(pnl, [0] * len(pnl), [1] * len(pnl))
     assert s.median_gain == ordered[(len(pnl) - 1) // 2]
     assert s.var95 == -ordered[math.ceil(0.05 * len(pnl)) - 1]
 
@@ -135,10 +136,10 @@ def test_metrics_order_independent():
     rng = np.random.default_rng(62)
     pnl = rng.normal(size=257)
     n = rng.integers(0, 9, size=257)
-    base = metrics(pnl, n)
+    base = metrics(pnl, n, n)
     for _ in range(50):
         perm = rng.permutation(257)
-        again = metrics(pnl[perm], n[perm])
+        again = metrics(pnl[perm], n[perm], n[perm])
         assert again.median_gain == base.median_gain
         assert again.var95 == base.var95
         assert again.loss_fraction == base.loss_fraction
@@ -152,8 +153,8 @@ def test_var95_shift_equivariance():
         pnl = rng.normal(size=int(rng.integers(2, 200)))
         ones = np.ones_like(pnl)
         delta = float(rng.normal(scale=10.0))
-        before = metrics(pnl, ones).var95
-        after = metrics(pnl + delta, ones).var95
+        before = metrics(pnl, ones, ones).var95
+        after = metrics(pnl + delta, ones, ones).var95
         assert after == -(-before + delta)
 
 
@@ -163,7 +164,7 @@ def test_gain_per_trade_times_avg_n_is_mean():
         size = int(rng.integers(1, 100))
         pnl = rng.normal(size=size)
         n = rng.integers(1, 20, size=size)
-        s = metrics(pnl, n)
+        s = metrics(pnl, n, n)
         assert s.gain_per_trade * s.avg_n == pytest.approx(
             s.mean_gain, rel=1e-12, abs=1e-15)
 
@@ -300,7 +301,9 @@ def test_run_experiment_deterministic():
     assert base == again
     assert len(base.runs) == 40
     assert base.summary == metrics(
-        [r.pnl for r in base.runs], [r.n_repetitions for r in base.runs])
+        [r.pnl for r in base.runs],
+        [r.trade_count for r in base.runs],
+        [r.n_repetitions for r in base.runs])
 
 
 def test_run_experiment_master_seed_matters():
