@@ -32,8 +32,8 @@ from .errors import (
     ParseError,
 )
 from .gbm import embedded_q, mle_from_returns
-from .harness import write_metadata
-from .lattice import check_alpha
+from .harness import write_head
+from .lattice import check_alpha, check_alpha_input
 from .paths import PricePath, TradeLedger
 from .strategies import cycle_plan, run_cycle
 
@@ -76,11 +76,7 @@ class MarketSeries:
 
     def __post_init__(self) -> None:
         closes = np.asarray(self.closes, dtype=float)
-        if closes is self.closes and closes.flags.writeable:
-            closes = closes.copy()  # lock a copy, not the caller's array
-        closes.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "closes", closes)
         if closes.ndim != 1:
             raise ValueError("closes must be 1-d")
         if len(self.dates) != closes.size:
@@ -96,6 +92,7 @@ class MarketSeries:
             raise ValueError("closes must be positive")
         if any(map(operator.le, self.dates[1:], self.dates)):
             raise NonMonotoneDates("dates must be strictly increasing")
+        object.__setattr__(self, "closes", PricePath(closes).prices)
 
     @property
     def n_points(self) -> int:
@@ -115,10 +112,7 @@ class BacktestConfig:
             raise ValueError("boundary_fraction must lie in (0, 1/2)")
         if self.window_days < 60:
             raise ValueError("window_days must be >= 60")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        check_alpha_input(self.alpha)
 
 
 class CycleLog(NamedTuple):
@@ -133,8 +127,7 @@ class CycleLog(NamedTuple):
     traded_qty: float
 
 
-@dataclass(frozen=True)
-class BacktestResult:
+class BacktestResult(NamedTuple):
     """Backtest outcome: total P&L, its normalizations, and the cycle log.
 
     gpta divides total P&L by the total traded notional sum(|delta|*price),
@@ -191,7 +184,9 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
         lineno += len(lines)
     if not dates:
         raise ParseError("no data rows", 2)
-    return MarketSeries(tuple(dates), np.concatenate(closes))
+    array = np.concatenate(closes)
+    array.setflags(write=False)  # so that MarketSeries keeps it uncopied
+    return MarketSeries(tuple(dates), array)
 
 
 def _read_rows(lines: list[str]) -> tuple[list[datetime.date],
@@ -253,8 +248,7 @@ def _parse_lines(lines: list[str], lineno: int
 def dump_csv(series: MarketSeries, stream: IO[str],
              metadata: dict[str, str] | None = None) -> None:
     """Write a series as `date,close` rows that load_csv round-trips."""
-    write_metadata(stream, metadata)
-    stream.write(MARKET_HEADER + "\n")
+    write_head(stream, MARKET_HEADER, metadata)
     for day, close in zip(series.dates, series.closes):
         stream.write(f"{day.isoformat()},{float(close)!r}\n")
 
@@ -378,8 +372,7 @@ def dump_summary_json(result: BacktestResult, stream: IO[str],
 def dump_cycles_csv(result: BacktestResult, stream: IO[str],
                     metadata: dict[str, str] | None = None) -> None:
     """Write the per-cycle log as CSV with the module's fixed header."""
-    write_metadata(stream, metadata)
-    stream.write(CYCLES_HEADER + "\n")
+    write_head(stream, CYCLES_HEADER, metadata)
     for row in result.cycles:
         stream.write(f"{row.cycle_start.isoformat()},"
                      f"{row.cycle_end.isoformat()},"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -171,6 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_model(source: str):
     if source in FIXTURES:
         return FIXTURES[source]()
+    import json
+
     payload = json.loads(Path(source).read_text(encoding="utf-8"))
     kind = payload["kind"]
     prices = payload["prices"]
@@ -192,8 +193,7 @@ def _fmt(value: float) -> str:
 def cmd_check_model(args: argparse.Namespace) -> int:
     try:
         model = _load_model(args.model)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError, StatarbError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, StatarbError) as exc:
         print(f"statarb: cannot load model {args.model!r}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE

@@ -113,8 +113,7 @@ class MetricsSummary:
             raise ValueError("expected max_n >= avg_n >= 0")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Metrics plus the per-run table they were computed from, and its runs
     counted by ended_by ("PositivePnl", "Horizon") and by n_repetitions."""
 
@@ -262,17 +261,18 @@ RUNS_HEADER = "run,pnl,n,trades,ended_by"
 SWEEP_HEADER = "param,gain_pa,median,var95,gain_pt,losses,loss_mean,avg_n,max_n"
 
 
-def write_metadata(stream: IO[str], metadata: dict[str, str] | None) -> None:
-    """Write each metadata item as the `# key=value` line of a header."""
+def write_head(stream: IO[str], header: str,
+               metadata: dict[str, str] | None) -> None:
+    """Write a table's `# key=value` metadata lines, then its header."""
     for key, value in (metadata or {}).items():
         stream.write(f"# {key}={value}\n")
+    stream.write(header + "\n")
 
 
 def dump_runs_csv(result: ExperimentResult, stream: IO[str],
                   metadata: dict[str, str] | None = None) -> None:
     """Write the per-run table as CSV: run,pnl,n,trades,ended_by."""
-    write_metadata(stream, metadata)
-    stream.write(RUNS_HEADER + "\n")
+    write_head(stream, RUNS_HEADER, metadata)
     for i, r in enumerate(result.runs):
         stream.write(f"{i},{float(r.pnl)!r},{r.n_repetitions},"
                      f"{r.trade_count},{r.ended_by}\n")
@@ -281,8 +281,7 @@ def dump_runs_csv(result: ExperimentResult, stream: IO[str],
 def dump_sweep_csv(rows: Iterable[SweepRow], stream: IO[str],
                    metadata: dict[str, str] | None = None) -> None:
     """Write sweep rows as CSV with the module's fixed header."""
-    write_metadata(stream, metadata)
-    stream.write(SWEEP_HEADER + "\n")
+    write_head(stream, SWEEP_HEADER, metadata)
     for row in rows:
         s = row.summary
         values = (row.param, s.mean_gain, s.median_gain, s.var95,

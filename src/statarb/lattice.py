@@ -23,7 +23,7 @@ expected gain is > 0.  Equality-like tests use the module tolerance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateModel, NoSaExists, NoSolution, InvalidBase
@@ -55,6 +55,7 @@ __all__ = [
     "trinomial_nsa",
     "counterexample_pid_check",
     "trend_A_matrix",
+    "check_alpha_input",
     "check_alpha",
     "solve_three_leg",
     "trend_strategy",
@@ -332,8 +333,7 @@ class StrategyVector(_Positions):
         return tuple.__new__(cls, (phi1, phi2_up, phi2_down, phi3))
 
 
-@dataclass(frozen=True)
-class NsaCertificate:
+class NsaCertificate(NamedTuple):
     """Outcome of a no-statistical-arbitrage check.
 
     ``status`` is one of 'NsaCertified', 'SaExists', 'NotCertified';
@@ -341,7 +341,7 @@ class NsaCertificate:
     """
 
     status: str
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    diagnostics: dict[str, float]
 
 
 # ------------------------------------------------------- payoffs, partitions
@@ -546,8 +546,7 @@ def trinomial_nsa(model: TrinomialTopModel) -> NsaCertificate:
                                    "nu1": nu1, "nu2": nu2})
 
 
-@dataclass(frozen=True)
-class PidCheckReport:
+class PidCheckReport(NamedTuple):
     """Result of the path-independent-density check: the unique candidate
     measure matching the model's conditional path ratios, and whether it is a
     valid (strictly positive) equivalent martingale measure."""
@@ -618,6 +617,14 @@ def trend_A_matrix(model: TrendLattice) -> np.ndarray:
     extended = a[(0, 3).index(model.extended)]
     return np.vstack([np.column_stack([a, (ds3[0], ds3[3], 0.0)]),
                       np.append(extended, ds3[4])])
+
+
+def check_alpha_input(alpha: float) -> None:
+    """Raise ValueError unless alpha, a strategy input, is finite and >= 0."""
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
 
 
 def check_alpha(alpha: float, what: str, *values: float) -> None:

@@ -44,7 +44,6 @@ Execution modes:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import islice
@@ -55,7 +54,8 @@ import numpy as np
 from . import paths
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .lattice import KINDS, MODES, StrategyVector, check_alpha, solve_three_leg
+from .lattice import (KINDS, MODES, StrategyVector, check_alpha,
+                      check_alpha_input, solve_three_leg)
 from .paths import (
     PathBlock,
     PricePath,
@@ -111,10 +111,7 @@ class StrategyConfig:
             raise ValueError(f"execution_mode must be one of {MODES}")
         if (self.c is None) == (self.c_mult is None):
             raise ValueError("exactly one of c and c_mult must be set")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        check_alpha_input(self.alpha)
 
     def resolved_c(self, mu: float, sigma: float) -> float:
         """The relative barrier step for the given drift and volatility."""

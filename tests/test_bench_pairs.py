@@ -195,3 +195,15 @@ def test_ratio_report_marks_the_control(bench_pairs):
     assert any(line.startswith("backtest_walkforward (control) "
                                "throughput_per_s: 1.084 (0.960-1.324)")
                for line in lines)
+
+
+@pytest.mark.parametrize("value, recorded", [
+    (None, False), ("", False), ("1", True), ("x", True)])
+def test_machine_records_whether_bytecode_writing_is_off(
+        bench_pairs, monkeypatch, value, recorded):
+    # a non-empty value turns bytecode writing off, as Python reads it
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_pairs.machine()["dont_write_bytecode"] is recorded

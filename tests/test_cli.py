@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -933,3 +934,43 @@ def test_cli_starts_without_numpy():
     assert not numpy_at_start
     assert harness == "statarb.harness"
     assert numpy_at_end
+
+
+JSON_PROBE = """\
+import contextlib, io, sys
+import statarb.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    codes = [statarb.cli.main(["check-model", "sec34"]),
+             statarb.cli.main(["--version"]),
+             statarb.cli.main(["simulate", "--runs", "0"])]
+    json_at_start = "json" in sys.modules
+    codes += [statarb.cli.main(["check-model", path]) for path in sys.argv[1:]]
+print(repr((codes, json_at_start, err.getvalue().splitlines()[-1])))
+"""
+
+
+def test_cli_starts_without_json(tmp_path):
+    """check-model on a fixture, --version and usage errors leave json
+    unimported (test_cli_starts_without_numpy's probe imports json
+    itself); a JSON model file still loads, and a malformed one exits 1
+    naming the file."""
+    import statarb
+    src = Path(statarb.__file__).resolve().parents[1]
+    model, bad = tmp_path / "model.json", tmp_path / "bad.json"
+    model.write_text(json.dumps({
+        "kind": "binomial",
+        "prices": {"s0": 100, "s_up": 105, "s_down": 95,
+                   "s_uu": 110, "s_ud": 100, "s_dd": 90},
+        "weights": [0.225, 0.3, 0.25, 0.225],
+    }))
+    bad.write_text("{not json")
+    proc = subprocess.run(
+        [sys.executable, "-c", JSON_PROBE, str(model), str(bad)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    codes, json_at_start, last_err = ast.literal_eval(proc.stdout)
+    assert codes == [2, 0, 1, 2, 1]  # the JSON file is the sec34 binomial
+    assert not json_at_start
+    assert last_err.startswith(f"statarb: cannot load model {str(bad)!r}: ")

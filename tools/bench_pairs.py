@@ -10,19 +10,19 @@ Each revision is exported with ``git archive`` into ``.bench_build/<sha>``
 (git-ignored), and each side runs its own, unchanged ``perfbench/run.py``
 there, one workload run per process, with ``--trace 0``.  Pair k uses
 workload seed ``--seed + k`` on both sides, and the side that runs first
-alternates from pair to pair.  The output records the machine, both
-revisions, every pair's result line, and per end-to-end metric each side's
-median and quartiles and the number of pairs the change won, counted
-over the pairs in which both sides ran correctly, and per side the runs
-that did not.  Per metric it also records two verdicts: ``claim_met``
-(the change won at least 9 of 10 valid pairs and its median beats the
-parent's by more than the parent's quartile spread) and ``within_bound``
-(the change's median is worse than the parent's by no more than the
-metric's relative ``bound`` in BENCHMARK.json).  Next to them it records
-the median of the change/parent ratios within the pairs and a bootstrap
-95% interval of that median (``pair_ratio``): both sides of a pair run
-back to back, so the ratio cancels a drift of the host slower than one
-pair.  ``--control WORKLOAD`` names a workload that runs none of the
+alternates from pair to pair.  The output records the machine (with
+whether PYTHONDONTWRITEBYTECODE is set), both revisions, every pair's
+result line, and per end-to-end metric each side's median and quartiles
+and the number of pairs the change won, counted over the pairs in which
+both sides ran correctly, and per side the runs that did not.  Per
+metric it also records two verdicts: ``claim_met`` (the change won at
+least 9 of 10 valid pairs and its median beats the parent's by more than
+the parent's quartile spread) and ``within_bound`` (the change's median
+is worse than the parent's by no more than the metric's relative
+``bound`` in BENCHMARK.json).  Next to them it records the median of the
+change/parent ratios within the pairs and a bootstrap 95% interval of
+that median (``pair_ratio``): both sides of a pair run back to back, so
+the ratio cancels a drift of the host slower than one pair.  ``--control WORKLOAD`` names a workload that runs none of the
 changed code; its interval shows how far the host alone moved during
 the series, and it is printed next to the others at the end.  The record
 is rewritten after every pair, so an interrupted series keeps what it
@@ -85,9 +85,13 @@ def machine() -> dict:
                 model = line.split(":", 1)[1].strip()
                 break
     import numpy
+    # the runs inherit it; without bytecode each start compiles the
+    # package again, about 10 ms more setup_s
     return {"cpu": model, "nproc": os.cpu_count(),
             "machine": platform.machine(), "system": platform.system(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "dont_write_bytecode": bool(os.environ.get(
+                "PYTHONDONTWRITEBYTECODE"))}
 
 
 def bootstrap_median(values: list[float], resamples: int = 4000,
