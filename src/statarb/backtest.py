@@ -12,14 +12,13 @@ last close when the data ends first, so every backtest ends flat.
 from __future__ import annotations
 
 import datetime
-import functools
 import json
 import math
 import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .gbm import embedded_q, mle_from_returns
 from .harness import write_head
-from .lattice import check_alpha, check_alpha_input
+from .lattice import check_alpha, check_alpha_input, total
 from .paths import PricePath, TradeLedger
 from .strategies import cycle_plan, run_cycle
 
@@ -256,11 +255,6 @@ def dump_csv(series: MarketSeries, stream: IO[str],
 # --------------------------------------------------------------- backtest
 
 
-def _total(values: Iterable[float]) -> float:
-    """values added left to right from 0.0 (sum() compensates on 3.12+)."""
-    return functools.reduce(operator.add, values, 0.0)
-
-
 def run_backtest(series: MarketSeries, config: BacktestConfig, *,
                  ledger: TradeLedger | None = None) -> BacktestResult:
     """Walk the series forward, trading one barrier cycle at a time.
@@ -314,15 +308,15 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
             cut_from = cash_before
             break
         i_end, _ = step
-        qty = _total(abs(delta) for _, _, delta in led.events[events_before:])
+        qty = total(abs(delta) for _, _, delta in led.events[events_before:])
         cycles.append(CycleLog(series.dates[i], series.dates[i_end],
                                mu_hat, sigma_hat, orientation,
                                led.cash - cash_before, qty))
         i = i_end
     total_pnl = led.cash
-    traded_qty = _total(abs(delta) for _, _, delta in led.events)
-    traded_notional = _total(abs(delta) * price
-                             for _, price, delta in led.events)
+    traded_qty = total(abs(delta) for _, _, delta in led.events)
+    traded_notional = total(abs(delta) * price
+                            for _, price, delta in led.events)
     cutoff_pnl = 0.0 if cut_from is None else total_pnl - cut_from
     check_alpha(config.alpha, "the backtest's totals overflow", total_pnl,
                 traded_qty, traded_notional, cutoff_pnl)

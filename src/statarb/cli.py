@@ -239,8 +239,9 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _experiment_config(args: argparse.Namespace,
-                       seed: int) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The flags' experiment; a bad STATARB_SEED fails before the rest."""
+    seed = _resolve_seed(args)
     from .gbm import GbmParams
     from .harness import ExperimentConfig
     from .strategies import StrategyConfig
@@ -258,12 +259,12 @@ def _experiment_config(args: argparse.Namespace,
                             n_runs=args.runs, master_seed=seed)
 
 
-def _metadata(seed: int, mode: str) -> dict[str, str]:
+def _metadata(config: ExperimentConfig) -> dict[str, str]:
     return {
         "version": __version__,
-        "seed": str(seed),
+        "seed": str(config.master_seed),
         "quantile_method": QUANTILE_METHOD,
-        "execution_mode": mode,
+        "execution_mode": config.strategy.execution_mode,
     }
 
 
@@ -281,10 +282,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .harness import SweepRow, dump_runs_csv, dump_sweep_csv, \
         run_experiment
 
-    seed = _resolve_seed(args)
-    config = _experiment_config(args, seed)
+    config = _experiment_config(args)
     result = run_experiment(config)
-    meta = _metadata(seed, args.mode)
+    meta = _metadata(config)
     c = config.strategy.resolved_c(args.mu, args.sigma)
     row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
     buf = io.StringIO()
@@ -307,11 +307,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"statarb: bad --values list {args.values!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    seed = _resolve_seed(args)
-    config = _experiment_config(args, seed)
+    config = _experiment_config(args)
     rows = sweep(config, SweepAxis(args.axis, values))
     buf = io.StringIO()
-    dump_sweep_csv(rows, buf, metadata=_metadata(seed, args.mode))
+    dump_sweep_csv(rows, buf, metadata=_metadata(config))
     if args.out is not None:  # first, so that a failed write prints nothing
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())

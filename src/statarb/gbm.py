@@ -95,12 +95,15 @@ def _logsinh(x: float) -> float:
     return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
 
 
-def _check_interval(s0: float, a: float, b: float, sigma: float) -> None:
+def _check_interval(s0: float, a: float, b: float,
+                    sigma: float) -> tuple[float, float]:
+    """The log-barriers ln(a/s0) and ln(b/s0) of a checked interval."""
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
     if not (0 < a <= s0 <= b) or a >= b:
         raise InvalidInterval(f"require 0 < a <= s0 <= b, got "
                               f"a={a}, s0={s0}, b={b}")
+    return math.log(a / s0), math.log(b / s0)
 
 
 def _nu(mu: float, sigma: float) -> float:
@@ -135,13 +138,11 @@ def exit_prob_lower(s0: float, a: float, b: float, mu: float,
     evaluated in log space; for |nu| <= NU_EPS the driftless limit
     B / (B - A) = ln(b/s0)/ln(b/a) is used.
     """
-    _check_interval(s0, a, b, sigma)
+    big_a, big_b = _check_interval(s0, a, b, sigma)
     if a == s0:
         return 1.0
     if b == s0:
         return 0.0
-    big_a = math.log(a / s0)
-    big_b = math.log(b / s0)
     return _exit_prob(big_a, big_b, big_b - big_a, _nu(mu, sigma))
 
 
@@ -154,13 +155,11 @@ def exit_prob_upper(s0: float, a: float, b: float, mu: float,
     Evaluating it directly instead of as 1 - exit_prob_lower keeps full
     precision when the complement is within rounding of 1.
     """
-    _check_interval(s0, a, b, sigma)
+    big_a, big_b = _check_interval(s0, a, b, sigma)
     if a == s0:
         return 0.0
     if b == s0:
         return 1.0
-    big_a = math.log(a / s0)
-    big_b = math.log(b / s0)
     return _exit_prob(big_b, -big_a, big_b - big_a, _nu(mu, sigma))
 
 

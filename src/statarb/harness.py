@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_q
-from .lattice import SWEEP_AXES, check_alpha
+from .lattice import SWEEP_AXES, check_alpha, total
 from .strategies import (
     RunResult,
     StrategyConfig,
@@ -206,7 +206,7 @@ def run_experiment(config: ExperimentConfig, *,
     results = run_seeded(params, config.strategy, streams)
     pnl, n_rep, trades, ended_by = zip(*results)
     check_alpha(config.strategy.alpha, "the runs' P&L overflows",
-                sum(map(abs, pnl)))  # so metrics' sums are finite
+                total(map(abs, pnl)))  # so metrics' sums are finite
     return ExperimentResult(summary=metrics(pnl, trades, n_rep),
                             runs=tuple(results), ended_by=Counter(ended_by),
                             repetitions=Counter(n_rep))

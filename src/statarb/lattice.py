@@ -22,9 +22,11 @@ expected gain is > 0.  Equality-like tests use the module tolerance
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DegenerateModel, NoSaExists, NoSolution, InvalidBase
 
@@ -72,13 +74,21 @@ SWEEP_AXES = ("c", "c_mult", "mu", "sigma", "eta")
 EPS_TOL = 1e-10
 
 
-def _check_probs(p: tuple[float, ...], n: int) -> None:
+def total(values: Iterable[float]) -> float:
+    """values added left to right from 0.0 (sum() compensates on 3.12+)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _probs(p: Iterable[float], n: int) -> tuple[float, ...]:
+    p = tuple(float(x) for x in p)
     if len(p) != n:
         raise ValueError(f"expected {n} path probabilities, got {len(p)}")
     if any(not math.isfinite(x) or x <= 0.0 for x in p):
         raise ValueError("path probabilities must be finite and > 0")
-    if abs(sum(p) - 1.0) > 1e-9:
-        raise ValueError(f"path probabilities must sum to 1, got {sum(p)!r}")
+    mass = total(p)
+    if abs(mass - 1.0) > 1e-9:
+        raise ValueError(f"path probabilities must sum to 1, got {mass!r}")
+    return p
 
 
 # ---------------------------------------------------------------- model types
@@ -101,8 +111,7 @@ class TwoPeriodBinomial:
     p: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        _check_probs(self.p, 4)
+        object.__setattr__(self, "p", _probs(self.p, 4))
         if not (self.s_up > self.s0 > self.s_down):
             raise ValueError("need s_up > s0 > s_down")
         if not (self.s_uu > self.s_up):
@@ -158,8 +167,7 @@ class TrinomialTopModel:
     p: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        _check_probs(self.p, 6)
+        object.__setattr__(self, "p", _probs(self.p, 6))
         if not (self.s2_circ > self.s2_uu > self.s2_ud > self.s2_dd > 0.0):
             raise ValueError("need s2_circ > s2_uu > s2_ud > s2_dd > 0")
         if not (self.s1_up > self.s0 > self.s1_down):
@@ -229,8 +237,7 @@ class TrendLattice:
     p: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        _check_probs(self.p, 5)
+        object.__setattr__(self, "p", _probs(self.p, 5))
         if self.orientation not in ("positive", "negative"):
             raise ValueError("orientation must be 'positive' or 'negative'")
         self.embedded_binomial()  # the two-period prices' checks
@@ -361,8 +368,8 @@ def payoff(model, strategy: StrategyVector, path: int) -> float:
 
 def expected_gain(model, strategy: StrategyVector) -> float:
     """Unconditional expected gain under the model's path probabilities."""
-    return sum(model.p[i] * payoff(model, strategy, i)
-               for i in range(model.n_paths))
+    return total(model.p[i] * payoff(model, strategy, i)
+                 for i in range(model.n_paths))
 
 
 def conditional_gains(model, strategy: StrategyVector,
@@ -372,8 +379,8 @@ def conditional_gains(model, strategy: StrategyVector,
     partition.validate(model.n_paths)
     gains = []
     for cell in partition.cells:
-        mass = sum(model.p[i] for i in cell)
-        acc = sum(model.p[i] * payoff(model, strategy, i) for i in cell)
+        mass = total(model.p[i] for i in cell)
+        acc = total(model.p[i] * payoff(model, strategy, i) for i in cell)
         gains.append(acc / mass)
     return gains
 

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,6 +126,24 @@ def test_check_model_bad_files_exit_1(tmp_path, capsys, payload):
     code, out, err = run_cli(["check-model", str(path)], capsys)
     assert code == 1
     assert "cannot load model" in err
+
+
+def test_check_model_probability_sum_is_sequential(tmp_path, capsys,
+                                                   monkeypatch):
+    # the builtin sum compensates its float adds from Python 3.12 on; the
+    # probability check adds left to right, so its message does not move
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "kind": "binomial",
+        "prices": {"s0": 100, "s_up": 105, "s_down": 95,
+                   "s_uu": 110, "s_ud": 100, "s_dd": 90},
+        "weights": [0.7, 0.1, 0.1, 0.2],
+    }))
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    code, out, err = run_cli(["check-model", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"statarb: cannot load model {str(path)!r}: path "
+                   "probabilities must sum to 1, got 1.0999999999999999\n")
 
 
 @pytest.mark.parametrize("s_dd", [-6.0, 0.0])
@@ -266,6 +286,21 @@ def test_bad_env_seed_names_the_variable(value, monkeypatch, capsys):
     assert out == ""
     assert err == (f"statarb: STATARB_SEED must be a nonnegative integer, "
                    f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["sweep", "--axis", "mu", "--values", "0.1"],
+])
+def test_bad_env_seed_is_reported_before_other_inputs(command, monkeypatch,
+                                                      capsys):
+    # the seed is resolved before GbmParams checks sigma
+    monkeypatch.setenv("STATARB_SEED", "abc")
+    code, out, err = run_cli([*command, "--runs", "12", "--sigma", "-1"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == ("statarb: STATARB_SEED must be a nonnegative integer, "
+                   "got 'abc'\n")
 
 
 def test_multi_word_master_seed_runs(capsys):

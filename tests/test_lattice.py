@@ -1,6 +1,7 @@
 """Tests for the lattice models, certificates, and strategy solvers."""
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import math
 import re
@@ -114,6 +115,17 @@ def test_conditional_gains_tower_property():
                                        conditional_gains(m, phi, part)))
         assert math.isclose(total, expected_gain(m, phi),
                             rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_lattice_gains_are_sequential_sums(monkeypatch):
+    # the builtin sum compensates its float adds from Python 3.12 on; the
+    # gains add left to right, so a compensated sum must not move them
+    m = sec34_binomial()
+    phi = solve_binomial_sa(m)
+    part = terminal_state_partition(m)
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    assert expected_gain(m, phi) == 0.6999999999999996
+    assert conditional_gains(m, phi, part) == [1.0, 0.45454545454545453, 1.0]
 
 
 def test_partition_validation():

@@ -1,8 +1,9 @@
 """The engine's output fingerprints, line for line.
 
 tools/same_outputs.py prints one sha256 per case of run_experiment runs,
-run_path results, ledgers and cycle traces, and run_backtest results and
-ledgers; tests/same_outputs.txt holds the lines it printed when those
+run_path results, ledgers and cycle traces, run_backtest results and
+ledgers, and lattice certificates, strategies and gains;
+tests/same_outputs.txt holds the lines it printed when those
 outputs last changed on purpose.  A change that moves a single bit of them
 fails here, and the failure names the cases that moved, were added or are
 missing.  After a deliberate output change, regenerate the file from

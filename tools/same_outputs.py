@@ -16,7 +16,12 @@ returns (or of the error it raises):
   at boundary 0.02 and alpha {0, 0.5, 1};
 - the negative-drift trend cycle at c = 0.3, whose trend level
   a(1 - 4c) lies below 0: ``run_experiment`` at 50 steps in each mode,
-  and ``run_backtest`` on both CSVs at boundary 0.3.
+  and ``run_backtest`` on both CSVs at boundary 0.3;
+- the lattice layer: the certificate of each ``check-model`` fixture and
+  ``solve_binomial_sa`` of the binomial one, ``gfin_strategy`` at alpha 0.5
+  on a trend lattice of each orientation, and ``expected_gain`` and
+  ``conditional_gains`` of those strategies on the terminal-state, trend
+  and dichotomy partitions.
 
 The other parameters are the CLI defaults.  Two checkouts whose outputs
 print the same lines give the same results, bit for bit, on these cases.
@@ -32,10 +37,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from statarb.backtest import BacktestConfig, load_csv, run_backtest  # noqa: E402
+from statarb.cli import FIXTURES  # noqa: E402
 from statarb.errors import StatarbError  # noqa: E402
 from statarb.gbm import GbmParams  # noqa: E402
 from statarb.harness import ExperimentConfig, run_experiment  # noqa: E402
-from statarb.lattice import KINDS, MODES  # noqa: E402
+from statarb.lattice import (  # noqa: E402
+    KINDS,
+    MODES,
+    TrendLattice,
+    conditional_gains,
+    dichotomy_partition,
+    expected_gain,
+    gfin_strategy,
+    nsa_binomial,
+    solve_binomial_sa,
+    terminal_state_partition,
+    trend_partition,
+    trinomial_nsa,
+)
 from statarb.paths import TradeLedger, simulate_gbm  # noqa: E402
 from statarb.strategies import StrategyConfig, run_path  # noqa: E402
 
@@ -82,6 +101,40 @@ def backtest(csv: Path, alpha: float, boundary: float = 0.02):
     return result, ledger.events
 
 
+def trend_lattice(orientation: str) -> TrendLattice:
+    """A trend lattice on the barrier grid s0(1 + k*c), c = 0.05, whose
+    third leg reaches s0(1 +- 4c) or returns to s0."""
+    s0, c = 2186.0, 0.05
+    sign = 1.0 if orientation == "positive" else -1.0
+    return TrendLattice(orientation, s0, s0 * (1 + c), s0 * (1 - c),
+                        s0 * (1 + 2 * c), s0, s0 * (1 - 2 * c),
+                        s0 * (1 + sign * 4 * c), s0,
+                        (0.25, 0.15, 0.1, 0.25, 0.25))
+
+
+def lattice_cases():
+    """(name, compute) pairs of the lattice layer's cases."""
+    binomial = FIXTURES["sec34"]()
+    phi = solve_binomial_sa(binomial)
+    yield "nsa_binomial/sec34", lambda: nsa_binomial(binomial)
+    yield ("trinomial_nsa/bondarenko-counterexample",
+           lambda: trinomial_nsa(FIXTURES["bondarenko-counterexample"]()))
+    yield "solve_binomial_sa/sec34", lambda: phi
+    yield "expected_gain/sec34", lambda: expected_gain(binomial, phi)
+    yield ("conditional_gains/sec34/terminal_state",
+           lambda: conditional_gains(binomial, phi,
+                                     terminal_state_partition(binomial)))
+    for orientation in ("positive", "negative"):
+        model = trend_lattice(orientation)
+        psi = gfin_strategy(model, 0.5)
+        yield f"gfin_strategy/{orientation}/alpha=0.5", lambda: psi
+        yield (f"expected_gain/{orientation}",
+               lambda: expected_gain(model, psi))
+        for part in (trend_partition, dichotomy_partition):
+            yield (f"conditional_gains/{orientation}/{part.__name__}",
+                   lambda: conditional_gains(model, psi, part(model)))
+
+
 def main() -> None:
     for kind, mode, alpha, mu in product(KINDS, MODES, ALPHAS, MUS):
         strategy = StrategyConfig(kind=kind, c_mult=0.01, alpha=alpha,
@@ -103,6 +156,8 @@ def main() -> None:
     for csv in sorted((ROOT / "tests" / "data").glob("*.csv")):
         print(f"run_backtest/{csv.name}/alpha=0.0/boundary=0.3",
               digest(lambda: backtest(csv, 0.0, 0.3)))
+    for name, compute in lattice_cases():
+        print(name, digest(compute))
 
 
 if __name__ == "__main__":
