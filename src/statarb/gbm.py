@@ -97,13 +97,21 @@ def _logsinh(x: float) -> float:
 
 def _check_interval(s0: float, a: float, b: float,
                     sigma: float) -> tuple[float, float]:
-    """The log-barriers ln(a/s0) and ln(b/s0) of a checked interval."""
+    """The log-barriers ln(a/s0) and ln(b/s0) of a checked interval: finite
+    levels whose ratios a/s0 and b/s0 neither underflow to 0 nor overflow."""
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
+    got = f"a={a}, s0={s0}, b={b}"
+    if not all(map(math.isfinite, (a, s0, b))):
+        raise InvalidInterval(f"require finite a, s0 and b, got {got}")
     if not (0 < a <= s0 <= b) or a >= b:
-        raise InvalidInterval(f"require 0 < a <= s0 <= b, got "
-                              f"a={a}, s0={s0}, b={b}")
-    return math.log(a / s0), math.log(b / s0)
+        raise InvalidInterval(f"require 0 < a <= s0 <= b, got {got}")
+    low, high = a / s0, b / s0
+    if low == 0.0:
+        raise InvalidInterval(f"a/s0 underflows to 0, got {got}")
+    if high == math.inf:
+        raise InvalidInterval(f"b/s0 overflows, got {got}")
+    return math.log(low), math.log(high)
 
 
 def _nu(mu: float, sigma: float) -> float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DegenerateModel, NoSaExists, NoSolution, InvalidBase
@@ -94,14 +93,20 @@ def _probs(p: Iterable[float], n: int) -> tuple[float, ...]:
 # ---------------------------------------------------------------- model types
 
 
-@dataclass(frozen=True)
-class TwoPeriodBinomial:
-    """Recombining two-period binomial model.
+class _Checked:
+    """Mixin of the checked records.  Each is a NamedTuple of its fields
+    under a subclass whose __new__ normalises and checks them, a form that
+    needs no dataclasses import, so the CLI starts without it.  _make, and
+    so _replace, build the new record through that __new__."""
 
-    Paths are indexed 0..3 = (uu, ud, du, dd); the middle terminal price
-    ``s_ud`` is shared by ud and du.  ``p`` holds one probability per path.
-    """
+    __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _BinomialFields(NamedTuple):
     s0: float
     s_up: float
     s_down: float
@@ -110,18 +115,31 @@ class TwoPeriodBinomial:
     s_dd: float
     p: tuple[float, float, float, float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _probs(self.p, 4))
-        if not (self.s_up > self.s0 > self.s_down):
+
+class TwoPeriodBinomial(_Checked, _BinomialFields):
+    """Recombining two-period binomial model.
+
+    Paths are indexed 0..3 = (uu, ud, du, dd); the middle terminal price
+    ``s_ud`` is shared by ud and du.  ``p`` holds one probability per path.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s0: float, s_up: float, s_down: float, s_uu: float,
+                s_ud: float, s_dd: float,
+                p: Iterable[float]) -> TwoPeriodBinomial:
+        p = _probs(p, 4)
+        if not (s_up > s0 > s_down):
             raise ValueError("need s_up > s0 > s_down")
-        if not (self.s_uu > self.s_up):
+        if not (s_uu > s_up):
             raise ValueError("need s_uu > s_up")
-        if not (self.s_down < self.s_ud < self.s_up):
+        if not (s_down < s_ud < s_up):
             raise ValueError("need s_down < s_ud < s_up")
-        if not (self.s_dd < self.s_down):
+        if not (s_dd < s_down):
             raise ValueError("need s_dd < s_down")
-        if not (self.s_dd > 0.0):  # the smallest price: GBM stays above 0
+        if not (s_dd > 0.0):  # the smallest price: GBM stays above 0
             raise ValueError("need s_dd > 0")
+        return tuple.__new__(cls, (s0, s_up, s_down, s_uu, s_ud, s_dd, p))
 
     n_paths = 4
 
@@ -148,15 +166,7 @@ class TwoPeriodBinomial:
     ds3 = (0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class TrinomialTopModel:
-    """Two-step model: binomial first step, recombining-binomial second step
-    plus a shared top state reachable from both period-1 nodes.
-
-    Paths 0..5: first move up for 0..2, down for 3..5, with terminal prices
-    (s2_circ, s2_uu, s2_ud, s2_circ, s2_ud, s2_dd).
-    """
-
+class _TrinomialFields(NamedTuple):
     s0: float
     s1_up: float
     s1_down: float
@@ -166,18 +176,33 @@ class TrinomialTopModel:
     s2_dd: float
     p: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _probs(self.p, 6))
-        if not (self.s2_circ > self.s2_uu > self.s2_ud > self.s2_dd > 0.0):
+
+class TrinomialTopModel(_Checked, _TrinomialFields):
+    """Two-step model: binomial first step, recombining-binomial second step
+    plus a shared top state reachable from both period-1 nodes.
+
+    Paths 0..5: first move up for 0..2, down for 3..5, with terminal prices
+    (s2_circ, s2_uu, s2_ud, s2_circ, s2_ud, s2_dd).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s0: float, s1_up: float, s1_down: float,
+                s2_circ: float, s2_uu: float, s2_ud: float, s2_dd: float,
+                p: Iterable[float]) -> TrinomialTopModel:
+        p = _probs(p, 6)
+        if not (s2_circ > s2_uu > s2_ud > s2_dd > 0.0):
             raise ValueError("need s2_circ > s2_uu > s2_ud > s2_dd > 0")
-        if not (self.s1_up > self.s0 > self.s1_down):
+        if not (s1_up > s0 > s1_down):
             raise ValueError("need s1_up > s0 > s1_down")
-        if not (self.s2_uu > self.s1_up):
+        if not (s2_uu > s1_up):
             raise ValueError("need s2_uu > s1_up")
-        if not (self.s1_down < self.s2_ud < self.s1_up):
+        if not (s1_down < s2_ud < s1_up):
             raise ValueError("need s1_down < s2_ud < s1_up")
-        if not (self.s2_dd < self.s1_down):
+        if not (s2_dd < s1_down):
             raise ValueError("need s2_dd < s1_down")
+        return tuple.__new__(
+            cls, (s0, s1_up, s1_down, s2_circ, s2_uu, s2_ud, s2_dd, p))
 
     n_paths = 6
 
@@ -211,8 +236,20 @@ class TrinomialTopModel:
     ds3 = (0.0,) * 6
 
 
-@dataclass(frozen=True)
-class TrendLattice:
+class _TrendFields(NamedTuple):
+    orientation: str
+    s0: float
+    s_up: float
+    s_down: float
+    s_uu: float
+    s_ud: float
+    s_dd: float
+    s3_continue: float
+    s3_reverse: float
+    p: tuple[float, ...]
+
+
+class TrendLattice(_Checked, _TrendFields):
     """Two-period binomial extended by a third leg after two same-direction
     moves.
 
@@ -225,27 +262,24 @@ class TrendLattice:
     2 = du; 3 = down,down,continue; 4 = down,down,reverse.
     """
 
-    orientation: str
-    s0: float
-    s_up: float
-    s_down: float
-    s_uu: float
-    s_ud: float
-    s_dd: float
-    s3_continue: float
-    s3_reverse: float
-    p: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _probs(self.p, 5))
-        if self.orientation not in ("positive", "negative"):
+    def __new__(cls, orientation: str, s0: float, s_up: float,
+                s_down: float, s_uu: float, s_ud: float, s_dd: float,
+                s3_continue: float, s3_reverse: float,
+                p: Iterable[float]) -> TrendLattice:
+        self = tuple.__new__(cls, (orientation, s0, s_up, s_down, s_uu, s_ud,
+                                   s_dd, s3_continue, s3_reverse,
+                                   _probs(p, 5)))
+        if orientation not in ("positive", "negative"):
             raise ValueError("orientation must be 'positive' or 'negative'")
         self.embedded_binomial()  # the two-period prices' checks
         if self.extended == 0:
-            if not (self.s3_reverse < self.s_uu < self.s3_continue):
+            if not (s3_reverse < s_uu < s3_continue):
                 raise ValueError("need s3_reverse < s_uu < s3_continue")
-        elif not (self.s3_continue < self.s_dd < self.s3_reverse):
+        elif not (s3_continue < s_dd < s3_reverse):
             raise ValueError("need s3_continue < s_dd < s3_reverse")
+        return self
 
     n_paths = 5
 
@@ -292,22 +326,25 @@ class TrendLattice:
                                  self.s_uu, self.s_ud, self.s_dd, tuple(p))
 
 
-@dataclass(frozen=True)
-class ScenarioPartition:
-    """A finite partition of a model's path indices into scenario cells."""
-
+class _PartitionFields(NamedTuple):
     cells: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple(frozenset(c) for c in self.cells))
+
+class ScenarioPartition(_Checked, _PartitionFields):
+    """A finite partition of a model's path indices into scenario cells."""
+
+    __slots__ = ()
+
+    def __new__(cls, cells: Iterable[Iterable[int]]) -> ScenarioPartition:
+        cells = tuple(frozenset(c) for c in cells)
         seen: set[int] = set()
-        for cell in self.cells:
+        for cell in cells:
             if not cell:
                 raise ValueError("partition cells must be nonempty")
             if seen & cell:
                 raise ValueError("partition cells must be disjoint")
             seen |= cell
+        return tuple.__new__(cls, (cells,))
 
     def validate(self, n_paths: int) -> None:
         union = set().union(*self.cells) if self.cells else set()
@@ -323,7 +360,7 @@ class _Positions(NamedTuple):
     phi3: float | None = None
 
 
-class StrategyVector(_Positions):
+class StrategyVector(_Checked, _Positions):
     """Predictable positions per lattice node: phi1 held over the first
     period, phi2_up / phi2_down over the second depending on the first move,
     and optionally phi3 over the third leg of a TrendLattice.  Field k is

@@ -1009,3 +1009,29 @@ def test_cli_starts_without_json(tmp_path):
     assert codes == [2, 0, 1, 2, 1]  # the JSON file is the sec34 binomial
     assert not json_at_start
     assert last_err.startswith(f"statarb: cannot load model {str(bad)!r}: ")
+
+
+COLD_PROBE = """\
+import contextlib, io, sys
+import statarb.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    codes = [statarb.cli.main(["check-model", "sec34"]),
+             statarb.cli.main(["--version"]),
+             statarb.cli.main(["simulate", "--runs", "0"])]
+print(repr((codes, sorted({"dataclasses", "inspect"} & set(sys.modules)))))
+"""
+
+
+def test_cli_starts_without_dataclasses():
+    """check-model on a fixture, --version and usage errors load neither
+    dataclasses nor inspect: the lattice models are checked NamedTuples."""
+    import statarb
+    src = Path(statarb.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", COLD_PROBE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = ast.literal_eval(proc.stdout)
+    assert codes == [2, 0, 1]
+    assert loaded == []

@@ -84,6 +84,24 @@ def test_exit_prob_invalid_intervals():
         exit_prob_lower(100, 90, 110, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("s0, a, b, reason", [
+    (1.0, 0.5, math.inf, "require finite a, s0 and b"),
+    (math.inf, 1.0, math.inf, "require finite a, s0 and b"),
+    (1.0, -math.inf, 2.0, "require finite a, s0 and b"),
+    (math.nan, 1.0, 2.0, "require finite a, s0 and b"),
+    (1e300, 1e-100, 1e301, "a/s0 underflows to 0"),
+    (1e300, 1e-100, 1e300, "a/s0 underflows to 0"),
+    (1e-300, 1e-301, 1e300, "b/s0 overflows"),
+])
+def test_exit_prob_rejects_levels_out_of_float_range(s0, a, b, reason):
+    # each used to return a probability pair not summing to 1, or raise
+    # an unnamed math domain error
+    message = f"^{re.escape(f'{reason}, got a={a}, s0={s0}, b={b}')}$"
+    for prob in (exit_prob_lower, exit_prob_upper):
+        with pytest.raises(InvalidInterval, match=message):
+            prob(s0, a, b, 0.1, 0.2)
+
+
 def test_exit_prob_driftless_limit():
     # mu = sigma^2/2 makes the log-price driftless
     p = exit_prob_lower(100.0, 90.0, 110.0, 0.02, 0.2)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import builtins
-import dataclasses
 import math
 import re
 
@@ -369,11 +368,11 @@ def test_solver_homogeneity():
 def test_trinomial_top_model_rejects_misordered_prices(field, value,
                                                        message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        dataclasses.replace(counterexample_trinomial(), **{field: value})
+        counterexample_trinomial()._replace(**{field: value})
 
 
 def test_trinomial_nsa_rejects_a_vanishing_increment():
-    m = dataclasses.replace(counterexample_trinomial(), s2_dd=8.0 - 1e-12)
+    m = counterexample_trinomial()._replace(s2_dd=8.0 - 1e-12)
     with pytest.raises(DegenerateModel, match=r"^ds2\(dd\) vanishes$"):
         trinomial_nsa(m)
 
@@ -440,8 +439,8 @@ def test_counterexample_pid_check_rejects_a_singular_system():
     # p0 = p3 = the smallest subnormal: the path-independence row
     # p3*w0 - p0*w3 = 0 vanishes in the elimination
     tiny = math.ulp(0.0)
-    m = dataclasses.replace(counterexample_trinomial(),
-                            p=(tiny, 0.25, 0.25, tiny, 0.25, 0.25))
+    m = counterexample_trinomial()._replace(
+        p=(tiny, 0.25, 0.25, tiny, 0.25, 0.25))
     with pytest.raises(NoSolution, match=(
             "^path-independence constraint system is singular$")):
         counterexample_pid_check(m)
@@ -511,8 +510,7 @@ def test_trend_lattice_two_period_errors_are_the_binomials(orientation,
 def test_trend_lattice_rejects_a_misordered_third_leg(orientation,
                                                       s3_continue, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        dataclasses.replace(PIN_LATTICES[orientation],
-                            s3_continue=s3_continue)
+        PIN_LATTICES[orientation]._replace(s3_continue=s3_continue)
 
 
 @pytest.mark.parametrize("s_dd", [-6.0, 0.0, -0.0])
@@ -532,6 +530,73 @@ def test_trend_lattice_rejects_an_s_dd_that_is_not_positive(
     with pytest.raises(ValueError, match=r"^need s_dd > 0$"):
         TrendLattice(orientation, 10.0, 20.0, 2.0, 30.0, 12.0, -6.0,
                      s3_continue, s3_reverse, (0.2, 0.1, 0.2, 0.3, 0.2))
+
+
+# ------------------------------------------------------- the checked records
+
+CHECKED_RECORDS = {
+    "binomial": sec34_binomial(),
+    "trinomial": counterexample_trinomial(),
+    "trend": PIN_LATTICES["positive"],
+    "partition": terminal_state_partition(sec34_binomial()),
+    "strategy": StrategyVector(1.0, 2.0, 3.0),
+    "strategy3": StrategyVector(1.0, 2.0, 3.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("name, field, value, message", [
+    ("binomial", "s_dd", 0.0, "need s_dd > 0"),
+    ("binomial", "p", (0.5, 0.5, 0.5, 0.5),
+     "path probabilities must sum to 1, got 2.0"),
+    ("trinomial", "s2_dd", 9.0, "need s2_dd < s1_down"),
+    ("trend", "s3_continue", 120.0, "need s3_reverse < s_uu < s3_continue"),
+    ("trend", "orientation", "up",
+     "orientation must be 'positive' or 'negative'"),
+    ("partition", "cells", (frozenset(), frozenset({0})),
+     "partition cells must be nonempty"),
+    ("strategy", "phi1", math.nan, "strategy components must be finite"),
+    ("strategy3", "phi3", math.inf, "strategy components must be finite"),
+])
+def test_replace_and_make_rerun_the_checks(name, field, value, message):
+    record = CHECKED_RECORDS[name]
+    fields = dict(record._asdict(), **{field: value})
+    for build in (lambda: type(record)(**fields),
+                  lambda: record._replace(**{field: value}),
+                  lambda: type(record)._make(fields.values())):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_replace_normalises_like_the_constructor():
+    m = sec34_binomial()._replace(p=[0.25, 0.25, 0.25, 0.25])
+    assert type(m) is TwoPeriodBinomial and m.p == (0.25,) * 4
+    part = terminal_state_partition(sec34_binomial())._replace(
+        cells=[[0, 1], {2, 3}])
+    assert part.cells == (frozenset({0, 1}), frozenset({2, 3}))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("binomial", "TwoPeriodBinomial(s0=100.0, s_up=105.0, s_down=95.0, "
+     "s_uu=110.0, s_ud=100.0, s_dd=90.0, p=(0.225, 0.3, 0.25, 0.225))"),
+    ("trinomial", "TrinomialTopModel(s0=10.0, s1_up=12.0, s1_down=8.0, "
+     "s2_circ=14.0, s2_uu=13.0, s2_ud=10.0, s2_dd=6.0, "
+     "p=(0.15, 0.2, 0.3, 0.05, 0.1, 0.2))"),
+    ("trend", "TrendLattice(orientation='positive', s0=100.0, s_up=110.0, "
+     "s_down=90.0, s_uu=121.0, s_ud=99.0, s_dd=81.0, s3_continue=133.0, "
+     "s3_reverse=100.0, p=(0.25, 0.125, 0.0625, 0.3125, 0.25))"),
+    ("partition", "ScenarioPartition(cells=(frozenset({0}), "
+     "frozenset({1, 2}), frozenset({3})))"),
+])
+def test_model_repr_and_frozen_fields(name, text):
+    # the repr the models had as frozen dataclasses; __match_args__ names
+    # the fields of both forms
+    record = CHECKED_RECORDS[name]
+    assert repr(record) == text
+    for field in record.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
 
 
 def test_trend_strategy_grid_values():
@@ -628,7 +693,7 @@ def test_gfin_strategy_gate():
 def test_gfin_strategy_rejects_a_third_leg_price_at_or_below_zero(
         s3_continue):
     # GBM never reaches a price <= 0, so no scenario ends there
-    m = dataclasses.replace(PIN_LATTICES["negative"], s3_continue=s3_continue)
+    m = PIN_LATTICES["negative"]._replace(s3_continue=s3_continue)
     with pytest.raises(DegenerateModel, match=f"third-leg price "
                        f"{s3_continue!r} is not positive"):
         gfin_strategy(m)

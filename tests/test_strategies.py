@@ -488,10 +488,10 @@ def test_memo_leaves_the_trace_and_the_run_unchanged(kind, monkeypatch):
 
 
 def test_trend_cycles_build_no_trend_lattice(monkeypatch):
-    def build(self):
+    def build(cls, *args, **kwargs):
         raise AssertionError("a trend cycle built a TrendLattice")
 
-    monkeypatch.setattr(TrendLattice, "__post_init__", build)
+    monkeypatch.setattr(TrendLattice, "__new__", staticmethod(build))
     for params in (PARAMS, NEG_PARAMS):
         trace: list[CycleRecord] = []
         run_path(simulate_gbm(params, seed=3), params,
