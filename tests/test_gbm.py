@@ -94,8 +94,8 @@ def test_exit_prob_invalid_intervals():
     (1e-300, 1e-301, 1e300, "b/s0 overflows"),
 ])
 def test_exit_prob_rejects_levels_out_of_float_range(s0, a, b, reason):
-    # each used to return a probability pair not summing to 1, or raise
-    # an unnamed math domain error
+    # unchecked, the logs of these levels raise an unnamed math domain
+    # error or give exit probabilities that do not sum to 1
     message = f"^{re.escape(f'{reason}, got a={a}, s0={s0}, b={b}')}$"
     for prob in (exit_prob_lower, exit_prob_upper):
         with pytest.raises(InvalidInterval, match=message):

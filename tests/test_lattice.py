@@ -588,8 +588,8 @@ def test_replace_normalises_like_the_constructor():
      "frozenset({1, 2}), frozenset({3})))"),
 ])
 def test_model_repr_and_frozen_fields(name, text):
-    # the repr the models had as frozen dataclasses; __match_args__ names
-    # the fields of both forms
+    # the frozen-dataclass repr; __match_args__ names the fields of a
+    # dataclass and of a named tuple alike
     record = CHECKED_RECORDS[name]
     assert repr(record) == text
     for field in record.__match_args__:
