@@ -2,8 +2,10 @@
 
 Subpackage map:
 
-* ``lattice`` -- finite lattice models, arbitrage certificates, strategy
-  solvers.
+* ``lattice`` -- the two-period lattice models, their no-arbitrage
+  certificates and the binomial strategy solve: what ``check-model`` runs.
+* ``scenarios`` -- scenario partitions and gains on them, the three-period
+  trend lattice and its three-leg strategy solvers.
 * ``gbm`` -- geometric-Brownian-motion closed forms (exit probabilities,
   embedded-model quantities) and parameter estimation.
 * ``paths`` -- path simulation, barrier-hit detection, trade ledgers.
@@ -16,8 +18,9 @@ Subpackage map:
 * ``cli`` -- the ``statarb`` command-line front end.
 
 Each submodule loads on first access (``statarb.harness``, ``from statarb
-import harness``), so importing the package, or ``lattice`` and ``cli``,
-does not import numpy; the modules that compute on arrays do.  The error
+import harness``), so importing the package, or ``lattice``,
+``scenarios`` and ``cli``, does not import numpy; the modules that compute
+on arrays do.  The error
 classes and ``__version__`` load with the package.
 """
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
 )
 
 _SUBMODULES = frozenset({"backtest", "cli", "gbm", "harness", "lattice",
-                         "paths", "seeding", "strategies"})
+                         "paths", "scenarios", "seeding", "strategies"})
 
 
 def __getattr__(name: str):

@@ -32,8 +32,9 @@ from .errors import (
 )
 from .gbm import embedded_q, mle_from_returns
 from .harness import write_head
-from .lattice import check_alpha, check_alpha_input, total
+from .lattice import total
 from .paths import PricePath, TradeLedger
+from .scenarios import check_alpha, check_alpha_input
 from .strategies import cycle_plan, run_cycle
 
 __all__ = [

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
 from .gbm import GbmParams, embedded_q
-from .lattice import SWEEP_AXES, check_alpha, total
+from .lattice import SWEEP_AXES, total
+from .scenarios import check_alpha
 from .strategies import (
     RunResult,
     StrategyConfig,

@@ -16,7 +16,7 @@ down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
 the anchor, so both are the one "trend" kind.  The positions at an anchor
 are solved by embedded_positions (embedded_phi) and trend_positions
-(lattice.solve_three_leg on the grid's increments).  cycle_plan picks a
+(scenarios.solve_three_leg on the grid's increments).  cycle_plan picks a
 cycle's solve, table and orientation for simulations and the backtest;
 _plan resolves a config's c and q for it, and caches the solve in snap
 mode, where anchors are grid levels and each is solved once per experiment.
@@ -54,8 +54,8 @@ import numpy as np
 from . import paths
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
-from .lattice import (KINDS, MODES, StrategyVector, check_alpha,
-                      check_alpha_input, solve_three_leg)
+from .lattice import KINDS, MODES, StrategyVector
+from .scenarios import check_alpha, check_alpha_input, solve_three_leg
 from .paths import (
     PathBlock,
     PricePath,

@@ -11,8 +11,9 @@ import numpy as np
 from statarb.backtest import MARKET_HEADER, MarketSeries
 from statarb.errors import DegenerateModel, DegenerateSeries, ParseError
 from statarb.gbm import embedded_q, exit_prob_lower, exit_prob_upper
-from statarb.lattice import TrendLattice, TrinomialTopModel, TwoPeriodBinomial
+from statarb.lattice import TrinomialTopModel, TwoPeriodBinomial
 from statarb.paths import HitEvent
+from statarb.scenarios import TrendLattice
 
 
 def first_exit(prices, from_index, lo, hi):

@@ -48,18 +48,20 @@ from statarb.lattice import (
     StrategyVector,
     TwoPeriodBinomial,
     binomial_A_matrix,
-    conditional_gains,
     counterexample_pid_check,
     emm_binomial,
-    expected_gain,
-    payoff,
     solve_binomial_sa,
-    terminal_state_partition,
     tilde_q,
-    trend_A_matrix,
     trinomial_nsa,
 )
 from statarb.paths import TradeLedger, simulate_gbm
+from statarb.scenarios import (
+    conditional_gains,
+    expected_gain,
+    payoff,
+    terminal_state_partition,
+    trend_A_matrix,
+)
 from statarb.strategies import (
     KINDS,
     MODES,

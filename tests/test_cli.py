@@ -1035,3 +1035,36 @@ def test_cli_starts_without_dataclasses():
     codes, loaded = ast.literal_eval(proc.stdout)
     assert codes == [2, 0, 1]
     assert loaded == []
+
+
+SCENARIOS_PROBE = """\
+import contextlib, io, sys
+import statarb.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    codes = [statarb.cli.main(["check-model", "sec34"]),
+             statarb.cli.main(["check-model", "bondarenko-counterexample"]),
+             statarb.cli.main(["--version"]),
+             statarb.cli.main(["simulate", "--runs", "0"])]
+loaded = sorted({"statarb.scenarios", "statarb.strategies", "statarb.gbm"}
+                & set(sys.modules))
+import statarb
+print(repr((codes, loaded, statarb.scenarios.__name__)))
+"""
+
+
+def test_cli_starts_without_scenarios():
+    """check-model on both fixtures, --version and usage errors load
+    neither the trend lattice and its strategies (scenarios) nor the
+    modules that trade them; the package still resolves scenarios on
+    first access."""
+    import statarb
+    src = Path(statarb.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SCENARIOS_PROBE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, scenarios = ast.literal_eval(proc.stdout)
+    assert codes == [2, 0, 0, 1]
+    assert loaded == []
+    assert scenarios == "statarb.scenarios"

@@ -124,22 +124,29 @@ SEC34 = {"s0": 100.0, "s_up": 105.0, "s_down": 95.0, "s_uu": 110.0,
 SEC34_WEIGHTS = ((0.225, 0.3, 0.25, 0.225), (0.225, 0.275, 0.275, 0.225))
 
 
+BONDARENKO = {"s0": 10.0, "s1_up": 12.0, "s1_down": 8.0, "s2_circ": 14.0,
+              "s2_uu": 13.0, "s2_ud": 10.0, "s2_dd": 6.0}
+# NsaCertified (nu1 = nu2 = 3), and NotCertified (nu1 = 1.5 != nu2 = 6)
+BONDARENKO_WEIGHTS = ((0.15, 0.2, 0.3, 0.05, 0.1, 0.2),
+                      (0.15, 0.2, 0.3, 0.1, 0.05, 0.2))
+
+
 @st.composite
-def binomial_payload(draw) -> dict:
-    """The sec34 binomial, or its certified twin at q = tilde_q = 1, with
-    its prices scaled by an edge value, or one price or one weight
-    replaced by one."""
-    prices = dict(SEC34)
-    weights = list(draw(st.sampled_from(SEC34_WEIGHTS)))
+def model_payload(draw, kind: str, base: dict, weight_sets: tuple) -> dict:
+    """A model of ``kind`` at the prices ``base`` and one of
+    ``weight_sets``, with its prices scaled by an edge value, or one price
+    or one weight replaced by one."""
+    prices = dict(base)
+    weights = list(draw(st.sampled_from(weight_sets)))
     change = draw(st.sampled_from(("scale", "price", "weight")))
     value = float(draw(edge))
     if change == "scale":
         prices = {name: price * value for name, price in prices.items()}
     elif change == "price":
-        prices[draw(st.sampled_from(tuple(SEC34)))] = value
+        prices[draw(st.sampled_from(tuple(base)))] = value
     else:
-        weights[draw(st.integers(0, 3))] = value
-    return {"kind": "binomial", "prices": prices, "weights": weights}
+        weights[draw(st.integers(0, len(weights) - 1))] = value
+    return {"kind": kind, "prices": prices, "weights": weights}
 
 
 @GUARD
@@ -172,12 +179,25 @@ def test_backtest_fails_by_name_or_writes_finite_numbers(argv):
         guarded([*argv, "--out", str(out)], out)
 
 
-@GUARD
-@given(binomial_payload())
-@example({"kind": "binomial", "prices": {**SEC34, "s_dd": -6.0},
-          "weights": [0.25] * 4})
-def test_check_model_fails_by_name_or_prints_finite_numbers(payload):
+def check_model_guarded(payload: dict) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")
-        guarded(["check-model", str(model)])
+        return guarded(["check-model", str(model)])
+
+
+@GUARD
+@given(model_payload("binomial", SEC34, SEC34_WEIGHTS))
+@example({"kind": "binomial", "prices": {**SEC34, "s_dd": -6.0},
+          "weights": [0.25] * 4})
+def test_check_model_fails_by_name_or_prints_finite_numbers(payload):
+    check_model_guarded(payload)
+
+
+@GUARD
+@given(model_payload("trinomial", BONDARENKO, BONDARENKO_WEIGHTS))
+@example({"kind": "trinomial", "prices": {**BONDARENKO, "s2_dd": -6.0},
+          "weights": list(BONDARENKO_WEIGHTS[0])})
+def test_check_model_trinomial_fails_by_name_or_prints_finite_numbers(
+        payload):
+    check_model_guarded(payload)

@@ -19,31 +19,33 @@ from helpers import (
 )
 from statarb.errors import DegenerateModel, InvalidBase, NoSaExists, NoSolution
 from statarb.lattice import (
-    ScenarioPartition,
     StrategyVector,
-    TrendLattice,
     TrinomialTopModel,
     TwoPeriodBinomial,
     binomial_A_matrix,
-    conditional_gains,
     counterexample_pid_check,
-    dichotomy_partition,
     emm_binomial,
+    nsa_binomial,
+    solve_binomial_sa,
+    tilde_q,
+    trinomial_nsa,
+    _det3,
+)
+from statarb.scenarios import (
+    ScenarioPartition,
+    TrendLattice,
+    conditional_gains,
+    dichotomy_partition,
     expected_gain,
     gfin_psi_bounds,
     gfin_strategy,
     is_statistical_arbitrage,
-    nsa_binomial,
     payoff,
-    solve_binomial_sa,
     solve_three_leg,
     terminal_state_partition,
-    tilde_q,
     trend_A_matrix,
     trend_partition,
     trend_strategy,
-    trinomial_nsa,
-    _det3,
 )
 
 
@@ -746,7 +748,7 @@ def test_gfin_psi_bounds_degenerate_and_invalid():
     with pytest.raises(InvalidBase):
         gfin_psi_bounds(m, losing)
     mn = grid_trend_lattice(100.0, 0.05, "negative")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires the positive orientation"):
         gfin_psi_bounds(mn, zero)
 
 

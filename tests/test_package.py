@@ -6,7 +6,7 @@ import importlib
 import pytest
 
 MODULES = ("backtest", "cli", "gbm", "harness", "lattice", "paths",
-           "seeding", "strategies")
+           "scenarios", "seeding", "strategies")
 
 
 @pytest.mark.parametrize("module", MODULES)

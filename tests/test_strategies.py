@@ -15,7 +15,7 @@ from statarb.backtest import BacktestConfig, load_csv, run_backtest
 from statarb.errors import DegenerateModel, NoSaExists
 from statarb.gbm import GbmParams, embedded_phi, embedded_q
 from statarb.harness import ExperimentConfig, run_experiment
-from statarb.lattice import (
+from statarb.scenarios import (
     TrendLattice,
     gfin_strategy,
     payoff,

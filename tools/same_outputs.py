@@ -44,18 +44,20 @@ from statarb.harness import ExperimentConfig, run_experiment  # noqa: E402
 from statarb.lattice import (  # noqa: E402
     KINDS,
     MODES,
+    nsa_binomial,
+    solve_binomial_sa,
+    trinomial_nsa,
+)
+from statarb.paths import TradeLedger, simulate_gbm  # noqa: E402
+from statarb.scenarios import (  # noqa: E402
     TrendLattice,
     conditional_gains,
     dichotomy_partition,
     expected_gain,
     gfin_strategy,
-    nsa_binomial,
-    solve_binomial_sa,
     terminal_state_partition,
     trend_partition,
-    trinomial_nsa,
 )
-from statarb.paths import TradeLedger, simulate_gbm  # noqa: E402
 from statarb.strategies import StrategyConfig, run_path  # noqa: E402
 
 ALPHAS = (0.0, 0.5, 1.0)
