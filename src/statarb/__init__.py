@@ -20,8 +20,8 @@ Subpackage map:
 Each submodule loads on first access (``statarb.harness``, ``from statarb
 import harness``), so importing the package, or ``lattice``,
 ``scenarios`` and ``cli``, does not import numpy; the modules that compute
-on arrays do.  The error
-classes and ``__version__`` load with the package.
+on arrays do.  The error classes and ``__version__`` load with the
+package.
 """
 from __future__ import annotations
 

@@ -55,7 +55,6 @@ from . import paths
 from .errors import DegenerateModel
 from .gbm import GbmParams, embedded_phi, embedded_q
 from .lattice import KINDS, MODES, StrategyVector
-from .scenarios import check_alpha, check_alpha_input, solve_three_leg
 from .paths import (
     PathBlock,
     PricePath,
@@ -63,6 +62,7 @@ from .paths import (
     chunk_rows,
     next_hit,
 )
+from .scenarios import check_alpha, check_alpha_input, solve_three_leg
 
 __all__ = [
     "RunResult",

@@ -179,11 +179,11 @@ def test_backtest_fails_by_name_or_writes_finite_numbers(argv):
         guarded([*argv, "--out", str(out)], out)
 
 
-def check_model_guarded(payload: dict) -> int:
+def check_model_guarded(payload: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")
-        return guarded(["check-model", str(model)])
+        guarded(["check-model", str(model)])
 
 
 @GUARD
