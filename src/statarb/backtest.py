@@ -30,7 +30,7 @@ from .errors import (
     NoSaExists,
     ParseError,
 )
-from .gbm import embedded_q, mle_from_returns
+from .gbm import mle_from_returns
 from .harness import write_head
 from .lattice import total
 from .paths import PricePath, TradeLedger
@@ -294,9 +294,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
         anchor = float(closes[i])
         try:
             mu_hat, sigma_hat = mle_from_returns(returns[i - window:i - 1], DT)
-            q = embedded_q(c, mu_hat, sigma_hat)
-            solve, legs, orientation = cycle_plan(c, q, "trend", config.alpha,
-                                                  mu_hat)
+            solve, legs, orientation, _ = cycle_plan(c, mu_hat, sigma_hat,
+                                                     "trend", config.alpha)
             psi = solve(anchor)
         except tuple(SKIP_REASONS) as exc:
             skipped[SKIP_REASONS[type(exc)]] += 1

@@ -17,7 +17,7 @@ import io
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import IO, TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import AllRunsSkipped, NoSolution, StatarbError
@@ -176,14 +176,12 @@ def _load_model(source: str):
     kind = payload["kind"]
     prices = payload["prices"]
     weights = tuple(float(w) for w in payload["weights"])
-    if kind == "binomial":
-        names = ("s0", "s_up", "s_down", "s_uu", "s_ud", "s_dd")
-        return TwoPeriodBinomial(*(float(prices[k]) for k in names), weights)
-    if kind == "trinomial":
-        names = ("s0", "s1_up", "s1_down", "s2_circ", "s2_uu", "s2_ud",
-                 "s2_dd")
-        return TrinomialTopModel(*(float(prices[k]) for k in names), weights)
-    raise ValueError(f"unknown model kind {kind!r}")
+    # == so that an unhashable kind is unknown; price keys: fields before p
+    model = (TwoPeriodBinomial if kind == "binomial" else
+             TrinomialTopModel if kind == "trinomial" else None)
+    if model is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return model(*(float(prices[k]) for k in model._fields[:-1]), weights)
 
 
 def _fmt(value: float) -> str:
@@ -278,6 +276,16 @@ def _report_runs(row: SweepRow, cell: str = "") -> None:
     print(f"statarb: repetitions: {cell}{counts}", file=sys.stderr)
 
 
+def _publish(text: str, out: Path | None,
+             dump: Callable[[IO[str]], object]) -> None:
+    """Write --out with ``dump`` first, so that a failed write prints
+    nothing, then ``text`` to stdout; diagnostics go to stderr."""
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            dump(fh)
+    sys.stdout.write(text)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .harness import SweepRow, dump_runs_csv, dump_sweep_csv, \
         run_experiment
@@ -289,11 +297,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
     buf = io.StringIO()
     dump_sweep_csv([row], buf, metadata=meta)
-    if args.out is not None:  # first, so that a failed write prints nothing
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump_runs_csv(result, fh, metadata=meta)
-    sys.stdout.write(buf.getvalue())
-    # diagnostics go to stderr, so stdout and --out stay byte-identical
+    _publish(buf.getvalue(), args.out,
+             lambda fh: dump_runs_csv(result, fh, metadata=meta))
     _report_runs(row)
     return EXIT_OK
 
@@ -311,11 +316,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(config, SweepAxis(args.axis, values))
     buf = io.StringIO()
     dump_sweep_csv(rows, buf, metadata=_metadata(config))
-    if args.out is not None:  # first, so that a failed write prints nothing
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    sys.stdout.write(buf.getvalue())
-    # diagnostics go to stderr, so stdout and --out stay byte-identical
+    table = buf.getvalue()
+    _publish(table, args.out, lambda fh: fh.write(table))
     for row in rows:
         _report_runs(row, f"{args.axis}={row.param!r} ")
     return EXIT_OK
@@ -338,11 +340,10 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         "boundary": repr(float(args.boundary)),
         "execution_mode": "observed",
     }
-    if args.out is not None:  # first, so that a failed write prints nothing
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump_cycles_csv(result, fh, metadata=meta)
-    dump_summary_json(result, sys.stdout, metadata=meta)
-    # diagnostics go to stderr, so stdout and --out stay byte-identical
+    buf = io.StringIO()
+    dump_summary_json(result, buf, metadata=meta)
+    _publish(buf.getvalue(), args.out,
+             lambda fh: dump_cycles_csv(result, fh, metadata=meta))
     skipped = " ".join(f"{k}={v}" for k, v in result.skipped.items())
     print(f"statarb: skipped windows: {skipped}", file=sys.stderr)
     print(f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}",

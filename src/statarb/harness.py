@@ -31,15 +31,10 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AllRunsSkipped, EmptySample, NoSaExists
-from .gbm import GbmParams, embedded_q
+from .gbm import GbmParams
 from .lattice import SWEEP_AXES, total
 from .scenarios import check_alpha
-from .strategies import (
-    RunResult,
-    StrategyConfig,
-    embedded_positions,
-    run_seeded,
-)
+from .strategies import RunResult, StrategyConfig, cycle_plan, run_seeded
 
 __all__ = [
     "SWEEP_AXES",
@@ -181,17 +176,17 @@ def run_experiment(config: ExperimentConfig, *,
                    axis_index: int = 0) -> ExperimentResult:
     """Execute ``config.n_runs`` seeded runs and aggregate their metrics.
 
-    Raises AllRunsSkipped when the strategy precondition (q = 1) voids the
-    whole batch, DegenerateModel when the grid levels collapse at s0 or
-    (c*s0)^3 leaves float range, and ValueError when
-    c / (sigma * sqrt(dt)) lies below MIN_STEP_RATIO, or when the runs'
-    P&L overflows (check_alpha).
+    Before any run, the embedded cycle_plan is solved at s0 for every kind.
+    Raises AllRunsSkipped when q = 1 voids the whole batch, DegenerateModel
+    when that solve finds the grid levels collapsed at s0 or (c*s0)^3 out
+    of float range, and ValueError when c / (sigma * sqrt(dt)) lies below
+    MIN_STEP_RATIO, or when the runs' P&L overflows (check_alpha).
     """
     params = config.params
     c = config.strategy.resolved_c(params.mu, params.sigma)
-    try:
-        q = embedded_q(c, params.mu, params.sigma)
-        embedded_positions(params.s0, c, q)  # grid levels collapsed at s0
+    try:  # the embedded solve at s0 for every kind: q = 1, collapsed levels
+        cycle_plan(c, params.mu, params.sigma, "embedded",
+                   config.strategy.alpha)[0](params.s0)
     except NoSaExists as exc:
         raise AllRunsSkipped(
             f"q = 1 at c={c!r}: every run is voided") from exc

@@ -6,20 +6,21 @@ barrier of the cycle, the whole run stops at the first cycle end with
 positive cumulative P&L, and an open position is liquidated at the horizon.
 
 A cycle is a small automaton on the grid a(1 + k*c), written once as a leg
-table (leg_table).  Each Leg is a corridor, given as two multipliers of
-the anchor a, and the leg that follows an exit through each side, or None
-where the cycle ends; leg k holds psi[k], field k of the cycle's solved
-StrategyVector psi.  A leg ends where the path first leaves its corridor.
+table (leg_table).  Each Leg is a corridor and an entry level, given as
+multipliers of the anchor a, and the leg that follows an exit through
+each side, or None where the cycle ends; leg k holds psi[k], field k of
+the cycle's solved StrategyVector psi.  A leg ends where the path first
+leaves its corridor.
 The embedded cycle has three legs (first, up, down); the trend cycle adds
 a third leg after the up leg in the positive orientation and after the
 down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
 the anchor, so both are the one "trend" kind.  The positions at an anchor
 are solved by embedded_positions (embedded_phi) and trend_positions
-(scenarios.solve_three_leg on the grid's increments).  cycle_plan picks a
-cycle's solve, table and orientation for simulations and the backtest;
-_plan resolves a config's c and q for it, and caches the solve in snap
-mode, where anchors are grid levels and each is solved once per experiment.
+(scenarios.solve_three_leg on the grid's increments).  cycle_plan forms
+q = embedded_q(c, mu, sigma), its one call, and returns it with a cycle's
+solve, table and orientation; _plan resolves a config's c for it, caching
+the solve in snap mode, where anchors are grid levels, once per anchor.
 
 Two interpreters run the table and give the same results bit for bit:
 - run_cycle trades one cycle on one PricePath with next_hit and a
@@ -35,7 +36,7 @@ Two interpreters run the table and give the same results bit for bit:
 Execution modes:
   snap      executions at the exact barrier levels (idealized embedding);
             the next anchor is the final level; horizon liquidation at the
-            last execution level, so the leg in flight adds nothing.  The
+            in-flight leg's entry level, so that leg adds nothing.  The
             legs the cut-off cycle completed stay in the P&L: after its
             first leg that is +-phi1*c*a, the first-leg payoff at anchor a.
   observed  executions at the simulated grid prices; the next anchor is the
@@ -144,12 +145,14 @@ class Leg(NamedTuple):
     """One leg of a cycle at anchor a: leg k of a table holds the position
     psi[k] of the cycle's StrategyVector psi in the corridor (lo * a, hi * a),
     and the leg that follows an exit through lo or hi is on_lo or on_hi, an
-    index into the cycle's table, or None where the cycle ends there."""
+    index into the cycle's table, or None where the cycle ends there.  It
+    starts at entry * a, the anchor or the barrier that leads into it."""
 
     lo: float
     hi: float
     on_lo: int | None
     on_hi: int | None
+    entry: float
 
 
 @lru_cache(maxsize=64)
@@ -165,16 +168,17 @@ def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
     exit at a(1-2c) otherwise.
 
     A corridor's multipliers are the factors of the levels a * (1 + k*c),
-    and a * 1.0 == a, so every barrier is the float those levels are."""
-    first = Leg(1 - c, 1 + c, 2, 1)
-    up = Leg(1.0, 1 + 2 * c, None, None)
-    down = Leg(1 - 2 * c, 1.0, None, None)
+    and a * 1.0 == a, so every barrier is the float those levels are; an
+    entry is the very float of its barrier (1.0 for the first leg)."""
+    first = Leg(1 - c, 1 + c, 2, 1, 1.0)
+    up = Leg(1.0, 1 + 2 * c, None, None, first.hi)
+    down = Leg(1 - 2 * c, 1.0, None, None, first.lo)
     if kind == "embedded":
         return first, up, down
     if positive:
-        trend = Leg(1.0, 1 + 4 * c, None, None)
+        trend = Leg(1.0, 1 + 4 * c, None, None, up.hi)
         return first, up._replace(on_hi=3), down, trend
-    trend = Leg(1 - 4 * c, 1.0, None, None)
+    trend = Leg(1 - 4 * c, 1.0, None, None, down.lo)
     return first, up, down._replace(on_lo=3), trend
 
 
@@ -219,31 +223,32 @@ def trend_positions(anchor: float, c: float, q: float, alpha: float,
                            far - trend, anchor - trend, alpha, q, positive)
 
 
-def cycle_plan(c: float, q: float, kind: str, alpha: float,
-               mu: float) -> tuple[Callable[[float], StrategyVector],
-                                   tuple[Leg, ...], str]:
-    """The solve (a function of the anchor), legs and orientation of a
-    cycle at c and q: mu >= 0 orients a trend cycle positive, and at
-    alpha = 1, where its trend leg holds 0, it is the embedded cycle."""
+def cycle_plan(c: float, mu: float, sigma: float, kind: str, alpha: float,
+               ) -> tuple[Callable[[float], StrategyVector], tuple[Leg, ...],
+                          str, float]:
+    """The solve (a function of the anchor), legs, orientation and q of a
+    cycle at c, q = embedded_q(c, mu, sigma) formed first: mu >= 0 orients
+    a trend cycle positive, and at alpha = 1, where its trend leg holds 0,
+    it is the embedded cycle."""
+    q = embedded_q(c, mu, sigma)
     if kind == "embedded" or alpha == 1.0:
         return (lambda anchor: embedded_positions(anchor, c, q),
-                leg_table(c, "embedded"), "positive")
+                leg_table(c, "embedded"), "positive", q)
     positive = mu >= 0
     return (lambda anchor: trend_positions(anchor, c, q, alpha, positive),
             leg_table(c, "trend", positive),
-            "positive" if positive else "negative")
+            "positive" if positive else "negative", q)
 
 
 def _plan(params: GbmParams, config: StrategyConfig,
           ) -> tuple[Callable[[float], StrategyVector], tuple[Leg, ...],
                      str, float, float]:
-    """A config's cycle_plan, its solve a functools.cache on the anchor in
-    snap mode (which stores no solve that raised), and the c and
-    q = embedded_q(c, mu, sigma) it solves at."""
+    """A config's cycle_plan at its resolved c, its solve a functools.cache
+    on the anchor in snap mode (which stores no solve that raised), and
+    that c and q."""
     c = config.resolved_c(params.mu, params.sigma)
-    q = embedded_q(c, params.mu, params.sigma)
-    solve, legs, orientation = cycle_plan(c, q, config.kind, config.alpha,
-                                          params.mu)
+    solve, legs, orientation, q = cycle_plan(c, params.mu, params.sigma,
+                                             config.kind, config.alpha)
     if config.execution_mode == "snap":
         solve = cache(solve)
     return solve, legs, orientation, c, q
@@ -340,22 +345,22 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
 
     The paths of chunk_rows(n_steps) runs at a time are the rows of one
     PathBlock, and each row's run state lives in plain lists: its anchor,
-    the positions of its cycle, its leg, position, cash, last execution
-    price and event and cycle counts; a new run's first anchor is s0.  Each
-    scan answers the pending corridor query of every row with one window;
-    one loop then moves each unanswered query short of the path end to its
-    first untested point, and resolves each other query to a price and the
-    following leg, None at a cycle's stop or the path end.  One ledger step
-    per query enters that leg's position or flattens a row that is not
-    flat, with TradeLedger's arithmetic in the same order, so the bits are
-    run_path's.
+    the positions of its cycle, its leg, position, cash and event and cycle
+    counts; a new run's first anchor is s0.  Each scan answers the pending
+    corridor query of every row with one window; one loop then moves each
+    unanswered query short of the path end to its first untested point,
+    and resolves each other query to a price (at a snap row's horizon, its
+    anchor times its leg's entry) and the following leg, None at a cycle's
+    stop or the path end.  One ledger step per query enters that leg's
+    position or flattens a row that is not flat, with TradeLedger's
+    arithmetic in the same order, so the bits are run_path's.
     The rows of finished runs are refilled with the next seeds' paths, so
     that the scans stay wide until the seeds run out.  The per-cycle
     strategy solves stay scalar Python calls, because vectorised power and
     division kernels may round differently.
     """
     solve, legs, *_ = _plan(params, config)
-    lo_of, hi_of, on_lo, on_hi = zip(*legs)
+    lo_of, hi_of, on_lo, on_hi, entry = zip(*legs)
     snap = config.execution_mode == "snap"
     n_rows = chunk_rows(params.n_steps)
     block = PathBlock(params, n_rows)
@@ -371,7 +376,6 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
     leg = [0] * n_rows
     position = [0.0] * n_rows
     cash = [0.0] * n_rows
-    mark = [0.0] * n_rows  # the price of the last execution
     events = [0] * n_rows
     cycles = [0] * n_rows
     pending: dict[int, tuple[int, float, float]] = {}  # each row's query
@@ -397,7 +401,7 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
             cash[r] -= h[0] * a
             position[r] = h[0]
             events[r] += 1
-            mark[r] = anchor[r] = a
+            anchor[r] = a
             leg[r] = 0
             pending[r] = (i, a * lo_of[0], a * hi_of[0])
         starting.clear()
@@ -412,8 +416,9 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
             elif k + window <= last:
                 pending[r] = (k + window, lo, hi)
                 continue
-            else:  # the horizon: the last execution (snap) or last price
-                price = mark[r] if snap else prices.item(r, last)
+            else:  # the horizon: the leg's entry (snap) or last price
+                price = (anchor[r] * entry[leg[r]] if snap
+                         else prices.item(r, last))
                 following = None
             p = position[r]
             if following is not None or p != 0.0:
@@ -421,7 +426,6 @@ def run_seeded(params: GbmParams, config: StrategyConfig,
                 cash[r] -= delta * price
                 position[r] = p + delta
                 events[r] += 1
-                mark[r] = price
             if following is not None:
                 leg[r] = following
                 a = anchor[r]

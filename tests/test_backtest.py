@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import find_no_sa_mu, reference_load_csv
-from statarb import backtest
+from statarb import backtest, strategies
 from statarb.backtest import (
     CYCLES_HEADER,
     DT,
@@ -688,6 +688,31 @@ def test_alpha_one_trades_the_embedded_cycle(name, monkeypatch):
         q = embedded_q(c, *mle_estimate(series.closes[i - 756:i], DT))
         # repr prints each float's shortest round-trip form: bit for bit
         assert repr(psi) == repr(embedded_positions(anchor, c, q))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_each_planned_window_forms_q_once(alpha, monkeypatch):
+    # strategies.cycle_plan forms q for the backtest as for simulations:
+    # once per window, at the window's estimate
+    formed, traded = [], []
+
+    def spy_q(c, mu, sigma):
+        formed.append((c, mu, sigma))
+        return embedded_q(c, mu, sigma)
+
+    def spy_cycle(path, i, *args):
+        traded.append(i)
+        return run_cycle(path, i, *args)
+
+    monkeypatch.setattr(strategies, "embedded_q", spy_q)
+    monkeypatch.setattr(backtest, "run_cycle", spy_cycle)
+    series = load_csv(DATA / "gbm_up.csv")
+    c = 0.02
+    res = run_backtest(series, BacktestConfig(boundary_fraction=c,
+                                              alpha=alpha))
+    assert set(res.skipped.values()) == {0} and res.n_cycles > 100
+    assert formed == [(c, *mle_estimate(series.closes[i - 756:i], DT))
+                      for i in traded]
 
 
 @pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])

@@ -128,6 +128,34 @@ def test_check_model_bad_files_exit_1(tmp_path, capsys, payload):
     assert "cannot load model" in err
 
 
+BINOMIAL_PRICES = {"s0": 100, "s_up": 105, "s_down": 95, "s_uu": 110,
+                   "s_ud": 100, "s_dd": 90}
+TRINOMIAL_PRICES = {"s0": 10, "s1_up": 12, "s1_down": 8, "s2_circ": 14,
+                    "s2_uu": 13, "s2_ud": 10, "s2_dd": 6}
+
+
+@pytest.mark.parametrize("kind, prices, weights, reason", [
+    # the price keys are the model's fields; the first one missing is named
+    ("binomial", {k: v for k, v in BINOMIAL_PRICES.items() if k != "s_ud"},
+     [0.25] * 4, "'s_ud'"),
+    ("trinomial",
+     {k: v for k, v in TRINOMIAL_PRICES.items() if k != "s2_circ"},
+     [0.175, 0.2, 0.35, 0.05, 0.1, 0.125], "'s2_circ'"),
+    # a kind that is not a string is unknown, not unhashable
+    (["x"], BINOMIAL_PRICES, [0.25] * 4, "unknown model kind ['x']"),
+    ({"kind": "binomial"}, BINOMIAL_PRICES, [0.25] * 4,
+     "unknown model kind {'kind': 'binomial'}"),
+])
+def test_check_model_names_a_missing_price_or_unknown_kind(
+        kind, prices, weights, reason, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": kind, "prices": prices,
+                                "weights": weights}))
+    code, out, err = run_cli(["check-model", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"statarb: cannot load model {str(path)!r}: {reason}\n"
+
+
 def test_check_model_probability_sum_is_sequential(tmp_path, capsys,
                                                    monkeypatch):
     # the builtin sum compensates its float adds from Python 3.12 on; the

@@ -41,6 +41,7 @@ from statarb.strategies import (
     KINDS,
     MODES,
     StrategyConfig,
+    run_cycle,
     run_path,
     run_seeded,
 )
@@ -486,9 +487,30 @@ def test_completion_at_a_resumed_query(monkeypatch):
     assert sorted(set(starts)) == [0, 65, 130, 195]
 
 
+def per_path_cut_legs(params, config, seeds, patch):
+    """per_path's runs, and the legs in which their horizon cut a cycle."""
+    corridors, cut = [], set()
+
+    def hit(path, i, lo, hi):
+        corridors.append((lo, hi))
+        return next_hit(path, i, lo, hi)
+
+    def cycle(path, i, anchor, snap, led, legs, psi):
+        stop = run_cycle(path, i, anchor, snap, led, legs, psi)
+        if stop is None:
+            cut.add([(anchor * leg.lo, anchor * leg.hi)
+                     for leg in legs].index(corridors[-1]))
+        return stop
+
+    patch.setattr(strategies, "next_hit", hit)
+    patch.setattr(strategies, "run_cycle", cycle)
+    return per_path(params, config, seeds), cut
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", MODES)
-def test_run_experiment_equals_run_path_at_cli_defaults(kind, mode):
+def test_run_experiment_equals_run_path_at_cli_defaults(kind, mode,
+                                                        monkeypatch):
     # 150 runs of 1000 steps: more than two matrices' worth of rows
     config = ExperimentConfig(
         params=gbm(1000),
@@ -497,8 +519,13 @@ def test_run_experiment_equals_run_path_at_cli_defaults(kind, mode):
         n_runs=150, master_seed=4)
     result = run_experiment(config)
     seeds = [int(s) for s in run_seeds(config.master_seed, 0, range(150))]
-    assert_same_runs(list(result.runs),
-                     per_path(config.params, config.strategy, seeds))
+    runs, cut = per_path_cut_legs(config.params, config.strategy, seeds,
+                                  monkeypatch)
+    assert_same_runs(list(result.runs), runs)
+    # the horizon cuts cycles inside every leg of the table (3 embedded, 4
+    # trend), so each leg's horizon price, in snap mode the anchor times
+    # the leg's entry, is compared between the engines
+    assert cut == set(range(3 if kind == "embedded" else 4))
 
 
 @pytest.mark.parametrize("rows", [1, 7])

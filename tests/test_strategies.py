@@ -188,15 +188,18 @@ def test_leg_tables_follow_the_corridor_table():
     # README "Engine": leg 1 in (a(1-c), a(1+c)); leg 2 in (a, a(1+2c))
     # after an up exit, in (a(1-2c), a) after a down exit; the trend leg in
     # (a, a(1+4c)) after the up leg's hi exit (positive orientation), in
-    # (a(1-4c), a) after the down leg's lo exit (negative orientation)
-    first = (1 - C, 1 + C, 2, 1)
-    up = (1.0, 1 + 2 * C, None, None)
-    down = (1 - 2 * C, 1.0, None, None)
+    # (a(1-4c), a) after the down leg's lo exit (negative orientation); each
+    # leg enters at the level of the exit that leads into it
+    first = (1 - C, 1 + C, 2, 1, 1.0)
+    up = (1.0, 1 + 2 * C, None, None, 1 + C)
+    down = (1 - 2 * C, 1.0, None, None, 1 - C)
     assert leg_table(C, "embedded") == (first, up, down)
     assert leg_table(C, "trend", True) == (
-        first, (1.0, 1 + 2 * C, None, 3), down, (1.0, 1 + 4 * C, None, None))
+        first, (1.0, 1 + 2 * C, None, 3, 1 + C), down,
+        (1.0, 1 + 4 * C, None, None, 1 + 2 * C))
     assert leg_table(C, "trend", False) == (
-        first, up, (1 - 2 * C, 1.0, 3, None), (1 - 4 * C, 1.0, None, None))
+        first, up, (1 - 2 * C, 1.0, 3, None, 1 - C),
+        (1 - 4 * C, 1.0, None, None, 1 - 2 * C))
     # the barriers at anchor A are the floats the grid levels are
     corridors = {(DOWN, UP), (A, UP2), (DOWN2, A), (A, UP4), (DOWN4, A)}
     for legs in (leg_table(C, "trend", True), leg_table(C, "trend", False)):
@@ -204,6 +207,29 @@ def test_leg_tables_follow_the_corridor_table():
     # leg k holds psi[k]: first, up, down and trend leg in turn
     psi = trend_positions(A, C, Q, 0.25, False)
     assert tuple(psi) == (psi.phi1, psi.phi2_up, psi.phi2_down, psi.phi3)
+
+
+@given(c=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+@example(c=1e-17)  # 1 + c == 1 - c == 1.0: the inner levels collapse
+@example(c=0.25)  # the negative orientation's trend level 1 - 4c is 0
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_each_leg_enters_at_the_barrier_that_leads_into_it(c):
+    # a snap run liquidated at the horizon executes at anchor * entry, so
+    # each entry must be the float of the barrier the leg was entered by
+    for kind, positive in (("embedded", True), ("trend", True),
+                           ("trend", False)):
+        legs = leg_table(c, kind, positive)
+        assert legs[0].entry.hex() == (1.0).hex()
+        entered = set()
+        for leg in legs:
+            for side, following in ((leg.lo, leg.on_lo),
+                                    (leg.hi, leg.on_hi)):
+                if following is not None:
+                    entered.add(following)
+                    assert legs[following].entry.hex() == side.hex()
+            if len({leg.lo, leg.entry, leg.hi}) == 3:
+                assert leg.lo < leg.entry < leg.hi
+        assert entered == set(range(1, len(legs)))
 
 
 @pytest.mark.parametrize("mode", MODES)
