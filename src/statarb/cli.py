@@ -167,21 +167,44 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------- check-model
 
 
+# the JSON name of each type that json.loads(parse_int=float) returns
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", float: "a number", type(None): "null"}
+
+
+def _part(value, kind: type, name: str, shape: str):
+    """value if its type is kind; else ValueError naming the part and the
+    shape it needs."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {shape}, got "
+                         f"{_JSON_TYPES[type(value)]}")
+    return value
+
+
 def _load_model(source: str):
     if source in FIXTURES:
         return FIXTURES[source]()
     import json
 
-    payload = json.loads(Path(source).read_text(encoding="utf-8"))
+    # an integer beyond float range reads as inf, as 1e400 does
+    payload = _part(json.loads(Path(source).read_text(encoding="utf-8"),
+                               parse_int=float), dict, "the model",
+                    "an object with keys kind, prices and weights")
     kind = payload["kind"]
-    prices = payload["prices"]
-    weights = tuple(float(w) for w in payload["weights"])
     # == so that an unhashable kind is unknown; price keys: fields before p
     model = (TwoPeriodBinomial if kind == "binomial" else
              TrinomialTopModel if kind == "trinomial" else None)
     if model is None:
         raise ValueError(f"unknown model kind {kind!r}")
-    return model(*(float(prices[k]) for k in model._fields[:-1]), weights)
+    keys = model._fields[:-1]
+    prices = _part(payload["prices"], dict, "prices",
+                   f"an object of numbers with keys {', '.join(keys)}")
+    weights = _part(payload["weights"], list, "weights",
+                    f"an array of {model.n_paths} numbers")
+    return model(*(_part(prices[k], float, f"prices.{k}", "a number")
+                   for k in keys),
+                 [_part(w, float, f"weights[{i}]", "a number")
+                  for i, w in enumerate(weights)])
 
 
 def _fmt(value: float) -> str:

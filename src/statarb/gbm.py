@@ -33,7 +33,6 @@ __all__ = [
     "embedded_q",
     "embedded_phi",
     "mle_from_returns",
-    "mle_estimate",
 ]
 
 
@@ -73,11 +72,6 @@ class GbmParams:
                              f"{self.n_steps!r}") from None
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-
-    @property
-    def eta(self) -> float:
-        """Drift-to-volatility fraction mu/sigma."""
-        return self.mu / self.sigma
 
     @property
     def dt(self) -> float:
@@ -290,23 +284,3 @@ def mle_from_returns(r: np.ndarray, dt: float) -> tuple[float, float]:
     sigma_sq = var / dt
     mu = float(mean) / dt + sigma_sq / 2.0
     return mu, math.sqrt(sigma_sq)
-
-
-def mle_estimate(closes: np.ndarray, dt: float) -> tuple[float, float]:
-    """mle_from_returns on the log-returns of a price series sampled every
-    dt years.  A series shorter than 30 observations, or with (numerically)
-    zero return variance, raises DegenerateSeries; closes that are not 1-d,
-    not finite or not positive raise ValueError.
-    """
-    prices = np.asarray(closes, dtype=float)
-    if prices.ndim != 1:
-        raise ValueError("closes must be 1-d")
-    if prices.size < 30:
-        raise DegenerateSeries("need at least 30 observations")
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    if not np.isfinite(prices).all():
-        raise ValueError("prices must be finite")
-    if np.any(prices <= 0):
-        raise ValueError("prices must be positive")
-    return mle_from_returns(np.diff(np.log(prices)), dt)

@@ -35,7 +35,7 @@ from statarb.errors import (
     NonMonotoneDates,
     ParseError,
 )
-from statarb.gbm import GbmParams, embedded_q, mle_estimate, mle_from_returns
+from statarb.gbm import GbmParams, embedded_q, mle_from_returns
 from statarb.paths import TradeLedger, simulate_gbm
 from statarb.strategies import embedded_positions, leg_table, run_cycle
 
@@ -363,7 +363,8 @@ def test_backtest_config_validation():
 
 def test_insufficient_data():
     series = gbm_series(seed=1, years=1.0)  # 253 points
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InsufficientData, match="^need more than 253 "
+                                               "observations, have 253$"):
         run_backtest(series, BacktestConfig(boundary_fraction=0.1,
                                             window_days=252))
 
@@ -423,7 +424,8 @@ def test_positive_trend_cycle_hand_trace():
                                       window_days=60), ledger=led)
     assert res.n_cycles == 1
     cycle = res.cycles[0]
-    mu_ref, sigma_ref = mle_estimate(series.closes[0:60], 1.0 / 252.0)
+    mu_ref, sigma_ref = mle_from_returns(np.diff(np.log(series.closes[0:60])),
+                                         DT)
     assert cycle.mu_hat == mu_ref and cycle.sigma_hat == sigma_ref
     assert mu_ref > 0 and cycle.orientation == "positive"
     assert cycle.cycle_start == series.dates[60]
@@ -685,7 +687,8 @@ def test_alpha_one_trades_the_embedded_cycle(name, monkeypatch):
     assert {cycle.orientation for cycle in res.cycles} == {"positive"}
     for i, anchor, legs, psi in calls:
         assert len(legs) == 3 and legs == leg_table(c, "embedded")
-        q = embedded_q(c, *mle_estimate(series.closes[i - 756:i], DT))
+        window = series.closes[i - 756:i]
+        q = embedded_q(c, *mle_from_returns(np.diff(np.log(window)), DT))
         # repr prints each float's shortest round-trip form: bit for bit
         assert repr(psi) == repr(embedded_positions(anchor, c, q))
 
@@ -711,8 +714,9 @@ def test_each_planned_window_forms_q_once(alpha, monkeypatch):
     res = run_backtest(series, BacktestConfig(boundary_fraction=c,
                                               alpha=alpha))
     assert set(res.skipped.values()) == {0} and res.n_cycles > 100
-    assert formed == [(c, *mle_estimate(series.closes[i - 756:i], DT))
-                      for i in traded]
+    assert formed == [
+        (c, *mle_from_returns(np.diff(np.log(series.closes[i - 756:i])), DT))
+        for i in traded]
 
 
 @pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])
@@ -727,7 +731,7 @@ def test_cycle_estimates_equal_mle_on_their_window(name):
         i = index[cycle.cycle_start]
         window = series.closes[i - config.window_days:i]
         assert (cycle.mu_hat, cycle.sigma_hat) == \
-            mle_estimate(window, DT)
+            mle_from_returns(np.diff(np.log(window)), DT)
 
 
 @pytest.mark.parametrize("name", ["gbm_up.csv", "gbm_down.csv"])

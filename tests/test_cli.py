@@ -156,6 +156,47 @@ def test_check_model_names_a_missing_price_or_unknown_kind(
     assert err == f"statarb: cannot load model {str(path)!r}: {reason}\n"
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ([1], "the model must be an object with keys kind, prices and weights, "
+          "got an array"),
+    ("binomial", "the model must be an object with keys kind, prices and "
+                 "weights, got a string"),
+    ({"kind": "binomial", "prices": [1, 2, 3, 4, 5, 6],
+      "weights": [0.25] * 4},
+     "prices must be an object of numbers with keys s0, s_up, s_down, s_uu, "
+     "s_ud, s_dd, got an array"),
+    ({"kind": "trinomial", "prices": None, "weights": [0.25] * 4},
+     "prices must be an object of numbers with keys s0, s1_up, s1_down, "
+     "s2_circ, s2_uu, s2_ud, s2_dd, got null"),
+    ({"kind": "binomial", "prices": BINOMIAL_PRICES, "weights": 0.25},
+     "weights must be an array of 4 numbers, got a number"),
+    ({"kind": "trinomial", "prices": TRINOMIAL_PRICES,
+      "weights": {"uu": 0.5}},
+     "weights must be an array of 6 numbers, got an object"),
+    ({"kind": "binomial", "prices": {**BINOMIAL_PRICES, "s0": True},
+      "weights": [0.25] * 4}, "prices.s0 must be a number, got a boolean"),
+    ({"kind": "binomial", "prices": {**BINOMIAL_PRICES, "s_dd": "90"},
+      "weights": [0.25] * 4}, "prices.s_dd must be a number, got a string"),
+    ({"kind": "trinomial", "prices": TRINOMIAL_PRICES,
+      "weights": [0.15, 0.2, [0.3], 0.05, 0.1, 0.2]},
+     "weights[2] must be a number, got an array"),
+    # an integer beyond float range, which used to end in a traceback,
+    # reads as the infinity of 1e400
+    ({"kind": "binomial", "prices": {**BINOMIAL_PRICES, "s_dd": -10**400},
+      "weights": [0.25] * 4}, "need s_dd > 0"),
+    ({"kind": "binomial", "prices": BINOMIAL_PRICES,
+      "weights": [0.25, 10**400, 0.25, 0.25]},
+     "path probabilities must be finite and > 0"),
+])
+def test_check_model_names_a_part_of_the_wrong_shape(payload, reason,
+                                                      tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["check-model", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"statarb: cannot load model {str(path)!r}: {reason}\n"
+
+
 def test_check_model_probability_sum_is_sequential(tmp_path, capsys,
                                                    monkeypatch):
     # the builtin sum compensates its float adds from Python 3.12 on; the

@@ -2,10 +2,12 @@
 command fails by name or succeeds with finite numbers.
 
 The float flags draw from values at the edges of float range and of each
-flag's domain.  Every invocation must exit with a documented code, print
-one `statarb:` line when it fails (argparse's usage block before a usage
-error's one line included), raise no Python warning, and on success write
-only finite numbers to stdout and `--out`.
+flag's domain, and the check-model files also from JSON values of the
+wrong shape.  Every invocation must exit with a documented code, print one
+`statarb:` line when it fails (argparse's usage block before a usage
+error's one line included) that quotes no Python type error, raise no
+Python warning, and on success write only finite numbers to stdout and
+`--out`.
 """
 from __future__ import annotations
 
@@ -32,6 +34,11 @@ GUARD = settings(max_examples=60, deadline=None, derandomize=True,
 NON_FINITE = re.compile(r"(?i)\b(?:nan|inf|infinity)\b")
 # the lines argparse prints before a usage error's one line
 USAGE = re.compile(r"usage: |\s")
+# Python's own messages for a value of the wrong type: a failure names the
+# input at fault instead
+PYTHON_ERROR = re.compile(r"indices must be|not iterable|not subscriptable|"
+                          r"argument must be|NoneType|has no attribute|"
+                          r"too large to convert")
 
 edge = st.sampled_from(EDGES)
 # values inside most flags' domains, so that a share of the runs succeeds
@@ -60,6 +67,7 @@ def guarded(argv: list[str], out: Path | None = None) -> int:
         assert len(named) == 1 and lines[-1] == named[0], err
         assert named[0].startswith("statarb:") or all(
             USAGE.match(ln) for ln in lines[:-1]), err
+        assert not PYTHON_ERROR.search(err), err
     if code == 0:
         texts = [stdout.getvalue()]
         if out is not None:
@@ -131,22 +139,36 @@ BONDARENKO_WEIGHTS = ((0.15, 0.2, 0.3, 0.05, 0.1, 0.2),
                       (0.15, 0.2, 0.3, 0.1, 0.05, 0.2))
 
 
+# JSON values of a shape that no part of a model takes
+MALFORMED = st.sampled_from(([1], [1, 2, 3, 4, 5, 6], 0.25, "x", None, True,
+                             {"s0": 1}, 10**400))
+
+
 @st.composite
-def model_payload(draw, kind: str, base: dict, weight_sets: tuple) -> dict:
+def model_payload(draw, kind: str, base: dict, weight_sets: tuple):
     """A model of ``kind`` at the prices ``base`` and one of
     ``weight_sets``, with its prices scaled by an edge value, or one price
-    or one weight replaced by one."""
+    or one weight replaced by one; or with the model, its prices, its
+    weights, one price or one weight replaced by a malformed value."""
     prices = dict(base)
     weights = list(draw(st.sampled_from(weight_sets)))
-    change = draw(st.sampled_from(("scale", "price", "weight")))
-    value = float(draw(edge))
+    change = draw(st.sampled_from(("scale", "price", "weight", "shape")))
+    if change == "shape":
+        value = draw(MALFORMED)
+        change = draw(st.sampled_from(("model", "prices", "weights", "price",
+                                       "weight")))
+    else:
+        value = float(draw(edge))
     if change == "scale":
         prices = {name: price * value for name, price in prices.items()}
     elif change == "price":
         prices[draw(st.sampled_from(tuple(base)))] = value
-    else:
+    elif change == "weight":
         weights[draw(st.integers(0, len(weights) - 1))] = value
-    return {"kind": kind, "prices": prices, "weights": weights}
+    payload = {"kind": kind, "prices": prices, "weights": weights}
+    if change in ("prices", "weights"):
+        payload[change] = value
+    return value if change == "model" else payload
 
 
 @GUARD
@@ -179,7 +201,7 @@ def test_backtest_fails_by_name_or_writes_finite_numbers(argv):
         guarded([*argv, "--out", str(out)], out)
 
 
-def check_model_guarded(payload: dict) -> None:
+def check_model_guarded(payload) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")

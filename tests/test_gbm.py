@@ -25,7 +25,6 @@ from statarb.gbm import (
     embedded_q,
     exit_prob_lower,
     exit_prob_upper,
-    mle_estimate,
     mle_from_returns,
 )
 from statarb.lattice import solve_binomial_sa
@@ -377,13 +376,12 @@ def test_embedded_phi_simulation_parameters():
 # ------------------------------------------------------------- estimation
 
 
-def test_mle_estimate_degenerate_series():
+def test_mle_from_returns_degenerate_series():
     with pytest.raises(DegenerateSeries):
-        mle_estimate(np.full(100, 50.0), dt=1 / 252)
+        mle_from_returns(np.diff(np.log(np.full(100, 50.0))), dt=1 / 252)
     with pytest.raises(DegenerateSeries):
-        mle_estimate(np.exp(0.001 * np.arange(100)), dt=1 / 252)
-    with pytest.raises(DegenerateSeries):
-        mle_estimate(np.linspace(100.0, 110.0, 10), dt=1 / 252)
+        mle_from_returns(np.diff(np.log(np.exp(0.001 * np.arange(100)))),
+                         dt=1 / 252)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -394,21 +392,6 @@ def test_mle_from_returns_needs_two_returns(n):
         with pytest.raises(DegenerateSeries,
                            match="^need at least 2 returns$"):
             mle_from_returns(np.full(n, 0.01), 1 / 252)
-
-
-@pytest.mark.parametrize("dt", [0.0, -1 / 252, math.nan])
-def test_mle_estimate_rejects_a_dt_that_is_not_positive(dt):
-    closes = 50.0 + np.sin(np.arange(40.0))
-    with pytest.raises(ValueError, match="^dt must be positive$"):
-        mle_estimate(closes, dt)
-
-
-@pytest.mark.parametrize("bad", [0.0, -50.0])
-def test_mle_estimate_rejects_prices_that_are_not_positive(bad):
-    closes = 50.0 + np.sin(np.arange(40.0))
-    closes[7] = bad
-    with pytest.raises(ValueError, match="^prices must be positive$"):
-        mle_estimate(closes, 1 / 252)
 
 
 @st.composite
@@ -446,29 +429,7 @@ def test_mle_from_returns_equals_np_var_and_np_mean(r, dt):
             reference_mle_from_returns, r, dt)
 
 
-def test_mle_estimate_rejects_a_2d_array():
-    closes = 50 + np.sin(np.arange(100.0)).reshape(10, 10)
-    with pytest.raises(ValueError, match="^closes must be 1-d$"):
-        mle_estimate(closes, 1 / 252)
-
-
-def test_mle_estimate_rejects_nan_prices():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^prices must be finite$"):
-            mle_estimate(np.array([1.0, np.nan] * 20), 1 / 252)
-
-
-def test_mle_estimate_rejects_inf_prices():
-    closes = 50.0 + np.sin(np.arange(40.0))
-    closes[-1] = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^prices must be finite$"):
-            mle_estimate(closes, 1 / 252)
-
-
-def test_mle_estimate_recovers_gbm_parameters():
+def test_mle_from_returns_recovers_gbm_parameters():
     mu, sigma, dt = 0.1, 0.2, 1 / 252
     n = 3 * 252
     horizon = n * dt
@@ -480,7 +441,7 @@ def test_mle_estimate_recovers_gbm_parameters():
     for _ in range(100):
         r = rng.normal((mu - sigma**2 / 2) * dt, sigma * math.sqrt(dt), n)
         closes = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(r))))
-        mu_hat, sigma_hat = mle_estimate(closes, dt)
+        mu_hat, sigma_hat = mle_from_returns(np.diff(np.log(closes)), dt)
         mu_errs.append(mu_hat - mu)
         sigma_errs.append(sigma_hat - sigma)
         mu_hits += abs(mu_hat - mu) <= 3 * mu_se
@@ -511,7 +472,6 @@ def test_gbm_params_accepts_numpy_integer_steps():
 def test_gbm_params_validation_and_accessors():
     p = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
                   n_steps=1000)
-    assert p.eta == pytest.approx(0.1241 / 0.0837)
     assert p.dt == pytest.approx(0.001)
     for bad in [dict(sigma=0.0), dict(s0=-1.0), dict(horizon=0.0),
                 dict(n_steps=0)]:

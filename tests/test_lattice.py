@@ -363,8 +363,14 @@ def test_solver_homogeneity():
 @pytest.mark.parametrize("field, value, message", [
     ("s2_circ", 12.5, "need s2_circ > s2_uu > s2_ud > s2_dd > 0"),
     ("s1_up", 9.0, "need s1_up > s0 > s1_down"),
+    # the equality boundaries of the strict orders (s0 = 10, s1_up = 12,
+    # s1_down = 8)
+    ("s1_up", 10.0, "need s1_up > s0 > s1_down"),
+    ("s1_down", 10.0, "need s1_up > s0 > s1_down"),
     ("s1_up", 13.5, "need s2_uu > s1_up"),
     ("s2_ud", 7.0, "need s1_down < s2_ud < s1_up"),
+    ("s2_ud", 12.0, "need s1_down < s2_ud < s1_up"),
+    ("s2_ud", 8.0, "need s1_down < s2_ud < s1_up"),
     ("s2_dd", 9.0, "need s2_dd < s1_down"),
 ])
 def test_trinomial_top_model_rejects_misordered_prices(field, value,
@@ -374,9 +380,13 @@ def test_trinomial_top_model_rejects_misordered_prices(field, value,
 
 
 def test_trinomial_nsa_rejects_a_vanishing_increment():
-    m = counterexample_trinomial()._replace(s2_dd=8.0 - 1e-12)
-    with pytest.raises(DegenerateModel, match=r"^ds2\(dd\) vanishes$"):
-        trinomial_nsa(m)
+    # s1_up = 12 and s1_down = 8: each guard names its own increment
+    for change, name in (({"s2_dd": 8.0 - 1e-12}, "dd"),
+                         ({"s2_uu": 12.0 + 1e-12}, "uu")):
+        m = counterexample_trinomial()._replace(**change)
+        with pytest.raises(DegenerateModel,
+                           match=rf"^ds2\({name}\) vanishes$"):
+            trinomial_nsa(m)
 
 
 def test_trinomial_nsa_fixture():
