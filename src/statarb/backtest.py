@@ -263,8 +263,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig, *,
     Each cycle uses only observations strictly before its start for the
     (mu, sigma) estimate, from which cycle_plan plans the cycle.
     The log-returns are computed once for the whole series, and each
-    window's estimate is mle_from_returns on its slice of them, bit for bit
-    mle_from_returns(np.diff(np.log(window)), DT) on the window's closes.
+    window's estimate is mle_from_returns on its slice of them, which
+    equals mle_from_returns(np.diff(np.log(window)), DT) bit for bit.
     A window whose estimate or solve raises one of SKIP_REASONS (zero
     return variance, q = 1, collapsed levels) is skipped by one observation
     and counted in `skipped` under that reason; DegenerateSeries is raised

@@ -214,7 +214,8 @@ def _fmt(value: float) -> str:
 def cmd_check_model(args: argparse.Namespace) -> int:
     try:
         model = _load_model(args.model)
-    except (OSError, KeyError, TypeError, ValueError, StatarbError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError,
+            StatarbError) as exc:  # RecursionError: deeply nested JSON
         print(f"statarb: cannot load model {args.model!r}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE

@@ -119,6 +119,8 @@ def test_check_model_json_trinomial_not_certified(tmp_path, capsys):
                 "prices": {"s0": 100, "s_up": 105, "s_down": 95,
                            "s_uu": 110, "s_ud": 100, "s_dd": 90},
                 "weights": [0.5, 0.5]}),
+    # json.loads recurses once per level; this used to end in a traceback
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
 ])
 def test_check_model_bad_files_exit_1(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"

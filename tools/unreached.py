@@ -16,10 +16,12 @@ defined in ``src/statarb`` that none of the calls entered:
 - ``check-model`` on both fixtures.
 
 Simulations and sweeps run 50 runs of 200 steps, and every command that
-takes ``--out`` writes it.  A definition is matched
-by its file and first line; a decorated function's code object starts at
-its first decorator.  Run it in a fresh process: an ``lru_cache``d
-function that an earlier call in the same process filled is not entered.
+takes ``--out`` writes it.  A call that fails stops the tool with its
+output, since a failed call enters less code than the matrix should.  A
+definition is matched by its file and first line; a decorated function's
+code object starts at its first decorator.  Run it in a fresh process: an
+``lru_cache``d function that an earlier call in the same process filled
+is not entered.
 """
 from __future__ import annotations
 
@@ -93,18 +95,18 @@ def entered() -> set[tuple[str, int]]:
             code = frame.f_code
             seen.add((code.co_filename, code.co_firstlineno))
 
-    sink = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for argv in calls(Path(tmp) / "out.csv"):
+            sink = io.StringIO()
             with contextlib.redirect_stdout(sink), \
                     contextlib.redirect_stderr(sink):
                 sys.setprofile(profile)
                 try:
-                    cli.main(argv)
+                    code = cli.main(argv)
                 finally:
                     sys.setprofile(None)
-            sink.seek(0)
-            sink.truncate()
+            if code not in (0, 2):  # 2: check-model sec34 finds SaExists
+                sys.exit(f"{argv} exited {code}:\n{sink.getvalue()}")
     return seen
 
 
