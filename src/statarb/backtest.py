@@ -165,7 +165,8 @@ def load_csv(source: str | Path | IO[str]) -> MarketSeries:
     the line loop that raises every error naming a data line, any other.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a UTF-8 byte-order mark before the first line is skipped
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_csv(fh)
     for lineno, raw in enumerate(iter(source.readline, ""), start=1):
         if (line := raw.strip()) and line[0] != "#":

@@ -181,6 +181,13 @@ def _part(value, kind: type, name: str, shape: str):
     return value
 
 
+def _key(obj: dict, key: str, name: str):
+    """obj[key]; else ValueError naming the part and the missing key."""
+    if key not in obj:
+        raise ValueError(f"{name} has no key {key}")
+    return obj[key]
+
+
 def _load_model(source: str):
     if source in FIXTURES:
         return FIXTURES[source]()
@@ -190,18 +197,19 @@ def _load_model(source: str):
     payload = _part(json.loads(Path(source).read_text(encoding="utf-8"),
                                parse_int=float), dict, "the model",
                     "an object with keys kind, prices and weights")
-    kind = payload["kind"]
+    kind = _key(payload, "kind", "the model")
     # == so that an unhashable kind is unknown; price keys: fields before p
     model = (TwoPeriodBinomial if kind == "binomial" else
              TrinomialTopModel if kind == "trinomial" else None)
     if model is None:
         raise ValueError(f"unknown model kind {kind!r}")
     keys = model._fields[:-1]
-    prices = _part(payload["prices"], dict, "prices",
+    prices = _part(_key(payload, "prices", "the model"), dict, "prices",
                    f"an object of numbers with keys {', '.join(keys)}")
-    weights = _part(payload["weights"], list, "weights",
+    weights = _part(_key(payload, "weights", "the model"), list, "weights",
                     f"an array of {model.n_paths} numbers")
-    return model(*(_part(prices[k], float, f"prices.{k}", "a number")
+    return model(*(_part(_key(prices, k, "prices"), float, f"prices.{k}",
+                         "a number")
                    for k in keys),
                  [_part(w, float, f"weights[{i}]", "a number")
                   for i, w in enumerate(weights)])
@@ -214,7 +222,7 @@ def _fmt(value: float) -> str:
 def cmd_check_model(args: argparse.Namespace) -> int:
     try:
         model = _load_model(args.model)
-    except (OSError, KeyError, TypeError, ValueError, RecursionError,
+    except (OSError, TypeError, ValueError, RecursionError,
             StatarbError) as exc:  # RecursionError: deeply nested JSON
         print(f"statarb: cannot load model {args.model!r}: {exc}",
               file=sys.stderr)
@@ -300,14 +308,16 @@ def _report_runs(row: SweepRow, cell: str = "") -> None:
     print(f"statarb: repetitions: {cell}{counts}", file=sys.stderr)
 
 
-def _publish(text: str, out: Path | None,
+def _publish(write: Callable[[IO[str]], object], out: Path | None,
              dump: Callable[[IO[str]], object]) -> None:
-    """Write --out with ``dump`` first, so that a failed write prints
-    nothing, then ``text`` to stdout; diagnostics go to stderr."""
+    """Buffer ``write``'s stdout table, write --out with ``dump``, so that a
+    failed write prints nothing, then the table; diagnostics go to stderr."""
+    buf = io.StringIO()
+    write(buf)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             dump(fh)
-    sys.stdout.write(text)
+    sys.stdout.write(buf.getvalue())
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -319,16 +329,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     meta = _metadata(config)
     c = config.strategy.resolved_c(args.mu, args.sigma)
     row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
-    buf = io.StringIO()
-    dump_sweep_csv([row], buf, metadata=meta)
-    _publish(buf.getvalue(), args.out,
+    _publish(lambda fh: dump_sweep_csv([row], fh, metadata=meta), args.out,
              lambda fh: dump_runs_csv(result, fh, metadata=meta))
     _report_runs(row)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import SweepAxis, dump_sweep_csv, sweep
+    from .harness import dump_sweep_csv, sweep
 
     try:
         values = tuple(float(v) for v in args.values.split(","))
@@ -337,11 +345,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     config = _experiment_config(args)
-    rows = sweep(config, SweepAxis(args.axis, values))
-    buf = io.StringIO()
-    dump_sweep_csv(rows, buf, metadata=_metadata(config))
-    table = buf.getvalue()
-    _publish(table, args.out, lambda fh: fh.write(table))
+    rows = sweep(config, args.axis, values)
+    table = functools.partial(dump_sweep_csv, rows, metadata=_metadata(config))
+    _publish(table, args.out, table)
     for row in rows:
         _report_runs(row, f"{args.axis}={row.param!r} ")
     return EXIT_OK
@@ -364,10 +370,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         "boundary": repr(float(args.boundary)),
         "execution_mode": "observed",
     }
-    buf = io.StringIO()
-    dump_summary_json(result, buf, metadata=meta)
-    _publish(buf.getvalue(), args.out,
-             lambda fh: dump_cycles_csv(result, fh, metadata=meta))
+    _publish(lambda fh: dump_summary_json(result, fh, metadata=meta),
+             args.out, lambda fh: dump_cycles_csv(result, fh, metadata=meta))
     skipped = " ".join(f"{k}={v}" for k, v in result.skipped.items())
     print(f"statarb: skipped windows: {skipped}", file=sys.stderr)
     print(f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}",

@@ -6,8 +6,8 @@ strategy, and maximum-likelihood drift/volatility estimation.
 
 Each closed form is written once: _exit_prob is the exit-probability
 formula that exit_prob_lower, exit_prob_upper and embedded_q's four
-probabilities evaluate, and embedded_phi itself raises DegenerateModel for
-a step whose cube leaves float range, as the trend solve does.
+probabilities evaluate; embedded_phi, like the trend solve, raises
+DegenerateModel for collapsed grid levels and a cube out of float range.
 """
 from __future__ import annotations
 
@@ -222,6 +222,12 @@ def embedded_q(c: float, mu: float, sigma: float) -> float:
     return q
 
 
+def _collapsed(c: float, anchor: float) -> DegenerateModel:
+    """The error of grid levels a(1 + k*c) that are not distinct floats."""
+    return DegenerateModel(f"grid levels collapse at c={c!r}, "
+                           f"anchor={anchor!r}")
+
+
 def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
     """Closed-form zero-cost strategy for the embedded binomial model.
 
@@ -231,15 +237,20 @@ def embedded_phi(c: float, s0_anchor: float, q: float) -> StrategyVector:
         phi1 = (2+q)(c s0)^2 / D,  phi2+ = (q-4)(c s0)^2 / D,
         phi2- = -3q(c s0)^2 / D,   D = 2(q-1)(c s0)^3.
 
-    Raises NoSaExists when q is (numerically) 1, where no such strategy
-    exists, and DegenerateModel, naming s0 and c, when (c s0)^3 underflows
-    to 0 or overflows; a c outside (0, 1/2) or an anchor s0 <= 0 raises
-    ValueError.
+    Raises, in this order: ValueError for a c outside (0, 1/2) or an
+    anchor s0 <= 0; DegenerateModel naming c and the anchor for levels
+    s0(1-2c) < s0(1-c) < s0 < s0(1+c) < s0(1+2c) that are not distinct
+    floats; NoSaExists when q is (numerically) 1, where no such strategy
+    exists; DegenerateModel naming s0 and c when (c s0)^3 underflows to 0
+    or overflows.
     """
     if not (0 < c < 0.5):
         raise ValueError("c must lie in (0, 1/2)")
     if not (s0_anchor > 0):
         raise ValueError("s0_anchor must be positive")
+    if not (s0_anchor * (1 - 2 * c) < s0_anchor * (1 - c) < s0_anchor
+            < s0_anchor * (1 + c) < s0_anchor * (1 + 2 * c)):
+        raise _collapsed(c, s0_anchor)
     if abs(q - 1.0) <= EPS_TOL:
         raise NoSaExists(f"embedded model admits no strategy at q={q!r}")
     step = c * s0_anchor

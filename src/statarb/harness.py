@@ -39,7 +39,6 @@ from .strategies import RunResult, StrategyConfig, cycle_plan, run_seeded
 __all__ = [
     "SWEEP_AXES",
     "MIN_STEP_RATIO",
-    "SweepAxis",
     "ExperimentConfig",
     "MetricsSummary",
     "ExperimentResult",
@@ -59,13 +58,6 @@ __all__ = [
 # past 1.2 GB.  The smallest ratio of any golden or acceptance experiment is
 # 0.32, and the eta sweep golden runs at 0.43.
 MIN_STEP_RATIO = 0.01
-
-
-class SweepAxis(NamedTuple):
-    """A sweep axis: parameter name and the values to visit, in order."""
-
-    name: str
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -135,17 +127,17 @@ class SweepRow(NamedTuple):
 
 def metrics(pnl: Sequence[float], trades: Sequence[int],
             n: Sequence[int]) -> MetricsSummary:
-    """Summarize equal-length per-run samples of P&L, trades and cycles.
+    """Summarize equal-length per-run samples of P&L, trades and cycles;
+    of the trades only the length is read.
 
     median is the lower-median order statistic; var95 is minus the order
     statistic at 1-based index ceil(0.05 * len) of the sorted P&L.
     """
     pnl = np.asarray(pnl, dtype=float)
-    trades = np.asarray(trades, dtype=float)
     n = np.asarray(n, dtype=float)
     if pnl.size == 0:
         raise EmptySample("metrics need at least one run")
-    if not pnl.size == trades.size == n.size:
+    if not pnl.size == len(trades) == n.size:
         raise ValueError("pnl, trades and n must have equal lengths")
 
     ordered = np.sort(pnl)
@@ -230,20 +222,27 @@ def _apply_axis(config: ExperimentConfig, name: str,
         if params.mu == 0 or (value > 0) != (params.mu > 0):
             raise ValueError(f"eta={value!r} must have the sign of "
                              f"mu={params.mu!r}")
-        params = replace(params, sigma=params.mu / float(value))
+        sigma = params.mu / float(value)
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"eta={value!r} gives sigma = mu / eta = "
+                             f"{sigma!r}, not a finite positive float, at "
+                             f"mu={params.mu!r}")
+        params = replace(params, sigma=sigma)
     return replace(config, params=params, strategy=strategy)
 
 
-def sweep(config: ExperimentConfig, axis: SweepAxis) -> list[SweepRow]:
-    """Run one experiment per axis value, salting seeds by axis position."""
-    if axis.name not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis.name!r}; "
+def sweep(config: ExperimentConfig, name: str,
+          values: Sequence[float]) -> list[SweepRow]:
+    """Run one experiment per value of the parameter ``name``, one of
+    SWEEP_AXES, in order, salting seeds by the value's position."""
+    if name not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {name!r}; "
                          f"expected one of {SWEEP_AXES}")
-    if not axis.values:
+    if not values:
         raise ValueError("sweep axis needs at least one value")
     rows = []
-    for j, value in enumerate(axis.values):
-        cell = _apply_axis(config, axis.name, value)
+    for j, value in enumerate(values):
+        cell = _apply_axis(config, name, value)
         result = run_experiment(cell, axis_index=j)
         rows.append(SweepRow(param=float(value), summary=result.summary,
                              ended_by=result.ended_by,

@@ -16,7 +16,7 @@ a third leg after the up leg in the positive orientation and after the
 down leg in the negative one.  The paper's follow-the-trend and
 dichotomy strategies coincide on this grid, where the reversal level is
 the anchor, so both are the one "trend" kind.  The positions at an anchor
-are solved by embedded_positions (embedded_phi) and trend_positions
+are solved by gbm.embedded_phi and trend_positions
 (scenarios.solve_three_leg on the grid's increments).  cycle_plan forms
 q = embedded_q(c, mu, sigma), its one call, and returns it with a cycle's
 solve, table and orientation; _plan resolves a config's c for it, caching
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import paths
 from .errors import DegenerateModel
-from .gbm import GbmParams, embedded_phi, embedded_q
+from .gbm import GbmParams, _collapsed, embedded_phi, embedded_q
 from .lattice import KINDS, MODES, StrategyVector
 from .paths import (
     PathBlock,
@@ -72,7 +72,6 @@ __all__ = [
     "Leg",
     "leg_table",
     "cycle_plan",
-    "embedded_positions",
     "trend_positions",
     "run_cycle",
     "run_path",
@@ -182,22 +181,6 @@ def leg_table(c: float, kind: str, positive: bool = True) -> tuple[Leg, ...]:
     return first, up, down._replace(on_lo=3), trend
 
 
-def _collapsed(c: float, anchor: float) -> DegenerateModel:
-    return DegenerateModel(f"grid levels collapse at c={c!r}, "
-                           f"anchor={anchor!r}")
-
-
-def embedded_positions(anchor: float, c: float, q: float) -> StrategyVector:
-    """The positions of an embedded cycle at ``anchor``: embedded_phi,
-    which raises DegenerateModel for a step c*a whose cube underflows to 0
-    or overflows.  Grid levels a(1-2c) < a(1-c) < a < a(1+c) < a(1+2c)
-    that are not strictly increasing floats raise DegenerateModel too."""
-    if not (anchor * (1 - 2 * c) < anchor * (1 - c) < anchor
-            < anchor * (1 + c) < anchor * (1 + 2 * c)):
-        raise _collapsed(c, anchor)
-    return embedded_phi(c, anchor, q)
-
-
 def trend_positions(anchor: float, c: float, q: float, alpha: float,
                     positive: bool) -> StrategyVector:
     """The positions of a trend cycle at ``anchor``: solve_three_leg's on
@@ -232,7 +215,7 @@ def cycle_plan(c: float, mu: float, sigma: float, kind: str, alpha: float,
     it is the embedded cycle."""
     q = embedded_q(c, mu, sigma)
     if kind == "embedded" or alpha == 1.0:
-        return (lambda anchor: embedded_positions(anchor, c, q),
+        return (lambda anchor: embedded_phi(c, anchor, q),
                 leg_table(c, "embedded"), "positive", q)
     positive = mu >= 0
     return (lambda anchor: trend_positions(anchor, c, q, alpha, positive),

@@ -40,7 +40,6 @@ from statarb.gbm import GbmParams, embedded_phi, embedded_q, exit_prob_lower
 from statarb.harness import (
     ExperimentConfig,
     ExperimentResult,
-    SweepAxis,
     run_experiment,
     sweep,
 )
@@ -400,8 +399,8 @@ def test_criterion_06_headline_table_observed_companion():
 # --------------------------------------------- 7: sweep monotonicity
 
 
-def seed_averaged_sweep(params: GbmParams, axis: SweepAxis,
-                        metric) -> list[float]:
+def seed_averaged_sweep(params: GbmParams, name: str,
+                        values: tuple[float, ...], metric) -> list[float]:
     """Column of `metric` per axis value, averaged over master seeds 0-2
     (the gain distributions are heavy-tailed, so a single 1e4-run sample
     of the middle eta cells is noise-dominated)."""
@@ -410,21 +409,21 @@ def seed_averaged_sweep(params: GbmParams, axis: SweepAxis,
     for seed in (0, 1, 2):
         rows = sweep(ExperimentConfig(params=params, strategy=strategy,
                                       n_runs=10_000, master_seed=seed),
-                     axis)
+                     name, values)
         per_seed.append([metric(r.summary) for r in rows])
     return [float(np.mean(col)) for col in zip(*per_seed)]
 
 
 def test_criterion_07_sweep_monotonicity():
     loss_means = seed_averaged_sweep(
-        TABLE_PARAMS, SweepAxis("c_mult", (0.005, 0.01, 0.02, 0.04)),
+        TABLE_PARAMS, "c_mult", (0.005, 0.01, 0.02, 0.04),
         lambda s: abs(s.loss_mean))
     assert all(a > b for a, b in zip(loss_means, loss_means[1:])), loss_means
 
     eta_params = GbmParams(mu=0.1, sigma=0.1, s0=2186.0, horizon=1.0,
                            n_steps=1000)
     gains = seed_averaged_sweep(
-        eta_params, SweepAxis("eta", (0.5, 0.75, 1.0, 1.25, 2.0)),
+        eta_params, "eta", (0.5, 0.75, 1.0, 1.25, 2.0),
         lambda s: s.mean_gain)
     assert all(a > b for a, b in zip(gains, gains[1:])), gains
     report(7, True, f"|loss_mean| over c_mult: "

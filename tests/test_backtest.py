@@ -35,9 +35,9 @@ from statarb.errors import (
     NonMonotoneDates,
     ParseError,
 )
-from statarb.gbm import GbmParams, embedded_q, mle_from_returns
+from statarb.gbm import GbmParams, embedded_phi, embedded_q, mle_from_returns
 from statarb.paths import TradeLedger, simulate_gbm
-from statarb.strategies import embedded_positions, leg_table, run_cycle
+from statarb.strategies import leg_table, run_cycle
 
 START = datetime.date(2000, 1, 3)
 DATA = Path(__file__).resolve().parent / "data"
@@ -155,6 +155,19 @@ def test_load_csv_from_path(tmp_path):
     target.write_text("date,close\n2020-01-02,3.5\n")
     assert load_csv(target).n_points == 1
     assert load_csv(str(target)).n_points == 1
+
+
+@pytest.mark.parametrize("text", ["date,close\n2020-01-02,3.5\n",
+                                  "# seed=7\ndate,close\n2020-01-02,3.5\n"])
+def test_load_csv_from_path_skips_a_byte_order_mark(text, tmp_path):
+    # a UTF-8 byte-order mark before the header or a leading comment
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    got, want = load_csv(marked), load_csv(plain)
+    assert (got.dates, got.closes.tolist()) == (want.dates,
+                                                want.closes.tolist())
 
 
 # CSV texts for the parser oracle: valid rows on mostly increasing dates,
@@ -690,7 +703,7 @@ def test_alpha_one_trades_the_embedded_cycle(name, monkeypatch):
         window = series.closes[i - 756:i]
         q = embedded_q(c, *mle_from_returns(np.diff(np.log(window)), DT))
         # repr prints each float's shortest round-trip form: bit for bit
-        assert repr(psi) == repr(embedded_positions(anchor, c, q))
+        assert repr(psi) == repr(embedded_phi(c, anchor, q))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])

@@ -25,7 +25,6 @@ from statarb.harness import (
     RUNS_HEADER,
     SWEEP_HEADER,
     ExperimentConfig,
-    SweepAxis,
     run_experiment,
     sweep,
 )
@@ -139,20 +138,25 @@ TRINOMIAL_PRICES = {"s0": 10, "s1_up": 12, "s1_down": 8, "s2_circ": 14,
 @pytest.mark.parametrize("kind, prices, weights, reason", [
     # the price keys are the model's fields; the first one missing is named
     ("binomial", {k: v for k, v in BINOMIAL_PRICES.items() if k != "s_ud"},
-     [0.25] * 4, "'s_ud'"),
+     [0.25] * 4, "prices has no key s_ud"),
     ("trinomial",
      {k: v for k, v in TRINOMIAL_PRICES.items() if k != "s2_circ"},
-     [0.175, 0.2, 0.35, 0.05, 0.1, 0.125], "'s2_circ'"),
+     [0.175, 0.2, 0.35, 0.05, 0.1, 0.125], "prices has no key s2_circ"),
     # a kind that is not a string is unknown, not unhashable
     (["x"], BINOMIAL_PRICES, [0.25] * 4, "unknown model kind ['x']"),
     ({"kind": "binomial"}, BINOMIAL_PRICES, [0.25] * 4,
      "unknown model kind {'kind': 'binomial'}"),
+    # ... leaves the part out of the model
+    (..., BINOMIAL_PRICES, [0.25] * 4, "the model has no key kind"),
+    ("binomial", ..., [0.25] * 4, "the model has no key prices"),
+    ("trinomial", TRINOMIAL_PRICES, ..., "the model has no key weights"),
 ])
 def test_check_model_names_a_missing_price_or_unknown_kind(
         kind, prices, weights, reason, tmp_path, capsys):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"kind": kind, "prices": prices,
-                                "weights": weights}))
+    parts = {"kind": kind, "prices": prices, "weights": weights}
+    path.write_text(json.dumps({k: v for k, v in parts.items()
+                                if v is not ...}))
     code, out, err = run_cli(["check-model", str(path)], capsys)
     assert (code, out) == (1, "")
     assert err == f"statarb: cannot load model {str(path)!r}: {reason}\n"
@@ -579,7 +583,7 @@ def test_sweep_matches_library(capsys):
     strategy = StrategyConfig(kind="embedded", c_mult=0.01)
     rows = sweep(ExperimentConfig(params=params, strategy=strategy,
                                   n_runs=12, master_seed=7),
-                 SweepAxis("c_mult", (0.01, 0.02, 0.04)))
+                 "c_mult", (0.01, 0.02, 0.04))
     for line, row in zip(table[1:], rows):
         cells = line.split(",")
         assert float(cells[0]) == row.param
@@ -703,6 +707,11 @@ def test_sweep_zero_eta_exits_1(capsys):
     ("inf", "eta must be finite, got inf"),
     ("-1", "eta=-1.0 must have the sign of mu=0.0"),
     ("1", "eta=1.0 must have the sign of mu=0.0"),
+    # sigma = mu / eta overflows or underflows: eta is named, not sigma
+    ("1e-320", "eta=1e-320 gives sigma = mu / eta = inf, not a finite "
+               "positive float, at mu=0.1241"),
+    ("1e300", "eta=1e+300 gives sigma = mu / eta = 0.0, not a finite "
+              "positive float, at mu=1e-300"),
 ])
 def test_sweep_bad_eta_exits_1(value, message, capsys):
     # no eta has the sign of a zero drift; the sweep runs at the mu its

@@ -366,6 +366,22 @@ def test_embedded_phi_names_s0_and_c_when_the_cube_leaves_float_range():
         embedded_phi(0.05, 1e110, 1.2)
 
 
+def test_embedded_phi_names_collapsed_levels_before_q_and_the_cube():
+    # at the CLI's default c every level s0 * (1 + k*c) of s0 = 5e-324 is 0
+    # or 5e-324, and (c*s0)^3 underflows: the collapse is named, as
+    # `statarb simulate --s0 5e-324` names it, after the c and anchor checks
+    # and ahead of the q check
+    c = 0.01 * 0.1241 / 0.0837
+    for q in (1.2, 1.0):
+        with pytest.raises(DegenerateModel, match="^" + re.escape(
+                f"grid levels collapse at c={c!r}, anchor=5e-324") + "$"):
+            embedded_phi(c, 5e-324, q)
+    with pytest.raises(ValueError, match="^c must lie"):
+        embedded_phi(0.5, 5e-324, 1.0)
+    with pytest.raises(ValueError, match="^s0_anchor must be positive$"):
+        embedded_phi(c, -5e-324, 1.0)
+
+
 def test_embedded_phi_simulation_parameters():
     phi = embedded_phi(0.0148268, 2186.0, 1.00189)
     assert phi.phi1 > 0

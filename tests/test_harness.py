@@ -19,7 +19,6 @@ from statarb.harness import (
     SWEEP_HEADER,
     ExperimentConfig,
     MetricsSummary,
-    SweepAxis,
     dump_runs_csv,
     dump_sweep_csv,
     metrics,
@@ -361,13 +360,13 @@ def test_run_experiment_counts_how_runs_ended_and_their_cycles(kind, mode):
 
 def test_sweep_axis_validation():
     with pytest.raises(ValueError, match="unknown sweep axis 'volatility'"):
-        sweep(small_config(), SweepAxis("volatility", (0.1,)))
+        sweep(small_config(), "volatility", (0.1,))
     with pytest.raises(ValueError, match="needs at least one value"):
-        sweep(small_config(), SweepAxis("c", ()))
+        sweep(small_config(), "c", ())
 
 
 def test_single_value_sweep_equals_run_experiment():
-    rows = sweep(small_config(), SweepAxis("c_mult", (0.01,)))
+    rows = sweep(small_config(), "c_mult", (0.01,))
     assert len(rows) == 1
     assert rows[0].param == 0.01
     assert rows[0].summary == run_experiment(small_config()).summary
@@ -376,8 +375,8 @@ def test_single_value_sweep_equals_run_experiment():
 def test_sweep_c_and_c_mult_axes_agree():
     c_mult = 0.01
     c_value = c_mult * PARAMS.mu / PARAMS.sigma
-    by_mult = sweep(small_config(), SweepAxis("c_mult", (c_mult,)))
-    by_c = sweep(small_config(), SweepAxis("c", (c_value,)))
+    by_mult = sweep(small_config(), "c_mult", (c_mult,))
+    by_c = sweep(small_config(), "c", (c_value,))
     assert by_mult[0].summary == by_c[0].summary
 
 
@@ -385,7 +384,7 @@ def test_sweep_eta_axis_fixes_drift_and_scales_volatility():
     params = GbmParams(mu=0.1, sigma=0.25, s0=100.0, horizon=1.0,
                        n_steps=200)
     eta = 1.25
-    rows = sweep(small_config(params=params), SweepAxis("eta", (eta,)))
+    rows = sweep(small_config(params=params), "eta", (eta,))
     direct = run_experiment(small_config(
         params=GbmParams(mu=0.1, sigma=0.1 / eta, s0=100.0, horizon=1.0,
                          n_steps=200)))
@@ -393,9 +392,9 @@ def test_sweep_eta_axis_fixes_drift_and_scales_volatility():
 
 
 def test_sweep_mu_and_sigma_axes():
-    rows = sweep(small_config(), SweepAxis("mu", (0.05, 0.1)))
+    rows = sweep(small_config(), "mu", (0.05, 0.1))
     assert [r.param for r in rows] == [0.05, 0.1]
-    rows = sweep(small_config(), SweepAxis("sigma", (0.1,)))
+    rows = sweep(small_config(), "sigma", (0.1,))
     direct = run_experiment(small_config(
         params=GbmParams(mu=PARAMS.mu, sigma=0.1, s0=2186.0, horizon=1.0,
                          n_steps=200)))
@@ -404,7 +403,7 @@ def test_sweep_mu_and_sigma_axes():
 
 def test_sweep_cells_use_independent_seeds():
     # same value twice: axis-index salt must make the cells differ
-    rows = sweep(small_config(), SweepAxis("c_mult", (0.01, 0.01)))
+    rows = sweep(small_config(), "c_mult", (0.01, 0.01))
     assert rows[0].summary != rows[1].summary
 
 
@@ -430,7 +429,7 @@ def test_dump_runs_csv_round_trip():
 
 
 def test_dump_sweep_csv():
-    rows = sweep(small_config(n_runs=15), SweepAxis("c_mult", (0.01, 0.02)))
+    rows = sweep(small_config(n_runs=15), "c_mult", (0.01, 0.02))
     buf = io.StringIO()
     dump_sweep_csv(rows, buf, metadata={"version": "0.1.0"})
     lines = buf.getvalue().splitlines()
@@ -445,7 +444,7 @@ def test_dump_sweep_csv():
 
 def test_identical_invocations_byte_identical_outputs():
     def render() -> str:
-        rows = sweep(small_config(n_runs=10), SweepAxis("c_mult", (0.01,)))
+        rows = sweep(small_config(n_runs=10), "c_mult", (0.01,))
         buf = io.StringIO()
         dump_sweep_csv(rows, buf, metadata={"seed": "7"})
         return buf.getvalue()

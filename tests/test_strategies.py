@@ -29,7 +29,6 @@ from statarb.strategies import (
     CycleRecord,
     RunResult,
     StrategyConfig,
-    embedded_positions,
     leg_table,
     run_path,
     run_seeded,
@@ -239,7 +238,7 @@ def test_run_cycle_ends_flat(mode):
     # point and returns None
     snap = mode == "snap"
     legs = leg_table(C, "embedded")
-    psi = embedded_positions(A, C, Q)
+    psi = embedded_phi(C, A, Q)
     stops = make_path([A, 107.0, 112.0, 101.0])
     led = TradeLedger()
     assert strategies.run_cycle(stops, 0, A, snap, led, legs, psi) \
@@ -438,7 +437,7 @@ def test_collapsed_embedded_grid_raises_at_every_cycle(monkeypatch):
     for _ in range(2):
         with pytest.raises(DegenerateModel,
                            match=f"c={c!r}.*anchor={anchor!r}"):
-            embedded_positions(anchor, c, 1.2)
+            embedded_phi(c, anchor, 1.2)
         for solve in solves:
             with pytest.raises(DegenerateModel,
                                match=f"c={c!r}.*anchor={anchor!r}"):
