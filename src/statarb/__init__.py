@@ -2,8 +2,10 @@
 
 Subpackage map:
 
-* ``lattice`` -- the two-period lattice models, their no-arbitrage
-  certificates and the binomial strategy solve: what ``check-model`` runs.
+* ``lattice`` -- the two-period binomial model, its no-arbitrage
+  certificate and strategy solve: what ``check-model`` runs on a binomial.
+* ``trinomial`` -- the trinomial-top counterexample and its certificates,
+  loaded by ``check-model`` only for a trinomial model.
 * ``scenarios`` -- scenario partitions and gains on them, the three-period
   trend lattice and its three-leg strategy solvers.
 * ``gbm`` -- geometric-Brownian-motion closed forms (exit probabilities,
@@ -15,13 +17,15 @@ Subpackage map:
 * ``seeding`` -- per-run random streams derived in batches (imported by
   ``harness`` on first use, as it loads ``numpy.random``).
 * ``backtest`` -- rolling-window walk-forward backtests on market CSVs.
-* ``cli`` -- the ``statarb`` command-line front end.
+* ``cli`` -- the ``statarb`` command-line front end and ``check-model``.
+* ``commands`` -- the ``simulate``, ``sweep`` and ``backtest`` commands,
+  which ``cli`` imports when one of them starts.
 
 Each submodule loads on first access (``statarb.harness``, ``from statarb
 import harness``), so importing the package, or ``lattice``,
-``scenarios`` and ``cli``, does not import numpy; the modules that compute
-on arrays do.  The error classes and ``__version__`` load with the
-package.
+``trinomial``, ``scenarios``, ``cli`` and ``commands``, does not import
+numpy; the modules that compute on arrays do.  The error classes and
+``__version__`` load with the package.
 """
 from __future__ import annotations
 
@@ -44,8 +48,9 @@ from .errors import (
     StatarbError,
 )
 
-_SUBMODULES = frozenset({"backtest", "cli", "gbm", "harness", "lattice",
-                         "paths", "scenarios", "seeding", "strategies"})
+_SUBMODULES = frozenset({"backtest", "cli", "commands", "gbm", "harness",
+                         "lattice", "paths", "scenarios", "seeding",
+                         "strategies", "trinomial"})
 
 
 def __getattr__(name: str):

@@ -3,21 +3,18 @@
 Exit codes: 0 success / NsaCertified, 1 usage or parse failure, 2 SaExists,
 3 NotCertified, 4 every run skipped.  Only ``errors`` and ``lattice`` load
 with this module, so `check-model` on a binomial, `--help`, `--version` and
-usage errors run without numpy; `simulate`, `sweep` and `backtest` import
-the modules they run (and numpy with them) when they start.  When `--seed`
-is absent the STATARB_SEED environment variable is consulted, then 0.
-Identical invocations produce byte-identical outputs: metadata headers carry
-the version, seed, quantile method and execution mode — never timestamps.
+usage errors run without numpy.  A trinomial model loads ``trinomial``, and
+`simulate`, `sweep` and `backtest` load ``commands``, which imports the
+modules they run (and numpy with them).  Identical invocations produce
+byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import io
-import os
 import sys
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import __version__
 from .errors import AllRunsSkipped, NoSolution, StatarbError
@@ -25,16 +22,10 @@ from .lattice import (
     KINDS,
     MODES,
     SWEEP_AXES,
-    TrinomialTopModel,
     TwoPeriodBinomial,
-    counterexample_pid_check,
     nsa_binomial,
     solve_binomial_sa,
-    trinomial_nsa,
 )
-
-if TYPE_CHECKING:
-    from .harness import ExperimentConfig, SweepRow
 
 __all__ = ["main", "build_parser"]
 
@@ -44,22 +35,46 @@ EXIT_SA_EXISTS = 2
 EXIT_NOT_CERTIFIED = 3
 EXIT_ALL_SKIPPED = 4
 
-QUANTILE_METHOD = "order-statistic"
+
+def _bondarenko_counterexample():
+    from .trinomial import TrinomialTopModel
+
+    return TrinomialTopModel(10.0, 12.0, 8.0, 14.0, 13.0, 10.0, 6.0,
+                             (0.15, 0.2, 0.3, 0.05, 0.1, 0.2))
+
 
 # builtin fixtures for `check-model`
 FIXTURES: dict[str, Callable] = {
     "sec34": lambda: TwoPeriodBinomial(
         100.0, 105.0, 95.0, 110.0, 100.0, 90.0,
         (0.225, 0.3, 0.25, 0.225)),
-    "bondarenko-counterexample": lambda: TrinomialTopModel(
-        10.0, 12.0, 8.0, 14.0, 13.0, 10.0, 6.0,
-        (0.15, 0.2, 0.3, 0.05, 0.1, 0.2)),
+    "bondarenko-counterexample": _bondarenko_counterexample,
 }
+
+
+class _NegativeNumber:
+    """argparse's test of whether an argument that starts with '-' is a
+    negative number, and so a flag's value rather than an option: any text
+    that float() reads, where argparse's own pattern takes only -1 and -1.5
+    forms and so reads -1e-3 as an unknown option."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2; this CLI reserves 2 for
-    SaExists, so usage failures exit 1 instead."""
+    SaExists, so usage failures exit 1 instead.  Subparsers are built by
+    this class too, so each takes negative numbers in every float form."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message: str):  # noqa: A003 - argparse hook
         self.print_usage(sys.stderr)
@@ -199,9 +214,11 @@ def _load_model(source: str):
                     "an object with keys kind, prices and weights")
     kind = _key(payload, "kind", "the model")
     # == so that an unhashable kind is unknown; price keys: fields before p
-    model = (TwoPeriodBinomial if kind == "binomial" else
-             TrinomialTopModel if kind == "trinomial" else None)
-    if model is None:
+    if kind == "binomial":
+        model = TwoPeriodBinomial
+    elif kind == "trinomial":
+        from .trinomial import TrinomialTopModel as model
+    else:
         raise ValueError(f"unknown model kind {kind!r}")
     keys = model._fields[:-1]
     prices = _part(_key(payload, "prices", "the model"), dict, "prices",
@@ -228,7 +245,12 @@ def cmd_check_model(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     binomial = isinstance(model, TwoPeriodBinomial)
-    cert = (nsa_binomial if binomial else trinomial_nsa)(model)
+    if binomial:
+        cert = nsa_binomial(model)
+    else:
+        from .trinomial import counterexample_pid_check, trinomial_nsa
+
+        cert = trinomial_nsa(model)
     print(f"status={cert.status}")
     for key, value in cert.diagnostics.items():
         print(f"{key}={_fmt(value)}")
@@ -250,142 +272,15 @@ def cmd_check_model(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.status == "NsaCertified" else EXIT_NOT_CERTIFIED
 
 
-# ---------------------------------------------------- simulate and sweep
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STATARB_SEED")
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError:
-        seed = -1  # reported below, as a negative value is
-    if seed < 0:
-        raise ValueError(
-            f"STATARB_SEED must be a nonnegative integer, got {env!r}")
-    return seed
-
-
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The flags' experiment; a bad STATARB_SEED fails before the rest."""
-    seed = _resolve_seed(args)
-    from .gbm import GbmParams
-    from .harness import ExperimentConfig
-    from .strategies import StrategyConfig
-
-    params = GbmParams(mu=args.mu, sigma=args.sigma, s0=args.s0,
-                       horizon=args.horizon, n_steps=args.steps)
-    c, c_mult = args.c, args.c_mult
-    if c is None and c_mult is None:
-        c_mult = 0.01
-    kind = "trend" if args.strategy == "gfin" else args.strategy
-    strategy = StrategyConfig(kind=kind, c=c, c_mult=c_mult,
-                              alpha=args.alpha,
-                              execution_mode=args.mode)
-    return ExperimentConfig(params=params, strategy=strategy,
-                            n_runs=args.runs, master_seed=seed)
-
-
-def _metadata(config: ExperimentConfig) -> dict[str, str]:
-    return {
-        "version": __version__,
-        "seed": str(config.master_seed),
-        "quantile_method": QUANTILE_METHOD,
-        "execution_mode": config.strategy.execution_mode,
-    }
-
-
-def _report_runs(row: SweepRow, cell: str = "") -> None:
-    """How the runs of one experiment ended and how many cycles they
-    completed, on stderr."""
-    ended = row.ended_by
-    print(f"statarb: ended_by: {cell}PositivePnl={ended['PositivePnl']} "
-          f"Horizon={ended['Horizon']}", file=sys.stderr)
-    counts = " ".join(f"{n}={k}" for n, k in sorted(row.repetitions.items()))
-    print(f"statarb: repetitions: {cell}{counts}", file=sys.stderr)
-
-
-def _publish(write: Callable[[IO[str]], object], out: Path | None,
-             dump: Callable[[IO[str]], object]) -> None:
-    """Buffer ``write``'s stdout table, write --out with ``dump``, so that a
-    failed write prints nothing, then the table; diagnostics go to stderr."""
-    buf = io.StringIO()
-    write(buf)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            dump(fh)
-    sys.stdout.write(buf.getvalue())
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    from .harness import SweepRow, dump_runs_csv, dump_sweep_csv, \
-        run_experiment
-
-    config = _experiment_config(args)
-    result = run_experiment(config)
-    meta = _metadata(config)
-    c = config.strategy.resolved_c(args.mu, args.sigma)
-    row = SweepRow(c, result.summary, result.ended_by, result.repetitions)
-    _publish(lambda fh: dump_sweep_csv([row], fh, metadata=meta), args.out,
-             lambda fh: dump_runs_csv(result, fh, metadata=meta))
-    _report_runs(row)
-    return EXIT_OK
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import dump_sweep_csv, sweep
-
-    try:
-        values = tuple(float(v) for v in args.values.split(","))
-    except ValueError:
-        print(f"statarb: bad --values list {args.values!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    config = _experiment_config(args)
-    rows = sweep(config, args.axis, values)
-    table = functools.partial(dump_sweep_csv, rows, metadata=_metadata(config))
-    _publish(table, args.out, table)
-    for row in rows:
-        _report_runs(row, f"{args.axis}={row.param!r} ")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------- backtest
-
-
-def cmd_backtest(args: argparse.Namespace) -> int:
-    from .backtest import BacktestConfig, dump_cycles_csv, \
-        dump_summary_json, load_csv, run_backtest
-
-    series = load_csv(args.data)
-    config = BacktestConfig(boundary_fraction=args.boundary,
-                            window_days=args.window, alpha=args.alpha)
-    result = run_backtest(series, config)
-    meta = {
-        "version": __version__,
-        "window": str(args.window),
-        "boundary": repr(float(args.boundary)),
-        "execution_mode": "observed",
-    }
-    _publish(lambda fh: dump_summary_json(result, fh, metadata=meta),
-             args.out, lambda fh: dump_cycles_csv(result, fh, metadata=meta))
-    skipped = " ".join(f"{k}={v}" for k, v in result.skipped.items())
-    print(f"statarb: skipped windows: {skipped}", file=sys.stderr)
-    print(f"statarb: cut-off cycle pnl: {result.cutoff_pnl!r}",
-          file=sys.stderr)
-    return EXIT_OK
-
-
 # -------------------------------------------------------------- dispatcher
 
+# check-model runs here; a string names a function of `commands`, which
+# main imports when that command starts
 _COMMANDS = {
     "check-model": cmd_check_model,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "backtest": cmd_backtest,
+    "simulate": "cmd_simulate",
+    "sweep": "cmd_sweep",
+    "backtest": "cmd_backtest",
 }
 
 
@@ -401,8 +296,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
+    if isinstance(command, str):
+        from . import commands
+
+        command = getattr(commands, command)
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except AllRunsSkipped as exc:
         print(f"statarb: {exc}", file=sys.stderr)
         return EXIT_ALL_SKIPPED

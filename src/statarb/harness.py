@@ -227,6 +227,10 @@ def _apply_axis(config: ExperimentConfig, name: str,
             raise ValueError(f"eta={value!r} gives sigma = mu / eta = "
                              f"{sigma!r}, not a finite positive float, at "
                              f"mu={params.mu!r}")
+        if sigma * sigma == 0.0:  # else gbm or resolved_c names sigma
+            raise ValueError(f"eta={value!r} gives sigma = mu / eta = "
+                             f"{sigma!r}, whose square underflows to 0, at "
+                             f"mu={params.mu!r}")
         params = replace(params, sigma=sigma)
     return replace(config, params=params, strategy=strategy)
 

@@ -1,21 +1,17 @@
-"""Finite lattice market models and their no-statistical-arbitrage
-certificates.
+"""The two-period binomial lattice model and its no-statistical-arbitrage
+certificate.
 
-Two model families are covered:
+``TwoPeriodBinomial`` is a recombining two-period binomial tree with paths
+(uu, ud, du, dd).  It admits a complete theory: a determinant certificate
+for absence of statistical arbitrage, the unique equivalent martingale
+measure, and a closed-form strategy ``phi = A^-1 (1,1,1)`` when arbitrage
+exists.
 
-* ``TwoPeriodBinomial`` -- recombining two-period binomial tree with paths
-  (uu, ud, du, dd).  Admits a complete theory: a determinant certificate for
-  absence of statistical arbitrage, the unique equivalent martingale measure,
-  and a closed-form strategy ``phi = A^-1 (1,1,1)`` when arbitrage exists.
-* ``TrinomialTopModel`` -- a two-step tree whose second step is binomial plus
-  one shared top state reachable from both period-1 nodes.  Incomplete; only a
-  sufficient certificate (Gamma bounds) is available, so the certificate is
-  three-valued.
-
-This is what ``statarb check-model`` runs, so the CLI loads this module
-when it starts.  The three-period trend lattice, scenario partitions and
-three-leg strategies are in ``scenarios``.  Equality-like tests use the
-module tolerance ``EPS_TOL``.
+This is what ``statarb check-model`` runs on a binomial, so the CLI loads
+this module when it starts.  The trinomial-top counterexample and its
+certificates are in ``trinomial``; the three-period trend lattice, scenario
+partitions and three-leg strategies are in ``scenarios``.  Equality-like
+tests use the module tolerance ``EPS_TOL``.
 """
 from __future__ import annotations
 
@@ -24,7 +20,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import DegenerateModel, NoSaExists, NoSolution
+from .errors import DegenerateModel, NoSaExists
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,17 +28,13 @@ if TYPE_CHECKING:
 __all__ = [
     "EPS_TOL",
     "TwoPeriodBinomial",
-    "TrinomialTopModel",
     "StrategyVector",
     "NsaCertificate",
-    "PidCheckReport",
     "binomial_A_matrix",
     "tilde_q",
     "nsa_binomial",
     "emm_binomial",
     "solve_binomial_sa",
-    "trinomial_nsa",
-    "counterexample_pid_check",
 ]
 
 # The command-line choices, defined here because the CLI parser needs them
@@ -145,76 +137,6 @@ class TwoPeriodBinomial(_Checked, _BinomialFields):
 
     first_up = (True, True, False, False)
     ds3 = (0.0, 0.0, 0.0, 0.0)
-
-
-class _TrinomialFields(NamedTuple):
-    s0: float
-    s1_up: float
-    s1_down: float
-    s2_circ: float
-    s2_uu: float
-    s2_ud: float
-    s2_dd: float
-    p: tuple[float, ...]
-
-
-class TrinomialTopModel(_Checked, _TrinomialFields):
-    """Two-step model: binomial first step, recombining-binomial second step
-    plus a shared top state reachable from both period-1 nodes.
-
-    Paths 0..5: first move up for 0..2, down for 3..5, with terminal prices
-    (s2_circ, s2_uu, s2_ud, s2_circ, s2_ud, s2_dd).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, s0: float, s1_up: float, s1_down: float,
-                s2_circ: float, s2_uu: float, s2_ud: float, s2_dd: float,
-                p: Iterable[float]) -> TrinomialTopModel:
-        p = _probs(p, 6)
-        if not (s2_circ > s2_uu > s2_ud > s2_dd > 0.0):
-            raise ValueError("need s2_circ > s2_uu > s2_ud > s2_dd > 0")
-        if not (s1_up > s0 > s1_down):
-            raise ValueError("need s1_up > s0 > s1_down")
-        if not (s2_uu > s1_up):
-            raise ValueError("need s2_uu > s1_up")
-        if not (s1_down < s2_ud < s1_up):
-            raise ValueError("need s1_down < s2_ud < s1_up")
-        if not (s2_dd < s1_down):
-            raise ValueError("need s2_dd < s1_down")
-        return tuple.__new__(
-            cls, (s0, s1_up, s1_down, s2_circ, s2_uu, s2_ud, s2_dd, p))
-
-    n_paths = 6
-
-    @property
-    def nu1(self) -> float:
-        """p(up to top) / p(down to top)."""
-        return self.p[0] / self.p[3]
-
-    @property
-    def nu2(self) -> float:
-        """p(up to middle) / p(down to middle)."""
-        return self.p[2] / self.p[4]
-
-    @property
-    def ds1(self) -> tuple[float, ...]:
-        u, d = self.s1_up - self.s0, self.s1_down - self.s0
-        return (u, u, u, d, d, d)
-
-    @property
-    def ds2(self) -> tuple[float, ...]:
-        return (
-            self.s2_circ - self.s1_up,
-            self.s2_uu - self.s1_up,
-            self.s2_ud - self.s1_up,
-            self.s2_circ - self.s1_down,
-            self.s2_ud - self.s1_down,
-            self.s2_dd - self.s1_down,
-        )
-
-    first_up = (True, True, True, False, False, False)
-    ds3 = (0.0,) * 6
 
 
 class _Positions(NamedTuple):
@@ -365,69 +287,3 @@ def solve_binomial_sa(model: TwoPeriodBinomial) -> StrategyVector:
         raise NoSaExists("q equals the critical ratio; no arbitrage exists")
     return StrategyVector(*_solve_embedded(model.ds1, model.ds2, q)[:3])
 
-
-# ------------------------------------------------- trinomial certificates
-
-
-def trinomial_nsa(model: TrinomialTopModel) -> NsaCertificate:
-    """Sufficient certificate for the trinomial-top model: NsaCertified iff
-    nu1 equals -ds2(mid-up)/ds2(top-up) * nu2 and Gamma1 < nu2 <= Gamma2
-    (both comparisons padded by EPS_TOL); otherwise NotCertified.  The
-    criterion is one-directional, so 'SaExists' is never reported."""
-    ds1, ds2 = model.ds1, model.ds2
-    scale = _scale(ds1, ds2)
-    gamma1_den = ds1[2] - ds2[2] * (ds1[1] / ds2[1])
-    gamma2_den = ds1[2] - ds1[0] * (ds2[2] / ds2[0])
-    for name, val in (("ds2(dd)", ds2[5]), ("ds2(uu)", ds2[1]),
-                      ("ds2(top-up)", ds2[0]),
-                      ("gamma1 denominator", gamma1_den),
-                      ("gamma2 denominator", gamma2_den)):
-        if abs(val) <= EPS_TOL * scale:
-            raise DegenerateModel(f"{name} vanishes")
-    gamma1 = (-ds1[4] + ds2[4] * (ds1[5] / ds2[5])) / gamma1_den
-    gamma2 = ((ds1[5] / ds2[5]) * (ds2[3] + ds2[4]) - ds1[3] - ds1[4]) \
-        / gamma2_den
-    nu1, nu2 = model.nu1, model.nu2
-    linked = abs(nu1 - (-ds2[2] / ds2[0]) * nu2) <= EPS_TOL
-    in_band = (gamma1 - EPS_TOL) < nu2 <= (gamma2 + EPS_TOL)
-    status = "NsaCertified" if (linked and in_band) else "NotCertified"
-    return NsaCertificate(status, {"gamma1": gamma1, "gamma2": gamma2,
-                                   "nu1": nu1, "nu2": nu2})
-
-
-class PidCheckReport(NamedTuple):
-    """Result of the path-independent-density check: the unique candidate
-    measure matching the model's conditional path ratios, and whether it is a
-    valid (strictly positive) equivalent martingale measure."""
-
-    unique_candidate: tuple[float, ...]
-    is_valid_emm: bool
-
-
-def counterexample_pid_check(model: TrinomialTopModel) -> PidCheckReport:
-    """Solve for the unique measure that is simultaneously a martingale
-    measure and path-independent (same density on paths sharing a terminal
-    state: w1/w4 = p1/p4 and w3/w5 = p3/p5).  Nonnegative-screens the
-    solution; a strictly positive solution would be an equivalent martingale
-    measure."""
-    import numpy as np
-
-    ds1, ds2, p = model.ds1, model.ds2, model.p
-    m = np.array([
-        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        [ds1[0], ds1[0], ds1[0], ds1[3], ds1[3], ds1[3]],
-        [ds2[0], ds2[1], ds2[2], 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, ds2[3], ds2[4], ds2[5]],
-        [p[3], 0.0, 0.0, -p[0], 0.0, 0.0],
-        [0.0, 0.0, p[4], 0.0, -p[2], 0.0],
-    ])
-    rhs = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    try:
-        w = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        raise NoSolution("path-independence constraint system is singular")
-    if np.min(w) < -1e-9:
-        raise NoSolution("no nonnegative measure satisfies the constraints")
-    w = np.where(np.abs(w) <= 1e-12, 0.0, w)
-    return PidCheckReport(tuple(float(x) for x in w),
-                          bool(np.min(w) > EPS_TOL))

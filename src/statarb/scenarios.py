@@ -12,7 +12,8 @@ whose conditional expected gain is >= 0 on every cell and whose unconditional
 expected gain is > 0.  Equality-like tests use ``lattice.EPS_TOL``.
 
 The two-period models and their certificates are in ``lattice``, which the
-CLI loads when it starts; this module loads with the commands that trade.
+CLI loads when it starts, and ``trinomial``; this module loads with the
+commands that trade.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .errors import DegenerateModel, InvalidBase, NoSaExists
 from .lattice import (
     EPS_TOL,
     StrategyVector,
-    TrinomialTopModel,
     TwoPeriodBinomial,
     _Checked,
     _probs,
@@ -33,6 +33,7 @@ from .lattice import (
     binomial_A_matrix,
     total,
 )
+from .trinomial import TrinomialTopModel
 
 if TYPE_CHECKING:
     import numpy as np

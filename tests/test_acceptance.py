@@ -47,11 +47,9 @@ from statarb.lattice import (
     StrategyVector,
     TwoPeriodBinomial,
     binomial_A_matrix,
-    counterexample_pid_check,
     emm_binomial,
     solve_binomial_sa,
     tilde_q,
-    trinomial_nsa,
 )
 from statarb.paths import TradeLedger, simulate_gbm
 from statarb.scenarios import (
@@ -68,6 +66,7 @@ from statarb.strategies import (
     StrategyConfig,
     run_path,
 )
+from statarb.trinomial import counterexample_pid_check, trinomial_nsa
 
 TABLE_PARAMS = GbmParams(mu=0.1241, sigma=0.0837, s0=2186.0, horizon=1.0,
                          n_steps=1000)

@@ -410,6 +410,19 @@ def test_simulate_c_and_c_mult_conflict_exits_1(capsys):
             "with argument --c")
 
 
+def test_negative_value_in_exponent_form_follows_its_flag(capsys):
+    # argparse alone reads -1.241e-1 as an unknown option, and so says that
+    # --mu expected one argument
+    argv = ["simulate", *SIM_ARGS, "--strategy", "trend"]
+    spaced = run_cli([*argv, "--mu", "-1.241e-1"], capsys)
+    assert spaced == run_cli([*argv, "--mu=-1.241e-1"], capsys)
+    assert spaced[0] == 0
+    code, out, err = run_cli(["simulate", *SIM_ARGS, "--alpha", "-1e-3"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == "statarb: alpha must be nonnegative\n"
+
+
 def test_simulate_all_runs_skipped_exits_4(capsys):
     mu_star = find_no_sa_mu(0.02, 0.1)
     code, _, err = run_cli(["simulate", "--mu", repr(mu_star),
@@ -443,6 +456,7 @@ def test_simulate_strategy_and_mode_flags(capsys):
     ("--horizon", "inf", "trend"),
     ("--alpha", "nan", "embedded"),
     ("--alpha", "inf", "trend"),
+    ("--mu", "-inf", "embedded"),
 ])
 def test_simulate_non_finite_parameter_exits_1(flag, value, kind, capsys):
     code, out, err = run_cli(["simulate", *SIM_ARGS, "--c", "0.01",
@@ -712,13 +726,20 @@ def test_sweep_zero_eta_exits_1(capsys):
                "positive float, at mu=0.1241"),
     ("1e300", "eta=1e+300 gives sigma = mu / eta = 0.0, not a finite "
               "positive float, at mu=1e-300"),
+    # sigma is positive but its square underflows, at a fixed c and under
+    # the default c_mult: eta is named, not sigma
+    ("1e300 --c 0.01", "eta=1e+300 gives sigma = mu / eta = "
+                       "1.2409999999999999e-301, whose square underflows "
+                       "to 0, at mu=0.1241"),
+    ("1e300", "eta=1e+300 gives sigma = mu / eta = 1e-310, whose square "
+              "underflows to 0, at mu=1e-10"),
 ])
 def test_sweep_bad_eta_exits_1(value, message, capsys):
     # no eta has the sign of a zero drift; the sweep runs at the mu its
-    # sign message names, else at the default
+    # sign message names, else at the default; flags may follow the value
     mu = message.partition("mu=")[2] or "0.1241"
     code, out, err = run_cli(["sweep", *SIM_ARGS, "--mu", mu, "--axis",
-                              "eta", "--values", value], capsys)
+                              "eta", "--values", *value.split()], capsys)
     assert code == 1
     assert out == ""
     assert err == f"statarb: {message}\n"
@@ -1148,3 +1169,44 @@ def test_cli_starts_without_scenarios():
     assert codes == [2, 0, 0, 1]
     assert loaded == []
     assert scenarios == "statarb.scenarios"
+
+
+COMMANDS_PROBE = """\
+import contextlib, io, sys
+import statarb.cli
+tracked = {"statarb.commands", "statarb.trinomial"}
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(err):
+    codes = [statarb.cli.main(["check-model", "sec34"]),
+             statarb.cli.main(["--version"]),
+             statarb.cli.main(["simulate", "--runs", "0"])]
+    usage = err.getvalue().splitlines()[-1]
+    loaded = [sorted(tracked & set(sys.modules))]
+    codes.append(statarb.cli.main(["check-model",
+                                   "bondarenko-counterexample"]))
+    loaded.append(sorted(tracked & set(sys.modules)))
+    codes.append(statarb.cli.main(["simulate", "--runs", "3", "--steps",
+                                   "100"]))
+    loaded.append(sorted(tracked & set(sys.modules)))
+print(repr((codes, usage, loaded)))
+"""
+
+
+def test_cli_starts_without_commands_or_trinomial():
+    """check-model on a binomial, --version and usage errors compile
+    neither the run commands nor the trinomial certificate; the
+    counterexample loads the trinomial module alone, and a simulate the
+    commands."""
+    import statarb
+    src = Path(statarb.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", COMMANDS_PROBE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    codes, usage, loaded = ast.literal_eval(proc.stdout)
+    assert codes == [2, 0, 1, 0, 0]
+    assert usage == ("statarb simulate: error: argument --runs: "
+                     "must be >= 1, got 0")
+    assert loaded == [[], ["statarb.trinomial"],
+                      ["statarb.commands", "statarb.trinomial"]]

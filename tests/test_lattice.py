@@ -20,15 +20,12 @@ from helpers import (
 from statarb.errors import DegenerateModel, InvalidBase, NoSaExists, NoSolution
 from statarb.lattice import (
     StrategyVector,
-    TrinomialTopModel,
     TwoPeriodBinomial,
     binomial_A_matrix,
-    counterexample_pid_check,
     emm_binomial,
     nsa_binomial,
     solve_binomial_sa,
     tilde_q,
-    trinomial_nsa,
     _det3,
 )
 from statarb.scenarios import (
@@ -46,6 +43,11 @@ from statarb.scenarios import (
     trend_A_matrix,
     trend_partition,
     trend_strategy,
+)
+from statarb.trinomial import (
+    TrinomialTopModel,
+    counterexample_pid_check,
+    trinomial_nsa,
 )
 
 

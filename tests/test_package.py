@@ -5,8 +5,8 @@ import importlib
 
 import pytest
 
-MODULES = ("backtest", "cli", "gbm", "harness", "lattice", "paths",
-           "scenarios", "seeding", "strategies")
+MODULES = ("backtest", "cli", "commands", "gbm", "harness", "lattice",
+           "paths", "scenarios", "seeding", "strategies", "trinomial")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -46,7 +46,6 @@ from statarb.lattice import (  # noqa: E402
     MODES,
     nsa_binomial,
     solve_binomial_sa,
-    trinomial_nsa,
 )
 from statarb.paths import TradeLedger, simulate_gbm  # noqa: E402
 from statarb.scenarios import (  # noqa: E402
@@ -59,6 +58,7 @@ from statarb.scenarios import (  # noqa: E402
     trend_partition,
 )
 from statarb.strategies import StrategyConfig, run_path  # noqa: E402
+from statarb.trinomial import trinomial_nsa  # noqa: E402
 
 ALPHAS = (0.0, 0.5, 1.0)
 MUS = (0.1241, -0.1241)
